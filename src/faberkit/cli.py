@@ -33,7 +33,6 @@ _CONFIG_LINES = (
     f"gauss order G = {measure.DEFAULT_GAUSS_ORDER}",
     "composite mesh level L = n + 2",
     f"monte carlo samples N = {measure.DEFAULT_MC_SAMPLES}",
-    "threads: FABER_THREADS caps workers (0 = auto)",
 )
 
 

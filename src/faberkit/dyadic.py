@@ -1,10 +1,11 @@
 """Exact dyadic index arithmetic for hierarchical sparse grids.
 
 Everything in this module lives in exact integer arithmetic.  A point
-coordinate is a pair ``(num, level)`` meaning ``num * 2**-level``;
-canonical pairs make point identity bit-exact, so sample caches and node
-deduplication never depend on floating point.  Conversion to binary64
-happens only when a function is actually evaluated.
+coordinate is a pair ``(num, level)`` meaning ``num * 2**-level``, or
+the lattice integer ``num * 2**(LATTICE_LEVEL - level)``; either makes
+point identity bit-exact, so sample caches and node deduplication never
+depend on floating point.  Conversion to binary64 happens only when a
+function is actually evaluated.
 
 Level conventions
 -----------------
@@ -22,13 +23,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 #: Hard cap on level entries: 2**MAX_LEVEL must fit an int64.  Stencil
 #: points live one level below their owner, hence the +1 slack for points.
 MAX_LEVEL = 62
-_MAX_POINT_LEVEL = MAX_LEVEL + 1
+
+#: Finest point level.  Sample points are keyed by their exact lattice
+#: coordinates ``x_i * 2**LATTICE_LEVEL``: integers in [0, 2**63], which
+#: fit an uint64.
+LATTICE_LEVEL = MAX_LEVEL + 1
+
+#: Cap on the points one pass may hold: the sparse-grid nodes of an
+#: analysis, or the evaluation points of one measurement pass (both mesh
+#: levels of a Richardson pair).
+MAX_POINTS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,8 @@ def translations(j) -> Iterator[tuple[int, ...]]:
 def _canonical(num: int, level: int) -> tuple[int, int]:
     if level < 0:
         raise ValueError("point level must be >= 0")
-    if level > _MAX_POINT_LEVEL:
-        raise ValueError(f"point level {level} exceeds cap {_MAX_POINT_LEVEL}")
+    if level > LATTICE_LEVEL:
+        raise ValueError(f"point level {level} exceeds cap {LATTICE_LEVEL}")
     if num < 0 or num > (1 << level):
         raise ValueError(f"coordinate {num}/2^{level} outside [0,1]")
     while level > 0 and num % 2 == 0:
@@ -158,6 +167,10 @@ class DyadicPoint:
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(math.ldexp(n, -l) for n, l in self.coords)
+
+    def lattice(self) -> tuple[int, ...]:
+        """Exact integer coordinates ``x_i * 2**LATTICE_LEVEL``."""
+        return tuple(n << (LATTICE_LEVEL - l) for n, l in self.coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("DyadicPoint is immutable")
@@ -211,28 +224,21 @@ def coeff_sample_points(j, k) -> list[DyadicPoint]:
     return [DyadicPoint._from_canonical(c) for c in itertools.product(*axes)]
 
 
-@lru_cache(maxsize=None)
-def _axis_grid(e: int) -> tuple[tuple[int, int], ...]:
-    """Canonical per-axis sample grid of a level entry.
-
-    For e >= 0 the union of all stencils on that axis is the full dyadic
-    grid of step 2**-(e+1); for e == -1 it is the endpoint pair.
-    """
-    if e == -1:
-        return ((0, 0), (1, 0))
-    return tuple(_canonical(t, e + 1) for t in range((1 << (e + 1)) + 1))
-
-
 def node_set(n: int, d: int) -> set[DyadicPoint]:
     """Deduplicated union of all surplus stencils with order <= n.
 
     Per level the stencils tile the tensor grid of step 2**-(j_i+1) per
-    active axis, so the union is assembled level-grid by level-grid; the
-    result is identical to brute-force stencil enumeration.
+    active axis (the endpoint pair per boundary axis), so the union is
+    assembled level-grid by level-grid; the result is identical to
+    brute-force stencil enumeration.
     """
     pts: set[DyadicPoint] = set()
     for j in levels_up_to(n, d):
-        axes = [_axis_grid(e) for e in j.entries]
+        axes = [
+            [(0, 0), (1, 0)] if e < 0
+            else [_canonical(t, e + 1) for t in range((1 << (e + 1)) + 1)]
+            for e in j.entries
+        ]
         for combo in itertools.product(*axes):
             pts.add(DyadicPoint._from_canonical(combo))
     return pts
@@ -241,18 +247,17 @@ def node_set(n: int, d: int) -> set[DyadicPoint]:
 def node_count(n: int, d: int) -> int:
     """Exact size of node_set(n, d) without materializing it.
 
-    Counts points by their exact per-axis canonical level ell: a point
-    belongs to the union iff sum(max(ell_i - 1, 0)) <= n, and there are
-    2 points of exact level 0 (the endpoints) and 2**(ell-1) of exact
-    level ell >= 1 per axis.
+    A point belongs to the union iff the per-axis costs max(ell_i - 1, 0)
+    of its exact canonical levels ell_i sum to at most n.  Per axis there
+    are 3 points of cost 0 (the endpoints and 1/2) and 2**c of cost
+    c >= 1, so the count is a d-fold convolution truncated at cost n.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("budget must be >= 0")
-    total = 0
-    counts = [2] + [1 << (l - 1) for l in range(1, n + 2)]
-    for ell in itertools.product(range(n + 2), repeat=d):
-        if sum(max(l - 1, 0) for l in ell) <= n:
-            total += math.prod(counts[l] for l in ell)
-    return total
+    axis = [3] + [1 << c for c in range(1, n + 1)]
+    ways = [1] + [0] * n  # ways[c]: points of the axes so far with total cost c
+    for _ in range(d):
+        ways = [sum(ways[a] * axis[c - a] for a in range(c + 1)) for c in range(n + 1)]
+    return sum(ways)

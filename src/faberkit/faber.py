@@ -21,22 +21,21 @@ import io
 import itertools
 import json
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .dyadic import (
+    LATTICE_LEVEL,
     MAX_LEVEL,
-    DyadicPoint,
+    MAX_POINTS,
     LevelVector,
     _as_level,
-    _axis_grid,
     _check_translation,
     coeff_sample_points,
     levels_up_to,
+    node_count,
     translations,
 )
 
@@ -67,17 +66,6 @@ class EvaluationError(ValueError):
         self.point = point
         self.value = value
         super().__init__(f"{label!r} returned non-finite value {value!r} at {point}")
-
-
-def _worker_count() -> int:
-    """Worker cap from FABER_THREADS (0 or unset selects a single worker)."""
-    raw = os.environ.get("FABER_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 0:
-        raise ValueError("FABER_THREADS must be >= 0")
-    return min(count, 64) if count else 1
 
 
 class FunctionHandle:
@@ -151,37 +139,47 @@ class FunctionHandle:
 
 
 class SampleCache:
-    """Map from canonical dyadic points to sampled values.
+    """Sampled values of one function handle, keyed by exact lattice point.
 
-    Insertion is insert-if-absent under a lock: concurrent writers may
-    race to evaluate, but every reader observes exactly one stored value
-    per point (first insert wins).  :func:`analyze` populates the cache
-    in a single deduplicated batch, so its evaluation count is exact.
+    A key is the tuple of integer coordinates ``x_i * 2**LATTICE_LEVEL``
+    (see :meth:`DyadicPoint.lattice`).  The cache is bound to the first
+    handle that fills it and rejects any other.  Insertion is
+    insert-if-absent under a lock: concurrent writers may race to
+    evaluate, but every reader observes exactly one stored value per
+    point (first insert wins).
     """
 
     def __init__(self) -> None:
-        self._values: dict[DyadicPoint, float] = {}
+        self._values: dict[tuple[int, ...], float] = {}
+        self._handle: FunctionHandle | None = None
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def __contains__(self, point: DyadicPoint) -> bool:
-        return point in self._values
+    def ensure(self, f: FunctionHandle, lattice: np.ndarray) -> np.ndarray:
+        """Values of f at the rows of an (N, d) uint64 lattice array.
 
-    def value(self, point: DyadicPoint) -> float:
-        return self._values[point]
-
-    def ensure(self, f: FunctionHandle, points) -> None:
-        """Evaluate and store every point not yet cached (one batch)."""
-        missing = [p for p in dict.fromkeys(points) if p not in self._values]
-        if not missing:
-            return
-        X = np.array([p.as_floats() for p in missing], dtype=np.float64)
-        vals = f.eval_batch(X)
+        Points not yet cached are evaluated in one deduplicated batch, so
+        each distinct point costs f exactly one evaluation.
+        """
         with self._lock:
-            for p, v in zip(missing, vals):
-                self._values.setdefault(p, float(v))
+            if self._handle is None:
+                self._handle = f
+            elif self._handle is not f:
+                raise ValueError(
+                    f"SampleCache holds samples of {self._handle.label!r}, "
+                    f"not of {f.label!r}"
+                )
+        keys = list(map(tuple, lattice.tolist()))
+        missing = {key: row for row, key in enumerate(keys) if key not in self._values}
+        if missing:
+            rows = list(missing.values())
+            vals = f.eval_batch(np.ldexp(lattice[rows].astype(np.float64), -LATTICE_LEVEL))
+            with self._lock:
+                for key, v in zip(missing, vals.tolist()):
+                    self._values.setdefault(key, v)
+        return np.array([self._values[key] for key in keys], dtype=np.float64)
 
 
 def hat_eval(j: int, k: int, x: float) -> float:
@@ -217,27 +215,6 @@ def tensor_eval(j, k, x) -> float:
     return out
 
 
-def _surplus_contract(vals: np.ndarray) -> np.ndarray:
-    """Apply ``-(V[2m] - 2 V[2m+1] + V[2m+2]) / 2`` along every odd axis.
-
-    Axes of length <= 2 (boundary pairs, inactive axes) pass through
-    unchanged.  Feeding the full per-level sample grid turns nodal values
-    into the level's hierarchical surpluses in one sweep.
-    """
-    for axis in range(vals.ndim):
-        size = vals.shape[axis]
-        if size < 3:
-            continue
-        head = [slice(None)] * vals.ndim
-        mid = [slice(None)] * vals.ndim
-        tail = [slice(None)] * vals.ndim
-        head[axis] = slice(0, size - 2, 2)
-        mid[axis] = slice(1, size, 2)
-        tail[axis] = slice(2, size, 2)
-        vals = -0.5 * (vals[tuple(head)] - 2.0 * vals[tuple(mid)] + vals[tuple(tail)])
-    return vals
-
-
 def coeff(f: FunctionHandle, j, k, cache: SampleCache | None = None) -> float:
     """Hierarchical coefficient of f at (j, k).
 
@@ -245,13 +222,25 @@ def coeff(f: FunctionHandle, j, k, cache: SampleCache | None = None) -> float:
     once per point) and contracts with the surplus weights.
     """
     j = _as_level(j)
-    pts = coeff_sample_points(j, k)
+    lattice = np.array([p.lattice() for p in coeff_sample_points(j, k)], dtype=np.uint64)
     if cache is None:
         cache = SampleCache()
-    cache.ensure(f, pts)
-    shape = tuple(3 if e >= 0 else 1 for e in j.entries)
-    vals = np.array([cache.value(p) for p in pts], dtype=np.float64).reshape(shape)
-    return float(_surplus_contract(vals)[(0,) * j.dim])
+    vals = cache.ensure(f, lattice).reshape((3,) * len(j.active_axes()))
+    for _ in j.active_axes():  # contract the leading axis, in axis order
+        left, mid, right = vals
+        vals = -0.5 * (left - 2.0 * mid + right)
+    return float(vals)
+
+
+def _flat_index(k: Iterable, shape: tuple[int, ...]):
+    """Position of translation k in the lexicographic order of its level.
+
+    Works on integers and, elementwise, on integer arrays.
+    """
+    flat = 0
+    for ki, c in zip(k, shape):
+        flat = flat * c + ki
+    return flat
 
 
 class FaberSeries:
@@ -320,10 +309,7 @@ class FaberSeries:
         j = _as_level(j)
         k = tuple(int(v) for v in k)
         _check_translation(j, k)
-        flat = 0
-        for ki, c in zip(k, j.translation_shape()):
-            flat = flat * c + ki
-        return float(self.array(j)[flat])
+        return float(self.array(j)[_flat_index(k, j.translation_shape())])
 
     @property
     def size(self) -> int:
@@ -361,10 +347,12 @@ def analyze(
 ) -> FaberSeries:
     """Compute every coefficient of truncation order <= n from samples of f.
 
-    The sample set is deduplicated up front, so a fresh handle is
-    evaluated at exactly the node-set size m(n, d) distinct points.  The
-    per-level surplus contractions are independent; FABER_THREADS > 1
-    distributes them over a thread pool without changing any result.
+    Each coefficient (j, k) owns one node, the centre of its support, so
+    the m(n, d) nodes listed in series order are the flattened series.
+    f is sampled once per node (a fresh handle is evaluated exactly
+    m(n, d) times), then the nodal values are hierarchized in place with
+    one (+1, -2, +1) / -2 sweep per axis (Bungartz & Griebel, Sparse
+    grids, Acta Numerica 13, 2004, sec. 4).
     """
     if d is None:
         d = f.dim
@@ -372,47 +360,43 @@ def analyze(
         raise ValueError(f"requested d={d} but handle has dim={f.dim}")
     if n < 0:
         raise ValueError("budget must be >= 0")
+    m = node_count(n, d)
+    if m > MAX_POINTS:
+        raise ValueError(f"budget n={n} needs {m} nodes in d={d}, over the cap {MAX_POINTS}")
 
+    # Integer lattice of step 2**-(n+1): a level-e axis node sits at the
+    # odd multiple (2k + 1) * 2**(n - e), a boundary node at 0 or `top`.
     levels = levels_up_to(n, d)
+    sizes = [j.translation_count() for j in levels]
+    top = 1 << (n + 1)
+    nodes = np.empty((m, d), dtype=np.int64)
+    for j, stop, size in zip(levels, np.cumsum(sizes), sizes):
+        axes = [
+            np.array([0, top]) if e < 0 else (2 * np.arange(1 << e) + 1) << (n - e)
+            for e in j.entries
+        ]
+        grid = np.meshgrid(*axes, indexing="ij")
+        nodes[stop - size : stop] = np.stack(grid, axis=-1).reshape(size, d)
+
     if cache is None:
         cache = SampleCache()
+    values = cache.ensure(f, nodes.astype(np.uint64) << np.uint64(LATTICE_LEVEL - n - 1))
 
-    # Pass 1: per level, indices of its sample grid into a deduplicated
-    # point list (first-seen order, deterministic).
-    index_of: dict[DyadicPoint, int] = {}
-    points: list[DyadicPoint] = []
-    plans: list[tuple[LevelVector, tuple[int, ...], np.ndarray]] = []
-    for j in levels:
-        axes = [_axis_grid(e) for e in j.entries]
-        shape = tuple(len(a) for a in axes)
-        idx = np.empty(math.prod(shape), dtype=np.int64)
-        pos = 0
-        for combo in itertools.product(*axes):
-            p = DyadicPoint._from_canonical(combo)
-            i = index_of.get(p)
-            if i is None:
-                i = len(points)
-                index_of[p] = i
-                points.append(p)
-            idx[pos] = i
-            pos += 1
-        plans.append((j, shape, idx))
-
-    cache.ensure(f, points)
-    values = np.array([cache.value(p) for p in points], dtype=np.float64)
-
-    def build(plan) -> tuple[LevelVector, np.ndarray]:
-        j, shape, idx = plan
-        grid = values[idx].reshape(shape)
-        return j, np.ascontiguousarray(_surplus_contract(grid)).reshape(-1)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(build, plans))
-    else:
-        results = [build(plan) for plan in plans]
-    return FaberSeries(n, d, dict(results))
+    # The neighbours of a node along an axis are its parents there; they
+    # are found by their flat key (mixed radix top + 1), which fits an
+    # int64 for every (n, d) under the MAX_POINTS cap.
+    place = (top + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    key = nodes @ place
+    order = np.argsort(key)
+    sorted_key = key[order]
+    for axis in range(d):
+        coord = nodes[:, axis]
+        inner = np.flatnonzero(coord % top != 0)
+        step = (coord[inner] & -coord[inner]) * place[axis]
+        left = order[np.searchsorted(sorted_key, key[inner] - step)]
+        right = order[np.searchsorted(sorted_key, key[inner] + step)]
+        values[inner] = -0.5 * (values[left] - 2.0 * values[inner] + values[right])
+    return FaberSeries(n, d, dict(zip(levels, np.split(values, np.cumsum(sizes)[:-1]))))
 
 
 def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
@@ -426,8 +410,9 @@ def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     X = np.ascontiguousarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != series.dim:
         raise ValueError(f"expected (N, {series.dim}) points, got {X.shape}")
-    if X.size and (X.min() < 0.0 or X.max() > 1.0):
-        raise ValueError("point outside [0,1]^d")
+    outside = np.flatnonzero(~np.all((X >= 0.0) & (X <= 1.0), axis=1))
+    if outside.size:
+        raise ValueError(f"point {tuple(X[outside[0]].tolist())} outside [0,1]^d")
     out = np.zeros(X.shape[0])
     for j, arr in series.items():
         if not arr.any():
@@ -444,12 +429,8 @@ def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
             else:
                 choices.append([(0, 1.0 - xi), (1, xi)])
         for combo in itertools.product(*choices):
-            idx: object = 0
-            val: object = 1.0
-            for (ki, vi), c in zip(combo, shape):
-                idx = idx * c + ki
-                val = val * vi
-            out += arr[idx] * val
+            ks, vals = zip(*combo)
+            out += arr[_flat_index(ks, shape)] * math.prod(vals)
     return out
 
 
@@ -509,6 +490,27 @@ def series_to_text(series: FaberSeries) -> str:
     return buf.getvalue()
 
 
+def _build_series(d: int, n: int, entries: Iterable[tuple[tuple, tuple, float]]) -> FaberSeries:
+    """Series from ``(j, k, value)`` entries, each coefficient exactly once."""
+    levels = {j.entries: j for j in levels_up_to(n, d)}
+    data = {j: np.zeros(j.translation_count()) for j in levels.values()}
+    seen = set()
+    for j_entries, k, value in entries:
+        j = levels.get(j_entries)
+        if j is None:
+            raise ValueError(f"level {j_entries} outside budget {n} in d={d}")
+        _check_translation(j, k)
+        flat = _flat_index(k, j.translation_shape())
+        if (j_entries, flat) in seen:
+            raise ValueError(f"duplicate coefficient at level {j_entries}, translation {k}")
+        seen.add((j_entries, flat))
+        data[j][flat] = value
+    missing = sum(a.size for a in data.values()) - len(seen)
+    if missing:
+        raise ValueError(f"series misses {missing} coefficient line(s)")
+    return FaberSeries(n, d, data)
+
+
 def series_from_text(text: str) -> FaberSeries:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -517,24 +519,14 @@ def series_from_text(text: str) -> FaberSeries:
     if len(head) != 4 or head[0] != "dim" or head[2] != "budget":
         raise ValueError(f"bad header {lines[0]!r}")
     d, n = int(head[1]), int(head[3])
-    data = {
-        j: np.zeros(j.translation_count(), dtype=np.float64)
-        for j in levels_up_to(n, d)
-    }
+    entries = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2 * d + 1:
             raise ValueError(f"bad coefficient line {ln!r}")
-        j = LevelVector(tuple(int(v) for v in parts[:d]))
-        k = tuple(int(v) for v in parts[d : 2 * d])
-        _check_translation(j, k)
-        flat = 0
-        for ki, c in zip(k, j.translation_shape()):
-            flat = flat * c + ki
-        if j not in data:
-            raise ValueError(f"level {j.entries} outside budget {n}")
-        data[j][flat] = float(parts[2 * d])
-    return FaberSeries(n, d, data)
+        ints = tuple(int(v) for v in parts[: 2 * d])
+        entries.append((ints[:d], ints[d:], float(parts[2 * d])))
+    return _build_series(d, n, entries)
 
 
 def series_to_json(series: FaberSeries) -> str:
@@ -551,18 +543,12 @@ def series_to_json(series: FaberSeries) -> str:
 def series_from_json(text: str) -> FaberSeries:
     doc = json.loads(text)
     d, n = int(doc["dim"]), int(doc["budget"])
-    data = {
-        j: np.zeros(j.translation_count(), dtype=np.float64)
-        for j in levels_up_to(n, d)
-    }
-    for entry in doc["entries"]:
-        j = LevelVector(tuple(int(v) for v in entry["j"]))
-        k = tuple(int(v) for v in entry["k"])
-        _check_translation(j, k)
-        if j not in data:
-            raise ValueError(f"level {j.entries} outside budget {n}")
-        flat = 0
-        for ki, c in zip(k, j.translation_shape()):
-            flat = flat * c + ki
-        data[j][flat] = float(entry["value"])
-    return FaberSeries(n, d, data)
+    entries = (
+        (
+            tuple(int(v) for v in entry["j"]),
+            tuple(int(v) for v in entry["k"]),
+            float(entry["value"]),
+        )
+        for entry in doc["entries"]
+    )
+    return _build_series(d, n, entries)

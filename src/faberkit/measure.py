@@ -14,7 +14,7 @@ Three methods:
   this is a lower bound of the true sup and reported with estimate 0.
 
 Evaluations are chunked at a fixed size and partial sums combined with
-exact accumulation, so results do not depend on chunk or thread count.
+exact accumulation, so results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .dyadic import _as_level
+from .dyadic import MAX_POINTS, _as_level
 from .faber import FaberSeries, FunctionHandle, evaluate_batch
 
 __all__ = [
@@ -43,10 +43,6 @@ __all__ = [
 
 DEFAULT_GAUSS_ORDER = 5
 DEFAULT_MC_SAMPLES = 200_000
-
-#: Evaluation-point budget of one composite/sup pass (both mesh levels of
-#: the Richardson pair must fit).
-_MAX_GRID_POINTS = 1 << 25
 
 _CHUNK = 1 << 16
 
@@ -93,8 +89,8 @@ class MeasureSpec:
     method: Method
 
     def __post_init__(self) -> None:
-        if self.q < 1.0:
-            raise ValueError("q < 1 not supported")
+        if not self.q >= 1.0:
+            raise ValueError(f"q = {self.q} not supported; need q >= 1")
         if math.isinf(self.q) and not isinstance(self.method, SupGrid):
             raise ValueError("q = inf is handled by the sup_grid method only")
         if not math.isinf(self.q) and isinstance(self.method, SupGrid):
@@ -112,7 +108,7 @@ def default_spec(q: float, n: int, d: int, seed: int = 0) -> MeasureSpec:
         return MeasureSpec(q, SupGrid(level=max(n + 2, 1)))
     level = max(n + 2, 1)
     pts = ((1 << level) * DEFAULT_GAUSS_ORDER) ** d * (1 + 2**d)
-    if d <= 3 and pts <= _MAX_GRID_POINTS:
+    if d <= 3 and pts <= MAX_POINTS:
         return MeasureSpec(q, CompositeGauss(level=level))
     return MeasureSpec(q, StratifiedMC(samples=DEFAULT_MC_SAMPLES, seed=seed))
 
@@ -154,7 +150,7 @@ def _composite(g: FunctionHandle, q: float, m: CompositeGauss) -> tuple[float, f
     if d > 3:
         raise ValueError("composite Gauss supports d <= 3; use stratified_mc")
     finer = ((1 << (m.level + 1)) * m.order) ** d
-    if finer + ((1 << m.level) * m.order) ** d > _MAX_GRID_POINTS:
+    if finer + ((1 << m.level) * m.order) ** d > MAX_POINTS:
         raise ValueError(
             f"composite mesh level {m.level} in d={d} exceeds the cell budget; "
             "use stratified_mc instead"
@@ -207,7 +203,7 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
 def _sup_grid(g: FunctionHandle, m: SupGrid) -> tuple[float, float]:
     d = g.dim
     side = (1 << m.level) + 1
-    if side**d > _MAX_GRID_POINTS:
+    if side**d > MAX_POINTS:
         raise ValueError(f"sup grid level {m.level} in d={d} exceeds the cell budget")
     axis = np.ldexp(np.arange(side, dtype=np.float64), -m.level)
     best = 0.0

@@ -1,11 +1,22 @@
 """Basis evaluation, analysis/synthesis round trips, integration, serialization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from faberkit.dyadic import LevelVector, levels_up_to, node_count, node_set, translations
+from faberkit.dyadic import (
+    MAX_POINTS,
+    LevelVector,
+    coeff_sample_points,
+    levels_up_to,
+    node_count,
+    node_set,
+    translations,
+)
 from faberkit.faber import (
     EvaluationError,
     FaberSeries,
@@ -43,6 +54,10 @@ def naive_eval(series, x):
         for flat, k in enumerate(translations(j)):
             total += arr[flat] * tensor_eval(j, k, x)
     return total
+
+
+def lattice(points):
+    return np.array([p.lattice() for p in points], dtype=np.uint64)
 
 
 def gauss_integral(func, level, order=6):
@@ -202,17 +217,25 @@ class TestAnalyze:
         expected = sf.scaled(2.5).plus(sg.scaled(-1.25))
         assert sc.max_abs_diff(expected) <= 1e-12
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        f = FunctionHandle(lambda X: np.exp(np.sum(X, axis=1)), 2, label="exp")
-        serial = analyze(f, 4)
-        monkeypatch.setenv("FABER_THREADS", "4")
-        threaded = analyze(FunctionHandle(lambda X: np.exp(np.sum(X, axis=1)), 2), 4)
-        assert serial.max_abs_diff(threaded) == 0.0
-
     def test_dimension_mismatch_rejected(self):
         f = FunctionHandle(lambda X: X[:, 0], 1)
         with pytest.raises(ValueError):
             analyze(f, 2, d=2)
+
+    @pytest.mark.parametrize("d,n", [(1, 40), (16, 0)])
+    def test_budget_over_node_cap_fails_before_sampling(self, d, n):
+        f = FunctionHandle(lambda X: X[:, 0], d)
+        with pytest.raises(ValueError, match="cap"):
+            analyze(f, n)
+        assert f.eval_count == 0
+
+    def test_lattice_key_fits_int64_under_node_cap(self):
+        # the flat key of analyze has radix 2**(n+1) + 1 per axis
+        for d in range(1, 30):
+            for n in range(63):
+                if node_count(n, d) > MAX_POINTS:
+                    break  # node counts grow with n
+                assert (2 ** (n + 1) + 1) ** d < 2**63, (n, d)
 
     def test_coeff_agrees_with_analyze(self):
         f = FunctionHandle(lambda X: np.sin(X[:, 0]) * np.exp(X[:, 1]), 2, label="f")
@@ -259,6 +282,12 @@ class TestEvaluate:
         s = random_series(1, 2, RNG)
         with pytest.raises(ValueError):
             evaluate(s, (0.5, 1.5))
+
+    def test_nan_point_rejected_by_name(self):
+        s = random_series(1, 2, RNG)
+        X = np.array([[0.5, 0.5], [0.25, np.nan]])
+        with pytest.raises(ValueError, match=r"\(0\.25, nan\)"):
+            evaluate_batch(s, X)
 
     def test_multilinear_reproduction(self):
         f = FunctionHandle(
@@ -369,13 +398,27 @@ class TestSerialization:
         assert series_to_text(s) == series_to_text(s)
         assert series_to_json(s) == series_to_json(s)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_every_coefficient_exactly_once(self, fmt):
+        s = random_series(2, 2, RNG)
+        if fmt == "text":
+            head, *lines = series_to_text(s).splitlines()
+            read = lambda rows: series_from_text("\n".join([head] + rows))
+        else:
+            doc = json.loads(series_to_json(s))
+            lines = doc["entries"]
+            read = lambda rows: series_from_json(json.dumps({**doc, "entries": rows}))
+        assert read(lines).max_abs_diff(s) == 0.0
+        with pytest.raises(ValueError, match="duplicate"):
+            read(lines + [lines[3]])
+        with pytest.raises(ValueError, match="misses"):
+            read(lines[:3] + lines[4:])
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             series_from_text("budget 1 dim 2\n")
 
     def test_json_mirrors_fields(self):
-        import json
-
         s = random_series(1, 1, RNG)
         doc = json.loads(series_to_json(s))
         assert doc["dim"] == 1 and doc["budget"] == 1
@@ -396,15 +439,12 @@ class TestSampleCache:
     def test_concurrent_ensure_keeps_one_value_per_key(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        from faberkit.dyadic import coeff_sample_points
-
         cache = SampleCache()
-        pts = coeff_sample_points((4, 4), (3, 9))
+        pts = lattice(coeff_sample_points((4, 4), (3, 9)))
+        f = FunctionHandle(lambda X: X[:, 0] + 2 * X[:, 1], 2)
 
         def worker(_):
-            f = FunctionHandle(lambda X: X[:, 0] + 2 * X[:, 1], 2)
-            cache.ensure(f, pts)
-            return [cache.value(p) for p in pts]
+            return cache.ensure(f, pts).tolist()
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(worker, range(16)))
@@ -412,14 +452,21 @@ class TestSampleCache:
         assert len(cache) == 9
 
     def test_len_tracks_distinct_points(self):
-        from faberkit.dyadic import coeff_sample_points
-
         cache = SampleCache()
         f = FunctionHandle(lambda X: X[:, 0], 1)
-        cache.ensure(f, coeff_sample_points((1,), (0,)))
-        cache.ensure(f, coeff_sample_points((1,), (1,)))
+        cache.ensure(f, lattice(coeff_sample_points((1,), (0,))))
+        cache.ensure(f, lattice(coeff_sample_points((1,), (1,))))
         assert len(cache) == 5  # midpoint grid of level 2 shares 1/2
         assert f.eval_count == 5
+
+    def test_rejects_a_second_handle(self):
+        from faberkit.testbed import smooth
+
+        cache = SampleCache()
+        x2 = analyze(smooth("x2", 1), 3, cache=cache)
+        with pytest.raises(ValueError, match="SampleCache"):
+            analyze(smooth("exp", 1), 3, cache=cache)
+        assert analyze(smooth("exp", 1), 3).max_abs_diff(x2) > 0.1
 
 
 class TestFunctionHandle:
@@ -442,3 +489,26 @@ class TestFunctionHandle:
         f = FunctionHandle(lambda X: X[:, 0], 2)
         with pytest.raises(ValueError):
             f.eval_batch(np.zeros((3, 1)))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(0, 5),
+    a=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_analyze_matches_coeff_and_round_trips(d, n, a, seed):
+    # elementwise only, so a point's value does not depend on its batch
+    f = FunctionHandle(
+        lambda X: np.exp(sum(w * X[:, i] for i, w in enumerate(a[:d])))
+        * np.cos(X[:, 0] - X[:, -1] ** 2),
+        d,
+    )
+    s = analyze(f, n)
+    cache = SampleCache()
+    for j in s.levels():
+        for flat, k in enumerate(translations(j)):
+            assert coeff(f, j, k, cache) == s.array(j)[flat]
+    c = random_series(n, d, np.random.default_rng(seed))
+    assert analyze(synthesize(c), n).max_abs_diff(c) <= 1e-12

@@ -45,6 +45,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MeasureSpec(0.5, CompositeGauss(level=2))
 
+    def test_q_nan_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            MeasureSpec(math.nan, CompositeGauss(level=2))
+
     def test_q_inf_needs_sup_grid(self):
         with pytest.raises(ValueError):
             MeasureSpec(math.inf, CompositeGauss(level=2))
