@@ -2,20 +2,19 @@
 
 from .dyadic import (
     MAX_LEVEL,
-    DyadicPoint,
     LevelVector,
     coeff_sample_points,
     levels_up_to,
     node,
     node_count,
     node_set,
+    to_floats,
     translations,
 )
 from .faber import (
     EvaluationError,
     FaberSeries,
     FunctionHandle,
-    SampleCache,
     analyze,
     coeff,
     evaluate,

@@ -1,11 +1,11 @@
 """Exact dyadic index arithmetic for hierarchical sparse grids.
 
 Everything in this module lives in exact integer arithmetic.  A point
-coordinate is a pair ``(num, level)`` meaning ``num * 2**-level``, or
-the lattice integer ``num * 2**(LATTICE_LEVEL - level)``; either makes
-point identity bit-exact, so sample caches and node deduplication never
-depend on floating point.  Conversion to binary64 happens only when a
-function is actually evaluated.
+of [0,1]^d is a row of the integer lattice: coordinate x_i is stored as
+the integer ``x_i * 2**LATTICE_LEVEL`` in a uint64, so point identity is
+bit-exact across levels and never depends on floating point.  Node
+arrays have shape (m, d); :func:`to_floats` converts them to binary64
+only where a function is evaluated.
 
 Level conventions
 -----------------
@@ -23,20 +23,22 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 #: Hard cap on level entries: 2**MAX_LEVEL must fit an int64.  Stencil
 #: points live one level below their owner, hence the +1 slack for points.
 MAX_LEVEL = 62
 
-#: Finest point level.  Sample points are keyed by their exact lattice
+#: Finest point level.  Points are stored as their exact lattice
 #: coordinates ``x_i * 2**LATTICE_LEVEL``: integers in [0, 2**63], which
-#: fit an uint64.
+#: fit a uint64.
 LATTICE_LEVEL = MAX_LEVEL + 1
 
-#: Cap on the points one pass may hold: the sparse-grid nodes of an
-#: analysis, or the evaluation points of one measurement pass (both mesh
-#: levels of a Richardson pair).
+#: Cap on the points one pass may hold: the sparse-grid nodes of a plan
+#: (an analysis or a prescribed testbed series), or the evaluation points
+#: of one measurement pass (both mesh levels of a Richardson pair).
 MAX_POINTS = 1 << 25
 
 
@@ -126,129 +128,97 @@ def translations(j) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(c) for c in j.translation_shape()))
 
 
-def _canonical(num: int, level: int) -> tuple[int, int]:
-    if level < 0:
-        raise ValueError("point level must be >= 0")
-    if level > LATTICE_LEVEL:
-        raise ValueError(f"point level {level} exceeds cap {LATTICE_LEVEL}")
-    if num < 0 or num > (1 << level):
-        raise ValueError(f"coordinate {num}/2^{level} outside [0,1]")
-    while level > 0 and num % 2 == 0:
-        num //= 2
-        level -= 1
-    return (num, level)
+def capped_node_count(n: int, d: int) -> int:
+    """m(n, d) = node_count(n, d), after checking the budget is plannable.
 
-
-class DyadicPoint:
-    """A point of [0,1]^d with exact dyadic-rational coordinates.
-
-    Coordinates are canonical ``(numerator, level)`` pairs: the numerator
-    is odd, or the pair is one of the endpoints ``(0, 0)`` / ``(1, 0)``.
-    Two points are equal iff their canonical coordinates are equal.
+    Raises ValueError, before anything is allocated, for a budget above
+    MAX_LEVEL or a node count above MAX_POINTS.
     """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Iterable[tuple[int, int]]):
-        pairs = tuple(_canonical(int(n), int(l)) for (n, l) in coords)
-        if not pairs:
-            raise ValueError("point needs dimension >= 1")
-        object.__setattr__(self, "coords", pairs)
-
-    @classmethod
-    def _from_canonical(cls, coords: tuple[tuple[int, int], ...]) -> "DyadicPoint":
-        p = object.__new__(cls)
-        object.__setattr__(p, "coords", coords)
-        return p
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(math.ldexp(n, -l) for n, l in self.coords)
-
-    def lattice(self) -> tuple[int, ...]:
-        """Exact integer coordinates ``x_i * 2**LATTICE_LEVEL``."""
-        return tuple(n << (LATTICE_LEVEL - l) for n, l in self.coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadicPoint is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DyadicPoint) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __lt__(self, other: "DyadicPoint") -> bool:
-        # numeric per-axis order; used only for deterministic listings
-        for (n1, l1), (n2, l2) in zip(self.coords, other.coords):
-            a, b = n1 << max(l2 - l1, 0), n2 << max(l1 - l2, 0)
-            if a != b:
-                return a < b
-        return False
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{n}/2^{l}" if l else str(n) for n, l in self.coords)
-        return f"DyadicPoint({parts})"
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if n < 0:
+        raise ValueError("budget must be >= 0")
+    if n > MAX_LEVEL:
+        raise ValueError(f"budget exceeds MAX_LEVEL={MAX_LEVEL}")
+    m = node_count(n, d)
+    if m > MAX_POINTS:
+        raise ValueError(f"budget n={n} needs {m} nodes in d={d}, over the cap {MAX_POINTS}")
+    return m
 
 
-def node(j, k) -> DyadicPoint:
-    """Sample node of (j, k): coordinate ``k_i * 2**-max(j_i, 0)`` per axis."""
-    j = _as_level(j)
-    k = tuple(int(v) for v in k)
-    _check_translation(j, k)
-    return DyadicPoint(
-        (ki, e if e >= 0 else 0) for ki, e in zip(k, j.entries)
-    )
+def _plan(n: int, d: int) -> tuple[list[LevelVector], np.ndarray]:
+    """Levels of order <= n and the lattice rows of their nodes (see node_set)."""
+    m = capped_node_count(n, d)
+    levels = levels_up_to(n, d)
+    entries = np.array([j.entries for j in levels], dtype=np.int64)
+    shape = np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
+    sizes = shape.prod(axis=1)
+    owner = np.repeat(np.arange(len(levels)), sizes)
+    flat = np.arange(m) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    nodes = np.empty((m, d), dtype=np.uint64)
+    for axis in reversed(range(d)):  # the last axis varies fastest
+        count = shape[owner, axis]
+        k = (flat % count).astype(np.uint64)
+        flat //= count
+        e = entries[owner, axis]
+        shift = np.where(e < 0, LATTICE_LEVEL, LATTICE_LEVEL - 1 - e).astype(np.uint64)
+        nodes[:, axis] = np.where(e < 0, k, 2 * k + 1) << shift
+    return levels, nodes
 
 
-def coeff_sample_points(j, k) -> list[DyadicPoint]:
+def node_set(n: int, d: int) -> np.ndarray:
+    """The (m, d) uint64 lattice rows of all nodes of order <= n.
+
+    Row i is :func:`node` of the i-th coefficient in series order: levels
+    in the order of :func:`levels_up_to`, translations of a level in
+    lexicographic order.  The rows are distinct and their set is the
+    union of all surplus stencils of order <= n.  Fails like
+    :func:`capped_node_count`.
+    """
+    return _plan(n, d)[1]
+
+
+def node(j, k) -> np.ndarray:
+    """Node owned by the coefficient (j, k): the centre of its support.
+
+    A (d,) uint64 lattice row with coordinate (2 k_i + 1) * 2**-(j_i + 1)
+    along an active axis and k_i along a boundary axis: the middle point
+    of the stencil, and the row of (j, k) in :func:`node_set`.
+    """
+    stencil = coeff_sample_points(j, k)
+    return stencil[len(stencil) // 2]
+
+
+def coeff_sample_points(j, k) -> np.ndarray:
     """Evaluation stencil of the hierarchical surplus at (j, k).
 
     Per active axis (j_i >= 0) the three abscissae x, x + h, x + 2h with
-    h = 2**-(j_i + 1); per boundary axis the single abscissa k_i.  The
-    3**(#active) points are returned in stencil-lexicographic order and
-    all lie inside [0,1]^d.
+    x = k_i * 2**-j_i, the paper's node x_{j,k}, and h = 2**-(j_i + 1); per
+    boundary axis the single abscissa k_i.  Returns the 3**(#active)
+    points as a uint64 lattice array in stencil-lexicographic order, so
+    the first row is x_{j,k}.
     """
     j = _as_level(j)
     k = tuple(int(v) for v in k)
     _check_translation(j, k)
-    axes: list[list[tuple[int, int]]] = []
-    for ki, e in zip(k, j.entries):
-        if e >= 0:
-            axes.append([_canonical(2 * ki + t, e + 1) for t in range(3)])
-        else:
-            axes.append([(ki, 0)])
-    return [DyadicPoint._from_canonical(c) for c in itertools.product(*axes)]
+    axes = [
+        [ki << LATTICE_LEVEL] if e < 0
+        else [(2 * ki + t) << (LATTICE_LEVEL - 1 - e) for t in range(3)]
+        for e, ki in zip(j.entries, k)
+    ]
+    return np.array(list(itertools.product(*axes)), dtype=np.uint64)
 
 
-def node_set(n: int, d: int) -> set[DyadicPoint]:
-    """Deduplicated union of all surplus stencils with order <= n.
-
-    Per level the stencils tile the tensor grid of step 2**-(j_i+1) per
-    active axis (the endpoint pair per boundary axis), so the union is
-    assembled level-grid by level-grid; the result is identical to
-    brute-force stencil enumeration.
-    """
-    pts: set[DyadicPoint] = set()
-    for j in levels_up_to(n, d):
-        axes = [
-            [(0, 0), (1, 0)] if e < 0
-            else [_canonical(t, e + 1) for t in range((1 << (e + 1)) + 1)]
-            for e in j.entries
-        ]
-        for combo in itertools.product(*axes):
-            pts.add(DyadicPoint._from_canonical(combo))
-    return pts
+def to_floats(lattice) -> np.ndarray:
+    """Binary64 coordinates of lattice integers (any shape)."""
+    return np.ldexp(np.asarray(lattice, dtype=np.uint64).astype(np.float64), -LATTICE_LEVEL)
 
 
 def node_count(n: int, d: int) -> int:
-    """Exact size of node_set(n, d) without materializing it.
+    """Exact number of rows of node_set(n, d), without materializing it.
 
-    A point belongs to the union iff the per-axis costs max(ell_i - 1, 0)
-    of its exact canonical levels ell_i sum to at most n.  Per axis there
+    A lattice point is a node iff the per-axis costs max(ell_i - 1, 0)
+    of its exact dyadic levels ell_i sum to at most n.  Per axis there
     are 3 points of cost 0 (the endpoints and 1/2) and 2**c of cost
     c >= 1, so the count is a d-fold convolution truncated at cost n.
     """

@@ -101,7 +101,7 @@ def convergence_study(
     """Sample, reconstruct, and measure the L_q defect for each budget.
 
     The node count per row is the number of fresh evaluations the
-    analysis performed (each budget owns its cache and series).
+    analysis performed (each budget owns its analysis).
     """
     d = f.dim
     records = []

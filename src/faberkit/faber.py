@@ -21,7 +21,6 @@ import io
 import itertools
 import json
 import math
-import threading
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -29,20 +28,19 @@ import numpy as np
 from .dyadic import (
     LATTICE_LEVEL,
     MAX_LEVEL,
-    MAX_POINTS,
     LevelVector,
     _as_level,
     _check_translation,
+    _plan,
     coeff_sample_points,
     levels_up_to,
-    node_count,
+    to_floats,
     translations,
 )
 
 __all__ = [
     "EvaluationError",
     "FunctionHandle",
-    "SampleCache",
     "FaberSeries",
     "hat_eval",
     "tensor_eval",
@@ -138,50 +136,6 @@ class FunctionHandle:
         return f"FunctionHandle({self.label!r}, dim={self.dim}, evals={self._count})"
 
 
-class SampleCache:
-    """Sampled values of one function handle, keyed by exact lattice point.
-
-    A key is the tuple of integer coordinates ``x_i * 2**LATTICE_LEVEL``
-    (see :meth:`DyadicPoint.lattice`).  The cache is bound to the first
-    handle that fills it and rejects any other.  Insertion is
-    insert-if-absent under a lock: concurrent writers may race to
-    evaluate, but every reader observes exactly one stored value per
-    point (first insert wins).
-    """
-
-    def __init__(self) -> None:
-        self._values: dict[tuple[int, ...], float] = {}
-        self._handle: FunctionHandle | None = None
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def ensure(self, f: FunctionHandle, lattice: np.ndarray) -> np.ndarray:
-        """Values of f at the rows of an (N, d) uint64 lattice array.
-
-        Points not yet cached are evaluated in one deduplicated batch, so
-        each distinct point costs f exactly one evaluation.
-        """
-        with self._lock:
-            if self._handle is None:
-                self._handle = f
-            elif self._handle is not f:
-                raise ValueError(
-                    f"SampleCache holds samples of {self._handle.label!r}, "
-                    f"not of {f.label!r}"
-                )
-        keys = list(map(tuple, lattice.tolist()))
-        missing = {key: row for row, key in enumerate(keys) if key not in self._values}
-        if missing:
-            rows = list(missing.values())
-            vals = f.eval_batch(np.ldexp(lattice[rows].astype(np.float64), -LATTICE_LEVEL))
-            with self._lock:
-                for key, v in zip(missing, vals.tolist()):
-                    self._values.setdefault(key, v)
-        return np.array([self._values[key] for key in keys], dtype=np.float64)
-
-
 def hat_eval(j: int, k: int, x: float) -> float:
     """Evaluate the univariate basis function (j, k) at x in [0,1]."""
     if not 0.0 <= x <= 1.0:
@@ -215,17 +169,16 @@ def tensor_eval(j, k, x) -> float:
     return out
 
 
-def coeff(f: FunctionHandle, j, k, cache: SampleCache | None = None) -> float:
-    """Hierarchical coefficient of f at (j, k).
+def coeff(f: FunctionHandle, j, k) -> float:
+    """Hierarchical coefficient of f at (j, k), the scalar oracle of analyze.
 
-    Samples the 3**(#active) stencil points (through the cache, at most
-    once per point) and contracts with the surplus weights.
+    Evaluates f once at each of the 3**(#active) points of
+    :func:`coeff_sample_points` and contracts with the surplus weights,
+    one active axis at a time in axis order, as :func:`analyze` does.
     """
     j = _as_level(j)
-    lattice = np.array([p.lattice() for p in coeff_sample_points(j, k)], dtype=np.uint64)
-    if cache is None:
-        cache = SampleCache()
-    vals = cache.ensure(f, lattice).reshape((3,) * len(j.active_axes()))
+    vals = f.eval_batch(to_floats(coeff_sample_points(j, k)))
+    vals = vals.reshape((3,) * len(j.active_axes()))
     for _ in j.active_axes():  # contract the leading axis, in axis order
         left, mid, right = vals
         vals = -0.5 * (left - 2.0 * mid + right)
@@ -339,48 +292,30 @@ class FaberSeries:
         return f"FaberSeries(budget={self.budget}, dim={self.dim}, size={self.size})"
 
 
-def analyze(
-    f: FunctionHandle,
-    n: int,
-    d: int | None = None,
-    cache: SampleCache | None = None,
-) -> FaberSeries:
+def analyze(f: FunctionHandle, n: int, d: int | None = None) -> FaberSeries:
     """Compute every coefficient of truncation order <= n from samples of f.
 
     Each coefficient (j, k) owns one node, the centre of its support, so
-    the m(n, d) nodes listed in series order are the flattened series.
-    f is sampled once per node (a fresh handle is evaluated exactly
-    m(n, d) times), then the nodal values are hierarchized in place with
-    one (+1, -2, +1) / -2 sweep per axis (Bungartz & Griebel, Sparse
-    grids, Acta Numerica 13, 2004, sec. 4).
+    the rows of ``node_set(n, d)`` are the nodes of the flattened series.
+    f is evaluated once, in one batch, at those m(n, d) distinct nodes (a
+    fresh handle counts exactly m(n, d) evaluations), then the nodal
+    values are hierarchized in place with one (+1, -2, +1) / -2 sweep per
+    axis (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004,
+    sec. 4).  Raises ValueError before sampling when m(n, d) exceeds
+    MAX_POINTS.
     """
     if d is None:
         d = f.dim
     elif d != f.dim:
         raise ValueError(f"requested d={d} but handle has dim={f.dim}")
-    if n < 0:
-        raise ValueError("budget must be >= 0")
-    m = node_count(n, d)
-    if m > MAX_POINTS:
-        raise ValueError(f"budget n={n} needs {m} nodes in d={d}, over the cap {MAX_POINTS}")
+    levels, lattice = _plan(n, d)
+    values = f.eval_batch(to_floats(lattice))
 
-    # Integer lattice of step 2**-(n+1): a level-e axis node sits at the
-    # odd multiple (2k + 1) * 2**(n - e), a boundary node at 0 or `top`.
-    levels = levels_up_to(n, d)
-    sizes = [j.translation_count() for j in levels]
+    # Hierarchize on the integer lattice of step 2**-(n+1): a level-e axis
+    # node sits at the odd multiple (2k + 1) * 2**(n - e), a boundary node
+    # at 0 or `top`.
+    nodes = (lattice >> np.uint64(LATTICE_LEVEL - n - 1)).astype(np.int64)
     top = 1 << (n + 1)
-    nodes = np.empty((m, d), dtype=np.int64)
-    for j, stop, size in zip(levels, np.cumsum(sizes), sizes):
-        axes = [
-            np.array([0, top]) if e < 0 else (2 * np.arange(1 << e) + 1) << (n - e)
-            for e in j.entries
-        ]
-        grid = np.meshgrid(*axes, indexing="ij")
-        nodes[stop - size : stop] = np.stack(grid, axis=-1).reshape(size, d)
-
-    if cache is None:
-        cache = SampleCache()
-    values = cache.ensure(f, nodes.astype(np.uint64) << np.uint64(LATTICE_LEVEL - n - 1))
 
     # The neighbours of a node along an axis are its parents there; they
     # are found by their flat key (mixed radix top + 1), which fits an
@@ -396,6 +331,7 @@ def analyze(
         left = order[np.searchsorted(sorted_key, key[inner] - step)]
         right = order[np.searchsorted(sorted_key, key[inner] + step)]
         values[inner] = -0.5 * (values[left] - 2.0 * values[inner] + values[right])
+    sizes = [j.translation_count() for j in levels]
     return FaberSeries(n, d, dict(zip(levels, np.split(values, np.cumsum(sizes)[:-1]))))
 
 

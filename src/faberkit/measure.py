@@ -13,8 +13,11 @@ Three methods:
 * sup over the full grid of a given level (the only q = inf method);
   this is a lower bound of the true sup and reported with estimate 0.
 
-Evaluations are chunked at a fixed size and partial sums combined with
-exact accumulation, so results do not depend on the chunk size.
+Tensor grids are enumerated in chunks of ``_CHUNK`` points and the
+per-chunk partial sums are combined with exact accumulation.  The chunk
+size fixes the summation order inside each chunk, so results depend on
+it at the level of rounding (the sup grid not at all); with the fixed
+size they are deterministic.
 """
 
 from __future__ import annotations
@@ -113,21 +116,22 @@ def default_spec(q: float, n: int, d: int, seed: int = 0) -> MeasureSpec:
     return MeasureSpec(q, StratifiedMC(samples=DEFAULT_MC_SAMPLES, seed=seed))
 
 
+def _grid_chunks(shape: tuple[int, ...]):
+    """Per-axis index arrays of the C-ordered tensor grid, _CHUNK points at a time."""
+    total = math.prod(shape)
+    for start in range(0, total, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        yield np.unravel_index(flat, shape)
+
+
 def _tensor_reduce(axis_pts, axis_wts, g: FunctionHandle, q: float) -> float:
     """Sum of w * |g|^q over the tensor grid, chunked deterministically."""
-    d = len(axis_pts)
-    shape = tuple(len(a) for a in axis_pts)
-    total = math.prod(shape)
     partials = []
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        multi = np.unravel_index(flat, shape)
-        X = np.empty((stop - start, d))
-        w = np.ones(stop - start)
-        for i in range(d):
-            X[:, i] = axis_pts[i][multi[i]]
-            w *= axis_wts[i][multi[i]]
+    for multi in _grid_chunks(tuple(len(a) for a in axis_pts)):
+        X = np.stack([pts[i] for pts, i in zip(axis_pts, multi)], axis=1)
+        w = np.ones(len(X))
+        for wts, i in zip(axis_wts, multi):
+            w *= wts[i]
         vals = g.eval_batch(X)
         partials.append(float(np.sum(w * np.abs(vals) ** q)))
     return math.fsum(partials)
@@ -175,17 +179,10 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
         sums.append(float(np.sum(vals)))
         sqsums.append(float(np.sum(vals * vals)))
 
-    side = 1 << level
-    cell_shape = (side,) * d
     h = math.ldexp(1.0, -level)
-    for start in range(0, strata, _CHUNK):
-        stop = min(start + _CHUNK, strata)
-        offsets = rng.random((stop - start, d))
-        corners = np.stack(
-            np.unravel_index(np.arange(start, stop, dtype=np.int64), cell_shape),
-            axis=1,
-        ).astype(np.float64)
-        accumulate((corners + offsets) * h)
+    for multi in _grid_chunks((1 << level,) * d):
+        corners = np.stack(multi, axis=1).astype(np.float64)
+        accumulate((corners + rng.random(corners.shape)) * h)
     remainder = n_total - strata
     for start in range(0, remainder, _CHUNK):
         stop = min(start + _CHUNK, remainder)
@@ -207,14 +204,8 @@ def _sup_grid(g: FunctionHandle, m: SupGrid) -> tuple[float, float]:
         raise ValueError(f"sup grid level {m.level} in d={d} exceeds the cell budget")
     axis = np.ldexp(np.arange(side, dtype=np.float64), -m.level)
     best = 0.0
-    shape = (side,) * d
-    total = side**d
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        multi = np.unravel_index(np.arange(start, stop, dtype=np.int64), shape)
-        X = np.empty((stop - start, d))
-        for i in range(d):
-            X[:, i] = axis[multi[i]]
+    for multi in _grid_chunks((side,) * d):
+        X = np.stack([axis[i] for i in multi], axis=1)
         best = max(best, float(np.max(np.abs(g.eval_batch(X)))))
     return best, 0.0
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dyadic import levels_up_to, translations
+from .dyadic import capped_node_count, levels_up_to, translations
 from .faber import FaberSeries, FunctionHandle, synthesize
 
 __all__ = [
@@ -60,12 +60,15 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     Each interior level j (all entries >= 0, order <= depth) carries the
     full translation set with coefficients ``2**(-order/p)`` and seeded
     signs; levels touching the boundary are zero so the normalization
-    (2**order coefficients of magnitude 2**(-order/p)) is exact.
+    (2**order coefficients of magnitude 2**(-order/p)) is exact.  The
+    series has node_count(depth, d) coefficients; a depth over the
+    MAX_POINTS cap raises ValueError before anything is built.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    capped_node_count(depth, d)
     data = {}
     for j in levels_up_to(depth, d):
         size = j.translation_count()
@@ -88,10 +91,12 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
     The single unit coefficient sits at a seeded translation, so
     level_lp == 1 simultaneously for every p; the levels concentrate
     instead of spreading, which makes the family saturate L_q truncation
-    errors with q above the coefficient exponent.
+    errors with q above the coefficient exponent.  Depths over the
+    MAX_POINTS cap fail as in :func:`extremal`.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    capped_node_count(depth, d)
     data = {}
     for j in levels_up_to(depth, d):
         size = j.translation_count()

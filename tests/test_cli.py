@@ -211,6 +211,13 @@ class TestErrorsAndConfig:
         assert code == 1
         assert "error:" in err
 
+    def test_depth_over_node_cap_exits_1(self, capsys):
+        code, _, err = run_cli(
+            capsys, "rates", "--func", "extremal", "--depth", "40", "--dim", "1", "--n", "4",
+        )
+        assert code == 1
+        assert "cap" in err
+
     def test_bad_anchor_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys, "recover", "--dim", "1", "--n", "2", "--func", "kink",

@@ -2,17 +2,19 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from faberkit.dyadic import (
+    LATTICE_LEVEL,
     MAX_LEVEL,
-    DyadicPoint,
     LevelVector,
     coeff_sample_points,
     levels_up_to,
     node,
     node_count,
     node_set,
+    to_floats,
     translations,
 )
 
@@ -26,12 +28,20 @@ def brute_force_levels(n, d):
     return out
 
 
+def rows(lattice):
+    return set(map(tuple, lattice.tolist()))
+
+
+def floats(lattice):
+    return [tuple(x) for x in to_floats(lattice).tolist()]
+
+
 def brute_force_nodes(n, d):
     """Oracle: the definition, union of all surplus stencils."""
     pts = set()
     for j in levels_up_to(n, d):
         for k in translations(j):
-            pts.update(coeff_sample_points(j, k))
+            pts |= rows(coeff_sample_points(j, k))
     return pts
 
 
@@ -101,49 +111,38 @@ class TestTranslations:
         assert got == sorted(got)
 
 
-class TestDyadicPoint:
-    def test_canonicalization_is_idempotent(self):
-        p = DyadicPoint([(4, 3)])  # 4/8 == 1/2
-        assert p.coords == ((1, 1),)
-        assert DyadicPoint(p.coords).coords == p.coords
+class TestLattice:
+    def test_to_floats(self):
+        assert floats([[5 << 60, 1 << 62]]) == [(0.625, 0.5)]
 
-    def test_same_value_same_identity(self):
-        assert DyadicPoint([(8, 4)]) == DyadicPoint([(1, 1)])
-        assert hash(DyadicPoint([(8, 4)])) == hash(DyadicPoint([(1, 1)]))
+    def test_same_value_same_row_across_levels(self):
+        # 1/2 is the node of level 0 and a stencil end of both level-1 hats
+        half = node((0,), (0,))
+        assert coeff_sample_points((1,), (0,))[2].tolist() == half.tolist()
+        assert coeff_sample_points((1,), (1,))[0].tolist() == half.tolist()
 
-    def test_endpoints_canonical(self):
-        assert DyadicPoint([(0, 5)]).coords == ((0, 0),)
-        assert DyadicPoint([(32, 5)]).coords == ((1, 0),)
+    def test_endpoints(self):
+        assert node((-1,), (0,)).tolist() == [0]
+        assert node((-1,), (1,)).tolist() == [1 << LATTICE_LEVEL]
+        assert coeff_sample_points((4,), (15,))[-1].tolist() == [1 << LATTICE_LEVEL]
 
-    def test_rejects_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            DyadicPoint([(9, 3)])
-
-    def test_as_floats(self):
-        assert DyadicPoint([(5, 3), (1, 1)]).as_floats() == (0.625, 0.5)
-
-    def test_immutable(self):
-        p = DyadicPoint([(1, 1)])
-        with pytest.raises(AttributeError):
-            p.coords = ((0, 0),)
-
-    def test_numeric_ordering(self):
-        pts = [DyadicPoint([(n, 4)]) for n in (11, 0, 16, 5, 8)]
-        assert [p.as_floats()[0] for p in sorted(pts)] == [0.0, 5 / 16, 0.5, 11 / 16, 1.0]
-        grid = sorted(DyadicPoint([(a, 2), (b, 1)]) for a in range(5) for b in range(3))
-        floats = [p.as_floats() for p in grid]
-        assert floats == sorted(floats)
+    def test_integer_order_is_numeric_order(self):
+        for n, d in [(4, 1), (2, 2)]:
+            lattice = node_set(n, d)
+            order = np.lexsort(lattice.T[::-1])
+            got = floats(lattice[order])
+            assert got == sorted(got)
 
 
 class TestNode:
     def test_boundary_translation_one(self):
-        assert node((-1,), (1,)).as_floats() == (1.0,)
+        assert floats([node((-1,), (1,))]) == [(1.0,)]
 
     def test_interior(self):
-        assert node((3,), (5,)).as_floats() == (5 / 8,)
+        assert floats([node((3,), (5,))]) == [(11 / 16,)]
 
     def test_mixed(self):
-        assert node((2, -1), (3, 0)).as_floats() == (0.75, 0.0)
+        assert floats([node((2, -1), (3, 0))]) == [(0.875, 0.0)]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -151,29 +150,37 @@ class TestNode:
         with pytest.raises(ValueError):
             node((-1,), (2,))
 
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3)])
+    def test_is_row_of_node_set_in_series_order(self, d, n):
+        owners = [(j, k) for j in levels_up_to(n, d) for k in translations(j)]
+        expected = np.array([node(j, k) for j, k in owners], dtype=np.uint64)
+        assert np.array_equal(node_set(n, d), expected)
+
 
 class TestCoeffSamplePoints:
     def test_univariate_level0(self):
         pts = coeff_sample_points((0,), (0,))
-        assert [p.as_floats() for p in pts] == [(0.0,), (0.5,), (1.0,)]
+        assert floats(pts) == [(0.0,), (0.5,), (1.0,)]
+
+    def test_first_point_is_paper_node(self):
+        # x_{j,k} = k 2^-j, the left end of the support
+        assert floats(coeff_sample_points((3,), (5,))[:1]) == [(5 / 8,)]
 
     def test_boundary_times_interior(self):
         pts = coeff_sample_points((-1, 0), (1, 0))
-        assert [p.as_floats() for p in pts] == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
+        assert floats(pts) == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
 
     def test_tensor_stencil_3x3(self):
-        pts = coeff_sample_points((1, 1), (0, 1))
+        pts = floats(coeff_sample_points((1, 1), (0, 1)))
         assert len(pts) == 9
-        xs = {p.as_floats()[0] for p in pts}
-        ys = {p.as_floats()[1] for p in pts}
-        assert xs == {0.0, 0.25, 0.5}
-        assert ys == {0.5, 0.75, 1.0}
+        assert {p[0] for p in pts} == {0.0, 0.25, 0.5}
+        assert {p[1] for p in pts} == {0.5, 0.75, 1.0}
 
     def test_all_points_inside_cube(self):
         for j in levels_up_to(3, 2):
             for k in translations(j):
-                for p in coeff_sample_points(j, k):
-                    assert all(0.0 <= x <= 1.0 for x in p.as_floats())
+                for p in floats(coeff_sample_points(j, k)):
+                    assert all(0.0 <= x <= 1.0 for x in p)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -182,27 +189,34 @@ class TestCoeffSamplePoints:
 
 class TestNodeSet:
     def test_n3_d1_is_full_grid(self):
-        pts = node_set(3, 1)
+        pts = floats(node_set(3, 1))
         assert len(pts) == 17
-        assert {p.as_floats()[0] for p in pts} == {t / 16 for t in range(17)}
+        assert {p[0] for p in pts} == {t / 16 for t in range(17)}
 
     def test_n0_d1(self):
-        assert {p.as_floats()[0] for p in node_set(0, 1)} == {0.0, 0.5, 1.0}
+        assert floats(node_set(0, 1)) == [(0.0,), (1.0,), (0.5,)]
 
-    @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 2), (1, 6), (2, 5), (3, 3), (4, 3)])
     def test_matches_stencil_union(self, d, n):
-        assert node_set(n, d) == brute_force_nodes(n, d)
+        assert rows(node_set(n, d)) == brute_force_nodes(n, d)
 
     @pytest.mark.parametrize("d,n", [(1, 6), (2, 5), (3, 3)])
     def test_count_matches_set(self, d, n):
-        assert node_count(n, d) == len(node_set(n, d))
+        lattice = node_set(n, d)
+        assert lattice.shape == (node_count(n, d), d) and lattice.dtype == np.uint64
+        assert node_count(n, d) == len(rows(lattice))
 
     def test_stencils_subset_of_node_set(self):
         n, d = 3, 2
-        pts = node_set(n, d)
+        pts = rows(node_set(n, d))
         for j in levels_up_to(n, d):
             for k in translations(j):
-                assert set(coeff_sample_points(j, k)) <= pts
+                assert rows(coeff_sample_points(j, k)) <= pts
+
+    @pytest.mark.parametrize("d,n", [(1, 40), (30, 0)])
+    def test_over_node_cap_rejected(self, d, n):
+        with pytest.raises(ValueError, match="cap"):
+            node_set(n, d)
 
     def test_d1_exact_formula(self):
         for n in range(13):

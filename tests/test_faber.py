@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 from faberkit.dyadic import (
     MAX_POINTS,
     LevelVector,
-    coeff_sample_points,
     levels_up_to,
     node_count,
     node_set,
+    to_floats,
     translations,
 )
 from faberkit.faber import (
     EvaluationError,
     FaberSeries,
     FunctionHandle,
-    SampleCache,
     analyze,
     coeff,
     evaluate,
@@ -54,10 +53,6 @@ def naive_eval(series, x):
         for flat, k in enumerate(translations(j)):
             total += arr[flat] * tensor_eval(j, k, x)
     return total
-
-
-def lattice(points):
-    return np.array([p.lattice() for p in points], dtype=np.uint64)
 
 
 def gauss_integral(func, level, order=6):
@@ -151,14 +146,6 @@ class TestCoeff:
         expected = f((mid,)) - 0.5 * (f((left,)) + f((right,)))
         assert coeff(f, (j,), (k,)) == pytest.approx(expected, rel=1e-14)
 
-    def test_cache_shares_stencil_points(self):
-        f = FunctionHandle(lambda X: np.cos(X[:, 0]), 1, label="cos")
-        cache = SampleCache()
-        coeff(f, (2,), (0,), cache)
-        first = f.eval_count
-        coeff(f, (2,), (0,), cache)  # fully cached
-        assert f.eval_count == first
-
     def test_non_finite_value_reports_point(self):
         def bad(X):
             vals = np.ones(len(X))
@@ -240,11 +227,10 @@ class TestAnalyze:
     def test_coeff_agrees_with_analyze(self):
         f = FunctionHandle(lambda X: np.sin(X[:, 0]) * np.exp(X[:, 1]), 2, label="f")
         s = analyze(f, 3)
-        cache = SampleCache()
         g = FunctionHandle(lambda X: np.sin(X[:, 0]) * np.exp(X[:, 1]), 2, label="f2")
         for j in s.levels():
             for flat, k in enumerate(translations(j)):
-                assert coeff(g, j, k, cache) == pytest.approx(
+                assert coeff(g, j, k) == pytest.approx(
                     s.array(j)[flat], abs=1e-13
                 )
 
@@ -256,7 +242,7 @@ class TestEvaluate:
                 lambda X: np.exp(np.sum(X, axis=1)) + np.prod(X, axis=1), d
             )
             s = analyze(f, n)
-            X = np.array([p.as_floats() for p in sorted(node_set(n, d))])
+            X = to_floats(node_set(n, d))
             err = np.max(np.abs(evaluate_batch(s, X) - f.eval_batch(X)))
             assert err <= 1e-10
 
@@ -425,50 +411,6 @@ class TestSerialization:
         assert {"j", "k", "value"} == set(doc["entries"][0])
 
 
-class TestSampleCache:
-    def test_shared_cache_makes_budget_growth_incremental(self):
-        f = FunctionHandle(lambda X: np.exp(X[:, 0] - X[:, 1]), 2)
-        cache = SampleCache()
-        coarse = analyze(f, 2, cache=cache)
-        assert f.eval_count == node_count(2, 2)
-        fine = analyze(f, 4, cache=cache)
-        assert f.eval_count == node_count(4, 2)  # only the new nodes were sampled
-        for j in coarse.levels():
-            assert np.array_equal(coarse.array(j), fine.array(j))
-
-    def test_concurrent_ensure_keeps_one_value_per_key(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        cache = SampleCache()
-        pts = lattice(coeff_sample_points((4, 4), (3, 9)))
-        f = FunctionHandle(lambda X: X[:, 0] + 2 * X[:, 1], 2)
-
-        def worker(_):
-            return cache.ensure(f, pts).tolist()
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(worker, range(16)))
-        assert all(r == results[0] for r in results)
-        assert len(cache) == 9
-
-    def test_len_tracks_distinct_points(self):
-        cache = SampleCache()
-        f = FunctionHandle(lambda X: X[:, 0], 1)
-        cache.ensure(f, lattice(coeff_sample_points((1,), (0,))))
-        cache.ensure(f, lattice(coeff_sample_points((1,), (1,))))
-        assert len(cache) == 5  # midpoint grid of level 2 shares 1/2
-        assert f.eval_count == 5
-
-    def test_rejects_a_second_handle(self):
-        from faberkit.testbed import smooth
-
-        cache = SampleCache()
-        x2 = analyze(smooth("x2", 1), 3, cache=cache)
-        with pytest.raises(ValueError, match="SampleCache"):
-            analyze(smooth("exp", 1), 3, cache=cache)
-        assert analyze(smooth("exp", 1), 3).max_abs_diff(x2) > 0.1
-
-
 class TestFunctionHandle:
     def test_counter_monotone(self):
         f = FunctionHandle(lambda X: X[:, 0], 1)
@@ -506,9 +448,35 @@ def test_property_analyze_matches_coeff_and_round_trips(d, n, a, seed):
         d,
     )
     s = analyze(f, n)
-    cache = SampleCache()
     for j in s.levels():
         for flat, k in enumerate(translations(j)):
-            assert coeff(f, j, k, cache) == s.array(j)[flat]
+            assert coeff(f, j, k) == s.array(j)[flat]
     c = random_series(n, d, np.random.default_rng(seed))
     assert analyze(synthesize(c), n).max_abs_diff(c) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(0, 5),
+    a=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+)
+def test_property_interpolation_at_nodes(d, n, a):
+    f = FunctionHandle(
+        lambda X: np.sin(sum(w * X[:, i] for i, w in enumerate(a[:d])) + 0.3)
+        + np.prod(X, axis=1),
+        d,
+    )
+    s = analyze(f, n)
+    assert f.eval_count == node_count(n, d)
+    X = to_floats(node_set(n, d))
+    assert np.max(np.abs(evaluate_batch(s, X) - f.eval_batch(X))) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(d=st.integers(1, 3), n=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_property_serialization_round_trip(d, n, seed):
+    rng = np.random.default_rng(seed)
+    s = random_series(n, d, rng).scaled(10.0 ** rng.integers(-300, 300))
+    assert series_from_text(series_to_text(s)).max_abs_diff(s) == 0.0
+    assert series_from_json(series_to_json(s)).max_abs_diff(s) == 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from faberkit import measure
 from faberkit.dyadic import LevelVector, levels_up_to
 from faberkit.faber import FaberSeries, FunctionHandle, analyze, synthesize
 from faberkit.measure import (
@@ -154,6 +155,23 @@ class TestSupGrid:
         coarse, _ = lq_norm(g, MeasureSpec(math.inf, SupGrid(level=2)))
         fine, _ = lq_norm(g, MeasureSpec(math.inf, SupGrid(level=6)))
         assert coarse <= fine == 1.0
+
+
+def test_chunk_size_changes_rounding_only(monkeypatch):
+    # each spec spans several chunks at both sizes
+    g = synthesize(random_series(3, 2, RNG))
+    specs = [
+        MeasureSpec(math.inf, SupGrid(level=8)),
+        MeasureSpec(2.0, CompositeGauss(level=5)),
+        MeasureSpec(1.5, StratifiedMC(samples=200_000, seed=3)),
+    ]
+    default = [lq_norm(g, spec) for spec in specs]
+    monkeypatch.setattr(measure, "_CHUNK", 1000)
+    small = [lq_norm(g, spec) for spec in specs]
+    assert small[0] == default[0]
+    for (a, ea), (b, eb) in zip(default[1:], small[1:]):
+        assert abs(b - a) <= 1e-12 * a
+        assert abs(eb - ea) <= 1e-12 * a
 
 
 class TestLqError:

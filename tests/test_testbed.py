@@ -64,6 +64,14 @@ class TestExtremal:
         with pytest.raises(ValueError):
             extremal(1.0, 0, 0, 1)
 
+    @pytest.mark.parametrize("depth,d", [(40, 1), (2, 20)])
+    def test_depth_over_node_cap_fails_fast(self, depth, d):
+        # the series would hold node_count(depth, d) > MAX_POINTS coefficients
+        with pytest.raises(ValueError, match="cap"):
+            extremal(2.0, depth, 0, d)
+        with pytest.raises(ValueError, match="cap"):
+            spike(depth, 0, d)
+
 
 class TestSpike:
     def test_every_p_normalized(self):
