@@ -50,6 +50,11 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _single_budget(text: str) -> list[int]:
+    """One budget, as the one-element range of a study."""
+    return [_nonneg_int(text)]
+
+
 def _budget_range(text: str) -> list[int]:
     """Inclusive range ``a..b`` or a single budget."""
     try:
@@ -113,6 +118,15 @@ def _spec_factory(args):
     return factory
 
 
+def _emit(path: str, payload: str) -> None:
+    """Write payload to the --out path, or to stdout when it is empty."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def _write_rows(path, fieldnames: Sequence[str], rows, fmt: str) -> None:
     if fmt == "csv":
         text_rows = [",".join(fieldnames)]
@@ -122,11 +136,7 @@ def _write_rows(path, fieldnames: Sequence[str], rows, fmt: str) -> None:
     else:
         doc = [dict(zip(fieldnames, row)) for row in rows]
         payload = json.dumps(doc, separators=(",", ":")) + "\n"
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(path, payload)
 
 
 def _summary(text: str) -> None:
@@ -144,56 +154,34 @@ def _cmd_levels(args, parser) -> int:
 def _cmd_analyze(args, parser) -> int:
     f = _build_function(args, parser)
     series = analyze(f, args.n)
-    payload = series_to_json(series) + "\n" if args.format == "json" else series_to_text(series)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(args.out, series_to_json(series) + "\n" if args.format == "json" else series_to_text(series))
     _summary(f"coefficients={series.size} nodes={f.eval_count}")
     return 0
 
 
-def _cmd_recover(args, parser) -> int:
+def _cmd_study(args, parser) -> int:
+    """recover, rates and widths: one convergence study over args.n."""
     f = _build_function(args, parser)
-    records = experiments.convergence_study(
-        f, args.p, args.q, [args.n], _spec_factory(args)
-    )
-    rows = [
-        (r.n, r.m, r.error, r.error_estimate, r.reference) for r in records
-    ]
-    _write_rows(args.out, ("n", "m", "error", "error_estimate", "reference"), rows, args.format)
-    r = records[-1]
-    _summary(f"error={r.error!r} nodes={r.m}")
-    return 0
-
-
-def _cmd_rates(args, parser) -> int:
-    f = _build_function(args, parser)
+    if args.command == "widths":
+        table = experiments.sampling_width_table(f, args.p, args.q, args.n, _spec_factory(args))
+        rows = [(w.m, w.error, w.upper_ref, w.lower_ref) for w in table]
+        _write_rows(args.out, ("m", "error", "upper_ref", "lower_ref"), rows, args.format)
+        _summary(f"rows={len(rows)} nodes={rows[-1][0]}")
+        return 0
     records = experiments.convergence_study(f, args.p, args.q, args.n, _spec_factory(args))
     rows = [(r.n, r.m, r.error, r.error_estimate, r.reference) for r in records]
     _write_rows(args.out, ("n", "m", "error", "error_estimate", "reference"), rows, args.format)
+    r = records[-1]
+    if args.command == "recover":
+        _summary(f"error={r.error!r} nodes={r.m}")
+        return 0
     d = args.dim
     e_log = (d - 1) / args.q if args.q > args.p else float(d - 1)
     try:
-        fit = experiments.fit_rate(records, e_log)
-        slope = repr(fit.slope)
+        slope = repr(experiments.fit_rate(records, e_log).slope)
     except ValueError:
         slope = "nan"
-    _summary(f"slope={slope} records={len(records)} nodes={records[-1].m}")
-    return 0
-
-
-def _cmd_widths(args, parser) -> int:
-    f = _build_function(args, parser)
-    rows = [
-        (w.m, w.error, w.upper_ref, w.lower_ref)
-        for w in experiments.sampling_width_table(
-            f, args.p, args.q, args.n, _spec_factory(args)
-        )
-    ]
-    _write_rows(args.out, ("m", "error", "upper_ref", "lower_ref"), rows, args.format)
-    _summary(f"rows={len(rows)} nodes={rows[-1][0]}")
+    _summary(f"slope={slope} records={len(records)} nodes={r.m}")
     return 0
 
 
@@ -216,12 +204,7 @@ def _cmd_noncompact(args, parser) -> int:
         "profiles": [list(row) for row in report.profiles],
         "conclusion": report.conclusion,
     }
-    payload = json.dumps(doc, separators=(",", ":")) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
     off_diag = min(
         report.distances[a][b]
         for a in report.levels
@@ -283,35 +266,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(handler=_cmd_analyze)
 
-    sp = subs.add_parser("recover", help="recovery error at one budget")
-    sp.add_argument("--dim", type=_positive_int, required=True)
-    sp.add_argument("--n", type=_nonneg_int, required=True)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--q", type=float, default=2.0)
-    _add_function_flags(sp)
-    _add_measure_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_recover)
-
-    sp = subs.add_parser("rates", help="convergence study over a budget range")
-    sp.add_argument("--dim", type=_positive_int, required=True)
-    sp.add_argument("--n", type=_budget_range, required=True, help="budget range a..b or single budget")
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--q", type=float, default=2.0)
-    _add_function_flags(sp)
-    _add_measure_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_rates)
-
-    sp = subs.add_parser("widths", help="error versus sample count")
-    sp.add_argument("--dim", type=_positive_int, required=True)
-    sp.add_argument("--n", type=_budget_range, required=True)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--q", type=float, default=2.0)
-    _add_function_flags(sp)
-    _add_measure_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_widths)
+    for name, help_text, budgets in (
+        ("recover", "recovery error at one budget", _single_budget),
+        ("rates", "convergence study over a budget range", _budget_range),
+        ("widths", "error versus sample count", _budget_range),
+    ):
+        sp = subs.add_parser(name, help=help_text)
+        sp.add_argument("--dim", type=_positive_int, required=True)
+        sp.add_argument(
+            "--n",
+            type=budgets,
+            required=True,
+            help=None if budgets is _single_budget else "budget range a..b or single budget",
+        )
+        sp.add_argument("--p", type=float, default=2.0)
+        sp.add_argument("--q", type=float, default=2.0)
+        _add_function_flags(sp)
+        _add_measure_flags(sp)
+        _add_output_flags(sp)
+        sp.set_defaults(handler=_cmd_study)
 
     sp = subs.add_parser("cubature", help="integration error study")
     sp.add_argument("--dim", type=_positive_int, required=True)

@@ -20,6 +20,7 @@ the budget, see the package README.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -146,24 +147,46 @@ def capped_node_count(n: int, d: int) -> int:
     return m
 
 
-def _plan(n: int, d: int) -> tuple[list[LevelVector], np.ndarray]:
-    """Levels of order <= n and the lattice rows of their nodes (see node_set)."""
-    m = capped_node_count(n, d)
-    levels = levels_up_to(n, d)
+@functools.lru_cache(maxsize=64)
+def _levels(n: int, d: int) -> tuple:
+    """The series layout of order <= n, enumerated once per (n, d).
+
+    Returns ``(levels, entries, starts, position)``: the levels of
+    :func:`levels_up_to` as a tuple, their (L, d) int64 entries, the
+    (L + 1,) offsets of each level's block in series order, and a dict
+    from a level's entries to its index.  Call only after
+    :func:`capped_node_count` has passed.
+    """
+    levels = tuple(levels_up_to(n, d))
     entries = np.array([j.entries for j in levels], dtype=np.int64)
+    sizes = np.where(entries < 0, 2, 1 << np.maximum(entries, 0)).prod(axis=1)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    entries.setflags(write=False)
+    starts.setflags(write=False)
+    return levels, entries, starts, {j.entries: i for i, j in enumerate(levels)}
+
+
+def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-coefficient table of the series of order <= n, in series order.
+
+    Returns ``(entries, owner, k)``: the (L, d) level entries of
+    :func:`_levels`, and per coefficient i its level ``entries[owner[i]]``
+    and its translation ``k[i]``, an (m, d) int64 array (levels in the
+    order of :func:`levels_up_to`, translations of a level in
+    lexicographic order, the last axis fastest).  Fails like
+    :func:`capped_node_count`.
+    """
+    m = capped_node_count(n, d)
+    _, entries, starts, _ = _levels(n, d)
+    owner = np.repeat(np.arange(len(entries)), np.diff(starts))
     shape = np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
-    sizes = shape.prod(axis=1)
-    owner = np.repeat(np.arange(len(levels)), sizes)
-    flat = np.arange(m) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    nodes = np.empty((m, d), dtype=np.uint64)
-    for axis in reversed(range(d)):  # the last axis varies fastest
+    flat = np.arange(m) - starts[owner]
+    k = np.empty((m, d), dtype=np.int64)
+    for axis in reversed(range(d)):
         count = shape[owner, axis]
-        k = (flat % count).astype(np.uint64)
+        k[:, axis] = flat % count
         flat //= count
-        e = entries[owner, axis]
-        shift = np.where(e < 0, LATTICE_LEVEL, LATTICE_LEVEL - 1 - e).astype(np.uint64)
-        nodes[:, axis] = np.where(e < 0, k, 2 * k + 1) << shift
-    return levels, nodes
+    return entries, owner, k
 
 
 def node_set(n: int, d: int) -> np.ndarray:
@@ -175,7 +198,13 @@ def node_set(n: int, d: int) -> np.ndarray:
     union of all surplus stencils of order <= n.  Fails like
     :func:`capped_node_count`.
     """
-    return _plan(n, d)[1]
+    entries, owner, k = _plan(n, d)
+    nodes = k.view(np.uint64)  # each translation becomes its lattice coordinate in place
+    for axis in range(d):
+        e = entries[owner, axis]
+        shift = np.where(e < 0, LATTICE_LEVEL, LATTICE_LEVEL - 1 - e).astype(np.uint64)
+        nodes[:, axis] = np.where(e < 0, nodes[:, axis], 2 * nodes[:, axis] + 1) << shift
+    return nodes
 
 
 def node(j, k) -> np.ndarray:

@@ -11,6 +11,7 @@ reference envelopes are reported with constant 1 and never asserted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -165,7 +166,9 @@ def comb_check(
     ``max(n,1)**(d-1) * 2**(-alpha n)``; ratio_bulk compares
     ``sum_{order <= n} 2**order`` against ``max(n,1)**(d-1) * 2**n``.
     The tail is exact: enumeration in the leading axes and geometric
-    closure in the last one.
+    closure in the last one.  A budget whose ``2**(-alpha (n+1))``,
+    ``2**n`` or bulk sum is not a normal binary64 number raises
+    ValueError instead of overflowing or losing the tail to underflow.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -191,6 +194,9 @@ def comb_check(
 
     rows = []
     for n in _check_range(n_range):
+        if not (x ** (n + 1) >= sys.float_info.min and n <= sys.float_info.max_exp - 1
+                and bulk(n) <= sys.float_info.max):
+            raise ValueError(f"budget n={n} leaves the normal binary64 range (alpha={alpha!r}, d={d})")
         denom = float(max(n, 1)) ** (d - 1)
         rows.append(
             (

@@ -21,7 +21,7 @@ import io
 import itertools
 import json
 import math
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -31,9 +31,10 @@ from .dyadic import (
     LevelVector,
     _as_level,
     _check_translation,
-    _plan,
+    _levels,
+    capped_node_count,
     coeff_sample_points,
-    levels_up_to,
+    node_set,
     to_floats,
     translations,
 )
@@ -197,66 +198,59 @@ def _flat_index(k: Iterable, shape: tuple[int, ...]):
 
 
 class FaberSeries:
-    """Coefficients of a truncated expansion: one dense array per level.
+    """Coefficients of a truncated expansion: one flat vector in series order.
 
-    Exactly the levels of truncation order <= budget are stored; the flat
-    array of level j is indexed in the lexicographic translation order.
-    Instances are immutable after construction and safe to share.
+    ``coeffs`` holds one read-only float64 entry per coefficient of
+    truncation order <= budget, in the order of ``node_set(budget, dim)``:
+    levels in the order of :func:`levels_up_to`, the translations of a
+    level in lexicographic order.  :meth:`items` and :meth:`array` are
+    per-level views into it.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("budget", "dim", "_data", "_levels")
+    __slots__ = ("budget", "dim", "coeffs", "_layout")
 
-    def __init__(self, budget: int, dim: int, data: Mapping[LevelVector, np.ndarray]):
-        levels = levels_up_to(budget, dim)
-        expected = set(levels)
-        got = {_as_level(j) for j in data}
-        if got != expected:
-            missing = sorted(l.entries for l in expected - got)
-            extra = sorted(l.entries for l in got - expected)
-            raise ValueError(f"level set mismatch: missing {missing}, extra {extra}")
-        store: dict[LevelVector, np.ndarray] = {}
-        for j, arr in data.items():
-            j = _as_level(j)
-            flat = np.array(arr, dtype=np.float64).reshape(-1)
-            if flat.size != j.translation_count():
-                raise ValueError(
-                    f"level {j.entries} expects {j.translation_count()} "
-                    f"coefficients, got {flat.size}"
-                )
-            if not np.all(np.isfinite(flat)):
-                raise ValueError(f"non-finite coefficient at level {j.entries}")
-            flat.setflags(write=False)
-            store[j] = flat
+    def __init__(self, budget: int, dim: int, coeffs):
+        m = capped_node_count(budget, dim)
+        flat = np.array(coeffs, dtype=np.float64)
+        if flat.shape != (m,):
+            raise ValueError(
+                f"budget {budget} in d={dim} expects {m} coefficients, got shape {flat.shape}"
+            )
+        layout = _levels(budget, dim)
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            levels, _, starts, _ = layout
+            j = levels[np.searchsorted(starts, bad[0], side="right") - 1]
+            raise ValueError(f"non-finite coefficient at level {j.entries}")
+        flat.setflags(write=False)
         object.__setattr__(self, "budget", int(budget))
         object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "_data", store)
-        object.__setattr__(self, "_levels", tuple(levels))
+        object.__setattr__(self, "coeffs", flat)
+        object.__setattr__(self, "_layout", layout)
 
     @classmethod
     def zeros(cls, budget: int, dim: int) -> "FaberSeries":
-        return cls(
-            budget,
-            dim,
-            {j: np.zeros(j.translation_count()) for j in levels_up_to(budget, dim)},
-        )
+        return cls(budget, dim, np.zeros(capped_node_count(budget, dim)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FaberSeries is immutable")
 
     def levels(self) -> tuple[LevelVector, ...]:
-        return self._levels
+        return self._layout[0]
 
     def items(self) -> Iterator[tuple[LevelVector, np.ndarray]]:
-        for j in self._levels:
-            yield j, self._data[j]
+        levels, _, starts, _ = self._layout
+        for i, j in enumerate(levels):
+            yield j, self.coeffs[starts[i] : starts[i + 1]]
 
     def array(self, j) -> np.ndarray:
         """Read-only flat coefficient array of level j (translation order)."""
         j = _as_level(j)
-        try:
-            return self._data[j]
-        except KeyError:
+        _, _, starts, position = self._layout
+        i = position.get(j.entries)
+        if i is None:
             raise ValueError(f"level {j.entries} not stored (budget {self.budget})")
+        return self.coeffs[starts[i] : starts[i + 1]]
 
     def get(self, j, k) -> float:
         j = _as_level(j)
@@ -266,27 +260,22 @@ class FaberSeries:
 
     @property
     def size(self) -> int:
-        return sum(a.size for a in self._data.values())
+        return self.coeffs.size
+
+    def _check_shape(self, other: "FaberSeries") -> None:
+        if (self.budget, self.dim) != (other.budget, other.dim):
+            raise ValueError("series shapes differ")
 
     def max_abs_diff(self, other: "FaberSeries") -> float:
-        if (self.budget, self.dim) != (other.budget, other.dim):
-            raise ValueError("series shapes differ")
-        return max(
-            float(np.max(np.abs(self._data[j] - other._data[j]), initial=0.0))
-            for j in self._levels
-        )
+        self._check_shape(other)
+        return float(np.max(np.abs(self.coeffs - other.coeffs)))
 
     def scaled(self, alpha: float) -> "FaberSeries":
-        return FaberSeries(
-            self.budget, self.dim, {j: alpha * a for j, a in self.items()}
-        )
+        return FaberSeries(self.budget, self.dim, alpha * self.coeffs)
 
     def plus(self, other: "FaberSeries") -> "FaberSeries":
-        if (self.budget, self.dim) != (other.budget, other.dim):
-            raise ValueError("series shapes differ")
-        return FaberSeries(
-            self.budget, self.dim, {j: a + other._data[j] for j, a in self.items()}
-        )
+        self._check_shape(other)
+        return FaberSeries(self.budget, self.dim, self.coeffs + other.coeffs)
 
     def __repr__(self) -> str:
         return f"FaberSeries(budget={self.budget}, dim={self.dim}, size={self.size})"
@@ -308,7 +297,7 @@ def analyze(f: FunctionHandle, n: int, d: int | None = None) -> FaberSeries:
         d = f.dim
     elif d != f.dim:
         raise ValueError(f"requested d={d} but handle has dim={f.dim}")
-    levels, lattice = _plan(n, d)
+    lattice = node_set(n, d)
     values = f.eval_batch(to_floats(lattice))
 
     # Hierarchize on the integer lattice of step 2**-(n+1): a level-e axis
@@ -331,8 +320,7 @@ def analyze(f: FunctionHandle, n: int, d: int | None = None) -> FaberSeries:
         left = order[np.searchsorted(sorted_key, key[inner] - step)]
         right = order[np.searchsorted(sorted_key, key[inner] + step)]
         values[inner] = -0.5 * (values[left] - 2.0 * values[inner] + values[right])
-    sizes = [j.translation_count() for j in levels]
-    return FaberSeries(n, d, dict(zip(levels, np.split(values, np.cumsum(sizes)[:-1]))))
+    return FaberSeries(n, d, values)
 
 
 def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
@@ -428,23 +416,25 @@ def series_to_text(series: FaberSeries) -> str:
 
 def _build_series(d: int, n: int, entries: Iterable[tuple[tuple, tuple, float]]) -> FaberSeries:
     """Series from ``(j, k, value)`` entries, each coefficient exactly once."""
-    levels = {j.entries: j for j in levels_up_to(n, d)}
-    data = {j: np.zeros(j.translation_count()) for j in levels.values()}
+    values = np.zeros(capped_node_count(n, d))
+    levels, _, starts, position = _levels(n, d)
+    starts = starts.tolist()
     seen = set()
     for j_entries, k, value in entries:
-        j = levels.get(j_entries)
-        if j is None:
+        i = position.get(j_entries)
+        if i is None:
             raise ValueError(f"level {j_entries} outside budget {n} in d={d}")
+        j = levels[i]
         _check_translation(j, k)
-        flat = _flat_index(k, j.translation_shape())
-        if (j_entries, flat) in seen:
+        pos = starts[i] + _flat_index(k, j.translation_shape())
+        if pos in seen:
             raise ValueError(f"duplicate coefficient at level {j_entries}, translation {k}")
-        seen.add((j_entries, flat))
-        data[j][flat] = value
-    missing = sum(a.size for a in data.values()) - len(seen)
+        seen.add(pos)
+        values[pos] = value
+    missing = values.size - len(seen)
     if missing:
         raise ValueError(f"series misses {missing} coefficient line(s)")
-    return FaberSeries(n, d, data)
+    return FaberSeries(n, d, values)
 
 
 def series_from_text(text: str) -> FaberSeries:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dyadic import capped_node_count, levels_up_to, translations
+from .dyadic import _levels, _plan, capped_node_count
 from .faber import FaberSeries, FunctionHandle, synthesize
 
 __all__ = [
@@ -35,52 +35,50 @@ __all__ = [
 _MASK = (1 << 64) - 1
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer; the whole generator is these mixes chained."""
+def _mix64(z):
+    """splitmix64 finalizer on a Python int or, elementwise, a uint64 array.
+
+    Arrays wrap modulo 2**64 by themselves, so the masks only matter for
+    ints; the whole generator is these mixes chained.
+    """
     z = (z + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
 
-def _hash_key(seed: int, tag: int, *vals: int) -> int:
+def _hash_key(seed: int, tag: int, *vals):
+    """Counter hash of (seed, tag, vals); vals are ints or uint64 arrays."""
     h = _mix64((seed & _MASK) ^ (tag * 0xD1B54A32D192ED03 & _MASK))
     for v in vals:
         h = _mix64(h ^ (v & _MASK))
     return h
 
 
-def _sign(seed: int, j: tuple[int, ...], k: tuple[int, ...]) -> float:
-    return 1.0 if _hash_key(seed, 0, *j, *k) & 1 else -1.0
-
-
 def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
     """Prescribed series with level_lp == 1 on every interior level.
 
     Each interior level j (all entries >= 0, order <= depth) carries the
-    full translation set with coefficients ``2**(-order/p)`` and seeded
-    signs; levels touching the boundary are zero so the normalization
-    (2**order coefficients of magnitude 2**(-order/p)) is exact.  The
-    series has node_count(depth, d) coefficients; a depth over the
+    full translation set with coefficients ``2**(-order/p)`` and signs
+    from the low bit of ``_hash_key(seed, 0, *j, *k)``; levels touching
+    the boundary are zero so the normalization (2**order coefficients of
+    magnitude 2**(-order/p)) is exact.  All signs come from one uint64
+    pass over the planner's per-coefficient (level, translation) table.
+    The series has node_count(depth, d) coefficients; a depth over the
     MAX_POINTS cap raises ValueError before anything is built.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    capped_node_count(depth, d)
-    data = {}
-    for j in levels_up_to(depth, d):
-        size = j.translation_count()
-        if any(e < 0 for e in j.entries):
-            data[j] = np.zeros(size)
-            continue
-        scale = 2.0 ** (-j.order / p)
-        arr = np.empty(size)
-        for flat, k in enumerate(translations(j)):
-            arr[flat] = scale * _sign(seed, j.entries, k)
-        data[j] = arr
-    series = FaberSeries(depth, d, data)
+    entries, owner, k = _plan(depth, d)
+    scales = np.array([2.0 ** (-order / p) for order in range(depth + 1)])
+    interior = (entries >= 0).all(axis=1)[owner]
+    scale = scales[np.maximum(entries, 0).sum(axis=1)][owner]
+    j = entries.view(np.uint64)[owner]
+    bits = _hash_key(seed, 0, *j.T, *k.T.view(np.uint64)) & 1
+    coeffs = np.where(interior, scale * np.where(bits, 1.0, -1.0), 0.0)
+    series = FaberSeries(depth, d, coeffs)
     handle = synthesize(series, label=f"extremal(p={p:g},J={depth},seed={seed})")
     return handle, series
 
@@ -96,19 +94,16 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    capped_node_count(depth, d)
-    data = {}
-    for j in levels_up_to(depth, d):
-        size = j.translation_count()
-        arr = np.zeros(size)
+    coeffs = np.zeros(capped_node_count(depth, d))
+    levels, _, starts, _ = _levels(depth, d)
+    for j, start in zip(levels, starts.tolist()):
         if all(e >= 0 for e in j.entries):
             flat = 0
             for axis, c in enumerate(j.translation_shape()):
                 pos = _hash_key(seed, 1, axis, *j.entries) & (c - 1)
                 flat = flat * c + pos
-            arr[flat] = _sign(seed, j.entries, (flat,))
-        data[j] = arr
-    series = FaberSeries(depth, d, data)
+            coeffs[start + flat] = 1.0 if _hash_key(seed, 0, *j.entries, flat) & 1 else -1.0
+    series = FaberSeries(depth, d, coeffs)
     handle = synthesize(series, label=f"spike(J={depth},seed={seed})")
     return handle, series
 

@@ -57,11 +57,10 @@ def test_criterion_01_biorthogonality_round_trip():
     for d in (1, 2, 3):
         n = 6
         for _ in range(20):
-            data = {
-                j: rng.uniform(-1.0, 1.0, j.translation_count())
-                for j in levels_up_to(n, d)
-            }
-            series = FaberSeries(n, d, data)
+            coeffs = np.concatenate(
+                [rng.uniform(-1.0, 1.0, j.translation_count()) for j in levels_up_to(n, d)]
+            )
+            series = FaberSeries(n, d, coeffs)
             back = analyze(synthesize(series), n)
             worst = max(worst, series.max_abs_diff(back))
     elapsed = time.time() - t0
@@ -267,11 +266,11 @@ def test_criterion_11_oracle_equivalence():
         entries = tuple(int(rng.integers(0, 4)) for _ in range(d))
         j = LevelVector(entries)
         coeffs = rng.uniform(-1.0, 1.0, j.translation_count())
-        data = {
-            lv: np.zeros(lv.translation_count()) for lv in levels_up_to(j.order, d)
-        }
-        data[j] = coeffs
-        g = synthesize(FaberSeries(j.order, d, data))
+        blocks = [
+            coeffs if lv == j else np.zeros(lv.translation_count())
+            for lv in levels_up_to(j.order, d)
+        ]
+        g = synthesize(FaberSeries(j.order, d, np.concatenate(blocks)))
         q = float(rng.integers(1, 4))
         level = max(max(entries) + 1, 2)
         value, _ = lq_norm(g, MeasureSpec(q, CompositeGauss(level=level)))

@@ -218,6 +218,28 @@ class TestErrorsAndConfig:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "alpha,dim,n", [("1", "2", "1100"), ("1", "1", "1030"), ("2", "2", "535")]
+    )
+    def test_comb_budget_outside_binary64_exits_1(self, capsys, alpha, dim, n):
+        code, _, err = run_cli(capsys, "comb", "--alpha", alpha, "--dim", dim, "--n", n)
+        assert code == 1
+        assert err.startswith(f"error: budget n={n} ")
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [("s.txt", "dim 1 budget 40"), ("s.json", '{"dim":1,"budget":40,"entries":[]}')],
+    )
+    def test_series_header_over_node_cap_exits_1(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run_cli(
+            capsys, "recover", "--dim", "1", "--n", "2", "--func", "prescribed",
+            "--series", str(path),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "cap" in err
+
     def test_bad_anchor_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys, "recover", "--dim", "1", "--n", "2", "--func", "kink",

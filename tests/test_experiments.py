@@ -146,6 +146,24 @@ class TestCombCheck:
         with pytest.raises(ValueError):
             comb_check(0.0, 1, [3])
 
+    @pytest.mark.parametrize(
+        "alpha,d,n",
+        [
+            (2.0, 2, 535),  # 2**(-alpha (n+1)) is subnormal: the tail loses digits
+            (1.0, 2, 1100),  # the tail underflows to 0
+            (1.0, 1, 1030),  # 2**n overflows
+            (0.5, 2, 1021),  # 2**n is finite, the bulk sum is not
+        ],
+    )
+    def test_budget_outside_normal_range_rejected(self, alpha, d, n):
+        with pytest.raises(ValueError, match=f"budget n={n} "):
+            comb_check(alpha, d, [n])
+
+    def test_largest_normal_budget_keeps_the_tail_band(self):
+        # 2**(-2 * 511) is the smallest normal binary64 number
+        (row,) = comb_check(2.0, 2, [510])
+        assert row[1] == pytest.approx(0.3348, abs=1e-4)
+
 
 class TestNoncompactDemo:
     def test_distances(self):

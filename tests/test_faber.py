@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,11 +40,10 @@ RNG = np.random.default_rng(20240811)
 
 
 def random_series(budget, dim, rng):
-    data = {
-        j: rng.uniform(-1.0, 1.0, j.translation_count())
-        for j in levels_up_to(budget, dim)
-    }
-    return FaberSeries(budget, dim, data)
+    coeffs = np.concatenate(
+        [rng.uniform(-1.0, 1.0, j.translation_count()) for j in levels_up_to(budget, dim)]
+    )
+    return FaberSeries(budget, dim, coeffs)
 
 
 def naive_eval(series, x):
@@ -67,9 +67,8 @@ def gauss_integral(func, level, order=6):
 
 
 def unit_tent():
-    data = {j: np.zeros(j.translation_count()) for j in levels_up_to(0, 1)}
-    data[LevelVector((0,))] = np.array([1.0])
-    return FaberSeries(0, 1, data)
+    # series order at budget 0 in d=1: (-1, 0), (-1, 1), (0, 0)
+    return FaberSeries(0, 1, [0.0, 0.0, 1.0])
 
 
 class TestHatEval:
@@ -127,9 +126,8 @@ class TestCoeff:
 
     def test_own_surplus_is_one_and_neighbors_zero(self):
         j = (2,)
-        data = {lv: np.zeros(lv.translation_count()) for lv in levels_up_to(2, 1)}
-        data[LevelVector(j)] = np.array([0.0, 1.0, 0.0, 0.0])
-        f = synthesize(FaberSeries(2, 1, data))
+        # levels (-1,), (0,), (1,) hold 2 + 1 + 2 coefficients before (2,)
+        f = synthesize(FaberSeries(2, 1, np.eye(9)[5 + 1]))
         assert coeff(f, j, (1,)) == pytest.approx(1.0, abs=1e-14)
         for other in (0, 2, 3):
             assert coeff(f, j, (other,)) == pytest.approx(0.0, abs=1e-14)
@@ -336,22 +334,37 @@ class TestIntegrate:
 
 class TestFaberSeries:
     def test_requires_complete_level_set(self):
-        data = {j: np.zeros(j.translation_count()) for j in levels_up_to(2, 1)}
-        del data[LevelVector((2,))]
-        with pytest.raises(ValueError):
-            FaberSeries(2, 1, data)
+        # budget 2 in d=1 has 9 coefficients; the 4 of level (2,) are missing
+        with pytest.raises(ValueError, match="expects 9 coefficients"):
+            FaberSeries(2, 1, np.zeros(5))
 
     def test_rejects_wrong_array_size(self):
-        data = {j: np.zeros(j.translation_count()) for j in levels_up_to(1, 1)}
-        data[LevelVector((1,))] = np.zeros(3)
-        with pytest.raises(ValueError):
-            FaberSeries(1, 1, data)
+        with pytest.raises(ValueError, match="expects 5 coefficients"):
+            FaberSeries(1, 1, np.zeros(6))
+        with pytest.raises(ValueError, match="expects 5 coefficients"):
+            FaberSeries(1, 1, np.zeros((5, 1)))
 
     def test_rejects_non_finite(self):
-        data = {j: np.zeros(j.translation_count()) for j in levels_up_to(1, 1)}
-        data[LevelVector((1,))] = np.array([np.nan, 0.0])
+        # series order: (-1,) x 2, (0,) x 1, (1,) x 2
+        with pytest.raises(ValueError, match=r"level \(1,\)"):
+            FaberSeries(1, 1, [0.0, 0.0, 0.0, np.nan, 0.0])
+
+    def test_zeros_over_node_cap_fails_before_allocating(self):
+        with pytest.raises(ValueError, match="cap"):
+            FaberSeries.zeros(40, 1)
+
+    def test_coefficients_copied_and_read_only(self):
+        coeffs = np.zeros(5)
+        s = FaberSeries(1, 1, coeffs)
+        coeffs[0] = 1.0
+        assert s.coeffs[0] == 0.0
         with pytest.raises(ValueError):
-            FaberSeries(1, 1, data)
+            s.coeffs[0] = 1.0
+
+    def test_levels_are_views_in_node_set_order(self):
+        s = random_series(3, 2, RNG)
+        assert np.array_equal(np.concatenate([a for _, a in s.items()]), s.coeffs)
+        assert all(np.shares_memory(a, s.coeffs) for _, a in s.items())
 
     def test_arrays_read_only(self):
         s = random_series(2, 1, RNG)
@@ -403,6 +416,23 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             series_from_text("budget 1 dim 2\n")
+
+    @pytest.mark.parametrize(
+        "read,text",
+        [
+            (series_from_text, "dim 1 budget 40\n"),
+            (series_from_json, '{"dim": 1, "budget": 40, "entries": []}'),
+        ],
+    )
+    def test_header_over_node_cap_fails_before_allocating(self, read, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_json_mirrors_fields(self):
         s = random_series(1, 1, RNG)
@@ -480,3 +510,32 @@ def test_property_serialization_round_trip(d, n, seed):
     s = random_series(n, d, rng).scaled(10.0 ** rng.integers(-300, 300))
     assert series_from_text(series_to_text(s)).max_abs_diff(s) == 0.0
     assert series_from_json(series_to_json(s)).max_abs_diff(s) == 0.0
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(0, 5),
+    axis=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_continuity_at_cell_interfaces(d, n, axis, seed):
+    rng = np.random.default_rng(seed)
+    s = random_series(n, d, rng)
+    axis %= d
+    X = rng.uniform(0.0, 1.0, (1 << (n + 1), d))
+    X[:, axis] = np.ldexp(np.arange(1, (1 << (n + 1)) + 1), -(n + 1))
+    below = X.copy()
+    below[:, axis] = np.nextafter(X[:, axis], 0.0)
+    # At a point, a level has at most 2**(#boundary axes) non-zero basis
+    # functions, each of slope <= 2**(e + 1) along a hat axis of level e
+    # and <= 1 along a boundary axis.
+    lipschitz = scale = 0.0
+    for j, arr in s.items():
+        e = j.entries[axis]
+        weight = 2.0 ** sum(v < 0 for v in j.entries) * np.max(np.abs(arr))
+        lipschitz += weight * (2.0 ** (e + 1) if e >= 0 else 1.0)
+        scale += weight
+    gap = np.abs(evaluate_batch(s, X) - evaluate_batch(s, below))
+    step = X[:, axis] - below[:, axis]
+    assert np.all(gap <= lipschitz * step + 1e-13 * scale)

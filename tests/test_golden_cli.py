@@ -51,6 +51,12 @@ CASES = {
         "--series", "{golden}/analyze-d3-json/s3.json",
         "--measure", "mc", "--mc-samples", "20000", "--seed", "5",
     ],
+    "analyze-d2-extremal": [
+        "analyze", "--dim", "2", "--n", "6", "--func", "extremal", "--depth", "6", "--seed", "3",
+    ],
+    "analyze-d2-spike": [
+        "analyze", "--dim", "2", "--n", "7", "--func", "spike", "--depth", "7", "--seed", "11",
+    ],
 }
 
 

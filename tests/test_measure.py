@@ -23,18 +23,17 @@ RNG = np.random.default_rng(1234)
 
 
 def random_series(budget, dim, rng):
-    return FaberSeries(
-        budget,
-        dim,
-        {j: rng.uniform(-1, 1, j.translation_count()) for j in levels_up_to(budget, dim)},
-    )
+    coeffs = [rng.uniform(-1, 1, j.translation_count()) for j in levels_up_to(budget, dim)]
+    return FaberSeries(budget, dim, np.concatenate(coeffs))
 
 
 def single_level_series(j, coeffs):
     j = LevelVector(j)
-    data = {lv: np.zeros(lv.translation_count()) for lv in levels_up_to(j.order, j.dim)}
-    data[j] = np.asarray(coeffs, dtype=float)
-    return FaberSeries(j.order, j.dim, data)
+    blocks = [
+        np.asarray(coeffs, dtype=float) if lv == j else np.zeros(lv.translation_count())
+        for lv in levels_up_to(j.order, j.dim)
+    ]
+    return FaberSeries(j.order, j.dim, np.concatenate(blocks))
 
 
 def unit_tent_handle():

@@ -14,21 +14,23 @@ RNG = np.random.default_rng(77)
 
 
 def random_series(budget, dim, rng):
-    return FaberSeries(
-        budget,
-        dim,
-        {j: rng.uniform(-1, 1, j.translation_count()) for j in levels_up_to(budget, dim)},
-    )
+    coeffs = [rng.uniform(-1, 1, j.translation_count()) for j in levels_up_to(budget, dim)]
+    return FaberSeries(budget, dim, np.concatenate(coeffs))
+
+
+def single_level_series(budget, j, coeffs, dim=1):
+    """Series of the given budget whose only non-zero level is j."""
+    blocks = [
+        np.asarray(coeffs, dtype=float) if lv.entries == j else np.zeros(lv.translation_count())
+        for lv in levels_up_to(budget, dim)
+    ]
+    return FaberSeries(budget, dim, np.concatenate(blocks))
 
 
 def series_with_unit_levels(budget, dim=1):
     """One coefficient of size 1 per level, so every level_lp equals 1."""
-    data = {}
-    for j in levels_up_to(budget, dim):
-        arr = np.zeros(j.translation_count())
-        arr[0] = 1.0
-        data[j] = arr
-    return FaberSeries(budget, dim, data)
+    blocks = [np.eye(j.translation_count())[0] for j in levels_up_to(budget, dim)]
+    return FaberSeries(budget, dim, np.concatenate(blocks))
 
 
 class TestNormParams:
@@ -46,18 +48,14 @@ class TestNormParams:
 
 class TestLevelLp:
     def test_single_unit_coefficient(self):
-        data = {j: np.zeros(j.translation_count()) for j in levels_up_to(2, 1)}
-        data[LevelVector((2,))] = np.array([0.0, 1.0, 0.0, 0.0])
-        s = FaberSeries(2, 1, data)
+        s = single_level_series(2, (2,), [0.0, 1.0, 0.0, 0.0])
         for p in (1.0, 2.0, 7.0):
             assert level_lp(s, (2,), p) == 1.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_balanced_level_normalizes_to_one(self, p):
         j = LevelVector((3,))
-        data = {lv: np.zeros(lv.translation_count()) for lv in levels_up_to(3, 1)}
-        data[j] = np.full(8, 2.0 ** (-3 / p))
-        s = FaberSeries(3, 1, data)
+        s = single_level_series(3, j.entries, np.full(8, 2.0 ** (-3 / p)))
         assert level_lp(s, j, p) == pytest.approx(1.0, rel=1e-14)
 
     def test_parabola_level_value(self):
@@ -112,9 +110,7 @@ class TestSeqNorm:
 
     def test_weight_scales_with_level_order(self):
         # one unit coefficient at order 4: norm is the level weight
-        data = {j: np.zeros(j.translation_count()) for j in levels_up_to(4, 1)}
-        data[LevelVector((4,))] = np.eye(16)[3]
-        s = FaberSeries(4, 1, data)
+        s = single_level_series(4, (4,), np.eye(16)[3])
         r, p = 1.25, 2.0
         expected = 2.0 ** (4 * (r - 1 / p))
         assert seq_norm(s, NormParams(r, p, 3.0)) == pytest.approx(expected, rel=1e-13)
@@ -122,9 +118,7 @@ class TestSeqNorm:
 
 class TestProfiles:
     def test_single_tent_profile(self):
-        data = {j: np.zeros(j.translation_count()) for j in levels_up_to(3, 1)}
-        data[LevelVector((0,))] = np.array([1.0])
-        prof = series_profile(FaberSeries(3, 1, data), p=2.0)
+        prof = series_profile(single_level_series(3, (0,), [1.0]), p=2.0)
         assert prof[0] == (0, 1.0)
         assert all(v <= 1e-12 for _, v in prof[1:])
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import sympy
 
+from faberkit.dyadic import translations
 from faberkit.faber import analyze, evaluate_batch, integrate
 from faberkit.measure import CompositeGauss, MeasureSpec, block_lq_exact, lq_norm
 from faberkit.seqnorm import decay_profile, level_lp, seq_norm, series_profile, NormParams
 from faberkit.testbed import (
     SMOOTH_IDS,
+    _hash_key,
     default_kink_anchor,
     extremal,
     hat_family,
@@ -57,6 +59,18 @@ class TestExtremal:
         _, c = extremal(2.0, 4, seed=8, d=2)
         assert a.max_abs_diff(b) == 0.0
         assert a.max_abs_diff(c) > 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_signs_match_the_scalar_hash(self, d):
+        # the vectorized pass hashes (seed, 0, *j, *k) exactly as the int path
+        _, series = extremal(1.0, 4, seed=5, d=d)
+        for j, arr in series.items():
+            if all(e >= 0 for e in j.entries):
+                for flat, k in enumerate(translations(j)):
+                    bit = _hash_key(5, 0, *j.entries, *k) & 1
+                    assert arr[flat] == (1.0 if bit else -1.0) * 2.0 ** -j.order
+            else:  # +0.0, so the text form prints 0.0, never -0.0
+                assert not arr.any() and not np.signbit(arr).any()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
