@@ -147,6 +147,11 @@ def capped_node_count(n: int, d: int) -> int:
     return m
 
 
+def _translation_shapes(entries: np.ndarray) -> np.ndarray:
+    """Per-axis translation counts of (..., d) level entries, elementwise."""
+    return np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
+
+
 @functools.lru_cache(maxsize=64)
 def _levels(n: int, d: int) -> tuple:
     """The series layout of order <= n, enumerated once per (n, d).
@@ -159,7 +164,7 @@ def _levels(n: int, d: int) -> tuple:
     """
     levels = tuple(levels_up_to(n, d))
     entries = np.array([j.entries for j in levels], dtype=np.int64)
-    sizes = np.where(entries < 0, 2, 1 << np.maximum(entries, 0)).prod(axis=1)
+    sizes = _translation_shapes(entries).prod(axis=1)
     starts = np.concatenate(([0], np.cumsum(sizes)))
     entries.setflags(write=False)
     starts.setflags(write=False)
@@ -179,7 +184,7 @@ def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = capped_node_count(n, d)
     _, entries, starts, _ = _levels(n, d)
     owner = np.repeat(np.arange(len(entries)), np.diff(starts))
-    shape = np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
+    shape = _translation_shapes(entries)
     flat = np.arange(m) - starts[owner]
     k = np.empty((m, d), dtype=np.int64)
     for axis in reversed(range(d)):

@@ -70,6 +70,8 @@ class StratifiedMC:
     def __post_init__(self) -> None:
         if self.samples < 1000:
             raise ValueError("need at least 10^3 samples")
+        if self.samples > MAX_POINTS:
+            raise ValueError(f"{self.samples} Monte Carlo samples exceed the cap {MAX_POINTS}")
 
 
 @dataclass(frozen=True)

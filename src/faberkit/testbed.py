@@ -34,6 +34,10 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 
+#: Coefficients per pass of :func:`extremal`'s sign hash; bounds its
+#: temporaries to O(_SIGN_ROWS) words next to the planner's table.
+_SIGN_ROWS = 1 << 16
+
 
 def _mix64(z):
     """splitmix64 finalizer on a Python int or, elementwise, a uint64 array.
@@ -62,10 +66,10 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     full translation set with coefficients ``2**(-order/p)`` and signs
     from the low bit of ``_hash_key(seed, 0, *j, *k)``; levels touching
     the boundary are zero so the normalization (2**order coefficients of
-    magnitude 2**(-order/p)) is exact.  All signs come from one uint64
-    pass over the planner's per-coefficient (level, translation) table.
-    The series has node_count(depth, d) coefficients; a depth over the
-    MAX_POINTS cap raises ValueError before anything is built.
+    magnitude 2**(-order/p)) is exact.  The signs come from uint64 passes
+    over row chunks of the planner's per-coefficient (level, translation)
+    table.  The series has node_count(depth, d) coefficients; a depth over
+    the MAX_POINTS cap raises ValueError before anything is built.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -73,11 +77,15 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
         raise ValueError("depth must be >= 1")
     entries, owner, k = _plan(depth, d)
     scales = np.array([2.0 ** (-order / p) for order in range(depth + 1)])
-    interior = (entries >= 0).all(axis=1)[owner]
-    scale = scales[np.maximum(entries, 0).sum(axis=1)][owner]
-    j = entries.view(np.uint64)[owner]
-    bits = _hash_key(seed, 0, *j.T, *k.T.view(np.uint64)) & 1
-    coeffs = np.where(interior, scale * np.where(bits, 1.0, -1.0), 0.0)
+    interior = (entries >= 0).all(axis=1)
+    scale = scales[np.maximum(entries, 0).sum(axis=1)]
+    j = entries.view(np.uint64)
+    coeffs = np.empty(len(owner))
+    for start in range(0, len(owner), _SIGN_ROWS):
+        rows = slice(start, start + _SIGN_ROWS)
+        level = owner[rows]
+        bits = _hash_key(seed, 0, *j[level].T, *k[rows].T.view(np.uint64)) & 1
+        coeffs[rows] = np.where(interior[level], scale[level] * np.where(bits, 1.0, -1.0), 0.0)
     series = FaberSeries(depth, d, coeffs)
     handle = synthesize(series, label=f"extremal(p={p:g},J={depth},seed={seed})")
     return handle, series

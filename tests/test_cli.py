@@ -218,6 +218,15 @@ class TestErrorsAndConfig:
         assert code == 1
         assert "cap" in err
 
+    def test_mc_samples_over_point_cap_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "recover", "--dim", "1", "--n", "2", "--func", "exp",
+            "--measure", "mc", "--mc-samples", str(10**11),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "cap" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "alpha,dim,n", [("1", "2", "1100"), ("1", "1", "1030"), ("2", "2", "535")]
     )

@@ -1,5 +1,6 @@
 """Basis evaluation, analysis/synthesis round trips, integration, serialization."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from faberkit.dyadic import (
     to_floats,
     translations,
 )
+from faberkit import faber
 from faberkit.faber import (
     EvaluationError,
     FaberSeries,
@@ -53,6 +55,35 @@ def naive_eval(series, x):
         for flat, k in enumerate(translations(j)):
             total += arr[flat] * tensor_eval(j, k, x)
     return total
+
+
+def per_level_eval(series, points):
+    """Oracle: evaluate_batch as a plain loop over levels and boundary choices.
+
+    Per level with a nonzero block, each axis's (translation, value)
+    choices are computed afresh, and every combination adds
+    ``block[flat] * prod(values)``; evaluate_batch must match it bit for bit.
+    """
+    X = np.ascontiguousarray(points, dtype=np.float64)
+    out = np.zeros(X.shape[0])
+    for j, arr in series.items():
+        if not arr.any():
+            continue
+        choices = []
+        for axis, e in enumerate(j.entries):
+            xi = X[:, axis]
+            if e >= 0:
+                t = np.ldexp(xi, e)
+                k = np.minimum(np.floor(t).astype(np.int64), (1 << e) - 1)
+                choices.append([(k, 1.0 - np.abs(2.0 * (t - k) - 1.0))])
+            else:
+                choices.append([(0, 1.0 - xi), (1, xi)])
+        for combo in itertools.product(*choices):
+            flat = 0
+            for (k, _), c in zip(combo, j.translation_shape()):
+                flat = flat * c + k
+            out += arr[flat] * math.prod(v for _, v in combo)
+    return out
 
 
 def gauss_integral(func, level, order=6):
@@ -413,6 +444,47 @@ class TestSerialization:
         with pytest.raises(ValueError, match="misses"):
             read(lines[:3] + lines[4:])
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "defects,message",
+        [
+            # (position, j, k) of extra lines; the earliest one is reported
+            ([(2, (3, 0), (0, 0)), (5, (-1, -1), (0, 0))], r"level \(3, 0\) outside budget 2"),
+            ([(1, (1, 0), (2, 0)), (4, (3, 0), (0, 0))], r"translation \(2, 0\) out of range"),
+            ([(3, (-1, -1), (0, 0)), (6, (1, 0), (2, 0))], r"duplicate .* \(-1, -1\)"),
+            ([(0, (10**30, 0), (0, 0))], r"level \(10{30}, 0\) outside"),
+            ([(0, (0, 0), (-(10**30), 0))], r"translation \(-10{30}, 0\) out of range"),
+        ],
+        ids=["level", "translation", "duplicate", "huge-level", "huge-translation"],
+    )
+    def test_earliest_failing_line_reported(self, fmt, defects, message):
+        s = random_series(2, 2, RNG)
+        if fmt == "text":
+            head, *lines = series_to_text(s).splitlines()
+            for at, j, k in defects:
+                lines.insert(at, " ".join(str(v) for v in j + k) + " 0.5")
+            text = "\n".join([head] + lines)
+            read = series_from_text
+        else:
+            doc = json.loads(series_to_json(s))
+            for at, j, k in defects:
+                doc["entries"].insert(at, {"j": list(j), "k": list(k), "value": 0.5})
+            text = json.dumps(doc)
+            read = series_from_json
+        with pytest.raises(ValueError, match=message):
+            read(text)
+
+    def test_json_entry_checks_follow_line_order(self):
+        doc = json.loads(series_to_json(random_series(1, 2, RNG)))
+        entries = doc["entries"]
+        bad_level = {"j": [2, 0], "k": [0, 0], "value": 0.5}
+        with pytest.raises(ValueError, match="wrong dimension"):
+            series_from_json(json.dumps({**doc, "entries": [{**entries[0], "k": [0]}]}))
+        with pytest.raises(ValueError, match="outside budget"):
+            series_from_json(json.dumps({**doc, "entries": [bad_level, {"j": [0, 0]}]}))
+        with pytest.raises(KeyError):
+            series_from_json(json.dumps({**doc, "entries": [{"j": [0, 0]}, bad_level]}))
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             series_from_text("budget 1 dim 2\n")
@@ -539,3 +611,28 @@ def test_property_continuity_at_cell_interfaces(d, n, axis, seed):
     gap = np.abs(evaluate_batch(s, X) - evaluate_batch(s, below))
     step = X[:, axis] - below[:, axis]
     assert np.all(gap <= lipschitz * step + 1e-13 * scale)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    d=st.integers(1, 5),
+    n=st.integers(0, 5),
+    dead=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_evaluate_batch_is_bit_identical_to_per_level_loop(d, n, dead, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [
+        rng.uniform(-1.0, 1.0, j.translation_count()) * (rng.random() >= dead)
+        for j in levels_up_to(n, d)
+    ]
+    s = FaberSeries(n, d, np.concatenate(blocks))
+    # a full chunk and a partial one, with corners and cell interfaces k 2**-(n+1)
+    X = rng.random((faber._ROWS + 3, d))
+    X[:2] = 0.0
+    X[-2:] = 1.0
+    interfaces = rng.random(X.shape) < 0.25
+    X[interfaces] = np.ldexp(rng.integers(0, (1 << (n + 1)) + 1, interfaces.sum()), -(n + 1))
+    assert evaluate_batch(s, X).tobytes() == per_level_eval(s, X).tobytes()
+    empty = evaluate_batch(s, np.empty((0, d)))
+    assert empty.shape == (0,) and empty.dtype == np.float64

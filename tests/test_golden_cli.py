@@ -57,6 +57,10 @@ CASES = {
     "analyze-d2-spike": [
         "analyze", "--dim", "2", "--n", "7", "--func", "spike", "--depth", "7", "--seed", "11",
     ],
+    "rates-d4-mc": [
+        "rates", "--dim", "4", "--func", "exp", "--n", "1..3", "--measure", "mc",
+        "--mc-samples", "4000", "--seed", "2", "--out", "rates.csv",
+    ],
 }
 
 

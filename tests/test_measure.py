@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faberkit import measure
-from faberkit.dyadic import LevelVector, levels_up_to
+from faberkit.dyadic import MAX_POINTS, LevelVector, levels_up_to
 from faberkit.faber import FaberSeries, FunctionHandle, analyze, synthesize
 from faberkit.measure import (
     CompositeGauss,
@@ -58,6 +58,11 @@ class TestSpecValidation:
     def test_mc_needs_thousand_samples(self):
         with pytest.raises(ValueError):
             StratifiedMC(samples=999)
+
+    def test_mc_samples_over_point_cap_rejected(self):
+        assert StratifiedMC(samples=MAX_POINTS).samples == MAX_POINTS
+        with pytest.raises(ValueError, match=f"cap {MAX_POINTS}"):
+            StratifiedMC(samples=MAX_POINTS + 1)
 
     def test_gauss_order_minimum(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Catalog functions: prescribed series, kinks, hats, smooth references."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +73,26 @@ class TestExtremal:
                     assert arr[flat] == (1.0 if bit else -1.0) * 2.0 ** -j.order
             else:  # +0.0, so the text form prints 0.0, never -0.0
                 assert not arr.any() and not np.signbit(arr).any()
+
+    @pytest.mark.parametrize(
+        "depth,d,bytes_per_coeff,digest",
+        [
+            (18, 1, 44, "5c49bcd448ab1df6174de0a82713e8e7804220d65c3ba7cd08cb8daf36c17cab"),
+            (12, 2, 60, "3c76f74060056e672085495fba9e2a97476c973b4af452c5e3c49d08c6cc59dd"),
+        ],
+    )
+    def test_sign_pass_memory_and_bytes(self, depth, d, bytes_per_coeff, digest):
+        # the sign hash runs over row chunks, so its temporaries stay small
+        # next to the planner's table; the digests were taken from the
+        # one-pass version, whose peak was 58 and 75 B per coefficient
+        tracemalloc.start()
+        try:
+            _, series = extremal(2.0, depth, seed=5, d=d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_coeff * series.size
+        assert hashlib.sha256(series.coeffs.tobytes()).hexdigest() == digest
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
