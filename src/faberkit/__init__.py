@@ -3,9 +3,7 @@
 from .dyadic import (
     MAX_LEVEL,
     LevelVector,
-    coeff_sample_points,
     levels_up_to,
-    node,
     node_count,
     node_set,
     to_floats,
@@ -16,17 +14,13 @@ from .faber import (
     FaberSeries,
     FunctionHandle,
     analyze,
-    coeff,
-    evaluate,
     evaluate_batch,
-    hat_eval,
     integrate,
     series_from_json,
     series_from_text,
     series_to_json,
     series_to_text,
     synthesize,
-    tensor_eval,
 )
 from .seqnorm import NormParams, decay_profile, level_lp, seq_norm, series_profile
 from .measure import (

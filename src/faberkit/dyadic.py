@@ -69,10 +69,6 @@ class LevelVector:
         """Truncation order: sum of the non-negative entries."""
         return sum(e for e in self.entries if e > 0)
 
-    def active_axes(self) -> tuple[int, ...]:
-        """Axes carrying a genuine hat level (entry >= 0)."""
-        return tuple(i for i, e in enumerate(self.entries) if e >= 0)
-
     def translation_shape(self) -> tuple[int, ...]:
         """Number of admissible translations per axis."""
         return tuple(1 << e if e >= 0 else 2 for e in self.entries)
@@ -86,6 +82,16 @@ class LevelVector:
 
 def _as_level(j) -> LevelVector:
     return j if isinstance(j, LevelVector) else LevelVector(tuple(j))
+
+
+def _check_budget(n: int, d: int) -> None:
+    """Reject a dimension below 1 or a budget outside 0..MAX_LEVEL."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if n < 0:
+        raise ValueError("budget must be >= 0")
+    if n > MAX_LEVEL:
+        raise ValueError(f"budget exceeds MAX_LEVEL={MAX_LEVEL}")
 
 
 def levels_up_to(n: int, d: int) -> list[LevelVector]:
@@ -129,18 +135,24 @@ def translations(j) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(c) for c in j.translation_shape()))
 
 
+def _flat_index(k, shape):
+    """Position of translation k in the lexicographic order of its level.
+
+    Works on integers and, elementwise, on integer arrays.
+    """
+    flat = 0
+    for ki, c in zip(k, shape):
+        flat = flat * c + ki
+    return flat
+
+
 def capped_node_count(n: int, d: int) -> int:
     """m(n, d) = node_count(n, d), after checking the budget is plannable.
 
     Raises ValueError, before anything is allocated, for a budget above
     MAX_LEVEL or a node count above MAX_POINTS.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 0:
-        raise ValueError("budget must be >= 0")
-    if n > MAX_LEVEL:
-        raise ValueError(f"budget exceeds MAX_LEVEL={MAX_LEVEL}")
+    _check_budget(n, d)
     m = node_count(n, d)
     if m > MAX_POINTS:
         raise ValueError(f"budget n={n} needs {m} nodes in d={d}, over the cap {MAX_POINTS}")
@@ -197,9 +209,11 @@ def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def node_set(n: int, d: int) -> np.ndarray:
     """The (m, d) uint64 lattice rows of all nodes of order <= n.
 
-    Row i is :func:`node` of the i-th coefficient in series order: levels
-    in the order of :func:`levels_up_to`, translations of a level in
-    lexicographic order.  The rows are distinct and their set is the
+    Row i is the node of the i-th coefficient (j, k) in series order
+    (levels in the order of :func:`levels_up_to`, translations of a level
+    in lexicographic order): the centre of its support, with coordinate
+    (2 k_i + 1) * 2**-(j_i + 1) along an axis with j_i >= 0 and k_i along
+    a boundary axis.  The rows are distinct and their set is the
     union of all surplus stencils of order <= n.  Fails like
     :func:`capped_node_count`.
     """
@@ -210,37 +224,6 @@ def node_set(n: int, d: int) -> np.ndarray:
         shift = np.where(e < 0, LATTICE_LEVEL, LATTICE_LEVEL - 1 - e).astype(np.uint64)
         nodes[:, axis] = np.where(e < 0, nodes[:, axis], 2 * nodes[:, axis] + 1) << shift
     return nodes
-
-
-def node(j, k) -> np.ndarray:
-    """Node owned by the coefficient (j, k): the centre of its support.
-
-    A (d,) uint64 lattice row with coordinate (2 k_i + 1) * 2**-(j_i + 1)
-    along an active axis and k_i along a boundary axis: the middle point
-    of the stencil, and the row of (j, k) in :func:`node_set`.
-    """
-    stencil = coeff_sample_points(j, k)
-    return stencil[len(stencil) // 2]
-
-
-def coeff_sample_points(j, k) -> np.ndarray:
-    """Evaluation stencil of the hierarchical surplus at (j, k).
-
-    Per active axis (j_i >= 0) the three abscissae x, x + h, x + 2h with
-    x = k_i * 2**-j_i, the paper's node x_{j,k}, and h = 2**-(j_i + 1); per
-    boundary axis the single abscissa k_i.  Returns the 3**(#active)
-    points as a uint64 lattice array in stencil-lexicographic order, so
-    the first row is x_{j,k}.
-    """
-    j = _as_level(j)
-    k = tuple(int(v) for v in k)
-    _check_translation(j, k)
-    axes = [
-        [ki << LATTICE_LEVEL] if e < 0
-        else [(2 * ki + t) << (LATTICE_LEVEL - 1 - e) for t in range(3)]
-        for e, ki in zip(j.entries, k)
-    ]
-    return np.array(list(itertools.product(*axes)), dtype=np.uint64)
 
 
 def to_floats(lattice) -> np.ndarray:
@@ -255,11 +238,9 @@ def node_count(n: int, d: int) -> int:
     of its exact dyadic levels ell_i sum to at most n.  Per axis there
     are 3 points of cost 0 (the endpoints and 1/2) and 2**c of cost
     c >= 1, so the count is a d-fold convolution truncated at cost n.
+    Fails like :func:`levels_up_to` for a budget above MAX_LEVEL.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 0:
-        raise ValueError("budget must be >= 0")
+    _check_budget(n, d)
     axis = [3] + [1 << c for c in range(1, n + 1)]
     ways = [1] + [0] * n  # ways[c]: points of the axes so far with total cost c
     for _ in range(d):

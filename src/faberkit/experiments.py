@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dyadic import capped_node_count
 from .faber import FunctionHandle, analyze, integrate
 from .measure import MeasureSpec, default_spec, lq_error
 from .seqnorm import decay_profile
@@ -228,6 +229,7 @@ def noncompact_demo(max_level: int) -> NoncompactReport:
     """
     if max_level < 2:
         raise ValueError("need max_level >= 2")
+    capped_node_count(max_level, 1)  # the profiles analyze at budget max_level
     levels = tuple(range(max_level + 1))
     members = [hat_family(j) for j in levels]
     witnesses = []

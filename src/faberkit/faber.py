@@ -26,14 +26,13 @@ import numpy as np
 
 from .dyadic import (
     LATTICE_LEVEL,
-    MAX_LEVEL,
     LevelVector,
     _as_level,
     _check_translation,
+    _flat_index,
     _levels,
     _translation_shapes,
     capped_node_count,
-    coeff_sample_points,
     node_set,
     to_floats,
     translations,
@@ -43,12 +42,8 @@ __all__ = [
     "EvaluationError",
     "FunctionHandle",
     "FaberSeries",
-    "hat_eval",
-    "tensor_eval",
-    "coeff",
     "analyze",
     "synthesize",
-    "evaluate",
     "evaluate_batch",
     "integrate",
     "series_to_text",
@@ -137,66 +132,6 @@ class FunctionHandle:
         return f"FunctionHandle({self.label!r}, dim={self.dim}, evals={self._count})"
 
 
-def hat_eval(j: int, k: int, x: float) -> float:
-    """Evaluate the univariate basis function (j, k) at x in [0,1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0,1]")
-    if j == -1:
-        if k not in (0, 1):
-            raise ValueError(f"translation {k} out of range for level -1")
-        return 1.0 - x if k == 0 else x
-    if j < -1 or j > MAX_LEVEL:
-        raise ValueError(f"level {j} out of range")
-    if not 0 <= k < (1 << j):
-        raise ValueError(f"translation {k} out of range for level {j}")
-    t = math.ldexp(x, j) - k
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return 1.0 - abs(2.0 * t - 1.0)
-
-
-def tensor_eval(j, k, x) -> float:
-    """Product of per-axis basis values; exactly 0 outside the support box."""
-    j = _as_level(j)
-    k = tuple(int(v) for v in k)
-    _check_translation(j, k)
-    if len(x) != j.dim:
-        raise ValueError("point dimension mismatch")
-    out = 1.0
-    for e, ki, xi in zip(j.entries, k, x):
-        out *= hat_eval(e, ki, xi)
-        if out == 0.0:
-            return 0.0
-    return out
-
-
-def coeff(f: FunctionHandle, j, k) -> float:
-    """Hierarchical coefficient of f at (j, k), the scalar oracle of analyze.
-
-    Evaluates f once at each of the 3**(#active) points of
-    :func:`coeff_sample_points` and contracts with the surplus weights,
-    one active axis at a time in axis order, as :func:`analyze` does.
-    """
-    j = _as_level(j)
-    vals = f.eval_batch(to_floats(coeff_sample_points(j, k)))
-    vals = vals.reshape((3,) * len(j.active_axes()))
-    for _ in j.active_axes():  # contract the leading axis, in axis order
-        left, mid, right = vals
-        vals = -0.5 * (left - 2.0 * mid + right)
-    return float(vals)
-
-
-def _flat_index(k: Iterable, shape: tuple[int, ...]):
-    """Position of translation k in the lexicographic order of its level.
-
-    Works on integers and, elementwise, on integer arrays.
-    """
-    flat = 0
-    for ki, c in zip(k, shape):
-        flat = flat * c + ki
-    return flat
-
-
 class FaberSeries:
     """Coefficients of a truncated expansion: one flat vector in series order.
 
@@ -269,13 +204,6 @@ class FaberSeries:
     def max_abs_diff(self, other: "FaberSeries") -> float:
         self._check_shape(other)
         return float(np.max(np.abs(self.coeffs - other.coeffs)))
-
-    def scaled(self, alpha: float) -> "FaberSeries":
-        return FaberSeries(self.budget, self.dim, alpha * self.coeffs)
-
-    def plus(self, other: "FaberSeries") -> "FaberSeries":
-        self._check_shape(other)
-        return FaberSeries(self.budget, self.dim, self.coeffs + other.coeffs)
 
     def __repr__(self) -> str:
         return f"FaberSeries(budget={self.budget}, dim={self.dim}, size={self.size})"
@@ -407,12 +335,6 @@ def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
                     term *= block[flat * c + k]
                     acc += term
     return out
-
-
-def evaluate(series: FaberSeries, x) -> float:
-    """Pointwise value of the truncated expansion at x in [0,1]^d."""
-    X = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(evaluate_batch(series, X)[0])
 
 
 def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .dyadic import MAX_POINTS, _as_level
+from .dyadic import MAX_LEVEL, MAX_POINTS, _as_level
 from .faber import FaberSeries, FunctionHandle, evaluate_batch
 
 __all__ = [
@@ -60,6 +60,8 @@ class CompositeGauss:
             raise ValueError("Gauss order must be >= 2")
         if self.level < 1:
             raise ValueError("mesh level must be >= 1")
+        if self.level > MAX_LEVEL:
+            raise ValueError(f"mesh level {self.level} exceeds MAX_LEVEL={MAX_LEVEL}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ class SupGrid:
     def __post_init__(self) -> None:
         if self.level < 1:
             raise ValueError("grid level must be >= 1")
+        if self.level > MAX_LEVEL:
+            raise ValueError(f"grid level {self.level} exceeds MAX_LEVEL={MAX_LEVEL}")
 
 
 Method = Union[CompositeGauss, StratifiedMC, SupGrid]

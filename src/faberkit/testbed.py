@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dyadic import _levels, _plan, capped_node_count
+from .dyadic import _flat_index, _levels, _plan, capped_node_count
 from .faber import FaberSeries, FunctionHandle, synthesize
 
 __all__ = [
@@ -106,10 +106,9 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
     levels, _, starts, _ = _levels(depth, d)
     for j, start in zip(levels, starts.tolist()):
         if all(e >= 0 for e in j.entries):
-            flat = 0
-            for axis, c in enumerate(j.translation_shape()):
-                pos = _hash_key(seed, 1, axis, *j.entries) & (c - 1)
-                flat = flat * c + pos
+            shape = j.translation_shape()
+            k = [_hash_key(seed, 1, axis, *j.entries) & (c - 1) for axis, c in enumerate(shape)]
+            flat = _flat_index(k, shape)
             coeffs[start + flat] = 1.0 if _hash_key(seed, 0, *j.entries, flat) & 1 else -1.0
     series = FaberSeries(depth, d, coeffs)
     handle = synthesize(series, label=f"spike(J={depth},seed={seed})")

@@ -1,0 +1,175 @@
+"""Reference implementations the tests compare faberkit against.
+
+Scalar, per-coefficient spellings of what the package computes in
+vectorized form (basis values, surplus stencils, coefficients, series
+evaluation, level and node enumeration), plus the random and single-level
+series the tests draw.  Import as ``from oracles import ...``; pytest
+does not collect this module.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from faberkit.dyadic import (
+    LATTICE_LEVEL,
+    MAX_LEVEL,
+    LevelVector,
+    _as_level,
+    _check_translation,
+    levels_up_to,
+    to_floats,
+    translations,
+)
+from faberkit.faber import FaberSeries
+
+
+def hat_eval(j: int, k: int, x: float) -> float:
+    """Evaluate the univariate basis function (j, k) at x in [0,1]."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0,1]")
+    if j == -1:
+        if k not in (0, 1):
+            raise ValueError(f"translation {k} out of range for level -1")
+        return 1.0 - x if k == 0 else x
+    if j < -1 or j > MAX_LEVEL:
+        raise ValueError(f"level {j} out of range")
+    if not 0 <= k < (1 << j):
+        raise ValueError(f"translation {k} out of range for level {j}")
+    t = math.ldexp(x, j) - k
+    if t <= 0.0 or t >= 1.0:
+        return 0.0
+    return 1.0 - abs(2.0 * t - 1.0)
+
+
+def tensor_eval(j, k, x) -> float:
+    """Product of per-axis basis values; exactly 0 outside the support box."""
+    j = _as_level(j)
+    k = tuple(int(v) for v in k)
+    _check_translation(j, k)
+    if len(x) != j.dim:
+        raise ValueError("point dimension mismatch")
+    out = 1.0
+    for e, ki, xi in zip(j.entries, k, x):
+        out *= hat_eval(e, ki, xi)
+        if out == 0.0:
+            return 0.0
+    return out
+
+
+def coeff_sample_points(j, k) -> np.ndarray:
+    """Evaluation stencil of the hierarchical surplus at (j, k).
+
+    Per active axis (j_i >= 0) the three abscissae x, x + h, x + 2h with
+    x = k_i * 2**-j_i, the paper's node x_{j,k}, and h = 2**-(j_i + 1); per
+    boundary axis the single abscissa k_i.  Returns the 3**(#active)
+    points as a uint64 lattice array in stencil-lexicographic order, so
+    the first row is x_{j,k}.
+    """
+    j = _as_level(j)
+    k = tuple(int(v) for v in k)
+    _check_translation(j, k)
+    axes = [
+        [ki << LATTICE_LEVEL] if e < 0
+        else [(2 * ki + t) << (LATTICE_LEVEL - 1 - e) for t in range(3)]
+        for e, ki in zip(j.entries, k)
+    ]
+    return np.array(list(itertools.product(*axes)), dtype=np.uint64)
+
+
+def node(j, k) -> np.ndarray:
+    """Node owned by the coefficient (j, k): the middle row of its stencil."""
+    stencil = coeff_sample_points(j, k)
+    return stencil[len(stencil) // 2]
+
+
+def coeff(f, j, k) -> float:
+    """Hierarchical coefficient of f at (j, k), the scalar oracle of analyze.
+
+    Evaluates f once at each of the 3**(#active) points of
+    :func:`coeff_sample_points` and contracts with the surplus weights,
+    one active axis at a time in axis order, as analyze does.
+    """
+    j = _as_level(j)
+    active = sum(e >= 0 for e in j.entries)
+    vals = f.eval_batch(to_floats(coeff_sample_points(j, k)))
+    vals = vals.reshape((3,) * active)
+    for _ in range(active):  # contract the leading axis, in axis order
+        left, mid, right = vals
+        vals = -0.5 * (left - 2.0 * mid + right)
+    return float(vals)
+
+
+def naive_eval(series, x):
+    """Full summation over every stored coefficient."""
+    total = 0.0
+    for j, arr in series.items():
+        for flat, k in enumerate(translations(j)):
+            total += arr[flat] * tensor_eval(j, k, x)
+    return total
+
+
+def per_level_eval(series, points):
+    """evaluate_batch as a plain loop over levels and boundary choices.
+
+    Per level with a nonzero block, each axis's (translation, value)
+    choices are computed afresh, and every combination adds
+    ``block[flat] * prod(values)``; evaluate_batch must match it bit for bit.
+    """
+    X = np.ascontiguousarray(points, dtype=np.float64)
+    out = np.zeros(X.shape[0])
+    for j, arr in series.items():
+        if not arr.any():
+            continue
+        choices = []
+        for axis, e in enumerate(j.entries):
+            xi = X[:, axis]
+            if e >= 0:
+                t = np.ldexp(xi, e)
+                k = np.minimum(np.floor(t).astype(np.int64), (1 << e) - 1)
+                choices.append([(k, 1.0 - np.abs(2.0 * (t - k) - 1.0))])
+            else:
+                choices.append([(0, 1.0 - xi), (1, xi)])
+        for combo in itertools.product(*choices):
+            flat = 0
+            for (k, _), c in zip(combo, j.translation_shape()):
+                flat = flat * c + k
+            out += arr[flat] * math.prod(v for _, v in combo)
+    return out
+
+
+def brute_force_levels(n, d):
+    """Filter the full box {-1..n}^d by truncation order."""
+    out = []
+    for entries in itertools.product(range(-1, n + 1), repeat=d):
+        if sum(max(e, 0) for e in entries) <= n:
+            out.append(entries)
+    return out
+
+
+def brute_force_nodes(n, d):
+    """The definition: the union of all surplus stencils, as tuples of rows."""
+    pts = set()
+    for j in levels_up_to(n, d):
+        for k in translations(j):
+            pts |= set(map(tuple, coeff_sample_points(j, k).tolist()))
+    return pts
+
+
+def random_series(budget, dim, rng):
+    """Series with coefficients uniform on [-1, 1], drawn level by level."""
+    coeffs = [rng.uniform(-1.0, 1.0, j.translation_count()) for j in levels_up_to(budget, dim)]
+    return FaberSeries(budget, dim, np.concatenate(coeffs))
+
+
+def single_level_series(j, coeffs, budget=None):
+    """Series whose only non-zero level is j; budget defaults to j's order."""
+    j = LevelVector(tuple(j))
+    if budget is None:
+        budget = j.order
+    blocks = [
+        np.asarray(coeffs, dtype=float) if lv == j else np.zeros(lv.translation_count())
+        for lv in levels_up_to(budget, j.dim)
+    ]
+    return FaberSeries(budget, j.dim, np.concatenate(blocks))

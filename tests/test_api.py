@@ -1,0 +1,100 @@
+"""Public API pin: changes to faberkit's exported names must be deliberate."""
+
+import importlib
+import pkgutil
+import types
+
+import pytest
+
+import faberkit
+from faberkit.dyadic import LevelVector
+from faberkit.faber import FaberSeries
+
+PACKAGE_NAMES = [
+    "CompositeGauss",
+    "CubatureRecord",
+    "EvaluationError",
+    "FaberSeries",
+    "FunctionHandle",
+    "LevelVector",
+    "MAX_LEVEL",
+    "MeasureSpec",
+    "NoncompactReport",
+    "NormParams",
+    "RateFit",
+    "RateRecord",
+    "SMOOTH_IDS",
+    "StratifiedMC",
+    "SupGrid",
+    "WidthRecord",
+    "analyze",
+    "block_lq_exact",
+    "comb_check",
+    "convergence_study",
+    "cubature_study",
+    "decay_profile",
+    "default_kink_anchor",
+    "default_spec",
+    "evaluate_batch",
+    "extremal",
+    "fit_rate",
+    "hat_family",
+    "integrate",
+    "kink",
+    "level_lp",
+    "levels_up_to",
+    "lq_error",
+    "lq_norm",
+    "node_count",
+    "node_set",
+    "noncompact_demo",
+    "reference_envelope",
+    "sampling_width_table",
+    "seq_norm",
+    "series_from_json",
+    "series_from_text",
+    "series_profile",
+    "series_to_json",
+    "series_to_text",
+    "smooth",
+    "spike",
+    "synthesize",
+    "to_floats",
+    "translations",
+]
+
+MODULES = [
+    importlib.import_module(f"faberkit.{info.name}")
+    for info in pkgutil.iter_modules(faberkit.__path__)
+]
+
+
+def public(obj):
+    return sorted(name for name in dir(obj) if not name.startswith("_"))
+
+
+def test_package_names_pinned():
+    names = [n for n in public(faberkit) if not isinstance(getattr(faberkit, n), types.ModuleType)]
+    assert names == PACKAGE_NAMES
+
+
+def test_series_attributes_pinned():
+    assert public(FaberSeries) == [
+        "array", "budget", "coeffs", "dim", "get", "items", "levels", "max_abs_diff", "size",
+        "zeros",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_all_resolves(module):
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_scalar_oracles_only_in_tests():
+    # hat_eval, tensor_eval, coeff, coeff_sample_points and node live in
+    # tests/oracles.py; evaluate is evaluate_batch on one point
+    for name in ("hat_eval", "tensor_eval", "coeff", "coeff_sample_points", "node", "evaluate"):
+        for module in (faberkit, faberkit.faber, faberkit.dyadic):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(LevelVector, "active_axes")

@@ -218,6 +218,12 @@ class TestErrorsAndConfig:
         assert code == 1
         assert "cap" in err
 
+    def test_noncompact_budget_over_cap_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "noncompact", "--max-level", "400")
+        assert code == 1
+        assert err.startswith("error: budget exceeds MAX_LEVEL")
+        assert out == ""
+
     def test_mc_samples_over_point_cap_exits_1(self, capsys):
         code, out, err = run_cli(
             capsys, "recover", "--dim", "1", "--n", "2", "--func", "exp",

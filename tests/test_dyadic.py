@@ -1,7 +1,5 @@
 """Index arithmetic: enumeration, stencils, node sets, exact counts."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -9,23 +7,14 @@ from faberkit.dyadic import (
     LATTICE_LEVEL,
     MAX_LEVEL,
     LevelVector,
-    coeff_sample_points,
+    capped_node_count,
     levels_up_to,
-    node,
     node_count,
     node_set,
     to_floats,
     translations,
 )
-
-
-def brute_force_levels(n, d):
-    """Oracle: filter the full box {-1..n}^d by truncation order."""
-    out = []
-    for entries in itertools.product(range(-1, n + 1), repeat=d):
-        if sum(max(e, 0) for e in entries) <= n:
-            out.append(entries)
-    return out
+from oracles import brute_force_levels, brute_force_nodes, coeff_sample_points, node
 
 
 def rows(lattice):
@@ -34,15 +23,6 @@ def rows(lattice):
 
 def floats(lattice):
     return [tuple(x) for x in to_floats(lattice).tolist()]
-
-
-def brute_force_nodes(n, d):
-    """Oracle: the definition, union of all surplus stencils."""
-    pts = set()
-    for j in levels_up_to(n, d):
-        for k in translations(j):
-            pts |= rows(coeff_sample_points(j, k))
-    return pts
 
 
 class TestLevelVector:
@@ -217,6 +197,19 @@ class TestNodeSet:
     def test_over_node_cap_rejected(self, d, n):
         with pytest.raises(ValueError, match="cap"):
             node_set(n, d)
+
+    @pytest.mark.parametrize("count", [levels_up_to, node_count, capped_node_count])
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (MAX_LEVEL + 1, 1, f"budget exceeds MAX_LEVEL={MAX_LEVEL}"),
+            (-1, 2, "budget must be >= 0"),
+            (2, 0, "dimension must be >= 1"),
+        ],
+    )
+    def test_budget_checks_shared(self, count, n, d, message):
+        with pytest.raises(ValueError, match=message):
+            count(n, d)
 
     def test_d1_exact_formula(self):
         for n in range(13):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from faberkit import experiments
 from faberkit.dyadic import node_count
 from faberkit.experiments import (
     RateRecord,
@@ -190,6 +191,16 @@ class TestNoncompactDemo:
     def test_rejects_small_budget(self):
         with pytest.raises(ValueError):
             noncompact_demo(1)
+
+    @pytest.mark.parametrize("max_level,message", [(24, "over the cap"), (400, "MAX_LEVEL")])
+    def test_unplannable_budget_fails_before_building_members(
+        self, monkeypatch, max_level, message
+    ):
+        built = []
+        monkeypatch.setattr(experiments, "hat_family", lambda j: built.append(j))
+        with pytest.raises(ValueError, match=message):
+            noncompact_demo(max_level)
+        assert built == []
 
 
 class TestSamplingWidths:

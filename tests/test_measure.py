@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faberkit import measure
-from faberkit.dyadic import MAX_POINTS, LevelVector, levels_up_to
+from faberkit.dyadic import MAX_LEVEL, MAX_POINTS, LevelVector
 from faberkit.faber import FaberSeries, FunctionHandle, analyze, synthesize
 from faberkit.measure import (
     CompositeGauss,
@@ -18,22 +18,9 @@ from faberkit.measure import (
     lq_error,
     lq_norm,
 )
+from oracles import random_series, single_level_series
 
 RNG = np.random.default_rng(1234)
-
-
-def random_series(budget, dim, rng):
-    coeffs = [rng.uniform(-1, 1, j.translation_count()) for j in levels_up_to(budget, dim)]
-    return FaberSeries(budget, dim, np.concatenate(coeffs))
-
-
-def single_level_series(j, coeffs):
-    j = LevelVector(j)
-    blocks = [
-        np.asarray(coeffs, dtype=float) if lv == j else np.zeros(lv.translation_count())
-        for lv in levels_up_to(j.order, j.dim)
-    ]
-    return FaberSeries(j.order, j.dim, np.concatenate(blocks))
 
 
 def unit_tent_handle():
@@ -67,6 +54,14 @@ class TestSpecValidation:
     def test_gauss_order_minimum(self):
         with pytest.raises(ValueError):
             CompositeGauss(level=2, order=1)
+
+    @pytest.mark.parametrize("method", [CompositeGauss, SupGrid])
+    def test_level_above_max_level_rejected_before_shifting(self, method):
+        method(level=MAX_LEVEL)
+        with pytest.raises(ValueError, match="MAX_LEVEL"):
+            method(level=MAX_LEVEL + 1)
+        with pytest.raises(ValueError, match="MAX_LEVEL"):
+            method(level=10**8)
 
 
 class TestCompositeGauss:

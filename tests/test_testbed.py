@@ -131,6 +131,16 @@ class TestSpike:
         hot = [int(np.flatnonzero(series.array((j,)))[0]) for j in range(4, 9)]
         assert len(set(hot)) > 1
 
+    def test_coefficient_bytes_pinned(self):
+        # positions and signs are seeded hashes; the digest pins them
+        digest = hashlib.sha256()
+        for d, depth in [(1, 12), (2, 8), (3, 6), (4, 5)]:
+            for seed in (0, 1, 7):
+                digest.update(spike(depth, seed, d)[1].coeffs.tobytes())
+        assert digest.hexdigest() == (
+            "84adbc1166c218108e07596d32e0d895c11b8bf56deb3f7827d3469f47184242"
+        )
+
 
 class TestKink:
     def test_value_at_anchor_and_corner(self):
