@@ -100,12 +100,7 @@ def levels_up_to(n: int, d: int) -> list[LevelVector]:
     The per-axis order is -1 < 0 < 1 < ..., so the boundary layer of each
     axis precedes its interior levels.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 0:
-        raise ValueError("budget must be >= 0")
-    if n > MAX_LEVEL:
-        raise ValueError(f"budget exceeds MAX_LEVEL={MAX_LEVEL}")
+    _check_budget(n, d)
 
     out: list[LevelVector] = []
 
@@ -217,9 +212,13 @@ def node_set(n: int, d: int) -> np.ndarray:
     union of all surplus stencils of order <= n.  Fails like
     :func:`capped_node_count`.
     """
-    entries, owner, k = _plan(n, d)
+    return _lattice(*_plan(n, d))
+
+
+def _lattice(entries: np.ndarray, owner: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """node_set from its :func:`_plan` table, turning ``k`` into the nodes in place."""
     nodes = k.view(np.uint64)  # each translation becomes its lattice coordinate in place
-    for axis in range(d):
+    for axis in range(k.shape[1]):
         e = entries[owner, axis]
         shift = np.where(e < 0, LATTICE_LEVEL, LATTICE_LEVEL - 1 - e).astype(np.uint64)
         nodes[:, axis] = np.where(e < 0, nodes[:, axis], 2 * nodes[:, axis] + 1) << shift
@@ -231,6 +230,7 @@ def to_floats(lattice) -> np.ndarray:
     return np.ldexp(np.asarray(lattice, dtype=np.uint64).astype(np.float64), -LATTICE_LEVEL)
 
 
+@functools.lru_cache(maxsize=256)
 def node_count(n: int, d: int) -> int:
     """Exact number of rows of node_set(n, d), without materializing it.
 

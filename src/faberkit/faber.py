@@ -17,6 +17,7 @@ at truncation order n yields the sparse-grid interpolant; a
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -25,15 +26,15 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .dyadic import (
-    LATTICE_LEVEL,
     LevelVector,
     _as_level,
     _check_translation,
     _flat_index,
+    _lattice,
     _levels,
+    _plan,
     _translation_shapes,
     capped_node_count,
-    node_set,
     to_floats,
     translations,
 )
@@ -209,6 +210,110 @@ class FaberSeries:
         return f"FaberSeries(budget={self.budget}, dim={self.dim}, size={self.size})"
 
 
+#: Largest m·d whose hierarchization plan is memoized; a larger plan is
+#: built for its one analyze call and dropped.
+_PLAN_MEMO_POINTS = 1 << 17
+
+#: Plans the memo keeps.  A plan holds 8·m·d bytes of nodes and at most
+#: 12·m·d of int32 indices, so the memo retains at most
+#: 8 · 20 · 2**17 B = 20 MiB.
+_PLAN_MEMO_SIZE = 8
+
+
+def _parent_steps(
+    n: int, d: int, entries: np.ndarray, starts: np.ndarray, span: np.ndarray
+) -> tuple[np.ndarray, tuple, tuple]:
+    """Where the two parents of each node along each of its interior axes lie.
+
+    Along an axis of level e >= 0, read a level's block as a (before,
+    2**e, after) array of translations.  The node (h, t, lo) has its left
+    and right parents at the axis points t and t + 1 of step 2**-e: a
+    boundary point if that is 0 or 2**e, else the node of level
+    e - 1 - tz (tz the trailing zero bits of the point) and translation
+    point // 2**(tz+1), at (h, that translation, lo) of the parent's
+    block.  So a parent lies at the node's index plus ``D + h * E``, where
+    D and E depend on the level, the axis and t alone.  Returns ``(first,
+    (D, E), (D, E))`` for left and right: one row per (level, axis, t),
+    the rows of (level l, axis a) from ``first[l, a]`` on in the order of
+    t.  ``span[:, a]`` is the translation count of the axes from a on,
+    per level.
+    """
+    level, axis = np.nonzero(entries >= 0)
+    e = entries[level, axis]
+    count = 1 << e
+    first = np.zeros(entries.shape, dtype=np.int64)
+    first[level, axis] = np.cumsum(count) - count
+    level, axis, e = (np.repeat(a, count) for a in (level, axis, e))
+    t = np.arange(len(level)) - first[level, axis]
+    after = span[level, axis + 1]
+    # Levels are found by their key, entries + 1 in mixed radix n + 2: the
+    # keys ascend in series order, and (n + 2)**d <= 2**24 under MAX_POINTS.
+    place = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    level_key = (entries + 1) @ place
+    sibling_key = level_key[level] - (e + 1) * place[axis]
+    sides = []
+    for point in (t, t + 1):
+        low = point & -point
+        boundary = (point == 0) | (low == 1 << e)
+        low = np.maximum(low, 1)
+        parent_e = np.where(boundary, -1, e - np.frexp(low.astype(np.float64))[1])
+        parent_t = np.where(boundary, point >> e, point // (2 * low))
+        parent_count = np.where(boundary, 2, 1 << np.maximum(parent_e, 0))
+        parent = np.searchsorted(level_key, sibling_key + (parent_e + 1) * place[axis])
+        step = starts[parent] - starts[level] + (parent_t - t) * after
+        sides.append((step, (parent_count - (1 << e)) * after))
+    return first, *sides
+
+
+def _hierarchy_plan(n: int, d: int) -> tuple[np.ndarray, tuple]:
+    """What analyze needs of (n, d) alone: ``(points, sweeps)``.
+
+    ``points`` is node_set(n, d) as (m, d) float64 coordinates.  ``sweeps``
+    holds per axis the int32 arrays ``(inner, left, right)``: the nodes
+    that are not boundary nodes along that axis, and their two
+    neighbours there, the nodes of their surplus stencil (int32 holds
+    every index, since m <= MAX_POINTS < 2**31).  The neighbours are read
+    off each node's (level, translation), see :func:`_parent_steps`.  All
+    arrays are read-only.  Fails like :func:`capped_node_count`.
+    """
+    entries, owner, k = _plan(n, d)
+    points = to_floats(_lattice(entries, owner, k.copy()))
+    points.setflags(write=False)
+    _, _, starts, _ = _levels(n, d)
+    span = np.ones((len(entries), d + 1), dtype=np.int64)
+    span[:, :d] = np.cumprod(_translation_shapes(entries)[:, ::-1], axis=1)[:, ::-1]
+    first, left, right = _parent_steps(n, d, entries, starts, span)
+    sweeps = []
+    for axis in range(d):
+        inner = np.flatnonzero(entries[owner, axis] >= 0)
+        level = owner[inner]
+        row = first[level, axis]
+        row += k[inner, axis]
+        before = inner - starts[level]  # index in the level's block, then h
+        before //= span[level, axis]
+        sweep = [inner.astype(np.int32)]
+        for D, E in (left, right):
+            parent = E[row]
+            parent *= before
+            parent += D[row]
+            parent += inner
+            sweep.append(parent.astype(np.int32))
+        for a in sweep:
+            a.setflags(write=False)
+        sweeps.append(tuple(sweep))
+    return points, tuple(sweeps)
+
+
+_memoized_plan = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(_hierarchy_plan)
+
+
+def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
+    """:func:`_hierarchy_plan`, memoized per (n, d) when m·d <= _PLAN_MEMO_POINTS."""
+    if capped_node_count(n, d) * d > _PLAN_MEMO_POINTS:
+        return _hierarchy_plan(n, d)
+    return _memoized_plan(n, d)
+
+
 def analyze(f: FunctionHandle, n: int, d: int | None = None) -> FaberSeries:
     """Compute every coefficient of truncation order <= n from samples of f.
 
@@ -218,35 +323,19 @@ def analyze(f: FunctionHandle, n: int, d: int | None = None) -> FaberSeries:
     fresh handle counts exactly m(n, d) evaluations), then the nodal
     values are hierarchized in place with one (+1, -2, +1) / -2 sweep per
     axis (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004,
-    sec. 4).  Raises ValueError before sampling when m(n, d) exceeds
-    MAX_POINTS.
+    sec. 4).  The nodes and the sweeps' index arrays depend on (n, d)
+    alone and are memoized per (n, d) for m·d <= 2**17, at most 8 plans
+    and 20 MiB; samples never are, so every call evaluates f at all m
+    nodes, handed to f as a fresh array.  Raises ValueError before
+    sampling when m(n, d) exceeds MAX_POINTS.
     """
     if d is None:
         d = f.dim
     elif d != f.dim:
         raise ValueError(f"requested d={d} but handle has dim={f.dim}")
-    lattice = node_set(n, d)
-    values = f.eval_batch(to_floats(lattice))
-
-    # Hierarchize on the integer lattice of step 2**-(n+1): a level-e axis
-    # node sits at the odd multiple (2k + 1) * 2**(n - e), a boundary node
-    # at 0 or `top`.
-    nodes = (lattice >> np.uint64(LATTICE_LEVEL - n - 1)).astype(np.int64)
-    top = 1 << (n + 1)
-
-    # The neighbours of a node along an axis are its parents there; they
-    # are found by their flat key (mixed radix top + 1), which fits an
-    # int64 for every (n, d) under the MAX_POINTS cap.
-    place = (top + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    key = nodes @ place
-    order = np.argsort(key)
-    sorted_key = key[order]
-    for axis in range(d):
-        coord = nodes[:, axis]
-        inner = np.flatnonzero(coord % top != 0)
-        step = (coord[inner] & -coord[inner]) * place[axis]
-        left = order[np.searchsorted(sorted_key, key[inner] - step)]
-        right = order[np.searchsorted(sorted_key, key[inner] + step)]
+    points, sweeps = _hierarchy(n, d)
+    values = f.eval_batch(points.copy())
+    for inner, left, right in sweeps:
         values[inner] = -0.5 * (values[left] - 2.0 * values[inner] + values[right])
     return FaberSeries(n, d, values)
 
@@ -354,19 +443,48 @@ def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:
     )
 
 
+#: Elements per gathered block of :func:`_level_blocks`, which bounds
+#: each block and the temporaries of its reductions to 64 KiB.
+_GATHER = 1 << 13
+
+
+def _level_blocks(series: FaberSeries) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The coefficient blocks of a series' levels, a few levels at a time.
+
+    Yields ``(levels, block)``: level indices and the (len(levels), size)
+    array of their coefficients, one row per level.  Levels of one size
+    share a gathered block of up to _GATHER elements; a level alone in its
+    block is a view.  numpy reduces each contiguous row exactly as it
+    reduces the level's block alone, so a row-wise ``sum`` is
+    bit-identical to a per-level ``np.sum``.
+    """
+    _, _, starts, _ = series._layout
+    sizes = np.diff(starts)
+    for size in sorted(set(sizes.tolist())):
+        levels = np.flatnonzero(sizes == size)
+        step = max(1, _GATHER // size)
+        for first in range(0, levels.size, step):
+            rows = levels[first : first + step]
+            if rows.size == 1:
+                start = starts[rows[0]]
+                yield rows, series.coeffs[None, start : start + size]
+            else:
+                yield rows, series.coeffs[starts[rows, None] + np.arange(size)]
+
+
 def integrate(series: FaberSeries) -> float:
     """Exact integral over [0,1]^d of the truncated expansion.
 
     Per axis a hat of level j has integral 2**-(j+1) and each boundary
-    function has integral 1/2; the weight of level j is the product.
+    function has integral 1/2; the weight of level j is the product, the
+    power of two 2**-(order(j) + d), so each weighted level sum is exact
+    and math.fsum rounds their total once.
     """
-    terms = []
-    for j, arr in series.items():
-        w = 1.0
-        for e in j.entries:
-            w *= 0.5 if e == -1 else math.ldexp(1.0, -e - 1)
-        terms.append(w * float(np.sum(arr)))
-    return math.fsum(terms)
+    _, entries, _, _ = series._layout
+    terms = np.ldexp(1.0, -(np.maximum(entries, 0) + 1).sum(axis=1))
+    for levels, block in _level_blocks(series):
+        terms[levels] *= block.sum(axis=1)
+    return math.fsum(terms.tolist())
 
 
 # -- serialization -----------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import _as_level
-from .faber import FaberSeries, FunctionHandle, analyze
+from .faber import FaberSeries, FunctionHandle, _level_blocks, analyze
 
 __all__ = ["NormParams", "level_lp", "seq_norm", "series_profile", "decay_profile"]
 
@@ -37,10 +37,14 @@ class NormParams:
             raise ValueError("q must be positive (math.inf allowed)")
 
 
-def level_lp(series: FaberSeries, j, p: float) -> float:
-    """l_p norm of the coefficients of one stored level."""
+def _check_p(p: float) -> None:
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("p must satisfy 1 <= p < inf")
+
+
+def level_lp(series: FaberSeries, j, p: float) -> float:
+    """l_p norm of the coefficients of one stored level."""
+    _check_p(p)
     arr = np.abs(series.array(_as_level(j)))
     top = float(arr.max(initial=0.0))
     if top == 0.0:
@@ -49,13 +53,35 @@ def level_lp(series: FaberSeries, j, p: float) -> float:
     return top * float(np.sum((arr / top) ** p)) ** (1.0 / p)
 
 
+def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
+    """(truncation order, level_lp) of every stored level in series order.
+
+    Levels of one size are reduced together, row by row: the maximum
+    ``top``, the sum of ``(|c| / top)**p``, then ``top * sum**(1/p)`` in
+    Python floats, so every value is bit-identical to level_lp's.
+    """
+    _check_p(p)
+    _, entries, _, _ = series._layout
+    tops = np.empty(len(entries))
+    sums = np.empty(len(entries))
+    for levels, block in _level_blocks(series):
+        scaled = np.abs(block)
+        top = scaled.max(axis=1)
+        # an all-zero level divides by 1 and gets 0.0 below, as in level_lp
+        scaled /= np.where(top == 0.0, 1.0, top)[:, None]
+        tops[levels] = top
+        sums[levels] = (scaled**p).sum(axis=1)
+    orders = np.maximum(entries, 0).sum(axis=1).tolist()
+    return [
+        (order, top * total ** (1.0 / p) if top != 0.0 else 0.0)
+        for order, top, total in zip(orders, tops.tolist(), sums.tolist())
+    ]
+
+
 def seq_norm(series: FaberSeries, params: NormParams) -> float:
     """Weighted l_q-over-levels norm of a truncated series."""
     exponent = params.r - 1.0 / params.p
-    terms = [
-        2.0 ** (j.order * exponent) * level_lp(series, j, params.p)
-        for j in series.levels()
-    ]
+    terms = [2.0 ** (order * exponent) * lp for order, lp in _level_lps(series, params.p)]
     if math.isinf(params.q):
         return max(terms, default=0.0)
     top = max(terms, default=0.0)
@@ -66,13 +92,11 @@ def seq_norm(series: FaberSeries, params: NormParams) -> float:
 
 def series_profile(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     """Per truncation order, the maximum level_lp over levels of that order."""
-    best: dict[int, float] = {}
-    for j in series.levels():
-        value = level_lp(series, j, p)
-        order = j.order
-        if value > best.get(order, 0.0):
+    best = [0.0] * (series.budget + 1)
+    for order, value in _level_lps(series, p):
+        if value > best[order]:
             best[order] = value
-    return [(order, best.get(order, 0.0)) for order in range(series.budget + 1)]
+    return list(enumerate(best))
 
 
 def decay_profile(

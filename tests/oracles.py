@@ -1,10 +1,11 @@
 """Reference implementations the tests compare faberkit against.
 
-Scalar, per-coefficient spellings of what the package computes in
-vectorized form (basis values, surplus stencils, coefficients, series
-evaluation, level and node enumeration), plus the random and single-level
-series the tests draw.  Import as ``from oracles import ...``; pytest
-does not collect this module.
+Scalar, per-coefficient or per-level spellings of what the package
+computes in vectorized form (basis values, surplus stencils,
+coefficients, series evaluation, integrals, level norms, level and node
+enumeration), plus the random and single-level series the tests draw.
+Import as ``from oracles import ...``; pytest does not collect this
+module.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from faberkit.dyadic import (
     translations,
 )
 from faberkit.faber import FaberSeries
+from faberkit.seqnorm import level_lp
 
 
 def hat_eval(j: int, k: int, x: float) -> float:
@@ -137,6 +139,43 @@ def per_level_eval(series, points):
                 flat = flat * c + k
             out += arr[flat] * math.prod(v for _, v in combo)
     return out
+
+
+def per_level_integrate(series):
+    """integrate as a loop over levels: weight times np.sum of each block."""
+    terms = []
+    for j, arr in series.items():
+        w = 1.0
+        for e in j.entries:
+            w *= 0.5 if e == -1 else math.ldexp(1.0, -e - 1)
+        terms.append(w * float(np.sum(arr)))
+    return math.fsum(terms)
+
+
+def per_level_profile(series, p):
+    """series_profile as a loop over levels, one level_lp call each."""
+    best = {}
+    for j in series.levels():
+        value = level_lp(series, j, p)
+        order = j.order
+        if value > best.get(order, 0.0):
+            best[order] = value
+    return [(order, best.get(order, 0.0)) for order in range(series.budget + 1)]
+
+
+def per_level_seq_norm(series, params):
+    """seq_norm as a loop over levels, one level_lp call each."""
+    exponent = params.r - 1.0 / params.p
+    terms = [
+        2.0 ** (j.order * exponent) * level_lp(series, j, params.p)
+        for j in series.levels()
+    ]
+    if math.isinf(params.q):
+        return max(terms, default=0.0)
+    top = max(terms, default=0.0)
+    if top == 0.0:
+        return 0.0
+    return top * math.fsum((t / top) ** params.q for t in terms) ** (1.0 / params.q)
 
 
 def brute_force_levels(n, d):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from faberkit.dyadic import (
     MAX_POINTS,
     LevelVector,
+    _levels,
     levels_up_to,
     node_count,
     node_set,
@@ -212,6 +213,95 @@ class TestAnalyze:
                 assert coeff(g, j, k) == pytest.approx(
                     s.array(j)[flat], abs=1e-13
                 )
+
+
+class TestHierarchyPlan:
+    """analyze's per-(n, d) plan: memoized within a bound, samples never."""
+
+    def test_repeat_analyze_byte_equal_and_samples_every_node(self):
+        faber._memoized_plan.cache_clear()
+        f = FunctionHandle(lambda X: np.exp(X[:, 0] - 2.0 * X[:, 2]) * X[:, 1], 3)
+        first = analyze(f, 4)
+        for call in range(2, 5):
+            again = analyze(f, 4)  # planned by the memo
+            assert again.coeffs.tobytes() == first.coeffs.tobytes()
+            assert f.eval_count == call * node_count(4, 3)
+        fresh = FunctionHandle(lambda X: np.exp(X[:, 0] - 2.0 * X[:, 2]) * X[:, 1], 3)
+        assert analyze(fresh, 4).coeffs.tobytes() == first.coeffs.tobytes()
+        assert fresh.eval_count == node_count(4, 3)
+        info = faber._memoized_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])  # memoized, over the size cap
+    def test_plan_arrays_read_only(self, n, d):
+        points, sweeps = faber._hierarchy(n, d)
+        assert points.shape == (node_count(n, d), d) and len(sweeps) == d
+        for array in (points, *(a for sweep in sweeps for a in sweep)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("n,d", [(0, 1), (6, 1), (5, 2), (3, 3), (2, 5)])
+    def test_sweeps_are_the_surplus_stencils(self, n, d):
+        # along its axis, an inner node's neighbours sit one lowest set bit
+        # of its lattice coordinate (step 2**-(n+1)) to either side
+        points, sweeps = faber._hierarchy(n, d)
+        lattice = np.ldexp(points, n + 1).astype(np.int64)
+        for axis, (inner, left, right) in enumerate(sweeps):
+            coord = lattice[:, axis]
+            assert np.array_equal(inner, np.flatnonzero(coord % (1 << (n + 1)) != 0))
+            step = coord[inner] & -coord[inner]
+            for side, sign in ((left, -1), (right, 1)):
+                expected = lattice[inner].copy()
+                expected[:, axis] += sign * step
+                assert np.array_equal(lattice[side], expected)
+
+    def test_evaluator_may_work_on_its_points_in_place(self):
+        def shifted(X):
+            X += 0.25  # allowed: analyze hands f a fresh array
+            return X[:, 0] * X[:, 1]
+
+        points = faber._hierarchy(3, 2)[0].copy()
+        series = analyze(FunctionHandle(shifted, 2), 3)
+        expected = analyze(FunctionHandle(lambda X: (X[:, 0] + 0.25) * (X[:, 1] + 0.25), 2), 3)
+        assert series.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert faber._hierarchy(3, 2)[0].tobytes() == points.tobytes()
+
+    def test_plan_over_size_cap_not_retained(self):
+        n, d = 17, 1
+        assert node_count(n, d) * d > faber._PLAN_MEMO_POINTS
+        f = FunctionHandle(lambda X: X[:, 0] ** 2, d)
+        _levels(n, d)  # the level layout memo has a bound of its own
+        faber._memoized_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            analyze(f, n)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the plan alone holds 20 B per node, 5.2 MB here
+        assert retained < 4096
+
+    def test_memo_retention_within_stated_bound(self):
+        # more plans than the memo keeps, the largest m·d under its size cap
+        plans = [(11, 2), (2, 6), (5, 4), (15, 1), (7, 3), (3, 5), (10, 2), (14, 1), (4, 4)]
+        assert len(plans) > faber._PLAN_MEMO_SIZE
+        assert all(node_count(n, d) * d <= faber._PLAN_MEMO_POINTS for n, d in plans)
+        for n, d in plans:
+            _levels(n, d)  # the level layout memo has a bound of its own
+        faber._memoized_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, d in plans:
+                faber._hierarchy(n, d)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            kept = faber._memoized_plan.cache_info().currsize
+        finally:
+            tracemalloc.stop()
+            faber._memoized_plan.cache_clear()
+        assert kept == faber._PLAN_MEMO_SIZE
+        assert retained <= faber._PLAN_MEMO_SIZE * 20 * faber._PLAN_MEMO_POINTS  # 20 MiB
 
 
 class TestEvaluate:

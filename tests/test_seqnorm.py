@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faberkit import faber
 from faberkit.dyadic import LevelVector, levels_up_to
-from faberkit.faber import FaberSeries, FunctionHandle, analyze, synthesize
+from faberkit.faber import FaberSeries, FunctionHandle, analyze, integrate, synthesize
 from faberkit.seqnorm import NormParams, decay_profile, level_lp, seq_norm, series_profile
 from faberkit.testbed import kink
-from oracles import random_series, single_level_series
+from oracles import (
+    per_level_integrate,
+    per_level_profile,
+    per_level_seq_norm,
+    random_series,
+    single_level_series,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -139,3 +148,49 @@ class TestProfiles:
         f = FunctionHandle(lambda X: X[:, 0], 1)
         with pytest.raises(ValueError):
             decay_profile(f, 1.0, 1)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.inf, math.nan])
+def test_invalid_p_rejected_by_every_level_norm(p):
+    s = random_series(2, 2, RNG)
+    with pytest.raises(ValueError, match="p must satisfy"):
+        series_profile(s, p)
+    with pytest.raises(ValueError, match="p must satisfy"):
+        level_lp(s, (0, 0), p)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    d=st.integers(1, 5),
+    n=st.integers(0, 5),
+    dead=st.floats(0.0, 1.0),
+    gather=st.sampled_from([1, 5, faber._GATHER]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_level_reductions_are_bit_identical_to_per_level_loops(
+    d, n, dead, gather, seed
+):
+    # levels zeroed at random, magnitudes spread over 16 decades so that
+    # every summation order shows; small gather blocks split the size groups
+    rng = np.random.default_rng(seed)
+    blocks = [
+        rng.standard_normal(j.translation_count())
+        * 10.0 ** rng.integers(-8, 9, j.translation_count())
+        * (rng.random() >= dead)
+        for j in levels_up_to(n, d)
+    ]
+    s = FaberSeries(n, d, np.concatenate(blocks))
+    saved, faber._GATHER = faber._GATHER, gather
+    try:
+        assert np.float64(integrate(s)).tobytes() == np.float64(per_level_integrate(s)).tobytes()
+        for p in (1.0, 2.0, 3.5):
+            assert np.array(series_profile(s, p)).tobytes() == (
+                np.array(per_level_profile(s, p)).tobytes()
+            )
+            for r, q in ((0.0, 1.0), (1.5, 2.0), (0.5, math.inf)):
+                params = NormParams(r, p, q)
+                assert np.float64(seq_norm(s, params)).tobytes() == (
+                    np.float64(per_level_seq_norm(s, params)).tobytes()
+                )
+    finally:
+        faber._GATHER = saved
