@@ -18,10 +18,10 @@ at truncation order n yields the sparse-grid interpolant; a
 from __future__ import annotations
 
 import functools
-import io
+import itertools
 import json
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,13 +30,10 @@ from .dyadic import (
     _as_level,
     _check_translation,
     _flat_index,
-    _lattice,
     _levels,
     _plan,
     _translation_shapes,
     capped_node_count,
-    to_floats,
-    translations,
 )
 
 __all__ = [
@@ -277,9 +274,20 @@ def _hierarchy_plan(n: int, d: int) -> tuple[np.ndarray, tuple]:
     arrays are read-only.  Fails like :func:`capped_node_count`.
     """
     entries, owner, k = _plan(n, d)
-    points = to_floats(_lattice(entries, owner, k.copy()))
-    points.setflags(write=False)
     _, _, starts, _ = _levels(n, d)
+    # node_set's coordinates, exactly: (2k + 0) 2**-1 = k along a boundary
+    # axis, (2k + 1) 2**-(e+1) along an axis of level e >= 0; every step is
+    # exact in float64, as 2k + 1 < 2**(e+1) <= 2**25 under MAX_POINTS
+    sizes = np.diff(starts)
+    points = np.empty(k.shape)
+    for axis in range(d):
+        e = entries[:, axis]
+        column = points[:, axis]
+        column[:] = k[:, axis]
+        column *= 2.0
+        column += np.repeat(e >= 0, sizes)
+        column *= np.repeat(np.ldexp(1.0, -np.maximum(e + 1, 1)), sizes)
+    points.setflags(write=False)
     span = np.ones((len(entries), d + 1), dtype=np.int64)
     span[:, :d] = np.cumprod(_translation_shapes(entries)[:, ::-1], axis=1)[:, ::-1]
     first, left, right = _parent_steps(n, d, entries, starts, span)
@@ -492,56 +500,94 @@ def integrate(series: FaberSeries) -> float:
 # Text format: header "dim <d> budget <n>", then one line per coefficient
 # "j_1 .. j_d k_1 .. k_d value" in level/translation order, values printed
 # as shortest round-trip decimals.  The JSON variant mirrors the fields.
+# The writers format a block of coefficients at a time and join the blocks
+# once, so they peak at twice the output, as an io.StringIO does; the text
+# reader converts a block of lines at a time into arrays.
+
+#: Coefficients per formatted block of the writers and lines per parsed
+#: block of the text reader.  A writer's peak is twice its output plus
+#: about 57 B per block string, which long blocks keep small.
+_IO_BLOCK = 1 << 15
+
+
+def _formatted(series: FaberSeries, level_part, k_sep: str, k_end: str) -> Iterator[str]:
+    """The coefficients as strings ``level_part(j) + k + repr(value)``, in blocks.
+
+    k is the translation's entries joined by ``k_sep`` and followed by
+    ``k_end``.  Each level's part is built once and each translation's
+    string once per level, from per-axis digit strings; values are the
+    ``repr`` of ``coeffs.tolist()``.  Each yielded string holds at least
+    _IO_BLOCK and fewer than 2 * _IO_BLOCK coefficients, the last fewer.
+    """
+    levels, _, starts, _ = series._layout
+    pieces = []
+    for i, j in enumerate(levels):
+        *lead, last = j.translation_shape()
+        axes = [[f"{t}{k_sep}" for t in range(c)] for c in lead]
+        axes.append([f"{t}{k_end}" for t in range(last)])
+        ks = map("".join, itertools.product(*axes))
+        part = level_part(j.entries)
+        for start in range(starts[i], starts[i + 1], _IO_BLOCK):
+            values = series.coeffs[start : min(start + _IO_BLOCK, starts[i + 1])].tolist()
+            block = [part] * (3 * len(values))
+            block[1::3] = itertools.islice(ks, len(values))
+            block[2::3] = map(repr, values)
+            pieces += block
+            if len(pieces) >= 3 * _IO_BLOCK:
+                yield "".join(pieces)
+                pieces = []
+    yield "".join(pieces)
 
 
 def series_to_text(series: FaberSeries) -> str:
-    buf = io.StringIO()
-    buf.write(f"dim {series.dim} budget {series.budget}\n")
-    for j, arr in series.items():
-        js = " ".join(str(e) for e in j.entries)
-        for flat, k in enumerate(translations(j)):
-            ks = " ".join(str(v) for v in k)
-            buf.write(f"{js} {ks} {float(arr[flat])!r}\n")
-    return buf.getvalue()
+    blocks = _formatted(series, lambda j: "\n" + " ".join(map(str, j)) + " ", " ", " ")
+    return "".join([f"dim {series.dim} budget {series.budget}", *blocks, "\n"])
 
 
-def _int_rows(rows: list[tuple], d: int) -> np.ndarray:
-    """(N, d) int64 table of integer tuples.
+def series_to_json(series: FaberSeries) -> str:
+    def level_part(j):  # each entry closes the one before: '},{"j":[..],"k":[..],"value":v'
+        return '},{"j":[' + ",".join(map(str, j)) + '],"k":['
 
-    A row of another length, or with an entry outside int64, becomes a
-    row of -2, which no level entry or translation admits.
+    blocks = _formatted(series, level_part, ",", '],"value":')
+    head = f'{{"dim":{series.dim},"budget":{series.budget},"entries":['
+    return "".join([head, next(blocks)[2:], *blocks, "}]}"])
+
+
+def _int_table(js: list[tuple], ks: list[tuple], d: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(N, d) int64 tables of integer tuples, and the rows that do not fit.
+
+    A pair with a tuple of another length, or an entry outside int64,
+    becomes a row of -2 in both tables, which no level entry or
+    translation admits; the returned dict keeps its ``(j, k)`` by row.
     """
-    try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), d)
-    except (ValueError, OverflowError):  # ragged rows or huge integers
-        bad = (-2,) * d
-        return np.array(
-            [r if len(r) == d and all(abs(v) < 1 << 62 for v in r) else bad for r in rows],
-            dtype=np.int64,
-        )
+    def fits(row):
+        return len(row) == d and all(abs(v) < 1 << 62 for v in row)
+
+    exact = {i: (j, k) for i, (j, k) in enumerate(zip(js, ks)) if not (fits(j) and fits(k))}
+    bad = (-2,) * d
+    J = np.array([bad if i in exact else j for i, j in enumerate(js)] if exact else js, np.int64)
+    K = np.array([bad if i in exact else k for i, k in enumerate(ks)] if exact else ks, np.int64)
+    return J.reshape(len(js), d), K.reshape(len(ks), d), exact
 
 
-def _build_series(d: int, n: int, entries: Iterable[tuple[tuple, tuple, float]]) -> FaberSeries:
-    """Series from ``(j, k, value)`` entries, each coefficient exactly once.
+def _build_series(
+    d: int, n: int, J: np.ndarray, K: np.ndarray, V: np.ndarray, exact: dict, error=None
+) -> FaberSeries:
+    """Series from N entries ``(J[i], K[i], V[i])``, each coefficient exactly once.
 
     All entries are checked in one array pass, and the earliest failing
     entry is reported as an entry-by-entry reader would: its level outside
-    the budget, else its translation out of range, else a duplicate.  An
-    error raised while producing the entries comes after every earlier
-    entry's check; missing coefficients are reported last.
+    the budget, else its translation out of range, else a duplicate.
+    ``exact`` maps a row of -2 to the ``(j, k)`` tuples it stands for (see
+    :func:`_int_table`), for the messages.  ``error``, raised while reading
+    the entry after the N, comes after every entry's check; missing
+    coefficients are reported last.
     """
     m = capped_node_count(n, d)
     levels, level_entries, starts, position = _levels(n, d)
-    js, ks, vals = [], [], []
-    parse_error = None
-    try:
-        for j, k, value in entries:
-            js.append(j)
-            ks.append(k)
-            vals.append(value)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        parse_error = exc
-    J, K = _int_rows(js, d), _int_rows(ks, d)
+
+    def entry(i):
+        return exact.get(i) or (tuple(J[i].tolist()), tuple(K[i].tolist()))
 
     # A level's key is its entries + 1 in radix n + 2; the levels are in
     # lexicographic order, so their keys are sorted.  (n + 2)**d fits an
@@ -553,67 +599,147 @@ def _build_series(d: int, n: int, entries: Iterable[tuple[tuple, tuple, float]])
     index = np.minimum(np.searchsorted(level_keys, key), len(levels) - 1)
     shape = _translation_shapes(level_entries)[index]
     bad = ~(in_range & (level_keys[index] == key) & np.all((K >= 0) & (K < shape), axis=1))
-    first_bad = int(np.argmax(bad)) if bad.any() else len(js)
+    first_bad = int(np.argmax(bad)) if bad.any() else len(J)
 
     pos = starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
     _, first = np.unique(pos, return_index=True)
     if first.size < first_bad:
         repeat = np.ones(first_bad, dtype=bool)
         repeat[first] = False
-        line = int(np.argmax(repeat))
-        raise ValueError(f"duplicate coefficient at level {js[line]}, translation {ks[line]}")
-    if first_bad < len(js):
-        i = position.get(js[first_bad])
+        j, k = entry(int(np.argmax(repeat)))
+        raise ValueError(f"duplicate coefficient at level {j}, translation {k}")
+    if first_bad < len(J):
+        j, k = entry(first_bad)
+        i = position.get(j)
         if i is None:
-            raise ValueError(f"level {js[first_bad]} outside budget {n} in d={d}")
-        _check_translation(levels[i], ks[first_bad])
-    if parse_error is not None:
-        raise parse_error
+            raise ValueError(f"level {j} outside budget {n} in d={d}")
+        _check_translation(levels[i], k)
+    if error is not None:
+        raise error
     if first.size < m:
         raise ValueError(f"series misses {m - first.size} coefficient line(s)")
     values = np.zeros(m)
-    values[pos] = vals
+    values[pos] = V
     return FaberSeries(n, d, values)
 
 
+def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Coefficient lines as ``(ints, values, exact)``: (N, 2d) ``j k`` rows,
+    their values and :func:`_int_table`'s rows that do not fit.
+
+    Tokens are split once and converted in bulk: values by ``float``,
+    integers by ``int`` once per distinct token (a block repeats few).  A
+    block that does not convert so, or holds an integer outside int64, is
+    read again line by line, which raises the first line's error.
+    """
+    width = 2 * d + 1
+    rows = list(map(str.split, lines))
+    if set(map(len, rows)) <= {width}:
+        tokens = list(itertools.chain.from_iterable(rows))
+        try:
+            values = np.fromiter(map(float, tokens[2 * d :: width]), np.float64, len(rows))
+            del tokens[2 * d :: width]
+            parsed = {t: int(t) for t in set(tokens)}
+            ints = np.fromiter(map(parsed.__getitem__, tokens), np.int64, len(tokens))
+            return ints.reshape(len(rows), 2 * d), values, {}
+        except (ValueError, OverflowError):
+            pass
+    js, ks, values = [], [], []
+    for ln, parts in zip(lines, rows):
+        if len(parts) != width:
+            raise ValueError(f"bad coefficient line {ln!r}")
+        ints = tuple(int(v) for v in parts[: 2 * d])
+        js.append(ints[:d])
+        ks.append(ints[d:])
+        values.append(float(parts[2 * d]))
+    J, K, exact = _int_table(js, ks, d)
+    return np.hstack((J, K)), np.array(values, dtype=np.float64), exact
+
+
 def series_from_text(text: str) -> FaberSeries:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ValueError("empty series text")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "dim" or head[2] != "budget":
         raise ValueError(f"bad header {lines[0]!r}")
     d, n = int(head[1]), int(head[3])
-    entries = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2 * d + 1:
-            raise ValueError(f"bad coefficient line {ln!r}")
-        ints = tuple(int(v) for v in parts[: 2 * d])
-        entries.append((ints[:d], ints[d:], float(parts[2 * d])))
-    return _build_series(d, n, entries)
+    blocks = [_text_block(lines[at : at + _IO_BLOCK], d) for at in range(1, len(lines), _IO_BLOCK)]
+    del lines  # the line strings go before the arrays are joined
+    capped_node_count(n, d)  # after every line's parse, before any array of d columns
+    ints = np.concatenate([b[0] for b in blocks]) if blocks else np.empty((0, 2 * d), np.int64)
+    exact = {at * _IO_BLOCK + i: jk for at, b in enumerate(blocks) for i, jk in b[2].items()}
+    values = np.concatenate([b[1] for b in blocks]) if blocks else np.empty(0)
+    del blocks
+    return _build_series(d, n, ints[:, :d], ints[:, d:], values, exact)
 
 
-def series_to_json(series: FaberSeries) -> str:
-    entries = []
-    for j, arr in series.items():
-        for flat, k in enumerate(translations(j)):
-            entries.append(
-                {"j": list(j.entries), "k": list(k), "value": float(arr[flat])}
-            )
-    doc = {"dim": series.dim, "budget": series.budget, "entries": entries}
-    return json.dumps(doc, separators=(",", ":"))
+def _json_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f"header {key!r} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _json_ints(entry: dict, key: str, at: int) -> tuple:
+    value = entry[key]
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        raise ValueError(f"entry {at}: {key!r} must be a list of integers, got {value!r:.40}")
+    return tuple(value)
+
+
+def _json_entries(entries: list, d: int) -> tuple:
+    """JSON entries as ``(J, K, V, exact, error)`` for :func:`_build_series`.
+
+    Every ``j`` and ``k`` must be a list of JSON integers and every
+    ``value`` a JSON number, never a bool.  When all entries have that
+    shape and fit int64 and float64, they are converted in bulk;
+    otherwise they are read one by one up to the first entry that fails,
+    whose error is returned as ``error``.
+    """
+    try:
+        js = [e["j"] for e in entries]
+        ks = [e["k"] for e in entries]
+        vs = [e["value"] for e in entries]
+        if (
+            set(map(len, js)) | set(map(len, ks)) <= {d}
+            and set(map(type, itertools.chain.from_iterable(js + ks))) <= {int}
+            and set(map(type, vs)) <= {int, float}
+        ):
+            N = len(entries)
+            J = np.fromiter(itertools.chain.from_iterable(js), np.int64, N * d)
+            K = np.fromiter(itertools.chain.from_iterable(ks), np.int64, N * d)
+            V = np.fromiter(map(float, vs), np.float64, N)
+            return J.reshape(N, d), K.reshape(N, d), V, {}, None
+    except (KeyError, TypeError, OverflowError):
+        pass
+    js, ks, vs = [], [], []
+    error = None
+    try:
+        for at, e in enumerate(entries):
+            if type(e) is not dict:
+                raise ValueError(f"entry {at} must be an object, got {e!r:.40}")
+            j = _json_ints(e, "j", at)
+            k = _json_ints(e, "k", at)
+            value = e["value"]
+            if type(value) not in (int, float):
+                raise ValueError(f"entry {at}: 'value' must be a number, got {value!r:.40}")
+            vs.append(float(value))
+            js.append(j)
+            ks.append(k)
+    except (KeyError, ValueError, OverflowError) as exc:
+        error = exc
+    J, K, exact = _int_table(js, ks, d)
+    return J, K, np.array(vs, dtype=np.float64), exact, error
 
 
 def series_from_json(text: str) -> FaberSeries:
     doc = json.loads(text)
-    d, n = int(doc["dim"]), int(doc["budget"])
-    entries = (
-        (
-            tuple(int(v) for v in entry["j"]),
-            tuple(int(v) for v in entry["k"]),
-            float(entry["value"]),
-        )
-        for entry in doc["entries"]
-    )
-    return _build_series(d, n, entries)
+    if type(doc) is not dict:
+        raise ValueError(f"series JSON must be an object, got {doc!r:.40}")
+    d, n = _json_int(doc, "dim"), _json_int(doc, "budget")
+    entries = doc["entries"]
+    if type(entries) is not list:
+        raise ValueError(f"'entries' must be a list, got {entries!r:.40}")
+    capped_node_count(n, d)  # before any entry is read
+    return _build_series(d, n, *_json_entries(entries, d))

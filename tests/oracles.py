@@ -3,12 +3,15 @@
 Scalar, per-coefficient or per-level spellings of what the package
 computes in vectorized form (basis values, surplus stencils,
 coefficients, series evaluation, integrals, level norms, level and node
-enumeration), plus the random and single-level series the tests draw.
+enumeration, series files read and written line by line), plus the
+random and single-level series the tests draw.
 Import as ``from oracles import ...``; pytest does not collect this
 module.
 """
 
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,6 +22,10 @@ from faberkit.dyadic import (
     LevelVector,
     _as_level,
     _check_translation,
+    _flat_index,
+    _levels,
+    _translation_shapes,
+    capped_node_count,
     levels_up_to,
     to_floats,
     translations,
@@ -212,3 +219,124 @@ def single_level_series(j, coeffs, budget=None):
         for lv in levels_up_to(budget, j.dim)
     ]
     return FaberSeries(budget, j.dim, np.concatenate(blocks))
+
+
+def per_line_to_text(series):
+    """series_to_text as one f-string per coefficient."""
+    buf = io.StringIO()
+    buf.write(f"dim {series.dim} budget {series.budget}\n")
+    for j, arr in series.items():
+        js = " ".join(str(e) for e in j.entries)
+        for flat, k in enumerate(translations(j)):
+            ks = " ".join(str(v) for v in k)
+            buf.write(f"{js} {ks} {float(arr[flat])!r}\n")
+    return buf.getvalue()
+
+
+def per_entry_to_json(series):
+    """series_to_json as json.dumps of one dict per coefficient."""
+    entries = []
+    for j, arr in series.items():
+        for flat, k in enumerate(translations(j)):
+            entries.append({"j": list(j.entries), "k": list(k), "value": float(arr[flat])})
+    doc = {"dim": series.dim, "budget": series.budget, "entries": entries}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _per_entry_int_rows(rows, d):
+    """(N, d) int64 table of integer tuples; a row of another length, or
+    with an entry outside int64, becomes a row of -2."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    except (ValueError, OverflowError):  # ragged rows or huge integers
+        bad = (-2,) * d
+        return np.array(
+            [r if len(r) == d and all(abs(v) < 1 << 62 for v in r) else bad for r in rows],
+            dtype=np.int64,
+        )
+
+
+def _per_entry_build(d, n, entries):
+    """Series from ``(j, k, value)`` tuples, as the readers built it entry by
+    entry: the earliest failing entry is reported (level outside the
+    budget, else translation out of range, else a duplicate), then an
+    error raised while producing the entries, then missing coefficients."""
+    m = capped_node_count(n, d)
+    levels, level_entries, starts, position = _levels(n, d)
+    js, ks, vals = [], [], []
+    parse_error = None
+    try:
+        for j, k, value in entries:
+            js.append(j)
+            ks.append(k)
+            vals.append(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        parse_error = exc
+    J, K = _per_entry_int_rows(js, d), _per_entry_int_rows(ks, d)
+    radix = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    level_keys = (level_entries + 1) @ radix
+    in_range = np.all((J >= -1) & (J <= n), axis=1)
+    key = (np.where(in_range[:, None], J, -1) + 1) @ radix
+    index = np.minimum(np.searchsorted(level_keys, key), len(levels) - 1)
+    shape = _translation_shapes(level_entries)[index]
+    bad = ~(in_range & (level_keys[index] == key) & np.all((K >= 0) & (K < shape), axis=1))
+    first_bad = int(np.argmax(bad)) if bad.any() else len(js)
+    pos = starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
+    _, first = np.unique(pos, return_index=True)
+    if first.size < first_bad:
+        repeat = np.ones(first_bad, dtype=bool)
+        repeat[first] = False
+        line = int(np.argmax(repeat))
+        raise ValueError(f"duplicate coefficient at level {js[line]}, translation {ks[line]}")
+    if first_bad < len(js):
+        i = position.get(js[first_bad])
+        if i is None:
+            raise ValueError(f"level {js[first_bad]} outside budget {n} in d={d}")
+        _check_translation(levels[i], ks[first_bad])
+    if parse_error is not None:
+        raise parse_error
+    if first.size < m:
+        raise ValueError(f"series misses {m - first.size} coefficient line(s)")
+    values = np.zeros(m)
+    values[pos] = vals
+    return FaberSeries(n, d, values)
+
+
+def per_line_from_text(text):
+    """series_from_text with split, int and float per line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty series text")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "dim" or head[2] != "budget":
+        raise ValueError(f"bad header {lines[0]!r}")
+    d, n = int(head[1]), int(head[3])
+    entries = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2 * d + 1:
+            raise ValueError(f"bad coefficient line {ln!r}")
+        ints = tuple(int(v) for v in parts[: 2 * d])
+        entries.append((ints[:d], ints[d:], float(parts[2 * d])))
+    return _per_entry_build(d, n, entries)
+
+
+def per_entry_from_json(text):
+    """series_from_json with int and float per entry field.
+
+    It coerces what int() and float() accept (``"dim": 1.7``, ``"j":
+    [-1.9]``, ``"value": "2"`` or ``true``) and lets a TypeError out for
+    fields of another JSON type; series_from_json rejects both with
+    ValueError, its only departures from this reader.
+    """
+    doc = json.loads(text)
+    d, n = int(doc["dim"]), int(doc["budget"])
+    entries = (
+        (
+            tuple(int(v) for v in entry["j"]),
+            tuple(int(v) for v in entry["k"]),
+            float(entry["value"]),
+        )
+        for entry in doc["entries"]
+    )
+    return _per_entry_build(d, n, entries)

@@ -240,6 +240,13 @@ class TestHierarchyPlan:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for d in range(1, 6) for n in range(6)] + [(14, 2)]
+    )
+    def test_plan_points_are_the_node_set(self, n, d):
+        points, _ = faber._hierarchy_plan(n, d)
+        assert points.tobytes() == to_floats(node_set(n, d)).tobytes()
+
     @pytest.mark.parametrize("n,d", [(0, 1), (6, 1), (5, 2), (3, 3), (2, 5)])
     def test_sweeps_are_the_surplus_stencils(self, n, d):
         # along its axis, an inner node's neighbours sit one lowest set bit
