@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from . import experiments, measure, testbed
-from .dyadic import levels_up_to, node_count
+from .dyadic import _levels
 from .faber import (
     analyze,
     series_from_json,
@@ -144,10 +144,10 @@ def _summary(text: str) -> None:
 
 
 def _cmd_levels(args, parser) -> int:
-    vectors = levels_up_to(args.n, args.dim)
-    for j in vectors:
+    layout = _levels(args.n, args.dim)  # the cap, before any level is enumerated
+    for j in layout.levels:
         print(" ".join(str(e) for e in j.entries))
-    _summary(f"levels={len(vectors)} nodes={node_count(args.n, args.dim)}")
+    _summary(f"levels={len(layout.levels)} nodes={layout.size}")
     return 0
 
 

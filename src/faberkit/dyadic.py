@@ -1,11 +1,14 @@
-"""Exact dyadic index arithmetic for hierarchical sparse grids.
+"""Dyadic index arithmetic for hierarchical sparse grids, and the plan of
+everything that depends on the budget n and the dimension d alone.
 
-Everything in this module lives in exact integer arithmetic.  A point
-of [0,1]^d is a row of the integer lattice: coordinate x_i is stored as
-the integer ``x_i * 2**LATTICE_LEVEL`` in a uint64, so point identity is
-bit-exact across levels and never depends on floating point.  Node
-arrays have shape (m, d); :func:`to_floats` converts them to binary64
-only where a function is evaluated.
+Levels and translations are exact integers.  A node coordinate is
+computed once, by one formula (:func:`_nodes`), as an exact binary64
+dyadic; :func:`node_set` returns its lattice image: coordinate x_i is
+stored as the integer ``x_i * 2**LATTICE_LEVEL`` in a uint64, so point
+identity is bit-exact across levels, and :func:`to_floats` inverts it.
+Node arrays have shape (m, d).  :func:`_levels` is the layout of a series
+of order <= n, and :func:`_hierarchy` the node and sweep plan of
+analyze, both memoized per (n, d).
 
 Level conventions
 -----------------
@@ -145,60 +148,91 @@ def capped_node_count(n: int, d: int) -> int:
     """m(n, d) = node_count(n, d), after checking the budget is plannable.
 
     Raises ValueError, before anything is allocated, for a budget above
-    MAX_LEVEL or a node count above MAX_POINTS.
+    MAX_LEVEL or a node count above MAX_POINTS.  As m(n, d) >= 3**d, a
+    dimension with 3**d over the cap is refused before m is counted.
     """
     _check_budget(n, d)
+    if d > math.log(MAX_POINTS, 3):
+        raise ValueError(f"d={d} needs at least 3**d nodes, over the cap {MAX_POINTS}")
     m = node_count(n, d)
     if m > MAX_POINTS:
         raise ValueError(f"budget n={n} needs {m} nodes in d={d}, over the cap {MAX_POINTS}")
     return m
 
 
-def _translation_shapes(entries: np.ndarray) -> np.ndarray:
-    """Per-axis translation counts of (..., d) level entries, elementwise."""
-    return np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
+@dataclass(frozen=True, eq=False, slots=True)
+class _Layout:
+    """The series layout of order <= n in d dimensions; see :func:`_levels`."""
+
+    levels: tuple[LevelVector, ...]  # levels_up_to(n, d)
+    entries: np.ndarray  # (L, d) int64 level entries
+    shapes: np.ndarray  # (L, d) int64 translation counts
+    starts: np.ndarray  # (L + 1,) offsets of the levels' blocks in series order
+    size: int  # m(n, d) coefficients
+    radix: np.ndarray  # (d,) int64 place values of the level keys
+    keys: np.ndarray  # (L,) int64 level keys, ascending in series order
+    position: dict  # level entries -> level index
 
 
 @functools.lru_cache(maxsize=64)
-def _levels(n: int, d: int) -> tuple:
+def _levels(n: int, d: int) -> _Layout:
     """The series layout of order <= n, enumerated once per (n, d).
 
-    Returns ``(levels, entries, starts, position)``: the levels of
-    :func:`levels_up_to` as a tuple, their (L, d) int64 entries, the
-    (L + 1,) offsets of each level's block in series order, and a dict
-    from a level's entries to its index.  Call only after
-    :func:`capped_node_count` has passed.
+    A level's key is its entries + 1 in mixed radix n + 2; the levels are
+    in lexicographic order, so their keys ascend, and (n + 2)**d <= 2**24
+    fits an int64 for every (n, d) under the cap.  Its arrays are
+    read-only.  Fails like :func:`capped_node_count`.
     """
+    size = capped_node_count(n, d)
     levels = tuple(levels_up_to(n, d))
     entries = np.array([j.entries for j in levels], dtype=np.int64)
-    sizes = _translation_shapes(entries).prod(axis=1)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    entries.setflags(write=False)
-    starts.setflags(write=False)
-    return levels, entries, starts, {j.entries: i for i, j in enumerate(levels)}
+    shapes = np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
+    starts = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
+    radix = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = (entries + 1) @ radix
+    for a in (entries, shapes, starts, radix, keys):
+        a.setflags(write=False)
+    position = {j.entries: i for i, j in enumerate(levels)}
+    return _Layout(levels, entries, shapes, starts, size, radix, keys, position)
 
 
-def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-coefficient table of the series of order <= n, in series order.
 
-    Returns ``(entries, owner, k)``: the (L, d) level entries of
-    :func:`_levels`, and per coefficient i its level ``entries[owner[i]]``
-    and its translation ``k[i]``, an (m, d) int64 array (levels in the
-    order of :func:`levels_up_to`, translations of a level in
-    lexicographic order, the last axis fastest).  Fails like
+    Returns ``(owner, k)``: per coefficient i its level index ``owner[i]``
+    into :func:`_levels` and its translation ``k[i]``, an (m, d) int64
+    array (levels in the order of :func:`levels_up_to`, translations of a
+    level in lexicographic order, the last axis fastest).  Fails like
     :func:`capped_node_count`.
     """
-    m = capped_node_count(n, d)
-    _, entries, starts, _ = _levels(n, d)
-    owner = np.repeat(np.arange(len(entries)), np.diff(starts))
-    shape = _translation_shapes(entries)
-    flat = np.arange(m) - starts[owner]
-    k = np.empty((m, d), dtype=np.int64)
+    layout = _levels(n, d)
+    owner = np.repeat(np.arange(len(layout.levels)), np.diff(layout.starts))
+    flat = np.arange(layout.size) - layout.starts[owner]
+    k = np.empty((layout.size, d), dtype=np.int64)
     for axis in reversed(range(d)):
-        count = shape[owner, axis]
+        count = layout.shapes[owner, axis]
         k[:, axis] = flat % count
         flat //= count
-    return entries, owner, k
+    return owner, k
+
+
+def _nodes(layout: _Layout, k: np.ndarray) -> np.ndarray:
+    """The (m, d) float64 nodes of the translations k of :func:`_plan`.
+
+    Per axis ``(2k + [e >= 0]) * 2**-max(e + 1, 1)``: k along a boundary
+    axis, (2k + 1) 2**-(e+1) along an axis of level e >= 0.  Every step is
+    exact, as 2k + 1 < 2**(e+1) <= 2**25 under MAX_POINTS.
+    """
+    sizes = np.diff(layout.starts)
+    points = np.empty(k.shape)
+    for axis in range(k.shape[1]):
+        e = layout.entries[:, axis]
+        column = points[:, axis]
+        column[:] = k[:, axis]
+        column *= 2.0
+        column += np.repeat(e >= 0, sizes)
+        column *= np.repeat(np.ldexp(1.0, -np.maximum(e + 1, 1)), sizes)
+    return points
 
 
 def node_set(n: int, d: int) -> np.ndarray:
@@ -212,17 +246,8 @@ def node_set(n: int, d: int) -> np.ndarray:
     union of all surplus stencils of order <= n.  Fails like
     :func:`capped_node_count`.
     """
-    return _lattice(*_plan(n, d))
-
-
-def _lattice(entries: np.ndarray, owner: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """node_set from its :func:`_plan` table, turning ``k`` into the nodes in place."""
-    nodes = k.view(np.uint64)  # each translation becomes its lattice coordinate in place
-    for axis in range(k.shape[1]):
-        e = entries[owner, axis]
-        shift = np.where(e < 0, LATTICE_LEVEL, LATTICE_LEVEL - 1 - e).astype(np.uint64)
-        nodes[:, axis] = np.where(e < 0, nodes[:, axis], 2 * nodes[:, axis] + 1) << shift
-    return nodes
+    points = _nodes(_levels(n, d), _plan(n, d)[1])
+    return np.ldexp(points, LATTICE_LEVEL, out=points).astype(np.uint64)
 
 
 def to_floats(lattice) -> np.ndarray:
@@ -246,3 +271,103 @@ def node_count(n: int, d: int) -> int:
     for _ in range(d):
         ways = [sum(ways[a] * axis[c - a] for a in range(c + 1)) for c in range(n + 1)]
     return sum(ways)
+
+
+#: Largest m·d whose hierarchization plan is memoized; a larger plan is
+#: built for its one analyze call and dropped.
+_PLAN_MEMO_POINTS = 1 << 17
+
+#: Plans the memo keeps.  A plan holds 8·m·d bytes of nodes and at most
+#: 12·m·d of int32 indices, so the memo retains at most
+#: 8 · 20 · 2**17 B = 20 MiB.
+_PLAN_MEMO_SIZE = 8
+
+
+def _parent_steps(layout: _Layout, span: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
+    """Where the two parents of each node along each of its interior axes lie.
+
+    Along an axis of level e >= 0, read a level's block as a (before,
+    2**e, after) array of translations.  The node (h, t, lo) has its left
+    and right parents at the axis points t and t + 1 of step 2**-e: a
+    boundary point if that is 0 or 2**e, else the node of level
+    e - 1 - tz (tz the trailing zero bits of the point) and translation
+    point // 2**(tz+1), at (h, that translation, lo) of the parent's
+    block.  So a parent lies at the node's index plus ``D + h * E``, where
+    D and E depend on the level, the axis and t alone.  Returns ``(first,
+    (D, E), (D, E))`` for left and right: one row per (level, axis, t),
+    the rows of (level l, axis a) from ``first[l, a]`` on in the order of
+    t.  ``span[:, a]`` is the translation count of the axes from a on,
+    per level.  Parent levels are found by their key in ``layout.keys``.
+    """
+    entries, starts, place = layout.entries, layout.starts, layout.radix
+    level, axis = np.nonzero(entries >= 0)
+    e = entries[level, axis]
+    count = 1 << e
+    first = np.zeros(entries.shape, dtype=np.int64)
+    first[level, axis] = np.cumsum(count) - count
+    level, axis, e = (np.repeat(a, count) for a in (level, axis, e))
+    t = np.arange(len(level)) - first[level, axis]
+    after = span[level, axis + 1]
+    sibling_key = layout.keys[level] - (e + 1) * place[axis]
+    sides = []
+    for point in (t, t + 1):
+        low = point & -point
+        boundary = (point == 0) | (low == 1 << e)
+        low = np.maximum(low, 1)
+        parent_e = np.where(boundary, -1, e - np.frexp(low.astype(np.float64))[1])
+        parent_t = np.where(boundary, point >> e, point // (2 * low))
+        parent_count = np.where(boundary, 2, 1 << np.maximum(parent_e, 0))
+        parent = np.searchsorted(layout.keys, sibling_key + (parent_e + 1) * place[axis])
+        step = starts[parent] - starts[level] + (parent_t - t) * after
+        sides.append((step, (parent_count - (1 << e)) * after))
+    return first, *sides
+
+
+def _hierarchy_plan(n: int, d: int) -> tuple[np.ndarray, tuple]:
+    """What analyze needs of (n, d) alone: ``(points, sweeps)``.
+
+    ``points`` is :func:`_nodes`, the (m, d) float64 nodes of node_set(n,
+    d).  ``sweeps`` holds per axis the int32 arrays ``(inner, left,
+    right)``: the nodes that are not boundary nodes along that axis, and
+    their two neighbours there, the nodes of their surplus stencil (int32
+    holds every index, since m <= MAX_POINTS < 2**31).  The neighbours are
+    read off each node's (level, translation), see :func:`_parent_steps`.
+    All arrays are read-only.  Fails like :func:`capped_node_count`.
+    """
+    layout = _levels(n, d)
+    owner, k = _plan(n, d)
+    starts = layout.starts
+    points = _nodes(layout, k)
+    points.setflags(write=False)
+    span = np.ones((len(layout.levels), d + 1), dtype=np.int64)
+    span[:, :d] = np.cumprod(layout.shapes[:, ::-1], axis=1)[:, ::-1]
+    first, left, right = _parent_steps(layout, span)
+    sweeps = []
+    for axis in range(d):
+        inner = np.flatnonzero(layout.entries[owner, axis] >= 0)
+        level = owner[inner]
+        row = first[level, axis]
+        row += k[inner, axis]
+        before = inner - starts[level]  # index in the level's block, then h
+        before //= span[level, axis]
+        sweep = [inner.astype(np.int32)]
+        for D, E in (left, right):
+            parent = E[row]
+            parent *= before
+            parent += D[row]
+            parent += inner
+            sweep.append(parent.astype(np.int32))
+        for a in sweep:
+            a.setflags(write=False)
+        sweeps.append(tuple(sweep))
+    return points, tuple(sweeps)
+
+
+_memoized_plan = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(_hierarchy_plan)
+
+
+def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
+    """:func:`_hierarchy_plan`, memoized per (n, d) when m·d <= _PLAN_MEMO_POINTS."""
+    if _levels(n, d).size * d > _PLAN_MEMO_POINTS:
+        return _hierarchy_plan(n, d)
+    return _memoized_plan(n, d)

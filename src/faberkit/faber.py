@@ -17,7 +17,6 @@ at truncation order n yields the sparse-grid interpolant; a
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -30,10 +29,8 @@ from .dyadic import (
     _as_level,
     _check_translation,
     _flat_index,
+    _hierarchy,
     _levels,
-    _plan,
-    _translation_shapes,
-    capped_node_count,
 )
 
 __all__ = [
@@ -143,17 +140,16 @@ class FaberSeries:
     __slots__ = ("budget", "dim", "coeffs", "_layout")
 
     def __init__(self, budget: int, dim: int, coeffs):
-        m = capped_node_count(budget, dim)
-        flat = np.array(coeffs, dtype=np.float64)
-        if flat.shape != (m,):
-            raise ValueError(
-                f"budget {budget} in d={dim} expects {m} coefficients, got shape {flat.shape}"
-            )
         layout = _levels(budget, dim)
+        flat = np.array(coeffs, dtype=np.float64)
+        if flat.shape != (layout.size,):
+            raise ValueError(
+                f"budget {budget} in d={dim} expects {layout.size} coefficients,"
+                f" got shape {flat.shape}"
+            )
         bad = np.flatnonzero(~np.isfinite(flat))
         if bad.size:
-            levels, _, starts, _ = layout
-            j = levels[np.searchsorted(starts, bad[0], side="right") - 1]
+            j = layout.levels[np.searchsorted(layout.starts, bad[0], side="right") - 1]
             raise ValueError(f"non-finite coefficient at level {j.entries}")
         flat.setflags(write=False)
         object.__setattr__(self, "budget", int(budget))
@@ -163,24 +159,24 @@ class FaberSeries:
 
     @classmethod
     def zeros(cls, budget: int, dim: int) -> "FaberSeries":
-        return cls(budget, dim, np.zeros(capped_node_count(budget, dim)))
+        return cls(budget, dim, np.zeros(_levels(budget, dim).size))
 
     def __setattr__(self, name, value):
         raise AttributeError("FaberSeries is immutable")
 
     def levels(self) -> tuple[LevelVector, ...]:
-        return self._layout[0]
+        return self._layout.levels
 
     def items(self) -> Iterator[tuple[LevelVector, np.ndarray]]:
-        levels, _, starts, _ = self._layout
-        for i, j in enumerate(levels):
+        starts = self._layout.starts
+        for i, j in enumerate(self._layout.levels):
             yield j, self.coeffs[starts[i] : starts[i + 1]]
 
     def array(self, j) -> np.ndarray:
         """Read-only flat coefficient array of level j (translation order)."""
         j = _as_level(j)
-        _, _, starts, position = self._layout
-        i = position.get(j.entries)
+        starts = self._layout.starts
+        i = self._layout.position.get(j.entries)
         if i is None:
             raise ValueError(f"level {j.entries} not stored (budget {self.budget})")
         return self.coeffs[starts[i] : starts[i + 1]]
@@ -207,145 +203,26 @@ class FaberSeries:
         return f"FaberSeries(budget={self.budget}, dim={self.dim}, size={self.size})"
 
 
-#: Largest m·d whose hierarchization plan is memoized; a larger plan is
-#: built for its one analyze call and dropped.
-_PLAN_MEMO_POINTS = 1 << 17
-
-#: Plans the memo keeps.  A plan holds 8·m·d bytes of nodes and at most
-#: 12·m·d of int32 indices, so the memo retains at most
-#: 8 · 20 · 2**17 B = 20 MiB.
-_PLAN_MEMO_SIZE = 8
-
-
-def _parent_steps(
-    n: int, d: int, entries: np.ndarray, starts: np.ndarray, span: np.ndarray
-) -> tuple[np.ndarray, tuple, tuple]:
-    """Where the two parents of each node along each of its interior axes lie.
-
-    Along an axis of level e >= 0, read a level's block as a (before,
-    2**e, after) array of translations.  The node (h, t, lo) has its left
-    and right parents at the axis points t and t + 1 of step 2**-e: a
-    boundary point if that is 0 or 2**e, else the node of level
-    e - 1 - tz (tz the trailing zero bits of the point) and translation
-    point // 2**(tz+1), at (h, that translation, lo) of the parent's
-    block.  So a parent lies at the node's index plus ``D + h * E``, where
-    D and E depend on the level, the axis and t alone.  Returns ``(first,
-    (D, E), (D, E))`` for left and right: one row per (level, axis, t),
-    the rows of (level l, axis a) from ``first[l, a]`` on in the order of
-    t.  ``span[:, a]`` is the translation count of the axes from a on,
-    per level.
-    """
-    level, axis = np.nonzero(entries >= 0)
-    e = entries[level, axis]
-    count = 1 << e
-    first = np.zeros(entries.shape, dtype=np.int64)
-    first[level, axis] = np.cumsum(count) - count
-    level, axis, e = (np.repeat(a, count) for a in (level, axis, e))
-    t = np.arange(len(level)) - first[level, axis]
-    after = span[level, axis + 1]
-    # Levels are found by their key, entries + 1 in mixed radix n + 2: the
-    # keys ascend in series order, and (n + 2)**d <= 2**24 under MAX_POINTS.
-    place = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    level_key = (entries + 1) @ place
-    sibling_key = level_key[level] - (e + 1) * place[axis]
-    sides = []
-    for point in (t, t + 1):
-        low = point & -point
-        boundary = (point == 0) | (low == 1 << e)
-        low = np.maximum(low, 1)
-        parent_e = np.where(boundary, -1, e - np.frexp(low.astype(np.float64))[1])
-        parent_t = np.where(boundary, point >> e, point // (2 * low))
-        parent_count = np.where(boundary, 2, 1 << np.maximum(parent_e, 0))
-        parent = np.searchsorted(level_key, sibling_key + (parent_e + 1) * place[axis])
-        step = starts[parent] - starts[level] + (parent_t - t) * after
-        sides.append((step, (parent_count - (1 << e)) * after))
-    return first, *sides
-
-
-def _hierarchy_plan(n: int, d: int) -> tuple[np.ndarray, tuple]:
-    """What analyze needs of (n, d) alone: ``(points, sweeps)``.
-
-    ``points`` is node_set(n, d) as (m, d) float64 coordinates.  ``sweeps``
-    holds per axis the int32 arrays ``(inner, left, right)``: the nodes
-    that are not boundary nodes along that axis, and their two
-    neighbours there, the nodes of their surplus stencil (int32 holds
-    every index, since m <= MAX_POINTS < 2**31).  The neighbours are read
-    off each node's (level, translation), see :func:`_parent_steps`.  All
-    arrays are read-only.  Fails like :func:`capped_node_count`.
-    """
-    entries, owner, k = _plan(n, d)
-    _, _, starts, _ = _levels(n, d)
-    # node_set's coordinates, exactly: (2k + 0) 2**-1 = k along a boundary
-    # axis, (2k + 1) 2**-(e+1) along an axis of level e >= 0; every step is
-    # exact in float64, as 2k + 1 < 2**(e+1) <= 2**25 under MAX_POINTS
-    sizes = np.diff(starts)
-    points = np.empty(k.shape)
-    for axis in range(d):
-        e = entries[:, axis]
-        column = points[:, axis]
-        column[:] = k[:, axis]
-        column *= 2.0
-        column += np.repeat(e >= 0, sizes)
-        column *= np.repeat(np.ldexp(1.0, -np.maximum(e + 1, 1)), sizes)
-    points.setflags(write=False)
-    span = np.ones((len(entries), d + 1), dtype=np.int64)
-    span[:, :d] = np.cumprod(_translation_shapes(entries)[:, ::-1], axis=1)[:, ::-1]
-    first, left, right = _parent_steps(n, d, entries, starts, span)
-    sweeps = []
-    for axis in range(d):
-        inner = np.flatnonzero(entries[owner, axis] >= 0)
-        level = owner[inner]
-        row = first[level, axis]
-        row += k[inner, axis]
-        before = inner - starts[level]  # index in the level's block, then h
-        before //= span[level, axis]
-        sweep = [inner.astype(np.int32)]
-        for D, E in (left, right):
-            parent = E[row]
-            parent *= before
-            parent += D[row]
-            parent += inner
-            sweep.append(parent.astype(np.int32))
-        for a in sweep:
-            a.setflags(write=False)
-        sweeps.append(tuple(sweep))
-    return points, tuple(sweeps)
-
-
-_memoized_plan = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(_hierarchy_plan)
-
-
-def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
-    """:func:`_hierarchy_plan`, memoized per (n, d) when m·d <= _PLAN_MEMO_POINTS."""
-    if capped_node_count(n, d) * d > _PLAN_MEMO_POINTS:
-        return _hierarchy_plan(n, d)
-    return _memoized_plan(n, d)
-
-
-def analyze(f: FunctionHandle, n: int, d: int | None = None) -> FaberSeries:
+def analyze(f: FunctionHandle, n: int) -> FaberSeries:
     """Compute every coefficient of truncation order <= n from samples of f.
 
     Each coefficient (j, k) owns one node, the centre of its support, so
-    the rows of ``node_set(n, d)`` are the nodes of the flattened series.
-    f is evaluated once, in one batch, at those m(n, d) distinct nodes (a
-    fresh handle counts exactly m(n, d) evaluations), then the nodal
-    values are hierarchized in place with one (+1, -2, +1) / -2 sweep per
-    axis (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004,
-    sec. 4).  The nodes and the sweeps' index arrays depend on (n, d)
+    the rows of ``node_set(n, d)``, d = f.dim, are the nodes of the
+    flattened series.  f is evaluated once, in one batch, at those m(n, d)
+    distinct nodes (a fresh handle counts exactly m(n, d) evaluations),
+    then the nodal values are hierarchized in place with one (+1, -2,
+    +1) / -2 sweep per axis (Bungartz & Griebel, Sparse grids, Acta
+    Numerica 13, 2004, sec. 4).  The nodes and the sweeps' index arrays depend on (n, d)
     alone and are memoized per (n, d) for m·d <= 2**17, at most 8 plans
     and 20 MiB; samples never are, so every call evaluates f at all m
     nodes, handed to f as a fresh array.  Raises ValueError before
     sampling when m(n, d) exceeds MAX_POINTS.
     """
-    if d is None:
-        d = f.dim
-    elif d != f.dim:
-        raise ValueError(f"requested d={d} but handle has dim={f.dim}")
-    points, sweeps = _hierarchy(n, d)
+    points, sweeps = _hierarchy(n, f.dim)
     values = f.eval_batch(points.copy())
     for inner, left, right in sweeps:
         values[inner] = -0.5 * (values[left] - 2.0 * values[inner] + values[right])
-    return FaberSeries(n, d, values)
+    return FaberSeries(n, f.dim, values)
 
 
 #: Rows per evaluation chunk: bounds the per-axis tables and prefix
@@ -378,7 +255,7 @@ def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     if outside.size:
         raise ValueError(f"point {tuple(X[outside[0]].tolist())} outside [0,1]^d")
     out = np.zeros(X.shape[0])
-    levels, _, starts, _ = series._layout
+    levels, starts = series._layout.levels, series._layout.starts
     live = np.flatnonzero(np.logical_or.reduceat(series.coeffs != 0.0, starts[:-1]))
     blocks = [
         (levels[i].entries, levels[i].translation_shape(), series.coeffs[starts[i] : starts[i + 1]])
@@ -466,7 +343,7 @@ def _level_blocks(series: FaberSeries) -> Iterator[tuple[np.ndarray, np.ndarray]
     reduces the level's block alone, so a row-wise ``sum`` is
     bit-identical to a per-level ``np.sum``.
     """
-    _, _, starts, _ = series._layout
+    starts = series._layout.starts
     sizes = np.diff(starts)
     for size in sorted(set(sizes.tolist())):
         levels = np.flatnonzero(sizes == size)
@@ -488,7 +365,7 @@ def integrate(series: FaberSeries) -> float:
     power of two 2**-(order(j) + d), so each weighted level sum is exact
     and math.fsum rounds their total once.
     """
-    _, entries, _, _ = series._layout
+    entries = series._layout.entries
     terms = np.ldexp(1.0, -(np.maximum(entries, 0) + 1).sum(axis=1))
     for levels, block in _level_blocks(series):
         terms[levels] *= block.sum(axis=1)
@@ -519,9 +396,9 @@ def _formatted(series: FaberSeries, level_part, k_sep: str, k_end: str) -> Itera
     ``repr`` of ``coeffs.tolist()``.  Each yielded string holds at least
     _IO_BLOCK and fewer than 2 * _IO_BLOCK coefficients, the last fewer.
     """
-    levels, _, starts, _ = series._layout
+    starts = series._layout.starts
     pieces = []
-    for i, j in enumerate(levels):
+    for i, j in enumerate(series._layout.levels):
         *lead, last = j.translation_shape()
         axes = [[f"{t}{k_sep}" for t in range(c)] for c in lead]
         axes.append([f"{t}{k_end}" for t in range(last)])
@@ -583,25 +460,19 @@ def _build_series(
     the entry after the N, comes after every entry's check; missing
     coefficients are reported last.
     """
-    m = capped_node_count(n, d)
-    levels, level_entries, starts, position = _levels(n, d)
+    layout = _levels(n, d)
 
     def entry(i):
         return exact.get(i) or (tuple(J[i].tolist()), tuple(K[i].tolist()))
 
-    # A level's key is its entries + 1 in radix n + 2; the levels are in
-    # lexicographic order, so their keys are sorted.  (n + 2)**d fits an
-    # int64 under the MAX_POINTS cap, as analyze's larger radix does.
-    radix = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    level_keys = (level_entries + 1) @ radix
     in_range = np.all((J >= -1) & (J <= n), axis=1)
-    key = (np.where(in_range[:, None], J, -1) + 1) @ radix
-    index = np.minimum(np.searchsorted(level_keys, key), len(levels) - 1)
-    shape = _translation_shapes(level_entries)[index]
-    bad = ~(in_range & (level_keys[index] == key) & np.all((K >= 0) & (K < shape), axis=1))
+    key = (np.where(in_range[:, None], J, -1) + 1) @ layout.radix
+    index = np.minimum(np.searchsorted(layout.keys, key), len(layout.levels) - 1)
+    shape = layout.shapes[index]
+    bad = ~(in_range & (layout.keys[index] == key) & np.all((K >= 0) & (K < shape), axis=1))
     first_bad = int(np.argmax(bad)) if bad.any() else len(J)
 
-    pos = starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
+    pos = layout.starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
     _, first = np.unique(pos, return_index=True)
     if first.size < first_bad:
         repeat = np.ones(first_bad, dtype=bool)
@@ -610,15 +481,15 @@ def _build_series(
         raise ValueError(f"duplicate coefficient at level {j}, translation {k}")
     if first_bad < len(J):
         j, k = entry(first_bad)
-        i = position.get(j)
+        i = layout.position.get(j)
         if i is None:
             raise ValueError(f"level {j} outside budget {n} in d={d}")
-        _check_translation(levels[i], k)
+        _check_translation(layout.levels[i], k)
     if error is not None:
         raise error
-    if first.size < m:
-        raise ValueError(f"series misses {m - first.size} coefficient line(s)")
-    values = np.zeros(m)
+    if first.size < layout.size:
+        raise ValueError(f"series misses {layout.size - first.size} coefficient line(s)")
+    values = np.zeros(layout.size)
     values[pos] = V
     return FaberSeries(n, d, values)
 
@@ -666,7 +537,7 @@ def series_from_text(text: str) -> FaberSeries:
     d, n = int(head[1]), int(head[3])
     blocks = [_text_block(lines[at : at + _IO_BLOCK], d) for at in range(1, len(lines), _IO_BLOCK)]
     del lines  # the line strings go before the arrays are joined
-    capped_node_count(n, d)  # after every line's parse, before any array of d columns
+    _levels(n, d)  # the cap, after every line's parse, before any array of d columns
     ints = np.concatenate([b[0] for b in blocks]) if blocks else np.empty((0, 2 * d), np.int64)
     exact = {at * _IO_BLOCK + i: jk for at, b in enumerate(blocks) for i, jk in b[2].items()}
     values = np.concatenate([b[1] for b in blocks]) if blocks else np.empty(0)
@@ -741,5 +612,5 @@ def series_from_json(text: str) -> FaberSeries:
     entries = doc["entries"]
     if type(entries) is not list:
         raise ValueError(f"'entries' must be a list, got {entries!r:.40}")
-    capped_node_count(n, d)  # before any entry is read
+    _levels(n, d)  # the cap, before any entry is read
     return _build_series(d, n, *_json_entries(entries, d))

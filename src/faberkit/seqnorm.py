@@ -61,7 +61,7 @@ def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     Python floats, so every value is bit-identical to level_lp's.
     """
     _check_p(p)
-    _, entries, _, _ = series._layout
+    entries = series._layout.entries
     tops = np.empty(len(entries))
     sums = np.empty(len(entries))
     for levels, block in _level_blocks(series):
@@ -99,9 +99,7 @@ def series_profile(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     return list(enumerate(best))
 
 
-def decay_profile(
-    f: FunctionHandle, p: float, n: int, d: int | None = None
-) -> list[tuple[int, float]]:
+def decay_profile(f: FunctionHandle, p: float, n: int) -> list[tuple[int, float]]:
     """Empirical coefficient-decay profile of f up to truncation order n.
 
     A flat-or-decaying profile is the observable signature of the
@@ -110,4 +108,4 @@ def decay_profile(
     """
     if n < 2:
         raise ValueError("profile needs budget n >= 2")
-    return series_profile(analyze(f, n, d), p)
+    return series_profile(analyze(f, n), p)

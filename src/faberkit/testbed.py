@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dyadic import _flat_index, _levels, _plan, capped_node_count
+from .dyadic import _flat_index, _levels, _plan
 from .faber import FaberSeries, FunctionHandle, synthesize
 
 __all__ = [
@@ -75,7 +75,8 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
         raise ValueError("p must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    entries, owner, k = _plan(depth, d)
+    owner, k = _plan(depth, d)
+    entries = _levels(depth, d).entries
     scales = np.array([2.0 ** (-order / p) for order in range(depth + 1)])
     interior = (entries >= 0).all(axis=1)
     scale = scales[np.maximum(entries, 0).sum(axis=1)]
@@ -102,9 +103,9 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    coeffs = np.zeros(capped_node_count(depth, d))
-    levels, _, starts, _ = _levels(depth, d)
-    for j, start in zip(levels, starts.tolist()):
+    layout = _levels(depth, d)
+    coeffs = np.zeros(layout.size)
+    for j, start in zip(layout.levels, layout.starts.tolist()):
         if all(e >= 0 for e in j.entries):
             shape = j.translation_shape()
             k = [_hash_key(seed, 1, axis, *j.entries) & (c - 1) for axis, c in enumerate(shape)]

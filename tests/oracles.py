@@ -24,8 +24,6 @@ from faberkit.dyadic import (
     _check_translation,
     _flat_index,
     _levels,
-    _translation_shapes,
-    capped_node_count,
     levels_up_to,
     to_floats,
     translations,
@@ -261,8 +259,8 @@ def _per_entry_build(d, n, entries):
     entry: the earliest failing entry is reported (level outside the
     budget, else translation out of range, else a duplicate), then an
     error raised while producing the entries, then missing coefficients."""
-    m = capped_node_count(n, d)
-    levels, level_entries, starts, position = _levels(n, d)
+    layout = _levels(n, d)
+    m, levels, level_entries, starts = layout.size, layout.levels, layout.entries, layout.starts
     js, ks, vals = [], [], []
     parse_error = None
     try:
@@ -278,7 +276,7 @@ def _per_entry_build(d, n, entries):
     in_range = np.all((J >= -1) & (J <= n), axis=1)
     key = (np.where(in_range[:, None], J, -1) + 1) @ radix
     index = np.minimum(np.searchsorted(level_keys, key), len(levels) - 1)
-    shape = _translation_shapes(level_entries)[index]
+    shape = layout.shapes[index]
     bad = ~(in_range & (level_keys[index] == key) & np.all((K >= 0) & (K < shape), axis=1))
     first_bad = int(np.argmax(bad)) if bad.any() else len(js)
     pos = starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
@@ -289,7 +287,7 @@ def _per_entry_build(d, n, entries):
         line = int(np.argmax(repeat))
         raise ValueError(f"duplicate coefficient at level {js[line]}, translation {ks[line]}")
     if first_bad < len(js):
-        i = position.get(js[first_bad])
+        i = layout.position.get(js[first_bad])
         if i is None:
             raise ValueError(f"level {js[first_bad]} outside budget {n} in d={d}")
         _check_translation(levels[i], ks[first_bad])

@@ -98,3 +98,11 @@ def test_scalar_oracles_only_in_tests():
         for module in (faberkit, faberkit.faber, faberkit.dyadic):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(LevelVector, "active_axes")
+
+
+def test_plan_layer_only_in_dyadic():
+    # what depends on (n, d) alone (layout, nodes, sweeps, memo) lives in dyadic
+    for name in ("_plan", "_parent_steps", "_hierarchy_plan", "_memoized_plan"):
+        assert hasattr(faberkit.dyadic, name) and not hasattr(faberkit.faber, name), name
+    for module in (faberkit.faber, faberkit.dyadic):
+        assert not hasattr(module, "_lattice"), module.__name__

@@ -23,6 +23,13 @@ class TestLevels:
         assert rows[0] == "-1 -1"
         assert out.splitlines()[-1].startswith("# levels=8")
 
+    @pytest.mark.parametrize("dim,n", [("40", "0"), ("16", "0"), ("1", "62")])
+    def test_levels_over_node_cap_exits_1(self, capsys, dim, n):
+        # --n 0 has 2**d levels: the cap comes before any is enumerated
+        code, out, err = run_cli(capsys, "levels", "--dim", dim, "--n", n)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "cap" in err
+
 
 class TestRates:
     def test_csv_schema_and_summary(self, capsys, tmp_path):

@@ -193,7 +193,7 @@ class TestNodeSet:
             for k in translations(j):
                 assert rows(coeff_sample_points(j, k)) <= pts
 
-    @pytest.mark.parametrize("d,n", [(1, 40), (30, 0)])
+    @pytest.mark.parametrize("d,n", [(1, 40), (30, 0), (10**6, 0)])
     def test_over_node_cap_rejected(self, d, n):
         with pytest.raises(ValueError, match="cap"):
             node_set(n, d)

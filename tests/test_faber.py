@@ -18,7 +18,7 @@ from faberkit.dyadic import (
     to_floats,
     translations,
 )
-from faberkit import faber
+from faberkit import dyadic, faber
 from faberkit.faber import (
     EvaluationError,
     FaberSeries,
@@ -32,7 +32,15 @@ from faberkit.faber import (
     series_to_text,
     synthesize,
 )
-from oracles import coeff, hat_eval, naive_eval, per_level_eval, random_series, tensor_eval
+from oracles import (
+    coeff,
+    hat_eval,
+    naive_eval,
+    node,
+    per_level_eval,
+    random_series,
+    tensor_eval,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -184,11 +192,6 @@ class TestAnalyze:
         expected = FaberSeries(3, 2, 2.5 * sf.coeffs - 1.25 * sg.coeffs)
         assert sc.max_abs_diff(expected) <= 1e-12
 
-    def test_dimension_mismatch_rejected(self):
-        f = FunctionHandle(lambda X: X[:, 0], 1)
-        with pytest.raises(ValueError):
-            analyze(f, 2, d=2)
-
     @pytest.mark.parametrize("d,n", [(1, 40), (16, 0)])
     def test_budget_over_node_cap_fails_before_sampling(self, d, n):
         f = FunctionHandle(lambda X: X[:, 0], d)
@@ -196,13 +199,19 @@ class TestAnalyze:
             analyze(f, n)
         assert f.eval_count == 0
 
-    def test_lattice_key_fits_int64_under_node_cap(self):
-        # the flat key of analyze has radix 2**(n+1) + 1 per axis
+    def test_level_key_fits_int64_under_node_cap(self):
+        # a level's key is its entries + 1 in radix n + 2, so keys < (n + 2)**d
+        largest = 0
         for d in range(1, 30):
             for n in range(63):
                 if node_count(n, d) > MAX_POINTS:
                     break  # node counts grow with n
-                assert (2 ** (n + 1) + 1) ** d < 2**63, (n, d)
+                largest = max(largest, (n + 2) ** d)
+        assert largest == 2**24 == (6 + 2) ** 8 and node_count(6, 8) <= MAX_POINTS
+        for n, d in [(0, 1), (5, 4), (14, 2), (2, 6)]:
+            layout = _levels(n, d)
+            assert layout.radix.tolist() == [(n + 2) ** (d - 1 - a) for a in range(d)]
+            assert layout.keys.max() < (n + 2) ** d
 
     def test_coeff_agrees_with_analyze(self):
         f = FunctionHandle(lambda X: np.sin(X[:, 0]) * np.exp(X[:, 1]), 2, label="f")
@@ -219,7 +228,7 @@ class TestHierarchyPlan:
     """analyze's per-(n, d) plan: memoized within a bound, samples never."""
 
     def test_repeat_analyze_byte_equal_and_samples_every_node(self):
-        faber._memoized_plan.cache_clear()
+        dyadic._memoized_plan.cache_clear()
         f = FunctionHandle(lambda X: np.exp(X[:, 0] - 2.0 * X[:, 2]) * X[:, 1], 3)
         first = analyze(f, 4)
         for call in range(2, 5):
@@ -229,12 +238,12 @@ class TestHierarchyPlan:
         fresh = FunctionHandle(lambda X: np.exp(X[:, 0] - 2.0 * X[:, 2]) * X[:, 1], 3)
         assert analyze(fresh, 4).coeffs.tobytes() == first.coeffs.tobytes()
         assert fresh.eval_count == node_count(4, 3)
-        info = faber._memoized_plan.cache_info()
+        info = dyadic._memoized_plan.cache_info()
         assert (info.misses, info.hits) == (1, 4)
 
     @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])  # memoized, over the size cap
     def test_plan_arrays_read_only(self, n, d):
-        points, sweeps = faber._hierarchy(n, d)
+        points, sweeps = dyadic._hierarchy(n, d)
         assert points.shape == (node_count(n, d), d) and len(sweeps) == d
         for array in (points, *(a for sweep in sweeps for a in sweep)):
             with pytest.raises(ValueError, match="read-only"):
@@ -244,14 +253,17 @@ class TestHierarchyPlan:
         "n,d", [(n, d) for d in range(1, 6) for n in range(6)] + [(14, 2)]
     )
     def test_plan_points_are_the_node_set(self, n, d):
-        points, _ = faber._hierarchy_plan(n, d)
-        assert points.tobytes() == to_floats(node_set(n, d)).tobytes()
+        # the oracle's node of each coefficient, in series order
+        expected = to_floats([node(j, k) for j in levels_up_to(n, d) for k in translations(j)])
+        points, _ = dyadic._hierarchy_plan(n, d)
+        assert points.tobytes() == expected.tobytes()
+        assert to_floats(node_set(n, d)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n,d", [(0, 1), (6, 1), (5, 2), (3, 3), (2, 5)])
     def test_sweeps_are_the_surplus_stencils(self, n, d):
         # along its axis, an inner node's neighbours sit one lowest set bit
         # of its lattice coordinate (step 2**-(n+1)) to either side
-        points, sweeps = faber._hierarchy(n, d)
+        points, sweeps = dyadic._hierarchy(n, d)
         lattice = np.ldexp(points, n + 1).astype(np.int64)
         for axis, (inner, left, right) in enumerate(sweeps):
             coord = lattice[:, axis]
@@ -267,18 +279,18 @@ class TestHierarchyPlan:
             X += 0.25  # allowed: analyze hands f a fresh array
             return X[:, 0] * X[:, 1]
 
-        points = faber._hierarchy(3, 2)[0].copy()
+        points = dyadic._hierarchy(3, 2)[0].copy()
         series = analyze(FunctionHandle(shifted, 2), 3)
         expected = analyze(FunctionHandle(lambda X: (X[:, 0] + 0.25) * (X[:, 1] + 0.25), 2), 3)
         assert series.coeffs.tobytes() == expected.coeffs.tobytes()
-        assert faber._hierarchy(3, 2)[0].tobytes() == points.tobytes()
+        assert dyadic._hierarchy(3, 2)[0].tobytes() == points.tobytes()
 
     def test_plan_over_size_cap_not_retained(self):
         n, d = 17, 1
-        assert node_count(n, d) * d > faber._PLAN_MEMO_POINTS
+        assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
         f = FunctionHandle(lambda X: X[:, 0] ** 2, d)
         _levels(n, d)  # the level layout memo has a bound of its own
-        faber._memoized_plan.cache_clear()
+        dyadic._memoized_plan.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -292,23 +304,23 @@ class TestHierarchyPlan:
     def test_memo_retention_within_stated_bound(self):
         # more plans than the memo keeps, the largest m·d under its size cap
         plans = [(11, 2), (2, 6), (5, 4), (15, 1), (7, 3), (3, 5), (10, 2), (14, 1), (4, 4)]
-        assert len(plans) > faber._PLAN_MEMO_SIZE
-        assert all(node_count(n, d) * d <= faber._PLAN_MEMO_POINTS for n, d in plans)
+        assert len(plans) > dyadic._PLAN_MEMO_SIZE
+        assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
         for n, d in plans:
             _levels(n, d)  # the level layout memo has a bound of its own
-        faber._memoized_plan.cache_clear()
+        dyadic._memoized_plan.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for n, d in plans:
-                faber._hierarchy(n, d)
+                dyadic._hierarchy(n, d)
             retained = tracemalloc.get_traced_memory()[0] - before
-            kept = faber._memoized_plan.cache_info().currsize
+            kept = dyadic._memoized_plan.cache_info().currsize
         finally:
             tracemalloc.stop()
-            faber._memoized_plan.cache_clear()
-        assert kept == faber._PLAN_MEMO_SIZE
-        assert retained <= faber._PLAN_MEMO_SIZE * 20 * faber._PLAN_MEMO_POINTS  # 20 MiB
+            dyadic._memoized_plan.cache_clear()
+        assert kept == dyadic._PLAN_MEMO_SIZE
+        assert retained <= dyadic._PLAN_MEMO_SIZE * 20 * dyadic._PLAN_MEMO_POINTS  # 20 MiB
 
 
 class TestEvaluate:

@@ -337,6 +337,25 @@ def test_cli_reports_bad_series_json_and_exits_1(doc, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dim", [16, 20000, 10**6])
+def test_dimension_over_node_cap_refused_by_both_readers_and_cli(dim, tmp_path, capsys):
+    # m(n, d) >= 3**d: refused by the cap before any node count or entry
+    files = {
+        "s.txt": f"dim {dim} budget 0\n",
+        "s.json": json.dumps({"dim": dim, "budget": 0, "entries": []}),
+    }
+    message = f"d={dim} needs at least 3\\*\\*d nodes, over the cap"
+    for (name, text), read in zip(files.items(), (series_from_text, series_from_json)):
+        with pytest.raises(ValueError, match=message):
+            read(text)
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["recover", "--dim", "2", "--n", "1", "--func", "prescribed", "--series", str(path)]
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cap" in err
+
+
 # -- text files over several blocks -----------------------------------------------
 
 
