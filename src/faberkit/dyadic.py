@@ -101,9 +101,12 @@ def levels_up_to(n: int, d: int) -> list[LevelVector]:
     """All level vectors of truncation order <= n, in lexicographic order.
 
     The per-axis order is -1 < 0 < 1 < ..., so the boundary layer of each
-    axis precedes its interior levels.
+    axis precedes its interior levels.  Fails like
+    :func:`capped_node_count`, before enumerating: every level holds at
+    least one node, so the levels of a plannable (n, d) number at most
+    MAX_POINTS.
     """
-    _check_budget(n, d)
+    capped_node_count(n, d)
 
     out: list[LevelVector] = []
 
@@ -278,9 +281,9 @@ def node_count(n: int, d: int) -> int:
 _PLAN_MEMO_POINTS = 1 << 17
 
 #: Plans the memo keeps.  A plan holds 8·m·d bytes of nodes and at most
-#: 12·m·d of int32 indices, so the memo retains at most
-#: 8 · 20 · 2**17 B = 20 MiB.
-_PLAN_MEMO_SIZE = 8
+#: 24·m·d of intp indices, so the memo retains at most
+#: 5 · 32 · 2**17 B = 20 MiB.
+_PLAN_MEMO_SIZE = 5
 
 
 def _parent_steps(layout: _Layout, span: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
@@ -327,11 +330,12 @@ def _hierarchy_plan(n: int, d: int) -> tuple[np.ndarray, tuple]:
     """What analyze needs of (n, d) alone: ``(points, sweeps)``.
 
     ``points`` is :func:`_nodes`, the (m, d) float64 nodes of node_set(n,
-    d).  ``sweeps`` holds per axis the int32 arrays ``(inner, left,
+    d).  ``sweeps`` holds per axis the intp arrays ``(inner, left,
     right)``: the nodes that are not boundary nodes along that axis, and
-    their two neighbours there, the nodes of their surplus stencil (int32
-    holds every index, since m <= MAX_POINTS < 2**31).  The neighbours are
-    read off each node's (level, translation), see :func:`_parent_steps`.
+    their two neighbours there, the nodes of their surplus stencil.  They
+    are intp, numpy's native index type, so indexing with them casts
+    nothing.  The neighbours are read off each node's (level,
+    translation), see :func:`_parent_steps`.
     All arrays are read-only.  Fails like :func:`capped_node_count`.
     """
     layout = _levels(n, d)
@@ -350,13 +354,13 @@ def _hierarchy_plan(n: int, d: int) -> tuple[np.ndarray, tuple]:
         row += k[inner, axis]
         before = inner - starts[level]  # index in the level's block, then h
         before //= span[level, axis]
-        sweep = [inner.astype(np.int32)]
+        sweep = [inner]
         for D, E in (left, right):
             parent = E[row]
             parent *= before
             parent += D[row]
             parent += inner
-            sweep.append(parent.astype(np.int32))
+            sweep.append(parent.astype(np.intp, copy=False))
         for a in sweep:
             a.setflags(write=False)
         sweeps.append(tuple(sweep))

@@ -213,7 +213,7 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
     then the nodal values are hierarchized in place with one (+1, -2,
     +1) / -2 sweep per axis (Bungartz & Griebel, Sparse grids, Acta
     Numerica 13, 2004, sec. 4).  The nodes and the sweeps' index arrays depend on (n, d)
-    alone and are memoized per (n, d) for m·d <= 2**17, at most 8 plans
+    alone and are memoized per (n, d) for m·d <= 2**17, at most 5 plans
     and 20 MiB; samples never are, so every call evaluates f at all m
     nodes, handed to f as a fresh array.  Raises ValueError before
     sampling when m(n, d) exceeds MAX_POINTS.
@@ -251,8 +251,8 @@ def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     X = np.ascontiguousarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != series.dim:
         raise ValueError(f"expected (N, {series.dim}) points, got {X.shape}")
-    outside = np.flatnonzero(~np.all((X >= 0.0) & (X <= 1.0), axis=1))
-    if outside.size:
+    if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):  # NaN fails too
+        outside = np.flatnonzero(~np.all((X >= 0.0) & (X <= 1.0), axis=1))
         raise ValueError(f"point {tuple(X[outside[0]].tolist())} outside [0,1]^d")
     out = np.zeros(X.shape[0])
     levels, starts = series._layout.levels, series._layout.starts

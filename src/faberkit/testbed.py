@@ -147,7 +147,7 @@ def kink(anchor=None, d: int = 1) -> FunctionHandle:
     integral = math.prod((v * v + (1.0 - v) ** 2) / 2.0 for v in c)
     l2sq = math.prod(((1.0 - v) ** 3 + v**3) / 3.0 for v in c)
     return FunctionHandle(
-        lambda X: np.prod(np.abs(X - carr), axis=1),
+        lambda X: _column_product(lambda x, i: np.abs(x - carr[i]), X),
         d,
         label=f"kink{c}",
         exact_integral=integral,
@@ -179,8 +179,21 @@ def hat_family(j: int, d: int = 1) -> FunctionHandle:
     )
 
 
+def _column_product(factor, X: np.ndarray) -> np.ndarray:
+    """``prod_i factor(X[:, i], i)`` over the d columns of X, left to right.
+
+    The same bytes as ``np.prod`` over axis 1 of the (N, d) factor array,
+    which multiplies left to right too, without building that array or
+    reducing over its short axis.
+    """
+    out = factor(X[:, 0], 0)
+    for i in range(1, X.shape[1]):
+        out *= factor(X[:, i], i)
+    return out
+
+
 def _x2_eval(X: np.ndarray) -> np.ndarray:
-    return np.prod(X * X, axis=1)
+    return _column_product(lambda x, i: x * x, X)
 
 
 def _exp_eval(X: np.ndarray) -> np.ndarray:
@@ -188,7 +201,7 @@ def _exp_eval(X: np.ndarray) -> np.ndarray:
 
 
 def _polymix_eval(X: np.ndarray) -> np.ndarray:
-    return np.prod(1.0 + X - 2.0 * X**3, axis=1)
+    return _column_product(lambda x, i: 1.0 + x - 2.0 * x**3, X)
 
 
 # id -> (evaluator, per-axis integral, per-axis second moment)

@@ -2,8 +2,9 @@
 
 Scalar, per-coefficient or per-level spellings of what the package
 computes in vectorized form (basis values, surplus stencils,
-coefficients, series evaluation, integrals, level norms, level and node
-enumeration, series files read and written line by line), plus the
+coefficients, series evaluation, testbed products as one ``np.prod``,
+integrals, level norms, level and node enumeration, series files read
+and written line by line), plus the
 random and single-level series the tests draw.
 Import as ``from oracles import ...``; pytest does not collect this
 module.
@@ -144,6 +145,22 @@ def per_level_eval(series, points):
                 flat = flat * c + k
             out += arr[flat] * math.prod(v for _, v in combo)
     return out
+
+
+def prod_kink_eval(anchor):
+    """testbed.kink's evaluator as one np.prod over axis 1 of an (N, d) array."""
+    c = np.asarray(anchor, dtype=np.float64)
+    return lambda X: np.prod(np.abs(X - c), axis=1)
+
+
+def prod_x2_eval(X):
+    """The x2 smooth reference as one np.prod over axis 1."""
+    return np.prod(X * X, axis=1)
+
+
+def prod_polymix_eval(X):
+    """The poly-mix smooth reference as one np.prod over axis 1."""
+    return np.prod(1.0 + X - 2.0 * X**3, axis=1)
 
 
 def per_level_integrate(series):

@@ -198,6 +198,12 @@ class TestNodeSet:
         with pytest.raises(ValueError, match="cap"):
             node_set(n, d)
 
+    @pytest.mark.parametrize("n,d", [(0, 30), (40, 1)])
+    def test_levels_over_node_cap_rejected_before_enumerating(self, n, d):
+        # (0, 30) has 2**30 levels: enumerating them would exhaust memory
+        with pytest.raises(ValueError, match="cap"):
+            levels_up_to(n, d)
+
     @pytest.mark.parametrize("count", [levels_up_to, node_count, capped_node_count])
     @pytest.mark.parametrize(
         "n,d,message",

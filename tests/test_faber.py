@@ -249,6 +249,13 @@ class TestHierarchyPlan:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
+    @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])
+    def test_sweep_indices_are_native_intp(self, n, d):
+        # numpy indexes with intp; any other dtype is cast on every sweep
+        _, sweeps = dyadic._hierarchy(n, d)
+        for array in (a for sweep in sweeps for a in sweep):
+            assert array.dtype == np.intp and not array.flags.writeable
+
     @pytest.mark.parametrize(
         "n,d", [(n, d) for d in range(1, 6) for n in range(6)] + [(14, 2)]
     )
@@ -298,7 +305,7 @@ class TestHierarchyPlan:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # the plan alone holds 20 B per node, 5.2 MB here
+        # the plan alone holds 32 B per node, 8.4 MB here
         assert retained < 4096
 
     def test_memo_retention_within_stated_bound(self):
@@ -320,7 +327,9 @@ class TestHierarchyPlan:
             tracemalloc.stop()
             dyadic._memoized_plan.cache_clear()
         assert kept == dyadic._PLAN_MEMO_SIZE
-        assert retained <= dyadic._PLAN_MEMO_SIZE * 20 * dyadic._PLAN_MEMO_POINTS  # 20 MiB
+        # 8 B of nodes and at most 24 B of intp indices per m·d
+        assert retained <= dyadic._PLAN_MEMO_SIZE * 32 * dyadic._PLAN_MEMO_POINTS
+        assert retained <= 20 << 20
 
 
 class TestEvaluate:
@@ -362,6 +371,24 @@ class TestEvaluate:
         X = np.array([[0.5, 0.5], [0.25, np.nan]])
         with pytest.raises(ValueError, match=r"\(0\.25, nan\)"):
             evaluate_batch(s, X)
+
+    def test_closed_cube_accepted(self):
+        s = random_series(2, 2, RNG)
+        X = np.array([[-0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-0.0, -0.0]])
+        assert evaluate_batch(s, X).tobytes() == per_level_eval(s, X).tobytes()
+
+    def test_first_of_several_outside_rows_reported(self):
+        s = random_series(1, 3, RNG)
+        X = np.full((50, 3), 0.25)
+        X[7, 2] = np.nextafter(1.0, 2.0)
+        X[9, 0] = -1e-300
+        X[30, 1] = np.nan
+        with pytest.raises(ValueError, match=r"point \(0\.25, 0\.25, 1\.0000000000000002\) outside"):
+            evaluate_batch(s, X)
+        with pytest.raises(ValueError, match=r"point \(-1e-300, 0\.25, 0\.25\) outside"):
+            evaluate_batch(s, X[8:])
+        with pytest.raises(ValueError, match=r"point \(0\.25, nan, 0\.25\) outside"):
+            evaluate_batch(s, X[10:])  # NaN fails the whole-array min/max test too
 
     def test_multilinear_reproduction(self):
         f = FunctionHandle(

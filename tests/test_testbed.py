@@ -7,7 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from faberkit import dyadic
 from faberkit.dyadic import translations
 from faberkit.faber import analyze, evaluate_batch, integrate
 from faberkit.measure import CompositeGauss, MeasureSpec, block_lq_exact, lq_norm
@@ -15,6 +18,7 @@ from faberkit.seqnorm import decay_profile, level_lp, seq_norm, series_profile, 
 from faberkit.testbed import (
     SMOOTH_IDS,
     _hash_key,
+    _is_shallow_dyadic,
     default_kink_anchor,
     extremal,
     hat_family,
@@ -22,6 +26,7 @@ from faberkit.testbed import (
     smooth,
     spike,
 )
+from oracles import prod_kink_eval, prod_polymix_eval, prod_x2_eval
 
 RNG = np.random.default_rng(99)
 
@@ -275,3 +280,34 @@ class TestDefaultAnchor:
 
     def test_first_axis_is_inverse_sqrt2(self):
         assert default_kink_anchor(1)[0] == pytest.approx(1 / math.sqrt(2))
+
+
+def _assert_products_match_np_prod(X, anchor):
+    d = X.shape[1]
+    pairs = [
+        (kink(anchor, d), prod_kink_eval(anchor)),
+        (smooth("x2", d), prod_x2_eval),
+        (smooth("poly-mix", d), prod_polymix_eval),
+    ]
+    for f, oracle in pairs:
+        assert f.eval_batch(X).tobytes() == oracle(X).tobytes(), f.label
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=st.integers(1, 8), rows=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+def test_property_column_products_are_np_prod_bytes(d, rows, seed):
+    # the column-wise products multiply in np.prod's order, also where
+    # zeros, ones and tiny factors underflow part of a product
+    rng = np.random.default_rng(seed)
+    X = rng.random((rows, d))
+    special = rng.random(X.shape) < 0.25
+    X[special] = rng.choice([0.0, 1.0, 1e-200, 1e-160, 5e-324], special.sum())
+    anchor = tuple(rng.uniform(0.01, 0.99, d).tolist())
+    assume(not any(_is_shallow_dyadic(c) for c in anchor))
+    _assert_products_match_np_prod(X, anchor)
+
+
+@pytest.mark.parametrize("n,d", [(5, 4), (3, 8)])
+def test_column_products_on_analyze_nodes(n, d):
+    points, _ = dyadic._hierarchy(n, d)
+    _assert_products_match_np_prod(points.copy(), default_kink_anchor(d))
