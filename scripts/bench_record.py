@@ -127,10 +127,10 @@ def record(out: Path, parent: str, change: str) -> dict:
         "what": f"parent {parent} vs change {change}: {len(plain)} alternating pairs of untraced "
                 f"runs per workload, and {len(traced)} traced pairs for the per-layer split",
         "commands": [
-            "python3 bench/sweep.py --runs R --first-seed S --out OUT PARENT_CHECKOUT CHANGE_CHECKOUT",
-            "python3 bench/sweep.py --runs R --first-seed T --trace 1 --out OUT PARENT_CHECKOUT CHANGE_CHECKOUT",
-            f"python3 scripts/bench_record.py OUT {parent} {change}",
-        ],
+            f"python3 bench/sweep.py --runs {len(used)} --first-seed {used[0]}{flag} --out OUT "
+            "PARENT_CHECKOUT CHANGE_CHECKOUT"
+            for used, flag in ((plain, ""), (traced, " --trace 1")) if used
+        ] + [f"python3 scripts/bench_record.py OUT {parent} {change}"],
         "seeds": plain,
         "machine": machine(out),
         "workloads": end_to_end(a, b),
