@@ -6,8 +6,6 @@ from .dyadic import (
     levels_up_to,
     node_count,
     node_set,
-    to_floats,
-    translations,
 )
 from .faber import (
     EvaluationError,

@@ -3,10 +3,7 @@ everything that depends on the budget n and the dimension d alone.
 
 Levels and translations are exact integers.  A node coordinate is
 computed once, by one formula (:func:`_nodes`), as an exact binary64
-dyadic; :func:`node_set` returns its lattice image: coordinate x_i is
-stored as the integer ``x_i * 2**LATTICE_LEVEL`` in a uint64, so point
-identity is bit-exact across levels, and :func:`to_floats` inverts it.
-Node arrays have shape (m, d).  :func:`_levels` is the layout of a series
+dyadic; :func:`node_set` returns these (m, d) float64 nodes.  :func:`_levels` is the layout of a series
 of order <= n, and :func:`_hierarchy` the node and sweep plan of
 analyze, both memoized per (n, d).
 
@@ -24,21 +21,15 @@ the budget, see the package README.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-#: Hard cap on level entries: 2**MAX_LEVEL must fit an int64.  Stencil
-#: points live one level below their owner, hence the +1 slack for points.
+#: Hard cap on level entries: a level's 2**MAX_LEVEL translations must
+#: be countable in an int64.
 MAX_LEVEL = 62
-
-#: Finest point level.  Points are stored as their exact lattice
-#: coordinates ``x_i * 2**LATTICE_LEVEL``: integers in [0, 2**63], which
-#: fit a uint64.
-LATTICE_LEVEL = MAX_LEVEL + 1
 
 #: Cap on the points one pass may hold: the sparse-grid nodes of a plan
 #: (an analysis or a prescribed testbed series), or the evaluation points
@@ -128,12 +119,6 @@ def _check_translation(j: LevelVector, k: tuple[int, ...]) -> None:
     for ki, ci in zip(k, shape):
         if not 0 <= ki < ci:
             raise ValueError(f"translation {k} out of range for level {j.entries}")
-
-
-def translations(j) -> Iterator[tuple[int, ...]]:
-    """Iterate the admissible translations of level j in lexicographic order."""
-    j = _as_level(j)
-    return itertools.product(*(range(c) for c in j.translation_shape()))
 
 
 def _flat_index(k, shape):
@@ -239,30 +224,24 @@ def _nodes(layout: _Layout, k: np.ndarray) -> np.ndarray:
 
 
 def node_set(n: int, d: int) -> np.ndarray:
-    """The (m, d) uint64 lattice rows of all nodes of order <= n.
+    """The (m, d) float64 nodes of all coefficients of order <= n.
 
     Row i is the node of the i-th coefficient (j, k) in series order
     (levels in the order of :func:`levels_up_to`, translations of a level
     in lexicographic order): the centre of its support, with coordinate
     (2 k_i + 1) * 2**-(j_i + 1) along an axis with j_i >= 0 and k_i along
-    a boundary axis.  The rows are distinct and their set is the
-    union of all surplus stencils of order <= n.  Fails like
+    a boundary axis.  The rows are distinct, their set is the union of
+    all surplus stencils of order <= n, and they are byte-equal to the
+    points analyze hands f.  Each call returns a fresh array.  Fails like
     :func:`capped_node_count`.
     """
-    points = _nodes(_levels(n, d), _plan(n, d)[1])
-    return np.ldexp(points, LATTICE_LEVEL, out=points).astype(np.uint64)
+    return _nodes(_levels(n, d), _plan(n, d)[1])
 
 
-def to_floats(lattice) -> np.ndarray:
-    """Binary64 coordinates of lattice integers (any shape)."""
-    return np.ldexp(np.asarray(lattice, dtype=np.uint64).astype(np.float64), -LATTICE_LEVEL)
-
-
-@functools.lru_cache(maxsize=256)
 def node_count(n: int, d: int) -> int:
     """Exact number of rows of node_set(n, d), without materializing it.
 
-    A lattice point is a node iff the per-axis costs max(ell_i - 1, 0)
+    A dyadic point is a node iff the per-axis costs max(ell_i - 1, 0)
     of its exact dyadic levels ell_i sum to at most n.  Per axis there
     are 3 points of cost 0 (the endpoints and 1/2) and 2**c of cost
     c >= 1, so the count is a d-fold convolution truncated at cost n.

@@ -114,15 +114,6 @@ class FunctionHandle:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return float(self.eval_batch(X)[0])
 
-    @classmethod
-    def from_scalar(cls, func: Callable[..., float], dim: int, **kwargs) -> "FunctionHandle":
-        """Wrap a scalar callable f(x_1, ..., x_d) -> float."""
-
-        def evaluator(X: np.ndarray) -> np.ndarray:
-            return np.array([func(*row) for row in X], dtype=np.float64)
-
-        return cls(evaluator, dim, **kwargs)
-
     def __repr__(self) -> str:
         return f"FunctionHandle({self.label!r}, dim={self.dim}, evals={self._count})"
 

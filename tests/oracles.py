@@ -1,11 +1,11 @@
 """Reference implementations the tests compare faberkit against.
 
 Scalar, per-coefficient or per-level spellings of what the package
-computes in vectorized form (basis values, surplus stencils,
-coefficients, series evaluation, testbed products as one ``np.prod``,
-integrals, level norms, level and node enumeration, series files read
-and written line by line), plus the
-random and single-level series the tests draw.
+computes in vectorized form (nodes on an integer lattice, basis values,
+surplus stencils, coefficients, series evaluation, testbed products as
+one ``np.prod``, integrals, level norms, level and node enumeration,
+series files read and written line by line), plus the random and
+single-level series the tests draw.
 Import as ``from oracles import ...``; pytest does not collect this
 module.
 """
@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from faberkit.dyadic import (
-    LATTICE_LEVEL,
     MAX_LEVEL,
     LevelVector,
     _as_level,
@@ -26,11 +25,32 @@ from faberkit.dyadic import (
     _flat_index,
     _levels,
     levels_up_to,
-    to_floats,
-    translations,
 )
-from faberkit.faber import FaberSeries
+from faberkit.faber import FaberSeries, FunctionHandle
 from faberkit.seqnorm import level_lp
+
+#: Finest lattice level of the integer route: a point x is the integer
+#: ``x_i * 2**LATTICE_LEVEL``, in [0, 2**63], which fits a uint64, and
+#: point identity is exact across levels.
+LATTICE_LEVEL = MAX_LEVEL + 1
+
+
+def to_floats(lattice) -> np.ndarray:
+    """Binary64 coordinates of lattice integers (any shape)."""
+    return np.ldexp(np.asarray(lattice, dtype=np.uint64).astype(np.float64), -LATTICE_LEVEL)
+
+
+def translations(j):
+    """Iterate the admissible translations of level j in lexicographic order."""
+    j = _as_level(j)
+    return itertools.product(*(range(c) for c in j.translation_shape()))
+
+
+def from_scalar(func, dim, **kwargs) -> FunctionHandle:
+    """Wrap a scalar callable f(x_1, ..., x_d) -> float as a handle."""
+    return FunctionHandle(
+        lambda X: np.array([func(*row) for row in X], dtype=np.float64), dim, **kwargs
+    )
 
 
 def hat_eval(j: int, k: int, x: float) -> float:
@@ -210,11 +230,11 @@ def brute_force_levels(n, d):
 
 
 def brute_force_nodes(n, d):
-    """The definition: the union of all surplus stencils, as tuples of rows."""
+    """The definition: the union of all surplus stencils, as float tuples."""
     pts = set()
     for j in levels_up_to(n, d):
         for k in translations(j):
-            pts |= set(map(tuple, coeff_sample_points(j, k).tolist()))
+            pts |= set(map(tuple, to_floats(coeff_sample_points(j, k)).tolist()))
     return pts
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from faberkit.dyadic import LevelVector, levels_up_to, node_count, node_set, to_floats
+from faberkit.dyadic import LevelVector, levels_up_to, node_count, node_set
 from faberkit.experiments import (
     comb_check,
     convergence_study,
@@ -77,7 +77,7 @@ def test_criterion_02_interpolation_property():
     t0 = time.time()
     worst = 0.0
     for d in (1, 2):
-        X = to_floats(node_set(6, d))
+        X = node_set(6, d)
         for name in SMOOTH_IDS:
             f = smooth(name, d)
             series = analyze(f, 6)

@@ -8,7 +8,7 @@ import pytest
 
 import faberkit
 from faberkit.dyadic import LevelVector
-from faberkit.faber import FaberSeries
+from faberkit.faber import FaberSeries, FunctionHandle
 
 PACKAGE_NAMES = [
     "CompositeGauss",
@@ -59,8 +59,6 @@ PACKAGE_NAMES = [
     "smooth",
     "spike",
     "synthesize",
-    "to_floats",
-    "translations",
 ]
 
 MODULES = [
@@ -92,12 +90,18 @@ def test_module_all_resolves(module):
 
 
 def test_scalar_oracles_only_in_tests():
-    # hat_eval, tensor_eval, coeff, coeff_sample_points and node live in
+    # hat_eval, tensor_eval, coeff, coeff_sample_points, node, translations
+    # and the integer lattice (LATTICE_LEVEL, to_floats) live in
     # tests/oracles.py; evaluate is evaluate_batch on one point
-    for name in ("hat_eval", "tensor_eval", "coeff", "coeff_sample_points", "node", "evaluate"):
+    names = (
+        "hat_eval", "tensor_eval", "coeff", "coeff_sample_points", "node", "evaluate",
+        "translations", "LATTICE_LEVEL", "to_floats",
+    )
+    for name in names:
         for module in (faberkit, faberkit.faber, faberkit.dyadic):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(LevelVector, "active_axes")
+    assert not hasattr(FunctionHandle, "from_scalar")
 
 
 def test_plan_layer_only_in_dyadic():

@@ -15,8 +15,6 @@ from faberkit.dyadic import (
     levels_up_to,
     node_count,
     node_set,
-    to_floats,
-    translations,
 )
 from faberkit import dyadic, faber
 from faberkit.faber import (
@@ -34,12 +32,15 @@ from faberkit.faber import (
 )
 from oracles import (
     coeff,
+    from_scalar,
     hat_eval,
     naive_eval,
     node,
     per_level_eval,
     random_series,
     tensor_eval,
+    to_floats,
+    translations,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -262,9 +263,9 @@ class TestHierarchyPlan:
     def test_plan_points_are_the_node_set(self, n, d):
         # the oracle's node of each coefficient, in series order
         expected = to_floats([node(j, k) for j in levels_up_to(n, d) for k in translations(j)])
-        points, _ = dyadic._hierarchy_plan(n, d)
-        assert points.tobytes() == expected.tobytes()
-        assert to_floats(node_set(n, d)).tobytes() == expected.tobytes()
+        points = node_set(n, d)
+        assert points.dtype == np.float64 and len(np.unique(points, axis=0)) == len(points)
+        assert points.tobytes() == dyadic._hierarchy(n, d)[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n,d", [(0, 1), (6, 1), (5, 2), (3, 3), (2, 5)])
     def test_sweeps_are_the_surplus_stencils(self, n, d):
@@ -339,7 +340,7 @@ class TestEvaluate:
                 lambda X: np.exp(np.sum(X, axis=1)) + np.prod(X, axis=1), d
             )
             s = analyze(f, n)
-            X = to_floats(node_set(n, d))
+            X = node_set(n, d)
             err = np.max(np.abs(evaluate_batch(s, X) - f.eval_batch(X)))
             assert err <= 1e-10
 
@@ -612,7 +613,7 @@ class TestFunctionHandle:
         assert f((0.3,)) == f((0.3,))
 
     def test_from_scalar(self):
-        f = FunctionHandle.from_scalar(lambda x, y: x * y, 2)
+        f = from_scalar(lambda x, y: x * y, 2)
         assert f((0.5, 0.25)) == 0.125
 
     def test_shape_validation(self):
@@ -657,7 +658,7 @@ def test_property_interpolation_at_nodes(d, n, a):
     )
     s = analyze(f, n)
     assert f.eval_count == node_count(n, d)
-    X = to_floats(node_set(n, d))
+    X = node_set(n, d)
     assert np.max(np.abs(evaluate_batch(s, X) - f.eval_batch(X))) <= 1e-10
 
 

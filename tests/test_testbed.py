@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faberkit import dyadic
-from faberkit.dyadic import translations
 from faberkit.faber import analyze, evaluate_batch, integrate
 from faberkit.measure import CompositeGauss, MeasureSpec, block_lq_exact, lq_norm
 from faberkit.seqnorm import decay_profile, level_lp, seq_norm, series_profile, NormParams
@@ -26,7 +25,7 @@ from faberkit.testbed import (
     smooth,
     spike,
 )
-from oracles import prod_kink_eval, prod_polymix_eval, prod_x2_eval
+from oracles import prod_kink_eval, prod_polymix_eval, prod_x2_eval, translations
 
 RNG = np.random.default_rng(99)
 
