@@ -3,9 +3,10 @@ everything that depends on the budget n and the dimension d alone.
 
 Levels and translations are exact integers.  A node coordinate is
 computed once, by one formula (:func:`_nodes`), as an exact binary64
-dyadic; :func:`node_set` returns these (m, d) float64 nodes.  :func:`_levels` is the layout of a series
-of order <= n, and :func:`_hierarchy` the node and sweep plan of
-analyze, both memoized per (n, d).
+dyadic; :func:`node_set` returns these (m, d) float64 nodes.
+:func:`_levels` is the layout of a series of order <= n, and
+:func:`_hierarchy` the node and sweep plan of analyze, both memoized per
+(n, d).
 
 Level conventions
 -----------------

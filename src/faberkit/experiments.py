@@ -103,8 +103,11 @@ def convergence_study(
     """Sample, reconstruct, and measure the L_q defect for each budget.
 
     The node count per row is the number of fresh evaluations the
-    analysis performed (each budget owns its analysis).
+    analysis performed (each budget owns its analysis).  p, q < 1 or NaN
+    raise ValueError before f is sampled.
     """
+    if not (p >= 1.0 and q >= 1.0):
+        raise ValueError(f"need p >= 1 and q >= 1, got p={p!r}, q={q!r}")
     d = f.dim
     records = []
     for n in _check_range(n_range):
@@ -168,11 +171,12 @@ def comb_check(
     ``sum_{order <= n} 2**order`` against ``max(n,1)**(d-1) * 2**n``.
     The tail is exact: enumeration in the leading axes and geometric
     closure in the last one.  A budget whose ``2**(-alpha (n+1))``,
-    ``2**n`` or bulk sum is not a normal binary64 number raises
-    ValueError instead of overflowing or losing the tail to underflow.
+    ``2**n`` or bulk sum is not a normal binary64 number, or an alpha so
+    small that ``2**-alpha`` rounds to 1, raises ValueError instead of
+    overflowing, dividing by zero or losing the tail to underflow.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if alpha <= 0.0 or 2.0**-alpha == 1.0:
+        raise ValueError(f"alpha={alpha!r} must be positive, with 2**-alpha below 1")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     x = 2.0**-alpha

@@ -41,10 +41,13 @@ __all__ = [
     "block_lq_exact",
     "default_spec",
     "DEFAULT_GAUSS_ORDER",
+    "MAX_GAUSS_ORDER",
     "DEFAULT_MC_SAMPLES",
 ]
 
 DEFAULT_GAUSS_ORDER = 5
+#: numpy's ``leggauss`` is tested up to degree 100; its matrix grows as order**2.
+MAX_GAUSS_ORDER = 100
 DEFAULT_MC_SAMPLES = 200_000
 
 _CHUNK = 1 << 16
@@ -56,8 +59,8 @@ class CompositeGauss:
     order: int = DEFAULT_GAUSS_ORDER
 
     def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError("Gauss order must be >= 2")
+        if not 2 <= self.order <= MAX_GAUSS_ORDER:
+            raise ValueError(f"Gauss order {self.order} outside 2..{MAX_GAUSS_ORDER}")
         if self.level < 1:
             raise ValueError("mesh level must be >= 1")
         if self.level > MAX_LEVEL:
@@ -113,13 +116,17 @@ def default_spec(q: float, n: int, d: int, seed: int = 0) -> MeasureSpec:
     affordable (it resolves every crease of the truncated interpolant up
     to the |.|^q kinks), stratified Monte Carlo otherwise.
     """
-    if math.isinf(q):
-        return MeasureSpec(q, SupGrid(level=max(n + 2, 1)))
     level = max(n + 2, 1)
-    pts = ((1 << level) * DEFAULT_GAUSS_ORDER) ** d * (1 + 2**d)
-    if d <= 3 and pts <= MAX_POINTS:
+    if math.isinf(q):
+        return MeasureSpec(q, SupGrid(level=level))
+    if d <= 3 and _composite_points(level, DEFAULT_GAUSS_ORDER, d) <= MAX_POINTS:
         return MeasureSpec(q, CompositeGauss(level=level))
     return MeasureSpec(q, StratifiedMC(samples=DEFAULT_MC_SAMPLES, seed=seed))
+
+
+def _composite_points(level: int, order: int, d: int) -> int:
+    """Points of a composite measurement: the mesh of ``level`` and the next finer one."""
+    return ((1 << level) * order) ** d * (1 + 2**d)
 
 
 def _grid_chunks(shape: tuple[int, ...]):
@@ -130,9 +137,21 @@ def _grid_chunks(shape: tuple[int, ...]):
         yield np.unravel_index(flat, shape)
 
 
+def _power_sum(partials: list[float], lost: bool, q: float) -> float:
+    """Exact sum of per-chunk sums of powers of |g|; ValueError if it
+    overflows, or if it is 0 and ``lost`` (g was nonzero in a chunk of sum 0)."""
+    if not math.isfinite(sum(partials)):
+        raise ValueError(f"q={q!r} takes |g|^q out of binary64: a sum overflows")
+    total = math.fsum(partials)
+    if total == 0.0 and lost:
+        raise ValueError(f"q={q!r} takes |g|^q out of binary64: a sum underflows to 0")
+    return total
+
+
 def _tensor_reduce(axis_pts, axis_wts, g: FunctionHandle, q: float) -> float:
-    """Sum of w * |g|^q over the tensor grid, chunked deterministically."""
+    """Sum of w * |g|^q over the tensor grid, chunked; fails like :func:`_power_sum`."""
     partials = []
+    lost = False
     for multi in _grid_chunks(tuple(len(a) for a in axis_pts)):
         X = np.stack([pts[i] for pts, i in zip(axis_pts, multi)], axis=1)
         w = np.ones(len(X))
@@ -140,7 +159,8 @@ def _tensor_reduce(axis_pts, axis_wts, g: FunctionHandle, q: float) -> float:
             w *= wts[i]
         vals = g.eval_batch(X)
         partials.append(float(np.sum(w * np.abs(vals) ** q)))
-    return math.fsum(partials)
+        lost = lost or (partials[-1] == 0.0 and bool(np.any(vals)))
+    return _power_sum(partials, lost, q)
 
 
 def _composite_value(g: FunctionHandle, q: float, order: int, level: int) -> float:
@@ -159,8 +179,7 @@ def _composite(g: FunctionHandle, q: float, m: CompositeGauss) -> tuple[float, f
     d = g.dim
     if d > 3:
         raise ValueError("composite Gauss supports d <= 3; use stratified_mc")
-    finer = ((1 << (m.level + 1)) * m.order) ** d
-    if finer + ((1 << m.level) * m.order) ** d > MAX_POINTS:
+    if _composite_points(m.level, m.order, d) > MAX_POINTS:
         raise ValueError(
             f"composite mesh level {m.level} in d={d} exceeds the cell budget; "
             "use stratified_mc instead"
@@ -179,11 +198,15 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
 
     sums = []
     sqsums = []
+    lost = False
 
     def accumulate(X: np.ndarray) -> None:
-        vals = np.abs(g.eval_batch(X)) ** q
+        nonlocal lost
+        g_vals = g.eval_batch(X)
+        vals = np.abs(g_vals) ** q
         sums.append(float(np.sum(vals)))
         sqsums.append(float(np.sum(vals * vals)))
+        lost = lost or (sums[-1] == 0.0 and bool(np.any(g_vals)))
 
     h = math.ldexp(1.0, -level)
     for multi in _grid_chunks((1 << level,) * d):
@@ -194,8 +217,9 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
         stop = min(start + _CHUNK, remainder)
         accumulate(rng.random((stop - start, d)))
 
-    mean = math.fsum(sums) / n_total
-    var = max(math.fsum(sqsums) / n_total - mean * mean, 0.0)
+    total = _power_sum(sums, lost, q)
+    mean = total / n_total
+    var = max(_power_sum(sqsums, total > 0.0, q) / n_total - mean * mean, 0.0)
     se = math.sqrt(var / n_total)
     if mean <= 0.0:
         return 0.0, se ** (1.0 / q)
@@ -217,12 +241,13 @@ def _sup_grid(g: FunctionHandle, m: SupGrid) -> tuple[float, float]:
 
 
 def lq_norm(g: FunctionHandle, spec: MeasureSpec) -> tuple[float, float]:
-    """Norm of g on [0,1]^d per the spec; returns (value, error_estimate)."""
+    """(value, error_estimate) of g's norm per the spec; ValueError if |g|^q leaves binary64."""
     m = spec.method
-    if isinstance(m, CompositeGauss):
-        return _composite(g, spec.q, m)
-    if isinstance(m, StratifiedMC):
-        return _stratified(g, spec.q, m)
+    with np.errstate(over="ignore"):  # an overflow raises ValueError instead
+        if isinstance(m, CompositeGauss):
+            return _composite(g, spec.q, m)
+        if isinstance(m, StratifiedMC):
+            return _stratified(g, spec.q, m)
     if isinstance(m, SupGrid):
         return _sup_grid(g, m)
     raise TypeError(f"unknown method {m!r}")

@@ -31,8 +31,7 @@ class NormParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.r):
             raise ValueError("r must be finite")
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise ValueError("p must satisfy 1 <= p < inf")
+        _check_p(self.p)
         if not self.q > 0.0:
             raise ValueError("q must be positive (math.inf allowed)")
 

@@ -184,6 +184,54 @@ class TestWidthsAndCubature:
         assert "min_offdiag_distance=1.0" in out
 
 
+#: Series files the boundary table refers to as ``@name``.
+SERIES_FILES = {
+    "s.txt": "dim 1 budget 40",
+    "s.json": '{"dim":1,"budget":40,"entries":[]}',
+}
+
+#: Inputs that must fail with exit 1, one ``error:`` line and no traceback.
+BAD_INPUTS = {
+    "levels-d40": "levels --dim 40 --n 0",
+    "levels-d16": "levels --dim 16 --n 0",
+    "levels-n62": "levels --dim 1 --n 62",
+    "prescribed-without-series": "recover --dim 1 --n 2 --func prescribed",
+    "series-txt-over-cap": "recover --dim 1 --n 2 --func prescribed --series @s.txt",
+    "series-json-over-cap": "recover --dim 1 --n 2 --func prescribed --series @s.json",
+    "bad-anchor": "recover --dim 1 --n 2 --func kink --anchor 0.5",
+    "depth-over-cap": "rates --func extremal --depth 40 --dim 1 --n 4",
+    "noncompact-over-cap": "noncompact --max-level 400",
+    "mc-samples-over-cap": "recover --dim 1 --n 2 --func exp --measure mc --mc-samples 100000000000",
+    "comb-negative-alpha": "comb --alpha -1 --dim 1 --n 3",
+    "comb-n1100": "comb --alpha 1 --dim 2 --n 1100",
+    "comb-n1030": "comb --alpha 1 --dim 1 --n 1030",
+    "comb-n535": "comb --alpha 2 --dim 2 --n 535",
+    "comb-alpha-1e-17": "comb --dim 2 --n 1..3 --alpha 1e-17",
+    "comb-alpha-5e-324": "comb --dim 2 --n 1..3 --alpha 5e-324",
+    "widths-p0": "widths --dim 1 --n 2..5 --p 0",
+    "rates-p0": "rates --dim 1 --n 2..5 --p 0",
+    "rates-p-1": "rates --dim 1 --n 2..5 --p -1",
+    "rates-p-nan": "rates --dim 1 --n 2..5 --p nan",
+    "rates-q-half-sup": "rates --dim 1 --n 2..5 --q 0.5 --measure sup",
+    "gauss-order-100000": "recover --dim 1 --n 3 --measure composite --gauss-order 100000",
+    "q200-underflow": "recover --dim 1 --n 3 --func kink --q 200",
+    "q1000-mc-underflow": "recover --dim 1 --n 3 --func kink --q 1000 --measure mc",
+    "q2000-overflow": "recover --dim 3 --n 0 --func spike --depth 6 --q 2000",
+    "q2000-mc-overflow": "recover --dim 3 --n 0 --func spike --depth 6 --q 2000 --measure mc",
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, argv):
+    for name, text in SERIES_FILES.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv.split()]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestErrorsAndConfig:
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

@@ -19,7 +19,14 @@ from faberkit.experiments import (
     sampling_width_table,
 )
 from faberkit.faber import FunctionHandle, analyze
-from faberkit.measure import CompositeGauss, MeasureSpec, StratifiedMC, block_lq_exact, lq_error
+from faberkit.measure import (
+    CompositeGauss,
+    MeasureSpec,
+    StratifiedMC,
+    SupGrid,
+    block_lq_exact,
+    lq_error,
+)
 from faberkit.testbed import extremal, kink, smooth, spike
 
 
@@ -99,6 +106,23 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(f, 2.0, 2.0, [])
 
+    @pytest.mark.parametrize(
+        "p,q", [(0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (2.0, 0.5), (2.0, math.nan)]
+    )
+    def test_rejects_exponents_below_one_before_sampling(self, p, q):
+        f = FunctionHandle(lambda X: X[:, 0], 1)
+        for study in (convergence_study, sampling_width_table):
+            with pytest.raises(ValueError, match="need p >= 1 and q >= 1"):
+                study(f, p, q, range(2, 6))
+        assert f.eval_count == 0
+
+    def test_infinite_exponents_accepted(self):
+        f = FunctionHandle(lambda X: X[:, 0] ** 2, 1)
+        records = convergence_study(
+            f, math.inf, math.inf, [2], lambda n: MeasureSpec(math.inf, SupGrid(level=4))
+        )
+        assert records[0].reference == 1.0
+
     def test_reference_envelope_regimes(self):
         assert reference_envelope(6, 2.0, 2.0, 2) == pytest.approx(2.0**-3 * 6)
         assert reference_envelope(6, 1.0, 2.0, 2) == pytest.approx(2.0**-3 * 6**0.5)
@@ -146,6 +170,11 @@ class TestCombCheck:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             comb_check(0.0, 1, [3])
+
+    @pytest.mark.parametrize("alpha", [1e-17, 5e-324])
+    def test_rejects_alpha_with_unit_ratio(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha={alpha!r}"):
+            comb_check(alpha, 2, [1, 2, 3])
 
     @pytest.mark.parametrize(
         "alpha,d,n",

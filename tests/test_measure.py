@@ -55,6 +55,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CompositeGauss(level=2, order=1)
 
+    def test_gauss_order_above_maximum_rejected_before_leggauss(self, monkeypatch):
+        def refuse(order):
+            raise AssertionError(f"leggauss({order}) called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        assert CompositeGauss(level=2, order=measure.MAX_GAUSS_ORDER).order == 100
+        with pytest.raises(ValueError, match="outside 2..100"):
+            CompositeGauss(level=2, order=101)
+
     @pytest.mark.parametrize("method", [CompositeGauss, SupGrid])
     def test_level_above_max_level_rejected_before_shifting(self, method):
         method(level=MAX_LEVEL)
@@ -141,6 +150,34 @@ class TestStratifiedMC:
         z = FunctionHandle(lambda X: np.zeros(len(X)), 1)
         value, est = lq_norm(z, MeasureSpec(2.0, StratifiedMC(samples=1500, seed=2)))
         assert value == 0.0 and est == 0.0
+
+    def test_estimate_underflow_rejected(self):
+        # 0.01**120 is normal, but the estimate's 0.01**240 underflows to 0
+        g = FunctionHandle(lambda X: np.full(len(X), 0.01), 1)
+        with pytest.raises(ValueError, match="q=120.0 .* underflows"):
+            lq_norm(g, MeasureSpec(120.0, StratifiedMC(samples=5000, seed=3)))
+
+
+@pytest.mark.parametrize(
+    "method", [CompositeGauss(level=3), StratifiedMC(samples=5000, seed=3)], ids=["gauss", "mc"]
+)
+class TestOutsideBinary64:
+    """A sum of |g|^q that leaves binary64 raises instead of reading 0 or inf."""
+
+    def test_underflow_rejected(self, method):
+        g = FunctionHandle(lambda X: np.full(len(X), 0.01), 1)
+        assert lq_norm(g, MeasureSpec(60.0, method))[0] == pytest.approx(0.01, rel=1e-12)
+        with pytest.raises(ValueError, match="q=200.0 .* underflows"):
+            lq_norm(g, MeasureSpec(200.0, method))
+
+    def test_overflow_rejected(self, method):
+        g = FunctionHandle(lambda X: np.full(len(X), 1e10), 2)
+        with pytest.raises(ValueError, match="q=40.0 .* overflows"):
+            lq_norm(g, MeasureSpec(40.0, method))
+
+    def test_zero_function_is_zero_at_any_q(self, method):
+        z = FunctionHandle(lambda X: np.zeros(len(X)), 1)
+        assert lq_norm(z, MeasureSpec(1000.0, method))[0] == 0.0
 
 
 class TestSupGrid:
