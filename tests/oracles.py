@@ -112,6 +112,11 @@ def node(j, k) -> np.ndarray:
     return stencil[len(stencil) // 2]
 
 
+def lattice_nodes(n, d) -> np.ndarray:
+    """:func:`node` of every coefficient of order <= n, in series order."""
+    return np.array([node(j, k) for j in levels_up_to(n, d) for k in translations(j)])
+
+
 def coeff(f, j, k) -> float:
     """Hierarchical coefficient of f at (j, k), the scalar oracle of analyze.
 

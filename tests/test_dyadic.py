@@ -16,6 +16,7 @@ from oracles import (
     brute_force_levels,
     brute_force_nodes,
     coeff_sample_points,
+    lattice_nodes,
     node,
     to_floats,
     translations,
@@ -24,11 +25,6 @@ from oracles import (
 
 def rows(points):
     return set(map(tuple, points.tolist()))
-
-
-def lattice_nodes(n, d):
-    """The oracle's node of each coefficient of order <= n, in series order."""
-    return np.array([node(j, k) for j in levels_up_to(n, d) for k in translations(j)])
 
 
 def floats(lattice):

@@ -34,8 +34,8 @@ from oracles import (
     coeff,
     from_scalar,
     hat_eval,
+    lattice_nodes,
     naive_eval,
-    node,
     per_level_eval,
     random_series,
     tensor_eval,
@@ -261,8 +261,7 @@ class TestHierarchyPlan:
         "n,d", [(n, d) for d in range(1, 6) for n in range(6)] + [(14, 2)]
     )
     def test_plan_points_are_the_node_set(self, n, d):
-        # the oracle's node of each coefficient, in series order
-        expected = to_floats([node(j, k) for j in levels_up_to(n, d) for k in translations(j)])
+        expected = to_floats(lattice_nodes(n, d))
         points = node_set(n, d)
         assert points.dtype == np.float64 and len(np.unique(points, axis=0)) == len(points)
         assert points.tobytes() == dyadic._hierarchy(n, d)[0].tobytes() == expected.tobytes()
