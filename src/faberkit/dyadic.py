@@ -4,9 +4,10 @@ everything that depends on the budget n and the dimension d alone.
 Levels and translations are exact integers.  A node coordinate is
 computed once, by one formula (:func:`_nodes`), as an exact binary64
 dyadic; :func:`node_set` returns these (m, d) float64 nodes.
-:func:`_levels` is the layout of a series of order <= n, and
-:func:`_hierarchy` the node and sweep plan of analyze, both memoized per
-(n, d).
+:func:`_levels` is the layout of a series of order <= n,
+:func:`_hierarchy` the node and sweep plan of analyze, and
+:func:`_reduction_blocks` the size-grouped gather blocks of the level
+reductions, all memoized per (n, d).
 
 Level conventions
 -----------------
@@ -160,6 +161,7 @@ class _Layout:
     size: int  # m(n, d) coefficients
     radix: np.ndarray  # (d,) int64 place values of the level keys
     keys: np.ndarray  # (L,) int64 level keys, ascending in series order
+    orders: np.ndarray  # (L,) int64 truncation orders sum(max(entries, 0))
     position: dict  # level entries -> level index
 
 
@@ -179,10 +181,11 @@ def _levels(n: int, d: int) -> _Layout:
     starts = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
     radix = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
     keys = (entries + 1) @ radix
-    for a in (entries, shapes, starts, radix, keys):
+    orders = np.maximum(entries, 0).sum(axis=1)
+    for a in (entries, shapes, starts, radix, keys, orders):
         a.setflags(write=False)
     position = {j.entries: i for i, j in enumerate(levels)}
-    return _Layout(levels, entries, shapes, starts, size, radix, keys, position)
+    return _Layout(levels, entries, shapes, starts, size, radix, keys, orders, position)
 
 
 def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,14 +259,26 @@ def node_count(n: int, d: int) -> int:
     return sum(ways)
 
 
-#: Largest m·d whose hierarchization plan is memoized; a larger plan is
-#: built for its one analyze call and dropped.
+#: Largest m·d whose plans are memoized; a larger plan is built for its
+#: one call and dropped.
 _PLAN_MEMO_POINTS = 1 << 17
 
-#: Plans the memo keeps.  A plan holds 8·m·d bytes of nodes and at most
-#: 24·m·d of intp indices, so the memo retains at most
-#: 5 · 32 · 2**17 B = 20 MiB.
+#: Plans each memo keeps.  A hierarchization plan holds 8·m·d bytes of
+#: nodes and at most 24·m·d of intp indices, so its memo retains at most
+#: 5 · 32 · 2**17 B = 20 MiB.  A reduction plan holds 8 B of intp index
+#: per coefficient, so its memo retains at most 5 · 8 · 2**17 B = 5 MiB.
 _PLAN_MEMO_SIZE = 5
+
+
+def _memo_when_small(memo, build, n: int, d: int, *rest):
+    """``memo(n, d, *rest)`` when m·d <= _PLAN_MEMO_POINTS, else ``build(n, d, *rest)``.
+
+    ``memo`` is an lru_cache of _PLAN_MEMO_SIZE plans; a plan over the
+    size cap is built for its call and dropped.
+    """
+    if _levels(n, d).size * d > _PLAN_MEMO_POINTS:
+        return build(n, d, *rest)
+    return memo(n, d, *rest)
 
 
 def _parent_steps(layout: _Layout, span: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
@@ -352,6 +367,37 @@ _memoized_plan = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(_hierarchy_plan)
 
 def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
     """:func:`_hierarchy_plan`, memoized per (n, d) when m·d <= _PLAN_MEMO_POINTS."""
-    if _levels(n, d).size * d > _PLAN_MEMO_POINTS:
-        return _hierarchy_plan(n, d)
-    return _memoized_plan(n, d)
+    return _memo_when_small(_memoized_plan, _hierarchy_plan, n, d)
+
+
+def _reduction_plan(n: int, d: int, gather: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The levels of order <= n grouped by size, a few levels at a time.
+
+    Yields ``(levels, index)`` per size group, in ascending size:
+    ``levels``, the group's level indices into :func:`_levels`, and
+    ``index``, the (len(levels), size) intp gather index ``starts[levels,
+    None] + arange(size)`` of their coefficients, one row per level.  A
+    group is split so that each index holds at most ``gather`` elements,
+    or one level that is larger alone.  Both arrays are read-only.
+    """
+    starts = _levels(n, d).starts
+    sizes = np.diff(starts)
+    for size in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == size)
+        step = max(1, gather // size)
+        for first in range(0, group.size, step):
+            levels = group[first : first + step]
+            index = (starts[levels, None] + np.arange(size)).astype(np.intp, copy=False)
+            levels.setflags(write=False)
+            index.setflags(write=False)
+            yield levels, index
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _memoized_reductions(n: int, d: int, gather: int) -> tuple:
+    return tuple(_reduction_plan(n, d, gather))
+
+
+def _reduction_blocks(n: int, d: int, gather: int):
+    """:func:`_reduction_plan`, memoized per (n, d, gather) when m·d <= _PLAN_MEMO_POINTS."""
+    return _memo_when_small(_memoized_reductions, _reduction_plan, n, d, gather)

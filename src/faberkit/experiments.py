@@ -103,18 +103,24 @@ def convergence_study(
     """Sample, reconstruct, and measure the L_q defect for each budget.
 
     The node count per row is the number of fresh evaluations the
-    analysis performed (each budget owns its analysis).  p, q < 1 or NaN
-    raise ValueError before f is sampled.
+    analysis performed (each budget owns its analysis).  p, q < 1 or NaN,
+    and a spec_factory whose spec measures another exponent than q at
+    any budget, raise ValueError before f is sampled: the reference
+    column and the rate fits use q.
     """
     if not (p >= 1.0 and q >= 1.0):
         raise ValueError(f"need p >= 1 and q >= 1, got p={p!r}, q={q!r}")
     d = f.dim
+    ns = _check_range(n_range)
+    specs = [spec_factory(n) if spec_factory is not None else default_spec(q, n, d) for n in ns]
+    for n, spec in zip(ns, specs):
+        if spec.q != q:
+            raise ValueError(f"the measure at n={n} has q={spec.q!r}, not the study's q={q!r}")
     records = []
-    for n in _check_range(n_range):
+    for n, spec in zip(ns, specs):
         before = f.eval_count
         series = analyze(f, n)
         m = f.eval_count - before
-        spec = spec_factory(n) if spec_factory is not None else default_spec(q, n, d)
         error, estimate = lq_error(f, series, spec)
         records.append(
             RateRecord(

@@ -31,6 +31,7 @@ from .dyadic import (
     _flat_index,
     _hierarchy,
     _levels,
+    _reduction_blocks,
 )
 
 __all__ = [
@@ -328,24 +329,21 @@ def _level_blocks(series: FaberSeries) -> Iterator[tuple[np.ndarray, np.ndarray]
     """The coefficient blocks of a series' levels, a few levels at a time.
 
     Yields ``(levels, block)``: level indices and the (len(levels), size)
-    array of their coefficients, one row per level.  Levels of one size
-    share a gathered block of up to _GATHER elements; a level alone in its
+    array of their coefficients, one row per level, gathered through the
+    index of :func:`~faberkit.dyadic._reduction_blocks`, which depends on
+    (budget, dim) alone and is memoized like analyze's plan.  Levels of
+    one size share a block of up to _GATHER elements; a level alone in its
     block is a view.  numpy reduces each contiguous row exactly as it
     reduces the level's block alone, so a row-wise ``sum`` is
     bit-identical to a per-level ``np.sum``.
     """
-    starts = series._layout.starts
-    sizes = np.diff(starts)
-    for size in sorted(set(sizes.tolist())):
-        levels = np.flatnonzero(sizes == size)
-        step = max(1, _GATHER // size)
-        for first in range(0, levels.size, step):
-            rows = levels[first : first + step]
-            if rows.size == 1:
-                start = starts[rows[0]]
-                yield rows, series.coeffs[None, start : start + size]
-            else:
-                yield rows, series.coeffs[starts[rows, None] + np.arange(size)]
+    coeffs = series.coeffs
+    for levels, index in _reduction_blocks(series.budget, series.dim, _GATHER):
+        if len(levels) == 1:  # a level alone: a view, not a copy
+            start = index[0, 0]
+            yield levels, coeffs[None, start : start + index.shape[1]]
+        else:
+            yield levels, coeffs[index]
 
 
 def integrate(series: FaberSeries) -> float:
@@ -354,10 +352,10 @@ def integrate(series: FaberSeries) -> float:
     Per axis a hat of level j has integral 2**-(j+1) and each boundary
     function has integral 1/2; the weight of level j is the product, the
     power of two 2**-(order(j) + d), so each weighted level sum is exact
-    and math.fsum rounds their total once.
+    and math.fsum rounds their total once.  The level sums are row sums
+    of :func:`_level_blocks`, bit-identical to per-level sums.
     """
-    entries = series._layout.entries
-    terms = np.ldexp(1.0, -(np.maximum(entries, 0) + 1).sum(axis=1))
+    terms = np.ldexp(1.0, -(series._layout.orders + series.dim))
     for levels, block in _level_blocks(series):
         terms[levels] *= block.sum(axis=1)
     return math.fsum(terms.tolist())

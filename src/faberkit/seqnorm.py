@@ -60,9 +60,9 @@ def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     Python floats, so every value is bit-identical to level_lp's.
     """
     _check_p(p)
-    entries = series._layout.entries
-    tops = np.empty(len(entries))
-    sums = np.empty(len(entries))
+    orders = series._layout.orders
+    tops = np.empty(len(orders))
+    sums = np.empty(len(orders))
     for levels, block in _level_blocks(series):
         scaled = np.abs(block)
         top = scaled.max(axis=1)
@@ -70,10 +70,9 @@ def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
         scaled /= np.where(top == 0.0, 1.0, top)[:, None]
         tops[levels] = top
         sums[levels] = (scaled**p).sum(axis=1)
-    orders = np.maximum(entries, 0).sum(axis=1).tolist()
     return [
         (order, top * total ** (1.0 / p) if top != 0.0 else 0.0)
-        for order, top, total in zip(orders, tops.tolist(), sums.tolist())
+        for order, top, total in zip(orders.tolist(), tops.tolist(), sums.tolist())
     ]
 
 

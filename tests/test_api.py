@@ -105,8 +105,13 @@ def test_scalar_oracles_only_in_tests():
 
 
 def test_plan_layer_only_in_dyadic():
-    # what depends on (n, d) alone (layout, nodes, sweeps, memo) lives in dyadic
-    for name in ("_plan", "_parent_steps", "_hierarchy_plan", "_memoized_plan"):
+    # what depends on (n, d) alone (layout, nodes, sweeps, reduction blocks,
+    # memos) lives in dyadic
+    names = (
+        "_plan", "_parent_steps", "_hierarchy_plan", "_memoized_plan", "_memo_when_small",
+        "_reduction_plan", "_memoized_reductions",
+    )
+    for name in names:
         assert hasattr(faberkit.dyadic, name) and not hasattr(faberkit.faber, name), name
     for module in (faberkit.faber, faberkit.dyadic):
         assert not hasattr(module, "_lattice"), module.__name__

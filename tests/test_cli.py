@@ -81,6 +81,22 @@ class TestRates:
         assert set(doc[0]) == {"n", "m", "error", "error_estimate", "reference"}
 
 
+    def test_sup_measure_with_q_inf(self, capsys, tmp_path):
+        out_path = tmp_path / "rates.csv"
+        code, out, err = run_cli(
+            capsys, "rates", "--dim", "1", "--n", "2..5", "--q", "inf", "--measure", "sup",
+            "--out", str(out_path),
+        )
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        # x**2 against its interpolant on cells of width 2**-(n+1): the sup
+        # error (2**-(n+1))**2 / 4 is attained at the cell midpoints, which
+        # lie on the level-(n + 2) sup grid
+        assert [float(r[2]) for r in rows] == [4.0 ** -(n + 2) for n in range(2, 6)]
+        assert [float(r[4]) for r in rows] == [1.0] * 4  # the q = inf envelope
+        assert "slope=" in out
+
+
 class TestComb:
     def test_row_count(self, capsys):
         code, out, _ = run_cli(capsys, "comb", "--alpha", "1", "--dim", "2", "--n", "10..20")
@@ -213,6 +229,8 @@ BAD_INPUTS = {
     "rates-p-1": "rates --dim 1 --n 2..5 --p -1",
     "rates-p-nan": "rates --dim 1 --n 2..5 --p nan",
     "rates-q-half-sup": "rates --dim 1 --n 2..5 --q 0.5 --measure sup",
+    "rates-sup-q2": "rates --dim 1 --n 2..5 --measure sup",
+    "widths-sup-q2": "widths --dim 1 --n 2..5 --measure sup",
     "gauss-order-100000": "recover --dim 1 --n 3 --measure composite --gauss-order 100000",
     "q200-underflow": "recover --dim 1 --n 3 --func kink --q 200",
     "q1000-mc-underflow": "recover --dim 1 --n 3 --func kink --q 1000 --measure mc",

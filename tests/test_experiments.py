@@ -116,6 +116,21 @@ class TestConvergenceStudy:
                 study(f, p, q, range(2, 6))
         assert f.eval_count == 0
 
+    def test_rejects_a_measure_of_another_q_before_sampling(self):
+        # the reference column and the rate fit use q; a spec of another
+        # exponent at any budget would put its errors next to them
+        f = FunctionHandle(lambda X: X[:, 0] ** 2, 1)
+
+        def factory(n):
+            if n < 4:
+                return MeasureSpec(2.0, CompositeGauss(level=n + 2))
+            return MeasureSpec(math.inf, SupGrid(level=n + 2))
+
+        for study in (convergence_study, sampling_width_table):
+            with pytest.raises(ValueError, match=r"the measure at n=4 has q=inf, not the study's q=2.0"):
+                study(f, 2.0, 2.0, range(2, 6), factory)
+        assert f.eval_count == 0
+
     def test_infinite_exponents_accepted(self):
         f = FunctionHandle(lambda X: X[:, 0] ** 2, 1)
         records = convergence_study(

@@ -30,6 +30,7 @@ from faberkit.faber import (
     series_to_text,
     synthesize,
 )
+from faberkit.seqnorm import series_profile
 from oracles import (
     coeff,
     from_scalar,
@@ -330,6 +331,78 @@ class TestHierarchyPlan:
         # 8 B of nodes and at most 24 B of intp indices per m·d
         assert retained <= dyadic._PLAN_MEMO_SIZE * 32 * dyadic._PLAN_MEMO_POINTS
         assert retained <= 20 << 20
+
+
+class TestReductionPlan:
+    """The level reductions' gather blocks: memoized like analyze's plan."""
+
+    def test_cold_and_warm_memo_byte_equal(self):
+        s = random_series(4, 3, np.random.default_rng(12))
+        dyadic._memoized_reductions.cache_clear()
+        cold = [np.float64(integrate(s)).tobytes(), np.array(series_profile(s, 1.5)).tobytes()]
+        for _ in range(3):
+            warm = [np.float64(integrate(s)).tobytes(), np.array(series_profile(s, 1.5)).tobytes()]
+            assert warm == cold
+        info = dyadic._memoized_reductions.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+
+    @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])  # memoized, over the size cap
+    def test_blocks_cover_the_layout_with_read_only_intp_indices(self, n, d):
+        layout = _levels(n, d)
+        seen = []
+        for levels, index in dyadic._reduction_blocks(n, d, faber._GATHER):
+            assert index.dtype == np.intp and not index.flags.writeable
+            assert not levels.flags.writeable
+            size = index.shape[1]
+            assert index.shape == (len(levels), size)
+            assert index.size <= max(faber._GATHER, size)
+            assert np.array_equal(index, layout.starts[levels, None] + np.arange(size))
+            seen.append(index.ravel())
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(layout.size))
+
+    def test_blocks_over_size_cap_not_retained(self):
+        n, d = 17, 1
+        assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
+        s = FaberSeries(n, d, np.random.default_rng(3).standard_normal(node_count(n, d)))
+        dyadic._memoized_reductions.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            integrate(s)
+            series_profile(s, 2.0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the gather indices alone hold 8 B per coefficient, 2.1 MB here
+        assert retained < 4096
+
+    def test_memo_retention_within_stated_bound(self):
+        # more layouts than the memo keeps, the largest m·d under its size cap
+        plans = [(11, 2), (2, 6), (5, 4), (15, 1), (7, 3), (3, 5), (10, 2), (14, 1), (4, 4)]
+        assert len(plans) > dyadic._PLAN_MEMO_SIZE
+        assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
+        for n, d in plans:
+            _levels(n, d)  # the level layout memo has a bound of its own
+        dyadic._memoized_reductions.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blocks = [len(dyadic._reduction_blocks(n, d, faber._GATHER)) for n, d in plans]
+            retained = tracemalloc.get_traced_memory()[0] - before
+            kept = dyadic._memoized_reductions.cache_info().currsize
+        finally:
+            tracemalloc.stop()
+            dyadic._memoized_reductions.cache_clear()
+        assert kept == dyadic._PLAN_MEMO_SIZE
+        # the last plans stay: 8 B of index per coefficient and of level
+        # index per level, and at most 1 KiB of array objects per block
+        stated = sum(
+            8 * (node_count(n, d) + len(_levels(n, d).levels)) + 1024 * count
+            for (n, d), count in list(zip(plans, blocks))[-kept:]
+        )
+        assert retained <= stated
+        assert retained <= dyadic._PLAN_MEMO_SIZE * 8 * dyadic._PLAN_MEMO_POINTS
+        assert retained <= 5 << 20
 
 
 class TestEvaluate:
