@@ -80,7 +80,6 @@ class TestRates:
         assert len(doc) == 4
         assert set(doc[0]) == {"n", "m", "error", "error_estimate", "reference"}
 
-
     def test_sup_measure_with_q_inf(self, capsys, tmp_path):
         out_path = tmp_path / "rates.csv"
         code, out, err = run_cli(
