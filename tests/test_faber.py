@@ -346,16 +346,17 @@ class TestReductionPlan:
         info = dyadic._memoized_reductions.cache_info()
         assert (info.misses, info.hits) == (1, 7)
 
-    @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])  # memoized, over the size cap
-    def test_blocks_cover_the_layout_with_read_only_intp_indices(self, n, d):
+    # memoized, memoized with split size groups, over the size cap
+    @pytest.mark.parametrize("n,d,gather", [(4, 3, faber._GATHER), (4, 3, 5), (17, 1, faber._GATHER)])
+    def test_blocks_cover_the_layout_with_read_only_intp_indices(self, n, d, gather):
         layout = _levels(n, d)
         seen = []
-        for levels, index in dyadic._reduction_blocks(n, d, faber._GATHER):
+        for levels, index in dyadic._reduction_blocks(n, d, gather):
             assert index.dtype == np.intp and not index.flags.writeable
             assert not levels.flags.writeable
             size = index.shape[1]
             assert index.shape == (len(levels), size)
-            assert index.size <= max(faber._GATHER, size)
+            assert index.size <= max(gather, size)
             assert np.array_equal(index, layout.starts[levels, None] + np.arange(size))
             seen.append(index.ravel())
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(layout.size))
