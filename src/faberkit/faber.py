@@ -74,7 +74,7 @@ class FunctionHandle:
         Closed-form reference values, when the function ships them.
     """
 
-    __slots__ = ("label", "dim", "exact_integral", "exact_l2", "_evaluator", "_count")
+    __slots__ = ("label", "dim", "exact_integral", "exact_l2", "_evaluator", "_count", "_series")
 
     def __init__(
         self,
@@ -92,6 +92,7 @@ class FunctionHandle:
         self.exact_integral = exact_integral
         self.exact_l2 = exact_l2
         self._count = 0
+        self._series = None  # the series a synthesized handle evaluates
 
     @property
     def eval_count(self) -> int:
@@ -99,17 +100,28 @@ class FunctionHandle:
         return self._count
 
     def eval_batch(self, points) -> np.ndarray:
+        return self._checked(points, lambda X: (self._evaluator(X),))[0]
+
+    def _checked(self, points, evaluate) -> list[np.ndarray]:
+        """``evaluate(X)`` at the points, its first array checked as f's values.
+
+        The one path of :meth:`eval_batch`'s checks: the points' shape,
+        the count of N evaluations, the values' shape and finiteness.
+        ``evaluate`` returns f's values first, then any arrays computed
+        alongside them, which are passed through as they are.
+        """
         X = np.ascontiguousarray(points, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) points, got shape {X.shape}")
         self._count += X.shape[0]
-        vals = np.asarray(self._evaluator(X), dtype=np.float64)
+        vals, *rest = evaluate(X)
+        vals = np.asarray(vals, dtype=np.float64)
         if vals.shape != (X.shape[0],):
             raise ValueError(f"evaluator of {self.label!r} returned shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise EvaluationError(self.label, tuple(X[bad]), float(vals[bad]))
-        return vals
+        return [vals, *rest]
 
     def __call__(self, x) -> float:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -226,81 +238,142 @@ _ROWS = 1 << 14
 def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     """Evaluate the truncated expansion at an (N, d) batch of points.
 
-    Uses support locality: per level and point only the covering cell
-    contributes per active axis (left-closed cell convention; values at
-    cell interfaces agree by continuity) and both boundary functions
-    contribute on level -1 axes.  Per chunk of ``_ROWS`` points each
-    axis's (translation, value) table is built once per level entry
-    -1..n, and levels with a nonzero block are walked in series order
-    with a stack of prefix (flat index, product) lists, so levels that
-    share leading entries share their partial indices and products
-    (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004).  Products
-    multiply left to right over the axes and terms are added level by
-    level, boundary choices in lexicographic order, so the summation
-    order is that of a plain per-level loop and the result does not
-    depend on the chunk size.
+    Checks the points, then runs :func:`_evaluate_many` on the one
+    series.  Per level and point only the covering cell contributes per
+    active axis (left-closed cell convention; values at cell interfaces
+    agree by continuity) and both boundary functions contribute on level
+    -1 axes.  Products multiply left to right over the axes and terms are
+    added level by level, boundary choices in lexicographic order, so the
+    summation order is that of a plain per-level loop and the result does
+    not depend on the chunk size.
     """
+    return _evaluate_many((series,), _cube_points(points, series.dim))[0]
+
+
+def _cube_points(points, d: int) -> np.ndarray:
+    """The points as a contiguous (N, d) float64 array; ValueError unless in [0,1]^d."""
     X = np.ascontiguousarray(points, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != series.dim:
-        raise ValueError(f"expected (N, {series.dim}) points, got {X.shape}")
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"expected (N, {d}) points, got {X.shape}")
     if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):  # NaN fails too
         outside = np.flatnonzero(~np.all((X >= 0.0) & (X <= 1.0), axis=1))
         raise ValueError(f"point {tuple(X[outside[0]].tolist())} outside [0,1]^d")
-    out = np.zeros(X.shape[0])
-    levels, starts = series._layout.levels, series._layout.starts
-    live = np.flatnonzero(np.logical_or.reduceat(series.coeffs != 0.0, starts[:-1]))
-    blocks = [
-        (levels[i].entries, levels[i].translation_shape(), series.coeffs[starts[i] : starts[i + 1]])
-        for i in live.tolist()
-    ]
-    d = series.dim
+    return X
+
+
+def _tent(t: np.ndarray, floor: np.ndarray) -> None:
+    """``1 - |2 (t - floor(t)) - 1|`` in place of t, given ``floor(t)``.
+
+    t - floor(t) differs from t - k, k the clamped cell, only at x = 1,
+    where both give a tent of +0.0.
+    """
+    t -= floor
+    t *= 2.0
+    t -= 1.0
+    np.abs(t, out=t)
+    np.subtract(1.0, t, out=t)
+
+
+def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndarray]:
+    """The values of series of one dim at (N, d) points of :func:`_cube_points`, in one walk.
+
+    Returns one array per series, each byte-equal to ``evaluate_batch``
+    of that series alone.  The union of the series' levels with a nonzero
+    block is walked in lexicographic order, which is each series' own
+    order, and each level lists the series that own it.  Per chunk of
+    ``_ROWS`` points only the (axis, entry) tables some walked level uses
+    are built, and a stack of prefix (flat index, product) lists lets
+    levels that share leading entries share their partial indices and
+    products (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004).
+    Each term's index and ``product * value`` are computed once; every
+    owner then multiplies them by its own coefficients and adds the term
+    to its own sum, in its own order.
+
+    The last axis has tent values only.  Its cells come from one lifted
+    index per prefix item, ``G = flat * 2**n + min(floor(x * 2**n), 2**n - 1)``
+    with n the largest budget: a level of last entry e >= 0 reads
+    ``block[G >> (n - e)]``, which is ``flat * 2**e`` plus its clamped cell,
+    exactly.  A prefix index is below 2**(n + d - 1) (entries of order <= n,
+    one bit per boundary axis), so G has at most 2n + d - 1 <= 62 bits for
+    every (n, d) under MAX_POINTS (39 at d = 2, n = 19).
+    """
+    d = many[0].dim
+    n = max(s.budget for s in many)
+    outs = [np.zeros(X.shape[0]) for _ in many]
+    owners: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
+    for at, s in enumerate(many):
+        levels, starts = s._layout.levels, s._layout.starts
+        live = np.flatnonzero(np.logical_or.reduceat(s.coeffs != 0.0, starts[:-1]))
+        for i in live.tolist():
+            block = s.coeffs[starts[i] : starts[i + 1]]
+            owners.setdefault(levels[i].entries, []).append((at, block))
+    walk = sorted(owners.items())
+    if not walk:
+        return outs
+    used = [sorted({entries[axis] for entries, _ in walk}) for axis in range(d)]
     for row in range(0, X.shape[0], _ROWS):
-        chunk = X[row : row + _ROWS]
-        acc = out[row : row + _ROWS]
-        # tables[axis][e + 1]: the (translation, value) choices of entry e
+        accs = [out[row : row + _ROWS] for out in outs]
+        *lead, last = np.ascontiguousarray(X[row : row + _ROWS].T)
+        # tables[axis][e]: the (translation, value) choices of entry e
         tables = []
-        for xi in np.ascontiguousarray(chunk.T):
-            axis_table = [[(0, 1.0 - xi), (1, xi)]]
-            for e in range(series.budget + 1):
+        for xi, entries in zip(lead, used):
+            table = {}
+            for e in entries:
+                if e < 0:
+                    table[e] = [(0, 1.0 - xi), (1, xi)]
+                    continue
                 t = np.ldexp(xi, e)
                 floor = np.floor(t)
-                k = np.minimum(floor.astype(np.int64), (1 << e) - 1)
-                # tent = 1 - |2 (t - k) - 1| in place; t - floor(t) differs
-                # from t - k only at x = 1, where both give a tent of +0.0
-                t -= floor
-                t *= 2.0
-                t -= 1.0
-                np.abs(t, out=t)
-                np.subtract(1.0, t, out=t)
-                axis_table.append([(k, t)])
-            tables.append(axis_table)
+                table[e] = [(np.minimum(floor.astype(np.int64), (1 << e) - 1), t)]
+                _tent(t, floor)
+            tables.append(table)
+        # the last axis: its boundary choices, its tents by entry, its finest cells
+        ends = [(0, 1.0 - last), (1, last)] if -1 in used[-1] else None
+        tents = {}
+        for e in used[-1]:
+            if e >= 0:
+                tents[e] = t = np.ldexp(last, e)
+                _tent(t, np.floor(t))
+        if tents:
+            fine = np.minimum(np.floor(np.ldexp(last, n)).astype(np.int64), (1 << n) - 1)
         # prefixes[a]: the (flat, product) list of the first a entries of
-        # the previous live level, a product of a values multiplied left to
+        # the previous level, a product of a values multiplied left to
         # right after the exact 1.0 * v of the first axis
         prefixes = [[(0, 1.0)]]
         previous: tuple[int, ...] = ()
-        for entries, shape, block in blocks:
+        lifted = None
+        for entries, owned in walk:
             same = 0
             while same < len(prefixes) - 1 and entries[same] == previous[same]:
                 same += 1
-            del prefixes[same + 1 :]
-            for axis in range(same, d - 1):
-                c = shape[axis]
-                prefixes.append(
-                    [
-                        (flat * c + k, prod * v)
-                        for flat, prod in prefixes[-1]
-                        for k, v in tables[axis][entries[axis] + 1]
-                    ]
-                )
+            if same < d - 1:  # the prefix changed
+                del prefixes[same + 1 :]
+                for axis in range(same, d - 1):
+                    c = 1 << entries[axis] if entries[axis] >= 0 else 2
+                    prefixes.append(
+                        [
+                            (flat * c + k, prod * v)
+                            for flat, prod in prefixes[-1]
+                            for k, v in tables[axis][entries[axis]]
+                        ]
+                    )
+                lifted = None
             previous = entries
-            c = shape[-1]
-            for flat, prod in prefixes[-1]:
-                for k, v in tables[-1][entries[-1] + 1]:
-                    term = prod * v
-                    term *= block[flat * c + k]
-                    acc += term
-    return out
+            e = entries[-1]
+            if e >= 0:
+                if lifted is None:
+                    lifted = [(flat << n) + fine for flat, _ in prefixes[-1]]
+                v = tents[e]
+                terms = ((G >> (n - e), prod * v) for G, (_, prod) in zip(lifted, prefixes[-1]))
+            else:
+                terms = ((flat * 2 + k, prod * v) for flat, prod in prefixes[-1] for k, v in ends)
+            for index, base in terms:
+                for at, block in owned[:-1]:
+                    accs[at] += base * block[index]
+                at, block = owned[-1]
+                base *= block[index]
+                accs[at] += base
+    return outs
 
 
 def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:
@@ -308,16 +381,20 @@ def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:
 
     The handle evaluates the finite expansion via support locality and
     ships its exact integral, so synthesized series double as test
-    functions with known answers.
+    functions with known answers.  It keeps the series, so
+    :func:`~faberkit.measure.lq_error` can evaluate it together with an
+    approximant.
     """
     if label is None:
         label = f"series[d={series.dim},n={series.budget}]"
-    return FunctionHandle(
+    handle = FunctionHandle(
         lambda X: evaluate_batch(series, X),
         series.dim,
         label=label,
         exact_integral=integrate(series),
     )
+    handle._series = series
+    return handle
 
 
 #: Elements per gathered block of :func:`_level_blocks`, which bounds

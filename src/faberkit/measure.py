@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .dyadic import MAX_LEVEL, MAX_POINTS, _as_level
-from .faber import FaberSeries, FunctionHandle, evaluate_batch
+from .faber import FaberSeries, FunctionHandle, _cube_points, _evaluate_many, evaluate_batch
 
 __all__ = [
     "CompositeGauss",
@@ -256,14 +256,27 @@ def lq_norm(g: FunctionHandle, spec: MeasureSpec) -> tuple[float, float]:
 def lq_error(
     f: FunctionHandle, series: FaberSeries, spec: MeasureSpec
 ) -> tuple[float, float]:
-    """Norm of the recovery defect f - (truncated expansion)."""
+    """Norm of the recovery defect f - (truncated expansion).
+
+    When f was made by ``synthesize``, f's series and ``series`` are
+    evaluated in one ``_evaluate_many`` pass per batch of points, and f's
+    values go through the checks and the count of ``f.eval_batch``; the
+    values are byte-equal to the two separate calls that any other handle
+    takes.
+    """
     if f.dim != series.dim:
         raise ValueError("dimension mismatch between handle and series")
-    defect = FunctionHandle(
-        lambda X: f.eval_batch(X) - evaluate_batch(series, X),
-        f.dim,
-        label=f"{f.label}-defect(n={series.budget})",
-    )
+    own = f._series
+    if own is None:
+        def evaluator(X):
+            return f.eval_batch(X) - evaluate_batch(series, X)
+    else:
+        def evaluator(X):
+            values, approx = f._checked(
+                X, lambda Y: _evaluate_many((own, series), _cube_points(Y, own.dim))
+            )
+            return values - approx
+    defect = FunctionHandle(evaluator, f.dim, label=f"{f.label}-defect(n={series.budget})")
     return lq_norm(defect, spec)
 
 

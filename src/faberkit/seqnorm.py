@@ -70,6 +70,7 @@ def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
         scaled /= np.where(top == 0.0, 1.0, top)[:, None]
         tops[levels] = top
         sums[levels] = (scaled**p).sum(axis=1)
+    # Python's ** per level: np.power on the array differs in the last bit (AVX-512, numpy 2.4.6)
     return [
         (order, top * total ** (1.0 / p) if top != 0.0 else 0.0)
         for order, top, total in zip(orders.tolist(), tops.tolist(), sums.tolist())

@@ -88,6 +88,7 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
         level = owner[rows]
         bits = _hash_key(seed, 0, *j[level].T, *k[rows].T.view(np.uint64)) & 1
         coeffs[rows] = np.where(interior[level], scale[level] * np.where(bits, 1.0, -1.0), 0.0)
+    del owner, k, level, bits  # the plan tables go before FaberSeries copies the coefficients
     series = FaberSeries(depth, d, coeffs)
     handle = synthesize(series, label=f"extremal(p={p:g},J={depth},seed={seed})")
     return handle, series

@@ -797,3 +797,55 @@ def test_property_evaluate_batch_is_bit_identical_to_per_level_loop(d, n, dead, 
     assert evaluate_batch(s, X).tobytes() == per_level_eval(s, X).tobytes()
     empty = evaluate_batch(s, np.empty((0, d)))
     assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    d=st.integers(1, 5),
+    budgets=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    dead=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_evaluate_many_is_bit_identical_to_per_level_loop(d, budgets, dead, seed):
+    # series of different budgets with dead and boundary levels, walked together
+    rng = np.random.default_rng(seed)
+    many = tuple(
+        FaberSeries(
+            n,
+            d,
+            np.concatenate(
+                [
+                    rng.uniform(-1.0, 1.0, j.translation_count()) * (rng.random() >= dead)
+                    for j in levels_up_to(n, d)
+                ]
+            ),
+        )
+        for n in budgets
+    )
+    n = max(budgets)
+    X = rng.random((faber._ROWS + 3, d))
+    X[:2] = 0.0
+    X[-2:] = 1.0
+    interfaces = rng.random(X.shape) < 0.25
+    X[interfaces] = np.ldexp(rng.integers(0, (1 << (n + 1)) + 1, interfaces.sum()), -(n + 1))
+    outs = faber._evaluate_many(many, X)
+    assert len(outs) == len(many)
+    for s, out in zip(many, outs):
+        assert out.tobytes() == per_level_eval(s, X).tobytes()
+
+
+def test_lifted_last_axis_index_fits_int64():
+    # _evaluate_many reads a cell of the last axis as G >> (n - e) with
+    # G = flat * 2**n + cell < 2**(2n + d - 1); G must stay an exact int64
+    # for the largest budget n that each dimension can plan
+    for d in range(1, 16):
+        n = 0
+        while True:
+            try:
+                dyadic.capped_node_count(n + 1, d)
+            except ValueError:
+                break
+            n += 1
+        assert 2 * n + d - 1 <= 62, (n, d)
+    with pytest.raises(ValueError, match="cap"):
+        dyadic.capped_node_count(0, 16)

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from faberkit import measure
+from faberkit import faber, measure
 from faberkit.dyadic import MAX_LEVEL, MAX_POINTS, LevelVector
-from faberkit.faber import FaberSeries, FunctionHandle, analyze, synthesize
+from faberkit.faber import (
+    EvaluationError,
+    FaberSeries,
+    FunctionHandle,
+    analyze,
+    evaluate_batch,
+    synthesize,
+)
 from faberkit.measure import (
     CompositeGauss,
     MeasureSpec,
@@ -291,3 +298,94 @@ class TestDefaultSpec:
 
     def test_q_inf_uses_sup(self):
         assert isinstance(default_spec(math.inf, 3, 2).method, SupGrid)
+
+
+def black_box(handle):
+    """``handle`` re-wrapped as a plain black box (as a tracing wrapper does)."""
+    return FunctionHandle(
+        lambda X: handle.eval_batch(X),
+        handle.dim,
+        label=handle.label,
+        exact_integral=handle.exact_integral,
+    )
+
+
+class TestJointDefect:
+    """lq_error of a synthesized f evaluates f's series and the approximant together."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # the number of series of every _evaluate_many call
+        sizes = []
+        real = faber._evaluate_many
+
+        def spy(many, X):
+            sizes.append(len(many))
+            return real(many, X)
+
+        monkeypatch.setattr(faber, "_evaluate_many", spy)
+        monkeypatch.setattr(measure, "_evaluate_many", spy)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "d,n,spec",
+        [
+            (1, 4, MeasureSpec(2.0, CompositeGauss(level=6))),
+            (2, 3, MeasureSpec(1.5, CompositeGauss(level=4))),
+            (3, 3, MeasureSpec(2.0, StratifiedMC(samples=70_000, seed=5))),
+        ],
+    )
+    def test_same_bytes_and_count_as_two_calls(self, passes, d, n, spec):
+        rng = np.random.default_rng(100 + d)
+        f_series = random_series(n + 1, d, rng)
+        s = random_series(n, d, rng)
+        f = synthesize(f_series)
+        joint = lq_error(f, s, spec)
+        assert passes and set(passes) == {2}
+        passes.clear()
+        g = synthesize(f_series)
+        boxed = black_box(g)
+        two_calls = lq_error(boxed, s, spec)
+        assert passes and set(passes) == {1}
+        spelled = lq_norm(
+            FunctionHandle(lambda X: g.eval_batch(X) - evaluate_batch(s, X), d), spec
+        )
+        assert np.array(joint).tobytes() == np.array(two_calls).tobytes()
+        assert np.array(joint).tobytes() == np.array(spelled).tobytes()
+        assert f.eval_count == boxed.eval_count > 0
+        assert g.eval_count == 2 * f.eval_count
+
+    def test_overflow_raises_the_same_evaluation_error(self):
+        # (1 - x) c + v(x) c overflows for x > 0.06 with c near the top of binary64
+        huge = FaberSeries(1, 1, [1.7e308, 0.0, 1.7e308, 0.0, 0.0])
+        s = random_series(1, 1, np.random.default_rng(3))
+        spec = MeasureSpec(2.0, CompositeGauss(level=3))
+        errors = []
+        for f in (synthesize(huge, label="huge"), black_box(synthesize(huge, label="huge"))):
+            with pytest.raises(EvaluationError) as info:
+                lq_error(f, s, spec)
+            errors.append(info.value)
+        joint, two_calls = errors
+        assert str(joint) == str(two_calls) and "'huge'" in str(joint)
+        assert joint.point == two_calls.point
+        assert joint.value == two_calls.value == math.inf
+
+    def test_defect_checks_points_as_before(self, monkeypatch):
+        # lq_error hands its defect handle to lq_norm; take it from there
+        monkeypatch.setattr(measure, "lq_norm", lambda g, spec: g)
+        f_series = random_series(2, 2, np.random.default_rng(4))
+        s = random_series(1, 2, np.random.default_rng(5))
+        spec = MeasureSpec(2.0, CompositeGauss(level=2))
+        handles = [synthesize(f_series), black_box(synthesize(f_series))]
+        defects = [lq_error(f, s, spec) for f in handles]
+        X = np.array([[0.5, 0.5], [0.25, 0.75]])
+        values = [g.eval_batch(X).tobytes() for g in defects]
+        assert values[0] == values[1]
+        for bad in ([[0.5, 0.5], [0.25, 1.5]], [[0.5, np.nan]], np.zeros((2, 3))):
+            messages = []
+            for g in defects:
+                with pytest.raises(ValueError) as info:
+                    g.eval_batch(bad)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+        assert handles[0].eval_count == handles[1].eval_count == 5
