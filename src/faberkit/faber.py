@@ -100,28 +100,26 @@ class FunctionHandle:
         return self._count
 
     def eval_batch(self, points) -> np.ndarray:
-        return self._checked(points, lambda X: (self._evaluator(X),))[0]
+        X = self._counted(points)
+        return self._valid(X, self._evaluator(X))
 
-    def _checked(self, points, evaluate) -> list[np.ndarray]:
-        """``evaluate(X)`` at the points, its first array checked as f's values.
-
-        The one path of :meth:`eval_batch`'s checks: the points' shape,
-        the count of N evaluations, the values' shape and finiteness.
-        ``evaluate`` returns f's values first, then any arrays computed
-        alongside them, which are passed through as they are.
-        """
+    def _counted(self, points) -> np.ndarray:
+        """The points as a contiguous (N, dim) float64 array, counted as N evaluations."""
         X = np.ascontiguousarray(points, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) points, got shape {X.shape}")
         self._count += X.shape[0]
-        vals, *rest = evaluate(X)
+        return X
+
+    def _valid(self, X: np.ndarray, vals) -> np.ndarray:
+        """f's values at the points X as float64, checked for shape and finiteness."""
         vals = np.asarray(vals, dtype=np.float64)
         if vals.shape != (X.shape[0],):
             raise ValueError(f"evaluator of {self.label!r} returned shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise EvaluationError(self.label, tuple(X[bad]), float(vals[bad]))
-        return [vals, *rest]
+        return vals
 
     def __call__(self, x) -> float:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -382,8 +380,7 @@ def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:
     The handle evaluates the finite expansion via support locality and
     ships its exact integral, so synthesized series double as test
     functions with known answers.  It keeps the series, so
-    :func:`~faberkit.measure.lq_error` can evaluate it together with an
-    approximant.
+    :func:`_defect` can evaluate it together with an approximant.
     """
     if label is None:
         label = f"series[d={series.dim},n={series.budget}]"
@@ -395,6 +392,29 @@ def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:
     )
     handle._series = series
     return handle
+
+
+def _defect(f: FunctionHandle, series: FaberSeries) -> FunctionHandle:
+    """The recovery defect f - (truncated expansion of ``series``), as a handle.
+
+    When f was made by :func:`synthesize`, f's series and ``series`` are
+    evaluated in one :func:`_evaluate_many` pass per batch of points, and
+    f's values go through the count and the checks of ``f.eval_batch``;
+    the values are byte-equal to the two separate calls that any other
+    handle takes.
+    """
+    if f.dim != series.dim:
+        raise ValueError("dimension mismatch between handle and series")
+    own = f._series
+    if own is None:
+        def evaluator(X):
+            return f.eval_batch(X) - evaluate_batch(series, X)
+    else:
+        def evaluator(X):
+            X = f._counted(X)
+            values, approx = _evaluate_many((own, series), _cube_points(X, own.dim))
+            return f._valid(X, values) - approx
+    return FunctionHandle(evaluator, f.dim, label=f"{f.label}-defect(n={series.budget})")
 
 
 #: Elements per gathered block of :func:`_level_blocks`, which bounds

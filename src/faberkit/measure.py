@@ -13,11 +13,11 @@ Three methods:
 * sup over the full grid of a given level (the only q = inf method);
   this is a lower bound of the true sup and reported with estimate 0.
 
-Tensor grids are enumerated in chunks of ``_CHUNK`` points and the
-per-chunk partial sums are combined with exact accumulation.  The chunk
-size fixes the summation order inside each chunk, so results depend on
-it at the level of rounding (the sup grid not at all); with the fixed
-size they are deterministic.
+Tensor grids and the Monte Carlo strata come from ``_tensor_batches`` in
+chunks of ``_CHUNK`` points; ``_power_sums`` combines the per-chunk partial
+sums with exact accumulation.  The chunk size fixes the summation order
+inside each chunk, so results depend on it at the level of rounding (the
+sup grid not at all); with the fixed size they are deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .dyadic import MAX_LEVEL, MAX_POINTS, _as_level
-from .faber import FaberSeries, FunctionHandle, _cube_points, _evaluate_many, evaluate_batch
+from .faber import FaberSeries, FunctionHandle, _defect
 
 __all__ = [
     "CompositeGauss",
@@ -129,38 +129,39 @@ def _composite_points(level: int, order: int, d: int) -> int:
     return ((1 << level) * order) ** d * (1 + 2**d)
 
 
-def _grid_chunks(shape: tuple[int, ...]):
-    """Per-axis index arrays of the C-ordered tensor grid, _CHUNK points at a time."""
+def _tensor_batches(axes, weights=None):
+    """``(X, w)`` per _CHUNK points of the C-ordered tensor grid of ``axes``: the
+    points and the product of the per-axis ``weights`` at them (None without)."""
+    shape = tuple(len(a) for a in axes)
     total = math.prod(shape)
     for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield np.unravel_index(flat, shape)
+        multi = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
+        X = np.stack([a[i] for a, i in zip(axes, multi)], axis=1)
+        yield X, None if weights is None else math.prod(w[i] for w, i in zip(weights, multi))
 
 
-def _power_sum(partials: list[float], lost: bool, q: float) -> float:
-    """Exact sum of per-chunk sums of powers of |g|; ValueError if it
-    overflows, or if it is 0 and ``lost`` (g was nonzero in a chunk of sum 0)."""
-    if not math.isfinite(sum(partials)):
-        raise ValueError(f"q={q!r} takes |g|^q out of binary64: a sum overflows")
-    total = math.fsum(partials)
-    if total == 0.0 and lost:
-        raise ValueError(f"q={q!r} takes |g|^q out of binary64: a sum underflows to 0")
-    return total
-
-
-def _tensor_reduce(axis_pts, axis_wts, g: FunctionHandle, q: float) -> float:
-    """Sum of w * |g|^q over the tensor grid, chunked; fails like :func:`_power_sum`."""
-    partials = []
+def _power_sums(g: FunctionHandle, batches, q: float, moments: bool = False) -> list[float]:
+    """fsum totals over ``(X, w)`` batches of w * |g(X)|^q (w = 1 if None) and,
+    with ``moments``, of |g(X)|^2q; ValueError if a total overflows, or is 0
+    although g was nonzero in a batch of sum 0 (for |g|^2q: the first is > 0)."""
+    sums, squares = [], []
     lost = False
-    for multi in _grid_chunks(tuple(len(a) for a in axis_pts)):
-        X = np.stack([pts[i] for pts, i in zip(axis_pts, multi)], axis=1)
-        w = np.ones(len(X))
-        for wts, i in zip(axis_wts, multi):
-            w *= wts[i]
-        vals = g.eval_batch(X)
-        partials.append(float(np.sum(w * np.abs(vals) ** q)))
-        lost = lost or (partials[-1] == 0.0 and bool(np.any(vals)))
-    return _power_sum(partials, lost, q)
+    for X, w in batches:
+        values = g.eval_batch(X)
+        powers = np.abs(values) ** q
+        sums.append(float(np.sum(powers if w is None else w * powers)))
+        lost = lost or (sums[-1] == 0.0 and bool(np.any(values)))
+        if moments:
+            squares.append(float(np.sum(powers * powers)))
+    totals = []
+    for partials in (sums, squares)[: 1 + moments]:
+        if not math.isfinite(sum(partials)):
+            raise ValueError(f"q={q!r} takes |g|^q out of binary64: a sum overflows")
+        totals.append(math.fsum(partials))
+        if totals[-1] == 0.0 and lost:
+            raise ValueError(f"q={q!r} takes |g|^q out of binary64: a sum underflows to 0")
+        lost = totals[0] > 0.0
+    return totals
 
 
 def _composite_value(g: FunctionHandle, q: float, order: int, level: int) -> float:
@@ -171,7 +172,7 @@ def _composite_value(g: FunctionHandle, q: float, order: int, level: int) -> flo
     starts = np.arange(cells, dtype=np.float64) * h
     pts = (starts[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)).reshape(-1)
     wts = np.tile(weights * (h / 2.0), cells)
-    total = _tensor_reduce([pts] * d, [wts] * d, g, q)
+    (total,) = _power_sums(g, _tensor_batches([pts] * d, [wts] * d), q)
     return max(total, 0.0) ** (1.0 / q)
 
 
@@ -193,33 +194,19 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
     d = g.dim
     n_total = m.samples
     level = int(math.log2(n_total)) // d
-    strata = 1 << (level * d)
+    remainder = n_total - (1 << (level * d))
     rng = np.random.default_rng(m.seed)
-
-    sums = []
-    sqsums = []
-    lost = False
-
-    def accumulate(X: np.ndarray) -> None:
-        nonlocal lost
-        g_vals = g.eval_batch(X)
-        vals = np.abs(g_vals) ** q
-        sums.append(float(np.sum(vals)))
-        sqsums.append(float(np.sum(vals * vals)))
-        lost = lost or (sums[-1] == 0.0 and bool(np.any(g_vals)))
-
     h = math.ldexp(1.0, -level)
-    for multi in _grid_chunks((1 << level,) * d):
-        corners = np.stack(multi, axis=1).astype(np.float64)
-        accumulate((corners + rng.random(corners.shape)) * h)
-    remainder = n_total - strata
-    for start in range(0, remainder, _CHUNK):
-        stop = min(start + _CHUNK, remainder)
-        accumulate(rng.random((stop - start, d)))
 
-    total = _power_sum(sums, lost, q)
+    def draws():  # one point per stratum, then the remainder, in chunks
+        for corners, _ in _tensor_batches([np.arange(1 << level, dtype=np.float64)] * d):
+            yield (corners + rng.random(corners.shape)) * h, None
+        for start in range(0, remainder, _CHUNK):
+            yield rng.random((min(_CHUNK, remainder - start), d)), None
+
+    total, squares = _power_sums(g, draws(), q, moments=True)
     mean = total / n_total
-    var = max(_power_sum(sqsums, total > 0.0, q) / n_total - mean * mean, 0.0)
+    var = max(squares / n_total - mean * mean, 0.0)
     se = math.sqrt(var / n_total)
     if mean <= 0.0:
         return 0.0, se ** (1.0 / q)
@@ -234,8 +221,7 @@ def _sup_grid(g: FunctionHandle, m: SupGrid) -> tuple[float, float]:
         raise ValueError(f"sup grid level {m.level} in d={d} exceeds the cell budget")
     axis = np.ldexp(np.arange(side, dtype=np.float64), -m.level)
     best = 0.0
-    for multi in _grid_chunks((side,) * d):
-        X = np.stack([axis[i] for i in multi], axis=1)
+    for X, _ in _tensor_batches([axis] * d):
         best = max(best, float(np.max(np.abs(g.eval_batch(X)))))
     return best, 0.0
 
@@ -253,31 +239,9 @@ def lq_norm(g: FunctionHandle, spec: MeasureSpec) -> tuple[float, float]:
     raise TypeError(f"unknown method {m!r}")
 
 
-def lq_error(
-    f: FunctionHandle, series: FaberSeries, spec: MeasureSpec
-) -> tuple[float, float]:
-    """Norm of the recovery defect f - (truncated expansion).
-
-    When f was made by ``synthesize``, f's series and ``series`` are
-    evaluated in one ``_evaluate_many`` pass per batch of points, and f's
-    values go through the checks and the count of ``f.eval_batch``; the
-    values are byte-equal to the two separate calls that any other handle
-    takes.
-    """
-    if f.dim != series.dim:
-        raise ValueError("dimension mismatch between handle and series")
-    own = f._series
-    if own is None:
-        def evaluator(X):
-            return f.eval_batch(X) - evaluate_batch(series, X)
-    else:
-        def evaluator(X):
-            values, approx = f._checked(
-                X, lambda Y: _evaluate_many((own, series), _cube_points(Y, own.dim))
-            )
-            return values - approx
-    defect = FunctionHandle(evaluator, f.dim, label=f"{f.label}-defect(n={series.budget})")
-    return lq_norm(defect, spec)
+def lq_error(f: FunctionHandle, series: FaberSeries, spec: MeasureSpec) -> tuple[float, float]:
+    """Norm of the recovery defect f - (truncated expansion), built by ``faber._defect``."""
+    return lq_norm(_defect(f, series), spec)
 
 
 def block_lq_exact(j, coeffs, q: float) -> float:

@@ -115,3 +115,14 @@ def test_plan_layer_only_in_dyadic():
         assert hasattr(faberkit.dyadic, name) and not hasattr(faberkit.faber, name), name
     for module in (faberkit.faber, faberkit.dyadic):
         assert not hasattr(module, "_lattice"), module.__name__
+
+
+def test_defect_built_in_faber():
+    # measure reads faber through FaberSeries, FunctionHandle and _defect only;
+    # the evaluator internals and the joint-pass choice stay in faber
+    for name in ("_evaluate_many", "_cube_points", "evaluate_batch"):
+        assert hasattr(faberkit.faber, name) and not hasattr(faberkit.measure, name), name
+    assert hasattr(faberkit.faber, "_defect")
+    assert not hasattr(FunctionHandle, "_checked")
+    for name in ("_grid_chunks", "_tensor_reduce", "_power_sum"):
+        assert not hasattr(faberkit.measure, name), name

@@ -278,6 +278,15 @@ class TestErrorsAndConfig:
         assert code == 2
         assert "wat" in err
 
+    def test_high_q_composite_recovery_has_no_second_moment_check(self, capsys):
+        # composite Gauss sums |g|^q only: |g|^2q of this defect underflows to
+        # 0 at q = 120, which must not fail the run (Monte Carlo alone needs it)
+        code, out, err = run_cli(
+            capsys, "recover", "--dim", "1", "--n", "3", "--func", "kink", "--q", "120"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "# error=0.023166657986755303 nodes=17"
+
     def test_computation_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "comb", "--alpha", "-1", "--dim", "1", "--n", "3")
         assert code == 1

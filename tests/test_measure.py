@@ -217,6 +217,28 @@ def test_chunk_size_changes_rounding_only(monkeypatch):
         assert abs(eb - ea) <= 1e-12 * a
 
 
+@pytest.mark.parametrize("chunk", [4, measure._CHUNK])
+@pytest.mark.parametrize("shape", [(3, 5, 7), (9,), (1, 4), (2, 1, 3)])
+def test_tensor_batches_cover_the_grid_once_in_c_order(monkeypatch, chunk, shape):
+    monkeypatch.setattr(measure, "_CHUNK", chunk)
+    rng = np.random.default_rng(len(shape) * 10 + chunk)
+    axes = [np.sort(rng.random(s)) for s in shape]
+    weights = [rng.random(s) + 0.5 for s in shape]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+    products = np.ones(len(grid))
+    for w in np.meshgrid(*weights, indexing="ij"):
+        products *= w.reshape(-1)
+    batches = list(measure._tensor_batches(axes, weights))
+    assert [len(X) for X, _ in batches[:-1]] == [chunk] * (len(batches) - 1)
+    assert 0 < len(batches[-1][0]) <= chunk
+    X = np.concatenate([X for X, _ in batches])
+    assert X.tobytes() == grid.tobytes()
+    assert np.concatenate([w for _, w in batches]).tobytes() == products.tobytes()
+    bare = list(measure._tensor_batches(axes))
+    assert all(w is None for _, w in bare)
+    assert np.concatenate([X for X, _ in bare]).tobytes() == grid.tobytes()
+
+
 class TestLqError:
     def test_multilinear_exact_recovery(self):
         f = FunctionHandle(lambda X: 1 + X[:, 0] * X[:, 1], 2)
@@ -324,7 +346,6 @@ class TestJointDefect:
             return real(many, X)
 
         monkeypatch.setattr(faber, "_evaluate_many", spy)
-        monkeypatch.setattr(measure, "_evaluate_many", spy)
         return sizes
 
     @pytest.mark.parametrize(
