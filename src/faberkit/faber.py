@@ -450,11 +450,17 @@ def integrate(series: FaberSeries) -> float:
     function has integral 1/2; the weight of level j is the product, the
     power of two 2**-(order(j) + d), so each weighted level sum is exact
     and math.fsum rounds their total once.  The level sums are row sums
-    of :func:`_level_blocks`, bit-identical to per-level sums.
+    of :func:`_level_blocks`, bit-identical to per-level sums; a level
+    whose plain sum overflows is summed after weighting instead.
     """
-    terms = np.ldexp(1.0, -(series._layout.orders + series.dim))
-    for levels, block in _level_blocks(series):
-        terms[levels] *= block.sum(axis=1)
+    weights = np.ldexp(1.0, -(series._layout.orders + series.dim))
+    terms = weights.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below
+        for levels, block in _level_blocks(series):
+            terms[levels] *= block.sum(axis=1)
+    starts = series._layout.starts
+    for i in np.flatnonzero(~np.isfinite(terms)).tolist():
+        terms[i] = np.sum(weights[i] * series.coeffs[starts[i] : starts[i + 1]])
     return math.fsum(terms.tolist())
 
 

@@ -515,6 +515,17 @@ class TestIntegrate:
         s = analyze(f, 6)
         assert abs(integrate(s) - 1 / 3) <= 4.0**-7
 
+    def test_level_sum_over_binary64_is_summed_after_weighting(self):
+        # the boundary level's plain sum 3.4e308 overflows; its weighted sum,
+        # the function's constant value and integral, does not
+        s = FaberSeries(0, 1, [1.7e308, 1.7e308, 0.0])
+        assert integrate(s) == 1.7e308
+        assert synthesize(s).exact_integral == 1.7e308
+        # numpy's pairwise sum of level (3,) meets inf + -inf; weighted, it is 0
+        c = np.zeros(17)
+        c[9:13] = [1.7e308, 1.7e308, -1.7e308, -1.7e308]
+        assert integrate(FaberSeries(3, 1, c)) == 0.0
+
     def test_agrees_with_quadrature_of_interpolant(self):
         s = random_series(4, 1, RNG)
         oracle = gauss_integral(
