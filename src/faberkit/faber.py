@@ -522,41 +522,34 @@ def series_to_json(series: FaberSeries) -> str:
     return "".join([head, next(blocks)[2:], *blocks, "}]}"])
 
 
-def _int_table(js: list[tuple], ks: list[tuple], d: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(N, d) int64 tables of integer tuples, and the rows that do not fit.
+def _clamped(v: int) -> int:
+    """v clamped to [-2, 2**62], outside of which no level entry or translation
+    lies: a clamped value fails the checks the value fails, and fits int64."""
+    return min(max(v, -2), 1 << 62)
 
-    A pair with a tuple of another length, or an entry outside int64,
-    becomes a row of -2 in both tables, which no level entry or
-    translation admits; the returned dict keeps its ``(j, k)`` by row.
-    """
-    def fits(row):
-        return len(row) == d and all(abs(v) < 1 << 62 for v in row)
 
-    exact = {i: (j, k) for i, (j, k) in enumerate(zip(js, ks)) if not (fits(j) and fits(k))}
+def _int_rows(rows: list[tuple], d: int) -> np.ndarray:
+    """(N, d) int64 table of integer tuples, clamped; a tuple of another length
+    becomes a row of -2, which no level entry or translation admits."""
     bad = (-2,) * d
-    J = np.array([bad if i in exact else j for i, j in enumerate(js)] if exact else js, np.int64)
-    K = np.array([bad if i in exact else k for i, k in enumerate(ks)] if exact else ks, np.int64)
-    return J.reshape(len(js), d), K.reshape(len(ks), d), exact
+    table = [tuple(map(_clamped, row)) if len(row) == d else bad for row in rows]
+    return np.array(table, np.int64).reshape(len(rows), d)
 
 
 def _build_series(
-    d: int, n: int, J: np.ndarray, K: np.ndarray, V: np.ndarray, exact: dict, error=None
+    d: int, n: int, entry, J: np.ndarray, K: np.ndarray, V: np.ndarray, error=None
 ) -> FaberSeries:
     """Series from N entries ``(J[i], K[i], V[i])``, each coefficient exactly once.
 
     All entries are checked in one array pass, and the earliest failing
     entry is reported as an entry-by-entry reader would: its level outside
     the budget, else its translation out of range, else a duplicate.
-    ``exact`` maps a row of -2 to the ``(j, k)`` tuples it stands for (see
-    :func:`_int_table`), for the messages.  ``error``, raised while reading
+    ``entry(i)`` returns entry i's ``(j, k)`` tuples as read, for the
+    messages; J and K may hold them clamped.  ``error``, raised while reading
     the entry after the N, comes after every entry's check; missing
     coefficients are reported last.
     """
     layout = _levels(n, d)
-
-    def entry(i):
-        return exact.get(i) or (tuple(J[i].tolist()), tuple(K[i].tolist()))
-
     in_range = np.all((J >= -1) & (J <= n), axis=1)
     key = (np.where(in_range[:, None], J, -1) + 1) @ layout.radix
     index = np.minimum(np.searchsorted(layout.keys, key), len(layout.levels) - 1)
@@ -586,14 +579,13 @@ def _build_series(
     return FaberSeries(n, d, values)
 
 
-def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Coefficient lines as ``(ints, values, exact)``: (N, 2d) ``j k`` rows,
-    their values and :func:`_int_table`'s rows that do not fit.
+def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient lines as (N, 2d) ``j k`` rows, clamped, and their values.
 
     Tokens are split once and converted in bulk: values by ``float``,
     integers by ``int`` once per distinct token (a block repeats few).  A
-    block that does not convert so, or holds an integer outside int64, is
-    read again line by line, which raises the first line's error.
+    block that does not convert so is read again line by line, which
+    raises the first bad line's error.
     """
     width = 2 * d + 1
     rows = list(map(str.split, lines))
@@ -602,21 +594,18 @@ def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray, dict]
         try:
             values = np.fromiter(map(float, tokens[2 * d :: width]), np.float64, len(rows))
             del tokens[2 * d :: width]
-            parsed = {t: int(t) for t in set(tokens)}
+            parsed = {t: _clamped(int(t)) for t in set(tokens)}
             ints = np.fromiter(map(parsed.__getitem__, tokens), np.int64, len(tokens))
-            return ints.reshape(len(rows), 2 * d), values, {}
-        except (ValueError, OverflowError):
+            return ints.reshape(len(rows), 2 * d), values
+        except ValueError:
             pass
-    js, ks, values = [], [], []
     for ln, parts in zip(lines, rows):
         if len(parts) != width:
             raise ValueError(f"bad coefficient line {ln!r}")
-        ints = tuple(int(v) for v in parts[: 2 * d])
-        js.append(ints[:d])
-        ks.append(ints[d:])
-        values.append(float(parts[2 * d]))
-    J, K, exact = _int_table(js, ks, d)
-    return np.hstack((J, K)), np.array(values, dtype=np.float64), exact
+        for token in parts[: 2 * d]:
+            int(token)
+        float(parts[2 * d])
+    raise AssertionError("a block that fails in bulk holds a bad line")
 
 
 def series_from_text(text: str) -> FaberSeries:
@@ -631,10 +620,14 @@ def series_from_text(text: str) -> FaberSeries:
     del lines  # the line strings go before the arrays are joined
     _levels(n, d)  # the cap, after every line's parse, before any array of d columns
     ints = np.concatenate([b[0] for b in blocks]) if blocks else np.empty((0, 2 * d), np.int64)
-    exact = {at * _IO_BLOCK + i: jk for at, b in enumerate(blocks) for i, jk in b[2].items()}
     values = np.concatenate([b[1] for b in blocks]) if blocks else np.empty(0)
     del blocks
-    return _build_series(d, n, ints[:, :d], ints[:, d:], values, exact)
+
+    def entry(i):  # coefficient line i as read; split again on an error path only
+        parts = list(filter(str.strip, text.splitlines()))[1 + i].split()
+        return tuple(map(int, parts[:d])), tuple(map(int, parts[d : 2 * d]))
+
+    return _build_series(d, n, entry, ints[:, :d], ints[:, d:], values)
 
 
 def _json_int(doc: dict, key: str) -> int:
@@ -652,7 +645,7 @@ def _json_ints(entry: dict, key: str, at: int) -> tuple:
 
 
 def _json_entries(entries: list, d: int) -> tuple:
-    """JSON entries as ``(J, K, V, exact, error)`` for :func:`_build_series`.
+    """JSON entries as ``(J, K, V, error)`` for :func:`_build_series`.
 
     Every ``j`` and ``k`` must be a list of JSON integers and every
     ``value`` a JSON number, never a bool.  When all entries have that
@@ -673,7 +666,7 @@ def _json_entries(entries: list, d: int) -> tuple:
             J = np.fromiter(itertools.chain.from_iterable(js), np.int64, N * d)
             K = np.fromiter(itertools.chain.from_iterable(ks), np.int64, N * d)
             V = np.fromiter(map(float, vs), np.float64, N)
-            return J.reshape(N, d), K.reshape(N, d), V, {}, None
+            return J.reshape(N, d), K.reshape(N, d), V, None
     except (KeyError, TypeError, OverflowError):
         pass
     js, ks, vs = [], [], []
@@ -692,8 +685,7 @@ def _json_entries(entries: list, d: int) -> tuple:
             ks.append(k)
     except (KeyError, ValueError, OverflowError) as exc:
         error = exc
-    J, K, exact = _int_table(js, ks, d)
-    return J, K, np.array(vs, dtype=np.float64), exact, error
+    return _int_rows(js, d), _int_rows(ks, d), np.array(vs, dtype=np.float64), error
 
 
 def series_from_json(text: str) -> FaberSeries:
@@ -705,4 +697,8 @@ def series_from_json(text: str) -> FaberSeries:
     if type(entries) is not list:
         raise ValueError(f"'entries' must be a list, got {entries!r:.40}")
     _levels(n, d)  # the cap, before any entry is read
-    return _build_series(d, n, *_json_entries(entries, d))
+
+    def entry(i):
+        return tuple(entries[i]["j"]), tuple(entries[i]["k"])
+
+    return _build_series(d, n, entry, *_json_entries(entries, d))
