@@ -70,7 +70,7 @@ def _budget_range(text: str) -> list[int]:
     return list(range(a, b + 1))
 
 
-def _build_function(args, parser):
+def _build_function(args):
     d = args.dim
     name = args.func
     if name == "extremal":
@@ -96,9 +96,7 @@ def _build_function(args, parser):
         if series.dim != d:
             raise ValueError(f"series has dim {series.dim}, requested {d}")
         return synthesize(series, label=f"prescribed:{args.series}")
-    if name in testbed.SMOOTH_IDS:
-        return testbed.smooth(name, d)
-    parser.error(f"unknown --func {name!r}")
+    return testbed.smooth(name, d)
 
 
 def _spec_factory(args):
@@ -143,7 +141,7 @@ def _summary(text: str) -> None:
     sys.stdout.write(f"# {text}\n")
 
 
-def _cmd_levels(args, parser) -> int:
+def _cmd_levels(args) -> int:
     layout = _levels(args.n, args.dim)  # the cap, before any level is enumerated
     for j in layout.levels:
         print(" ".join(str(e) for e in j.entries))
@@ -151,17 +149,17 @@ def _cmd_levels(args, parser) -> int:
     return 0
 
 
-def _cmd_analyze(args, parser) -> int:
-    f = _build_function(args, parser)
+def _cmd_analyze(args) -> int:
+    f = _build_function(args)
     series = analyze(f, args.n)
     _emit(args.out, series_to_json(series) + "\n" if args.format == "json" else series_to_text(series))
     _summary(f"coefficients={series.size} nodes={f.eval_count}")
     return 0
 
 
-def _cmd_study(args, parser) -> int:
+def _cmd_study(args) -> int:
     """recover, rates and widths: one convergence study over args.n."""
-    f = _build_function(args, parser)
+    f = _build_function(args)
     if args.command == "widths":
         table = experiments.sampling_width_table(f, args.p, args.q, args.n, _spec_factory(args))
         rows = [(w.m, w.error, w.upper_ref, w.lower_ref) for w in table]
@@ -185,8 +183,8 @@ def _cmd_study(args, parser) -> int:
     return 0
 
 
-def _cmd_cubature(args, parser) -> int:
-    f = _build_function(args, parser)
+def _cmd_cubature(args) -> int:
+    f = _build_function(args)
     records = experiments.cubature_study(f, args.n)
     rows = [(r.n, r.m, r.abs_error, r.reference) for r in records]
     _write_rows(args.out, ("n", "m", "abs_error", "reference"), rows, args.format)
@@ -195,7 +193,7 @@ def _cmd_cubature(args, parser) -> int:
     return 0
 
 
-def _cmd_noncompact(args, parser) -> int:
+def _cmd_noncompact(args) -> int:
     report = experiments.noncompact_demo(args.max_level)
     doc = {
         "levels": list(report.levels),
@@ -215,7 +213,7 @@ def _cmd_noncompact(args, parser) -> int:
     return 0
 
 
-def _cmd_comb(args, parser) -> int:
+def _cmd_comb(args) -> int:
     rows = experiments.comb_check(args.alpha, args.dim, args.n)
     _write_rows(args.out, ("n", "ratio_tail", "ratio_bulk"), rows, args.format)
     _summary(f"rows={len(rows)} alpha={args.alpha!r}")
@@ -226,7 +224,7 @@ def _add_function_flags(sub) -> None:
     sub.add_argument(
         "--func",
         default="x2",
-        help="extremal|spike|kink|hat|prescribed|" + "|".join(testbed.SMOOTH_IDS),
+        choices=("extremal", "spike", "kink", "hat", "prescribed", *testbed.SMOOTH_IDS),
     )
     sub.add_argument("--depth", type=int, default=14, help="series depth J for extremal/spike")
     sub.add_argument("--seed", type=int, default=0)
@@ -324,9 +322,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.handler(args, parser)
-    except SystemExit as exc:  # parser.error from inside a handler
-        return int(exc.code or 0)
+        return args.handler(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
