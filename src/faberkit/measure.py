@@ -141,9 +141,9 @@ def _tensor_batches(axes, weights=None):
 
 
 def _power_sums(g: FunctionHandle, batches, q: float, moments: bool = False) -> list[float]:
-    """fsum totals over ``(X, w)`` batches of w * |g(X)|^q (w = 1 if None) and,
-    with ``moments``, of |g(X)|^2q; ValueError if a total overflows, or is 0
-    although g was nonzero in a batch of sum 0 (for |g|^2q: the first is > 0)."""
+    """Exact (``math.fsum``) totals over ``(X, w)`` batches of w * |g(X)|^q (w = 1
+    when None) and, with ``moments``, of |g(X)|^2q; ValueError if a total overflows,
+    or is 0 although g was nonzero in a batch of sum 0 (|g|^2q: the first is > 0)."""
     sums, squares = [], []
     lost = False
     for X, w in batches:
