@@ -451,17 +451,21 @@ def integrate(series: FaberSeries) -> float:
     power of two 2**-(order(j) + d), so each weighted level sum is exact
     and math.fsum rounds their total once.  The level sums are row sums
     of :func:`_level_blocks`, bit-identical to per-level sums; a level
-    whose plain sum overflows is summed after weighting instead.
+    whose plain sum overflows is summed after weighting instead.  ValueError
+    if a partial sum of the level integrals overflows.
     """
     weights = np.ldexp(1.0, -(series._layout.orders + series.dim))
     terms = weights.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # redone below
+    with np.errstate(over="ignore", invalid="ignore"):  # such a level is redone below
         for levels, block in _level_blocks(series):
             terms[levels] *= block.sum(axis=1)
     starts = series._layout.starts
     for i in np.flatnonzero(~np.isfinite(terms)).tolist():
         terms[i] = np.sum(weights[i] * series.coeffs[starts[i] : starts[i + 1]])
-    return math.fsum(terms.tolist())
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:
+        raise ValueError("the integral leaves binary64: a sum of level integrals overflows")
 
 
 # -- serialization -----------------------------------------------------------

@@ -525,6 +525,11 @@ class TestIntegrate:
         c = np.zeros(17)
         c[9:13] = [1.7e308, 1.7e308, -1.7e308, -1.7e308]
         assert integrate(FaberSeries(3, 1, c)) == 0.0
+        # an integral beyond binary64 is refused, not returned as inf
+        huge = FaberSeries(0, 1, [1.7e308, 1.7e308, 1.7e308])
+        for call in (integrate, synthesize):
+            with pytest.raises(ValueError, match="integral leaves binary64"):
+                call(huge)
 
     def test_agrees_with_quadrature_of_interpolant(self):
         s = random_series(4, 1, RNG)
