@@ -450,20 +450,21 @@ def integrate(series: FaberSeries) -> float:
     function has integral 1/2; the weight of level j is the product, the
     power of two 2**-(order(j) + d), so each weighted level sum is exact
     and math.fsum rounds their total once.  The level sums are row sums
-    of :func:`_level_blocks`, bit-identical to per-level sums; a level
-    whose plain sum overflows is summed after weighting instead.  ValueError
-    if a partial sum of the level integrals overflows.
+    of :func:`_level_blocks`, bit-identical to per-level sums; a level whose
+    plain sum overflows is summed after weighting.  ValueError if fsum overflows.
     """
-    weights = np.ldexp(1.0, -(series._layout.orders + series.dim))
-    terms = weights.copy()
+    layout = series._layout
+    terms = np.ldexp(1.0, -(layout.orders + series.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # such a level is redone below
         for levels, block in _level_blocks(series):
             terms[levels] *= block.sum(axis=1)
-    starts = series._layout.starts
-    for i in np.flatnonzero(~np.isfinite(terms)).tolist():
-        terms[i] = np.sum(weights[i] * series.coeffs[starts[i] : starts[i + 1]])
+    values = terms.tolist()
+    if not math.isfinite(sum(values)):  # a level sum or the total overflowed
+        for i in np.flatnonzero(~np.isfinite(terms)).tolist():
+            block = series.coeffs[layout.starts[i] : layout.starts[i + 1]]
+            values[i] = float(np.sum(np.ldexp(1.0, -(layout.orders[i] + series.dim)) * block))
     try:
-        return math.fsum(terms.tolist())
+        return math.fsum(values)
     except OverflowError:
         raise ValueError("the integral leaves binary64: a sum of level integrals overflows")
 
@@ -606,8 +607,7 @@ def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
     for ln, parts in zip(lines, rows):
         if len(parts) != width:
             raise ValueError(f"bad coefficient line {ln!r}")
-        for token in parts[: 2 * d]:
-            int(token)
+        list(map(int, parts[: 2 * d]))  # its integers, then its value, raise
         float(parts[2 * d])
     raise AssertionError("a block that fails in bulk holds a bad line")
 
