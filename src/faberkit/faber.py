@@ -397,11 +397,10 @@ def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:
 def _defect(f: FunctionHandle, series: FaberSeries) -> FunctionHandle:
     """The recovery defect f - (truncated expansion of ``series``), as a handle.
 
-    When f was made by :func:`synthesize`, f's series and ``series`` are
-    evaluated in one :func:`_evaluate_many` pass per batch of points, and
-    f's values go through the count and the checks of ``f.eval_batch``;
-    the values are byte-equal to the two separate calls that any other
-    handle takes.
+    When f was made by :func:`synthesize`, f's series and ``series`` are evaluated
+    in one :func:`_evaluate_many` pass per batch of points, and f's values go through
+    the count and checks of ``f.eval_batch``; the values are byte-equal to the two
+    separate calls that any other handle takes.
     """
     if f.dim != series.dim:
         raise ValueError("dimension mismatch between handle and series")

@@ -153,6 +153,7 @@ def _power_sums(g: FunctionHandle, batches, q: float, moments: bool = False) -> 
         lost = lost or (sums[-1] == 0.0 and bool(np.any(values)))
         if moments:
             squares.append(float(np.sum(powers * powers)))
+        del values, powers  # before the next batch is drawn: a lower peak
     totals = []
     for partials in (sums, squares)[: 1 + moments]:
         if not math.isfinite(sum(partials)):
