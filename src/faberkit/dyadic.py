@@ -4,10 +4,10 @@ everything that depends on the budget n and the dimension d alone.
 Levels and translations are exact integers.  A node coordinate is
 computed once, by one formula (:func:`_nodes`), as an exact binary64
 dyadic; :func:`node_set` returns these (m, d) float64 nodes.
-:func:`_levels` is the layout of a series of order <= n,
-:func:`_hierarchy` the node and sweep plan of analyze, and
-:func:`_reduction_blocks` the size-grouped gather blocks of the level
-reductions, all memoized per (n, d).
+:func:`_levels` is the layout of a series of order <= n, memoized per
+(n, d); :func:`_hierarchy`, the node and sweep plan of analyze, and
+:func:`_reduction_blocks`, the block indices of the level reductions,
+are memoized per (n, d) by :func:`_memo_when_small`.
 
 Level conventions
 -----------------
@@ -266,19 +266,26 @@ _PLAN_MEMO_POINTS = 1 << 17
 #: Plans each memo keeps.  A hierarchization plan holds 8·m·d bytes of
 #: nodes and at most 24·m·d of intp indices, so its memo retains at most
 #: 5 · 32 · 2**17 B = 20 MiB.  A reduction plan holds 8 B of intp index
-#: per coefficient, so its memo retains at most 5 · 8 · 2**17 B = 5 MiB.
+#: per grouped coefficient (a lone level holds a slice), so its memo
+#: retains at most 5 · 8 · 2**17 B = 5 MiB.
 _PLAN_MEMO_SIZE = 5
 
 
-def _memo_when_small(memo, build, n: int, d: int, *rest):
-    """``memo(n, d, *rest)`` when m·d <= _PLAN_MEMO_POINTS, else ``build(n, d, *rest)``.
-
-    ``memo`` is an lru_cache of _PLAN_MEMO_SIZE plans; a plan over the
-    size cap is built for its call and dropped.
+def _memo_when_small(build):
+    """The (n, d) plan ``build``, kept as ``tuple(build(n, d))`` in an lru_cache
+    of _PLAN_MEMO_SIZE plans when m·d <= _PLAN_MEMO_POINTS; a larger plan is
+    ``build(n, d)`` itself, built for its call and dropped.
     """
-    if _levels(n, d).size * d > _PLAN_MEMO_POINTS:
-        return build(n, d, *rest)
-    return memo(n, d, *rest)
+    memo = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(lambda n, d: tuple(build(n, d)))
+
+    @functools.wraps(build)
+    def plan(n: int, d: int):
+        if _levels(n, d).size * d > _PLAN_MEMO_POINTS:
+            return build(n, d)
+        return memo(n, d)
+
+    plan.cache_info, plan.cache_clear = memo.cache_info, memo.cache_clear
+    return plan
 
 
 def _parent_steps(layout: _Layout, span: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
@@ -321,7 +328,8 @@ def _parent_steps(layout: _Layout, span: np.ndarray) -> tuple[np.ndarray, tuple,
     return first, *sides
 
 
-def _hierarchy_plan(n: int, d: int) -> tuple[np.ndarray, tuple]:
+@_memo_when_small
+def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
     """What analyze needs of (n, d) alone: ``(points, sweeps)``.
 
     ``points`` is :func:`_nodes`, the (m, d) float64 nodes of node_set(n,
@@ -362,42 +370,35 @@ def _hierarchy_plan(n: int, d: int) -> tuple[np.ndarray, tuple]:
     return points, tuple(sweeps)
 
 
-_memoized_plan = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(_hierarchy_plan)
+#: Elements per gathered index of :func:`_reduction_blocks`, which bounds
+#: each block and the temporaries of its reductions to 64 KiB.
+_GATHER = 1 << 13
 
 
-def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
-    """:func:`_hierarchy_plan`, memoized per (n, d) when m·d <= _PLAN_MEMO_POINTS."""
-    return _memo_when_small(_memoized_plan, _hierarchy_plan, n, d)
-
-
-def _reduction_plan(n: int, d: int, gather: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+@_memo_when_small
+def _reduction_blocks(n: int, d: int) -> Iterator[tuple[np.ndarray, tuple | np.ndarray]]:
     """The levels of order <= n grouped by size, a few levels at a time.
 
     Yields ``(levels, index)`` per size group, in ascending size:
-    ``levels``, the group's level indices into :func:`_levels`, and
-    ``index``, the (len(levels), size) intp gather index ``starts[levels,
-    None] + arange(size)`` of their coefficients, one row per level.  A
-    group is split so that each index holds at most ``gather`` elements,
-    or one level that is larger alone.  Both arrays are read-only.
+    ``levels``, the group's read-only level indices into :func:`_levels`,
+    and ``index``, which ``coeffs[index]`` reads as the (len(levels),
+    size) block of their coefficients, one row per level: a view
+    ``(None, slice(start, stop))`` for a level alone, else the read-only
+    intp gather index ``starts[levels, None] + arange(size)`` of at most
+    _GATHER elements.  A row-wise reduction of a block is bit-identical
+    to the reduction of each level alone.
     """
     starts = _levels(n, d).starts
     sizes = np.diff(starts)
     for size in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == size)
-        step = max(1, gather // size)
+        step = max(1, _GATHER // size)
         for first in range(0, group.size, step):
             levels = group[first : first + step]
-            index = (starts[levels, None] + np.arange(size)).astype(np.intp, copy=False)
             levels.setflags(write=False)
-            index.setflags(write=False)
-            yield levels, index
-
-
-@functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)
-def _memoized_reductions(n: int, d: int, gather: int) -> tuple:
-    return tuple(_reduction_plan(n, d, gather))
-
-
-def _reduction_blocks(n: int, d: int, gather: int):
-    """:func:`_reduction_plan`, memoized per (n, d, gather) when m·d <= _PLAN_MEMO_POINTS."""
-    return _memo_when_small(_memoized_reductions, _reduction_plan, n, d, gather)
+            if len(levels) == 1:
+                yield levels, (None, slice(starts[levels[0]], starts[levels[0] + 1]))
+            else:
+                index = (starts[levels, None] + np.arange(size)).astype(np.intp, copy=False)
+                index.setflags(write=False)
+                yield levels, index

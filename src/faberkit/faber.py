@@ -416,47 +416,21 @@ def _defect(f: FunctionHandle, series: FaberSeries) -> FunctionHandle:
     return FunctionHandle(evaluator, f.dim, label=f"{f.label}-defect(n={series.budget})")
 
 
-#: Elements per gathered block of :func:`_level_blocks`, which bounds
-#: each block and the temporaries of its reductions to 64 KiB.
-_GATHER = 1 << 13
-
-
-def _level_blocks(series: FaberSeries) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The coefficient blocks of a series' levels, a few levels at a time.
-
-    Yields ``(levels, block)``: level indices and the (len(levels), size)
-    array of their coefficients, one row per level, gathered through the
-    index of :func:`~faberkit.dyadic._reduction_blocks`, which depends on
-    (budget, dim) alone and is memoized like analyze's plan.  Levels of
-    one size share a block of up to _GATHER elements; a level alone in its
-    block is a view.  numpy reduces each contiguous row exactly as it
-    reduces the level's block alone, so a row-wise ``sum`` is
-    bit-identical to a per-level ``np.sum``.
-    """
-    coeffs = series.coeffs
-    for levels, index in _reduction_blocks(series.budget, series.dim, _GATHER):
-        if len(levels) == 1:  # a level alone: a view, not a copy
-            start = index[0, 0]
-            yield levels, coeffs[None, start : start + index.shape[1]]
-        else:
-            yield levels, coeffs[index]
-
-
 def integrate(series: FaberSeries) -> float:
     """Exact integral over [0,1]^d of the truncated expansion.
 
     Per axis a hat of level j has integral 2**-(j+1) and each boundary
     function has integral 1/2; the weight of level j is the product, the
     power of two 2**-(order(j) + d), so each weighted level sum is exact
-    and math.fsum rounds their total once.  The level sums are row sums
-    of :func:`_level_blocks`, bit-identical to per-level sums; a level whose
+    and math.fsum rounds their total once.  The level sums are row sums of
+    the reduction blocks, bit-identical to per-level sums; a level whose
     plain sum overflows is summed after weighting.  ValueError if fsum overflows.
     """
     layout = series._layout
     terms = np.ldexp(1.0, -(layout.orders + series.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # such a level is redone below
-        for levels, block in _level_blocks(series):
-            terms[levels] *= block.sum(axis=1)
+        for levels, index in _reduction_blocks(series.budget, series.dim):
+            terms[levels] *= series.coeffs[index].sum(axis=1)
     values = terms.tolist()
     if not math.isfinite(sum(values)):  # a level sum or the total overflowed
         for i in np.flatnonzero(~np.isfinite(terms)).tolist():

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _as_level
-from .faber import FaberSeries, FunctionHandle, _level_blocks, analyze
+from .dyadic import _as_level, _reduction_blocks
+from .faber import FaberSeries, FunctionHandle, analyze
 
 __all__ = ["NormParams", "level_lp", "seq_norm", "series_profile", "decay_profile"]
 
@@ -63,8 +63,8 @@ def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     orders = series._layout.orders
     tops = np.empty(len(orders))
     sums = np.empty(len(orders))
-    for levels, block in _level_blocks(series):
-        scaled = np.abs(block)
+    for levels, index in _reduction_blocks(series.budget, series.dim):
+        scaled = np.abs(series.coeffs[index])
         top = scaled.max(axis=1)
         # an all-zero level divides by 1 and gets 0.0 below, as in level_lp
         scaled /= np.where(top == 0.0, 1.0, top)[:, None]

@@ -1,6 +1,7 @@
 """Public API pin: changes to faberkit's exported names must be deliberate."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -108,11 +109,19 @@ def test_plan_layer_only_in_dyadic():
     # what depends on (n, d) alone (layout, nodes, sweeps, reduction blocks,
     # memos) lives in dyadic
     names = (
-        "_plan", "_parent_steps", "_hierarchy_plan", "_memoized_plan", "_memo_when_small",
-        "_reduction_plan", "_memoized_reductions",
+        "_plan", "_parent_steps", "_hierarchy", "_reduction_blocks", "_memo_when_small",
+        "_GATHER",
     )
     for name in names:
-        assert hasattr(faberkit.dyadic, name) and not hasattr(faberkit.faber, name), name
+        planned = getattr(faberkit.dyadic, name)
+        assert getattr(faberkit.faber, name, planned) is planned, name  # imported at most
+    # one memo decorator; the blocks index the series, with no wrapper in faber
+    assert not hasattr(faberkit.faber, "_GATHER")
+    gone = ("_hierarchy_plan", "_memoized_plan", "_reduction_plan", "_memoized_reductions", "_level_blocks")
+    for name in gone:
+        for module in (faberkit.faber, faberkit.dyadic):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert list(inspect.signature(faberkit.dyadic._reduction_blocks).parameters) == ["n", "d"]
     for module in (faberkit.faber, faberkit.dyadic):
         assert not hasattr(module, "_lattice"), module.__name__
 

@@ -230,7 +230,7 @@ class TestHierarchyPlan:
     """analyze's per-(n, d) plan: memoized within a bound, samples never."""
 
     def test_repeat_analyze_byte_equal_and_samples_every_node(self):
-        dyadic._memoized_plan.cache_clear()
+        dyadic._hierarchy.cache_clear()
         f = FunctionHandle(lambda X: np.exp(X[:, 0] - 2.0 * X[:, 2]) * X[:, 1], 3)
         first = analyze(f, 4)
         for call in range(2, 5):
@@ -240,7 +240,7 @@ class TestHierarchyPlan:
         fresh = FunctionHandle(lambda X: np.exp(X[:, 0] - 2.0 * X[:, 2]) * X[:, 1], 3)
         assert analyze(fresh, 4).coeffs.tobytes() == first.coeffs.tobytes()
         assert fresh.eval_count == node_count(4, 3)
-        info = dyadic._memoized_plan.cache_info()
+        info = dyadic._hierarchy.cache_info()
         assert (info.misses, info.hits) == (1, 4)
 
     @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])  # memoized, over the size cap
@@ -298,7 +298,7 @@ class TestHierarchyPlan:
         assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
         f = FunctionHandle(lambda X: X[:, 0] ** 2, d)
         _levels(n, d)  # the level layout memo has a bound of its own
-        dyadic._memoized_plan.cache_clear()
+        dyadic._hierarchy.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -316,17 +316,17 @@ class TestHierarchyPlan:
         assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
         for n, d in plans:
             _levels(n, d)  # the level layout memo has a bound of its own
-        dyadic._memoized_plan.cache_clear()
+        dyadic._hierarchy.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for n, d in plans:
                 dyadic._hierarchy(n, d)
             retained = tracemalloc.get_traced_memory()[0] - before
-            kept = dyadic._memoized_plan.cache_info().currsize
+            kept = dyadic._hierarchy.cache_info().currsize
         finally:
             tracemalloc.stop()
-            dyadic._memoized_plan.cache_clear()
+            dyadic._hierarchy.cache_clear()
         assert kept == dyadic._PLAN_MEMO_SIZE
         # 8 B of nodes and at most 24 B of intp indices per m·d
         assert retained <= dyadic._PLAN_MEMO_SIZE * 32 * dyadic._PLAN_MEMO_POINTS
@@ -338,34 +338,49 @@ class TestReductionPlan:
 
     def test_cold_and_warm_memo_byte_equal(self):
         s = random_series(4, 3, np.random.default_rng(12))
-        dyadic._memoized_reductions.cache_clear()
+        dyadic._reduction_blocks.cache_clear()
         cold = [np.float64(integrate(s)).tobytes(), np.array(series_profile(s, 1.5)).tobytes()]
         for _ in range(3):
             warm = [np.float64(integrate(s)).tobytes(), np.array(series_profile(s, 1.5)).tobytes()]
             assert warm == cold
-        info = dyadic._memoized_reductions.cache_info()
+        info = dyadic._reduction_blocks.cache_info()
         assert (info.misses, info.hits) == (1, 7)
 
     # memoized, memoized with split size groups, over the size cap
-    @pytest.mark.parametrize("n,d,gather", [(4, 3, faber._GATHER), (4, 3, 5), (17, 1, faber._GATHER)])
-    def test_blocks_cover_the_layout_with_read_only_intp_indices(self, n, d, gather):
+    @pytest.mark.parametrize("n,d,gather", [(4, 3, dyadic._GATHER), (4, 3, 5), (17, 1, dyadic._GATHER)])
+    def test_blocks_cover_the_layout_with_read_only_intp_indices(self, n, d, gather, monkeypatch):
         layout = _levels(n, d)
         seen = []
-        for levels, index in dyadic._reduction_blocks(n, d, gather):
-            assert index.dtype == np.intp and not index.flags.writeable
+        monkeypatch.setattr(dyadic, "_GATHER", gather)
+        dyadic._reduction_blocks.cache_clear()
+        try:
+            blocks = list(dyadic._reduction_blocks(n, d))
+        finally:
+            dyadic._reduction_blocks.cache_clear()
+        for levels, index in blocks:
+            if isinstance(index, np.ndarray):
+                assert index.dtype == np.intp and not index.flags.writeable
             assert not levels.flags.writeable
-            size = index.shape[1]
-            assert index.shape == (len(levels), size)
-            assert index.size <= max(gather, size)
-            assert np.array_equal(index, layout.starts[levels, None] + np.arange(size))
-            seen.append(index.ravel())
+            read = np.arange(layout.size)[index]
+            size = read.shape[1]
+            assert read.shape == (len(levels), size)
+            assert read.size <= max(gather, size)
+            assert np.array_equal(read, layout.starts[levels, None] + np.arange(size))
+            seen.append(read.ravel())
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(layout.size))
+
+    def test_lone_level_blocks_are_views(self):
+        s = random_series(4, 3, np.random.default_rng(5))
+        lone = [index for levels, index in dyadic._reduction_blocks(4, 3) if len(levels) == 1]
+        assert lone
+        for index in lone:
+            assert np.shares_memory(s.coeffs, s.coeffs[index])
 
     def test_blocks_over_size_cap_not_retained(self):
         n, d = 17, 1
         assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
         s = FaberSeries(n, d, np.random.default_rng(3).standard_normal(node_count(n, d)))
-        dyadic._memoized_reductions.cache_clear()
+        dyadic._reduction_blocks.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -377,6 +392,19 @@ class TestReductionPlan:
         # the gather indices alone hold 8 B per coefficient, 2.1 MB here
         assert retained < 4096
 
+    def test_integrate_over_size_cap_peaks_below_a_byte_per_coefficient(self):
+        n, d = 17, 1
+        s = FaberSeries(n, d, np.random.default_rng(3).standard_normal(node_count(n, d)))
+        integrate(s)  # warm: the level layout memo has a bound of its own
+        tracemalloc.start()
+        try:
+            integrate(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every level of (17, 1) is alone in its block and read as a view
+        assert peak < node_count(n, d)
+
     def test_memo_retention_within_stated_bound(self):
         # more layouts than the memo keeps, the largest m·d under its size cap
         plans = [(11, 2), (2, 6), (5, 4), (15, 1), (7, 3), (3, 5), (10, 2), (14, 1), (4, 4)]
@@ -384,16 +412,16 @@ class TestReductionPlan:
         assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
         for n, d in plans:
             _levels(n, d)  # the level layout memo has a bound of its own
-        dyadic._memoized_reductions.cache_clear()
+        dyadic._reduction_blocks.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            blocks = [len(dyadic._reduction_blocks(n, d, faber._GATHER)) for n, d in plans]
+            blocks = [len(dyadic._reduction_blocks(n, d)) for n, d in plans]
             retained = tracemalloc.get_traced_memory()[0] - before
-            kept = dyadic._memoized_reductions.cache_info().currsize
+            kept = dyadic._reduction_blocks.cache_info().currsize
         finally:
             tracemalloc.stop()
-            dyadic._memoized_reductions.cache_clear()
+            dyadic._reduction_blocks.cache_clear()
         assert kept == dyadic._PLAN_MEMO_SIZE
         # the last plans stay: 8 B of index per coefficient and of level
         # index per level, and at most 1 KiB of array objects per block

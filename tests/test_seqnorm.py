@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberkit import faber
+from faberkit import dyadic
 from faberkit.dyadic import LevelVector, levels_up_to
 from faberkit.faber import FaberSeries, FunctionHandle, analyze, integrate, synthesize
 from faberkit.seqnorm import NormParams, decay_profile, level_lp, seq_norm, series_profile
@@ -164,7 +164,7 @@ def test_invalid_p_rejected_by_every_level_norm(p):
     d=st.integers(1, 5),
     n=st.integers(0, 5),
     dead=st.floats(0.0, 1.0),
-    gather=st.sampled_from([1, 5, faber._GATHER]),
+    gather=st.sampled_from([1, 5, dyadic._GATHER]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_property_level_reductions_are_bit_identical_to_per_level_loops(
@@ -180,7 +180,8 @@ def test_property_level_reductions_are_bit_identical_to_per_level_loops(
         for j in levels_up_to(n, d)
     ]
     s = FaberSeries(n, d, np.concatenate(blocks))
-    saved, faber._GATHER = faber._GATHER, gather
+    saved, dyadic._GATHER = dyadic._GATHER, gather
+    dyadic._reduction_blocks.cache_clear()
     try:
         assert np.float64(integrate(s)).tobytes() == np.float64(per_level_integrate(s)).tobytes()
         for p in (1.0, 2.0, 3.5):
@@ -193,4 +194,5 @@ def test_property_level_reductions_are_bit_identical_to_per_level_loops(
                     np.float64(per_level_seq_norm(s, params)).tobytes()
                 )
     finally:
-        faber._GATHER = saved
+        dyadic._GATHER = saved
+        dyadic._reduction_blocks.cache_clear()
