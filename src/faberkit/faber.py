@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
@@ -424,7 +425,9 @@ def integrate(series: FaberSeries) -> float:
     power of two 2**-(order(j) + d), so each weighted level sum is exact
     and math.fsum rounds their total once.  The level sums are row sums of
     the reduction blocks, bit-identical to per-level sums; a level whose
-    plain sum overflows is summed after weighting.  ValueError if fsum overflows.
+    plain sum overflows is summed after weighting.  When a partial sum of
+    fsum overflows, the level integrals are summed exactly as Fractions and
+    rounded once.  ValueError if the integral leaves binary64.
     """
     layout = series._layout
     terms = np.ldexp(1.0, -(layout.orders + series.dim))
@@ -438,8 +441,11 @@ def integrate(series: FaberSeries) -> float:
             values[i] = float(np.sum(np.ldexp(1.0, -(layout.orders[i] + series.dim)) * block))
     try:
         return math.fsum(values)
-    except OverflowError:
-        raise ValueError("the integral leaves binary64: a sum of level integrals overflows")
+    except OverflowError:  # a partial sum overflowed; the total may not
+        try:
+            return float(sum(map(Fraction, values)))
+        except OverflowError:
+            raise ValueError("the integral leaves binary64: a sum of level integrals overflows")
 
 
 # -- serialization -----------------------------------------------------------

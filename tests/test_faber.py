@@ -559,6 +559,16 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="integral leaves binary64"):
                 call(huge)
 
+    def test_finite_integral_whose_partial_sum_overflows(self):
+        # level integrals 1.79e308, 0.895e308, -0.895e308: fsum's partial sum
+        # overflows, the exact total does not
+        s = FaberSeries(1, 1, [1.79e308, 1.79e308, 1.79e308, -1.79e308, -1.79e308])
+        assert integrate(s) == 1.79e308
+        assert synthesize(s).exact_integral == 1.79e308
+        # level integrals 1.79e308 and 0.895e308: the exact total leaves binary64
+        with pytest.raises(ValueError, match="integral leaves binary64"):
+            integrate(FaberSeries(1, 1, [1.79e308, 1.79e308, 1.79e308, 0.0, 0.0]))
+
     def test_agrees_with_quadrature_of_interpolant(self):
         s = random_series(4, 1, RNG)
         oracle = gauss_integral(
