@@ -176,10 +176,12 @@ def comb_check(
     ``max(n,1)**(d-1) * 2**(-alpha n)``; ratio_bulk compares
     ``sum_{order <= n} 2**order`` against ``max(n,1)**(d-1) * 2**n``.
     The tail is exact: enumeration in the leading axes and geometric
-    closure in the last one.  A budget whose ``2**(-alpha (n+1))``,
-    ``2**n`` or bulk sum is not a normal binary64 number, or an alpha so
-    small that ``2**-alpha`` rounds to 1, raises ValueError instead of
-    overflowing, dividing by zero or losing the tail to underflow.
+    closure in the last one, built one dimension at a time.  A budget
+    whose ``2**(-alpha (n+1))``, ``2**n`` or bulk sum is not a normal
+    binary64 number, whose ``(1 - 2**-alpha)**-d`` or ``max(n,1)**(d-1)``
+    is not finite, or an alpha so small that ``2**-alpha`` rounds to 1,
+    raises ValueError instead of overflowing, dividing by zero or losing
+    the tail to underflow.
     """
     if alpha <= 0.0 or 2.0**-alpha == 1.0:
         raise ValueError(f"alpha={alpha!r} must be positive, with 2**-alpha below 1")
@@ -187,36 +189,44 @@ def comb_check(
         raise ValueError("dimension must be >= 1")
     x = 2.0**-alpha
     full1 = 1.0 / (1.0 - x)
-    cache: dict[tuple[int, int], float] = {}
-
-    def tail(dd: int, n: int) -> float:
-        if n < 0:
-            return full1**dd
-        if dd == 1:
-            return x ** (n + 1) * full1
-        key = (dd, n)
-        if key not in cache:
-            head = math.fsum(x**a * tail(dd - 1, n - a) for a in range(n + 1))
-            cache[key] = head + x ** (n + 1) * full1**dd
-        return cache[key]
 
     def bulk(n: int) -> int:
         return sum(math.comb(s + d - 1, d - 1) * (1 << s) for s in range(n + 1))
 
-    rows = []
-    for n in _check_range(n_range):
+    ns = _check_range(n_range)
+    for n in ns:
         if not (x ** (n + 1) >= sys.float_info.min and n <= sys.float_info.max_exp - 1
-                and bulk(n) <= sys.float_info.max):
+                and bulk(n) <= sys.float_info.max and _finite_power(full1, d)
+                and _finite_power(float(max(n, 1)), d - 1)):
             raise ValueError(f"budget n={n} leaves the normal binary64 range (alpha={alpha!r}, d={d})")
+    # tail[n]: the sum of 2**(-alpha * order) over orders > n >= 0 in dd dimensions;
+    # over orders > n for n < 0 it is the full sum full1**d
+    tail = [x ** (n + 1) * full1 for n in range(ns[-1] + 1)]
+    for dd in range(2, d + 1):
+        tail = [
+            math.fsum(x**a * tail[n - a] for a in range(n + 1)) + x ** (n + 1) * full1**dd
+            for n in range(len(tail))
+        ]
+    rows = []
+    for n in ns:
         denom = float(max(n, 1)) ** (d - 1)
         rows.append(
             (
                 n,
-                tail(d, n) / (denom * x**n),
+                (tail[n] if n >= 0 else full1**d) / (denom * x**n),
                 bulk(n) / (denom * math.ldexp(1.0, n)),
             )
         )
     return rows
+
+
+def _finite_power(base: float, exponent: int) -> bool:
+    """Whether base**exponent is finite in binary64; Python raises OverflowError past it."""
+    try:
+        base**exponent
+    except OverflowError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,12 @@ class TestComb:
         rows = [ln for ln in out.splitlines() if not ln.startswith(("#", "n,"))]
         assert len(rows) == 11
 
+    def test_high_dimension_has_no_recursion_limit(self, capsys):
+        code, out, err = run_cli(capsys, "comb", "--alpha", "1", "--dim", "400", "--n", "2")
+        assert (code, err) == (0, "")
+        rows = [ln for ln in out.splitlines() if not ln.startswith(("#", "n,"))]
+        assert len(rows) == 1 and rows[0].startswith("2,")
+
     def test_header(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"
         run_cli(capsys, "comb", "--alpha", "0.5", "--dim", "1", "--n", "3", "--out", str(out_path))
@@ -223,6 +229,8 @@ BAD_INPUTS = {
     "comb-n535": "comb --alpha 2 --dim 2 --n 535",
     "comb-alpha-1e-17": "comb --dim 2 --n 1..3 --alpha 1e-17",
     "comb-alpha-5e-324": "comb --dim 2 --n 1..3 --alpha 5e-324",
+    "comb-d1030-full-sum-overflow": "comb --dim 1030 --n 2 --alpha 1",
+    "comb-d400-n10-denominator-overflow": "comb --dim 400 --n 10 --alpha 1",
     "widths-p0": "widths --dim 1 --n 2..5 --p 0",
     "rates-p0": "rates --dim 1 --n 2..5 --p 0",
     "rates-p-1": "rates --dim 1 --n 2..5 --p -1",
