@@ -199,24 +199,17 @@ def comb_check(
                 and bulk(n) <= sys.float_info.max and _finite_power(full1, d)
                 and _finite_power(float(max(n, 1)), d - 1)):
             raise ValueError(f"budget n={n} leaves the normal binary64 range (alpha={alpha!r}, d={d})")
-    # tail[n]: the sum of 2**(-alpha * order) over orders > n >= 0 in dd dimensions;
-    # over orders > n for n < 0 it is the full sum full1**d
+    # tail[n], n >= 0: the sum of 2**(-alpha * order) over orders > n in dd
+    # dimensions; for n < 0 that sum is full1**d
     tail = [x ** (n + 1) * full1 for n in range(ns[-1] + 1)]
     for dd in range(2, d + 1):
-        tail = [
-            math.fsum(x**a * tail[n - a] for a in range(n + 1)) + x ** (n + 1) * full1**dd
-            for n in range(len(tail))
-        ]
+        tail = [math.fsum(x**a * tail[n - a] for a in range(n + 1)) + x ** (n + 1) * full1**dd
+                for n in range(len(tail))]
     rows = []
     for n in ns:
         denom = float(max(n, 1)) ** (d - 1)
-        rows.append(
-            (
-                n,
-                (tail[n] if n >= 0 else full1**d) / (denom * x**n),
-                bulk(n) / (denom * math.ldexp(1.0, n)),
-            )
-        )
+        ratio_tail = (tail[n] if n >= 0 else full1**d) / (denom * x**n)
+        rows.append((n, ratio_tail, bulk(n) / (denom * math.ldexp(1.0, n))))
     return rows
 
 
