@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -288,6 +289,13 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
     owner then multiplies them by its own coefficients and adds the term
     to its own sum, in its own order.
 
+    The tables scale exactly: an entry e's tent is taken from
+    ``x * 2.0**e``, a product by a power of two that stays in range for x
+    in [0, 1], so it has no rounding, and a lead axis' cells are ``min(floor(x * 2**E), 2**E - 1)`` for its
+    finest used entry E, shifted right by E - e for every other entry e:
+    ``floor(x * 2**e)`` is ``floor(x * 2**E) >> (E - e)``, and the clamp
+    at x = 1 shifts to the clamp of entry e.
+
     The last axis has tent values only.  Its cells come from one lifted
     index per prefix item, ``G = flat * 2**n + min(floor(x * 2**n), 2**n - 1)``
     with n the largest budget: a level of last entry e >= 0 reads
@@ -317,13 +325,17 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
         tables = []
         for xi, entries in zip(lead, used):
             table = {}
-            for e in entries:
+            for e in reversed(entries):  # the finest first: its cells, shifted, are the others'
                 if e < 0:
                     table[e] = [(0, 1.0 - xi), (1, xi)]
                     continue
-                t = np.ldexp(xi, e)
+                t = xi * 2.0**e
                 floor = np.floor(t)
-                table[e] = [(np.minimum(floor.astype(np.int64), (1 << e) - 1), t)]
+                if e == entries[-1]:
+                    cells = finest = np.minimum(floor.astype(np.int64), (1 << e) - 1)
+                else:
+                    cells = finest >> (entries[-1] - e)
+                table[e] = [(cells, t)]
                 _tent(t, floor)
             tables.append(table)
         # the last axis: its boundary choices, its tents by entry, its finest cells
@@ -331,10 +343,10 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
         tents = {}
         for e in used[-1]:
             if e >= 0:
-                tents[e] = t = np.ldexp(last, e)
+                tents[e] = t = last * 2.0**e
                 _tent(t, np.floor(t))
         if tents:
-            fine = np.minimum(np.floor(np.ldexp(last, n)).astype(np.int64), (1 << n) - 1)
+            fine = np.minimum(np.floor(last * 2.0**n).astype(np.int64), (1 << n) - 1)
         # prefixes[a]: the (flat, product) list of the first a entries of
         # the previous level, a product of a values multiplied left to
         # right after the exact 1.0 * v of the first axis
@@ -454,12 +466,14 @@ def integrate(series: FaberSeries) -> float:
 # "j_1 .. j_d k_1 .. k_d value" in level/translation order, values printed
 # as shortest round-trip decimals.  The JSON variant mirrors the fields.
 # The writers format a block of coefficients at a time and join the blocks
-# once, so they peak at twice the output, as an io.StringIO does; the text
-# reader converts a block of lines at a time into arrays.
+# once, so they peak at twice the output, as an io.StringIO does.  Both
+# readers split a slice of the text at a time into tokens and convert them
+# into arrays with one converter, :func:`_token_rows`.
 
-#: Coefficients per formatted block of the writers and lines per parsed
-#: block of the text reader.  A writer's peak is twice its output plus
-#: about 57 B per block string, which long blocks keep small.
+#: Coefficients per formatted block of the writers; the readers read
+#: slices of 32 * _IO_BLOCK characters, about _IO_BLOCK text lines.  A
+#: writer's peak is twice its output plus about 57 B per block string,
+#: which long blocks keep small.
 _IO_BLOCK = 1 << 15
 
 
@@ -563,24 +577,62 @@ def _build_series(
     return FaberSeries(n, d, values)
 
 
-def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient lines as (N, 2d) ``j k`` rows, clamped, and their values.
+def _token_rows(tokens: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of 2d + 1 tokens ``j k value`` as (N, 2d) ``j k`` rows, clamped, and their values.
 
-    Tokens are split once and converted in bulk: values by ``float``,
-    integers by ``int`` once per distinct token (a block repeats few).  A
-    block that does not convert so is read again line by line, which
-    raises the first bad line's error.
+    Values are converted by ``float``, integers by ``int`` once per
+    distinct token (a block repeats few); ValueError if a token does not
+    convert.  The value tokens are deleted from ``tokens``.
+    """
+    width = 2 * d + 1
+    count = len(tokens) // width
+    values = np.fromiter(map(float, tokens[2 * d :: width]), np.float64, count)
+    del tokens[2 * d :: width]
+    parsed = {t: _clamped(int(t)) for t in set(tokens)}
+    ints = np.fromiter(map(parsed.__getitem__, tokens), np.int64, len(tokens))
+    return ints.reshape(count, 2 * d), values
+
+
+def _joined(blocks: list[tuple[np.ndarray, np.ndarray]], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(ints, values)`` blocks of :func:`_token_rows` as two arrays."""
+    ints = np.concatenate([np.empty((0, 2 * d), np.int64), *(b[0] for b in blocks)])
+    return ints, np.concatenate([np.empty(0), *(b[1] for b in blocks)])
+
+
+def _slices(text: str, start: int, stop: int, boundary: str) -> Iterator[str]:
+    """``text[start:stop]`` in consecutive slices that end with a match of the
+    regular expression ``boundary``: each the shortest of at least
+    ``32 * _IO_BLOCK`` characters, the last one whatever is left."""
+    search = re.compile(boundary).search
+    while start < stop:
+        cut = search(text, start + 32 * _IO_BLOCK, stop)
+        end = stop if cut is None else cut.end()
+        yield text[start:end]
+        start = end
+
+
+#: A line boundary of ``str.splitlines``, with "\r\n" as one.
+_LINE_END = "\r\n|[\n\v\f\r\x1c-\x1e\x85\u2028\u2029]"
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The non-blank lines of text, as ``str.splitlines`` splits them, in one
+    list per :func:`_slices` slice: no slice ends inside a line."""
+    for piece in _slices(text, 0, len(text), _LINE_END):
+        yield list(filter(str.strip, piece.splitlines()))
+
+
+def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient lines as the :func:`_token_rows` of their tokens.
+
+    A block whose lines do not all hold 2d + 1 tokens that convert is read
+    again line by line, which raises the first bad line's error.
     """
     width = 2 * d + 1
     rows = list(map(str.split, lines))
     if set(map(len, rows)) <= {width}:
-        tokens = list(itertools.chain.from_iterable(rows))
         try:
-            values = np.fromiter(map(float, tokens[2 * d :: width]), np.float64, len(rows))
-            del tokens[2 * d :: width]
-            parsed = {t: _clamped(int(t)) for t in set(tokens)}
-            ints = np.fromiter(map(parsed.__getitem__, tokens), np.int64, len(tokens))
-            return ints.reshape(len(rows), 2 * d), values
+            return _token_rows(list(itertools.chain.from_iterable(rows)), d)
         except ValueError:
             pass
     for ln, parts in zip(lines, rows):
@@ -592,25 +644,82 @@ def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def series_from_text(text: str) -> FaberSeries:
-    lines = list(filter(str.strip, text.splitlines()))
-    if not lines:
+    """The series of a text file, read one :func:`_line_blocks` block at a time.
+
+    Beyond the text, the reader holds one block's lines and tokens, never
+    all of them, then the coefficients' ``j k`` rows and values and
+    :func:`_build_series`' arrays: a peak of 75 + 24 d B per coefficient
+    (123 B at d = 2, tracemalloc), plus at most 14 MB for the block of a
+    slice of 32 * ``_IO_BLOCK`` characters.
+    """
+    blocks = _line_blocks(text)
+    lines = next(filter(None, blocks), None)
+    if lines is None:
         raise ValueError("empty series text")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "dim" or head[2] != "budget":
         raise ValueError(f"bad header {lines[0]!r}")
     d, n = int(head[1]), int(head[3])
-    blocks = [_text_block(lines[at : at + _IO_BLOCK], d) for at in range(1, len(lines), _IO_BLOCK)]
-    del lines  # the line strings go before the arrays are joined
+    parsed = [_text_block(lines[1:], d)]
+    del lines
+    parsed += (_text_block(b, d) for b in blocks)
     _levels(n, d)  # the cap, after every line's parse, before any array of d columns
-    ints = np.concatenate([b[0] for b in blocks]) if blocks else np.empty((0, 2 * d), np.int64)
-    values = np.concatenate([b[1] for b in blocks]) if blocks else np.empty(0)
-    del blocks
+    ints, values = _joined(parsed, d)
+    del parsed
 
     def entry(i):  # coefficient line i as read; split again on an error path only
-        parts = list(filter(str.strip, text.splitlines()))[1 + i].split()
+        lines = itertools.chain.from_iterable(_line_blocks(text))
+        parts = next(itertools.islice(lines, 1 + i, None)).split()
         return tuple(map(int, parts[:d])), tuple(map(int, parts[d : 2 * d]))
 
     return _build_series(d, n, entry, ints[:, :d], ints[:, d:], values)
+
+
+# The writer's own JSON layout: JSON integers of at most 18 digits, and
+# numbers with a fraction or an exponent, as ``repr`` writes floats; the
+# possessive quantifiers keep no backtracking state.
+_JSON_INT = "-?+(?:0|[1-9][0-9]{0,17}+)"
+_JSON_FLOAT = "-?+(?:0|[1-9][0-9]*+)(?:[.][0-9]++(?:e[+-][0-9]++)?+|e[+-][0-9]++)"
+_JSON_HEAD = f'{{"dim":({_JSON_INT}),"budget":({_JSON_INT}),"entries":\\['
+#: Every character of an entry but its numbers and the "e" of "value".
+_JSON_SPACES = str.maketrans('{}[]":,jkvalu', " " * 13)
+
+
+def _json_layout(text: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
+    """``(d, n, ints, values)`` of a JSON text in the writer's own layout, else None.
+
+    The layout is the writer's header, then entries
+    ``{"j":[..],"k":[..],"value":v}`` of d integers each and a number, as
+    above, with no whitespace but after the closing ``}]}``.  json.loads
+    reads such a text to the same integers and to ``float`` of the same
+    number tokens, so the entries go as tokens through
+    :func:`_token_rows`, one :func:`_slices` slice at a time.  A header
+    that the node cap refuses is left to json.loads too, so that its
+    errors come in json.loads' order.
+    """
+    head = re.match(_JSON_HEAD, text)
+    end = len(text)
+    while end and text[end - 1] in " \t\n\r":
+        end -= 1
+    if head is None or text[end - 3 : end] != "}]}":
+        return None
+    d, n = int(head[1]), int(head[2])
+    try:
+        _levels(n, d)
+    except ValueError:
+        return None
+    ints = ",".join([_JSON_INT] * d)
+    entry = f'{{"j":\\[{ints}\\],"k":\\[{ints}\\],"value":{_JSON_FLOAT}}}'
+    # each slice but the last ends with "},", the last with "}"
+    entries = re.compile(f"(?:{entry}(?:,|\\Z))*+").fullmatch
+    blocks = []
+    for piece in _slices(text, head.end(), end - 2, "},"):
+        if not entries(piece):
+            return None
+        tokens = piece.translate(_JSON_SPACES).split()
+        del tokens[2 * d :: 2 * d + 2]  # the "e" of each "value"
+        blocks.append(_token_rows(tokens, d))
+    return d, n, *_joined(blocks, d)
 
 
 def _json_int(doc: dict, key: str) -> int:
@@ -631,27 +740,10 @@ def _json_entries(entries: list, d: int) -> tuple:
     """JSON entries as ``(J, K, V, error)`` for :func:`_build_series`.
 
     Every ``j`` and ``k`` must be a list of JSON integers and every
-    ``value`` a JSON number, never a bool.  When all entries have that
-    shape and fit int64 and float64, they are converted in bulk;
-    otherwise they are read one by one up to the first entry that fails,
-    whose error is returned as ``error``.
+    ``value`` a JSON number, never a bool.  The entries are read one by
+    one up to the first entry that fails, whose error is returned as
+    ``error``.
     """
-    try:
-        js = [e["j"] for e in entries]
-        ks = [e["k"] for e in entries]
-        vs = [e["value"] for e in entries]
-        if (
-            set(map(len, js)) | set(map(len, ks)) <= {d}
-            and set(map(type, itertools.chain.from_iterable(js + ks))) <= {int}
-            and set(map(type, vs)) <= {int, float}
-        ):
-            N = len(entries)
-            J = np.fromiter(itertools.chain.from_iterable(js), np.int64, N * d)
-            K = np.fromiter(itertools.chain.from_iterable(ks), np.int64, N * d)
-            V = np.fromiter(map(float, vs), np.float64, N)
-            return J.reshape(N, d), K.reshape(N, d), V, None
-    except (KeyError, TypeError, OverflowError):
-        pass
     js, ks, vs = [], [], []
     error = None
     try:
@@ -672,7 +764,30 @@ def _json_entries(entries: list, d: int) -> tuple:
 
 
 def series_from_json(text: str) -> FaberSeries:
-    doc = json.loads(text)
+    """The series of a JSON file.
+
+    A text in the writer's own layout (:func:`_json_layout`) is read as
+    tokens, one slice at a time, and never decoded whole: beyond the text
+    it peaks at 75 + 24 d B per coefficient, as the text reader does (123 B
+    at d = 2, tracemalloc), plus at most 4 MB for the tokens of a slice of
+    32 * ``_IO_BLOCK`` characters.  Any other text is decoded by json.loads
+    and checked entry by entry, so its first error is json.loads' or that
+    of the first entry of another type.
+    """
+    layout = _json_layout(text)
+    if layout is None:
+        return _series_from_doc(json.loads(text))
+    d, n, ints, values = layout
+
+    def entry(i):  # entry i as read; decoded on an error path only
+        e = json.loads(text)["entries"][i]
+        return tuple(e["j"]), tuple(e["k"])
+
+    return _build_series(d, n, entry, ints[:, :d], ints[:, d:], values)
+
+
+def _series_from_doc(doc) -> FaberSeries:
+    """The series of a decoded JSON document, checked field by field."""
     if type(doc) is not dict:
         raise ValueError(f"series JSON must be an object, got {doc!r:.40}")
     d, n = _json_int(doc, "dim"), _json_int(doc, "budget")

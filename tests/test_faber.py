@@ -888,6 +888,27 @@ def test_property_evaluate_many_is_bit_identical_to_per_level_loop(d, budgets, d
         assert out.tobytes() == per_level_eval(s, X).tobytes()
 
 
+@pytest.mark.parametrize("d,n", [(1, 0), (3, 4)])
+def test_evaluate_many_of_no_points_is_empty(d, n):
+    many = (random_series(n, d, np.random.default_rng(2)), random_series(n + 1, d, RNG))
+    outs = faber._evaluate_many(many, np.empty((0, d)))
+    assert [(out.shape, out.dtype) for out in outs] == [((0,), np.float64)] * 2
+
+
+def test_evaluate_many_tables_exact_at_tiny_and_extreme_coordinates():
+    # tents x * 2.0**e and cells shifted from the finest entry's: exact for
+    # x = 0, x = 1, subnormal x and x just below a cell interface
+    rng = np.random.default_rng(21)
+    n, d = 6, 3
+    many = (random_series(n, d, rng), random_series(n - 2, d, rng))
+    coords = np.array([0.0, 1.0, 5e-324, 2.5e-310, 1e-300, 0.5, np.nextafter(0.5, 0.0),
+                       np.nextafter(1.0, 0.0), 0.25 + 2**-60])
+    X = rng.choice(coords, (4096, d))
+    X[: coords.size, 0] = coords
+    for s, out in zip(many, faber._evaluate_many(many, X)):
+        assert out.tobytes() == per_level_eval(s, X).tobytes()
+
+
 def test_lifted_last_axis_index_fits_int64():
     # _evaluate_many reads a cell of the last axis as G >> (n - e) with
     # G = flat * 2**n + cell < 2**(2n + d - 1); G must stay an exact int64

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from faberkit import cli, faber
 from faberkit.dyadic import levels_up_to
+from faberkit.testbed import kink
 from faberkit.faber import (
     FaberSeries,
+    analyze,
     series_from_json,
     series_from_text,
     series_to_json,
@@ -389,3 +392,125 @@ def test_text_reader_reads_valid_non_canonical_tokens(io_block):
     rows[-3][0] = rows[-3][0].replace("4", "٤")
     text = "\r\n".join([head] + ["\t".join(r) for r in rows])
     assert series_from_text(text).coeffs.tobytes() == s.coeffs.tobytes()
+
+
+# -- JSON in the writer's own layout: the token path ---------------------------------
+
+
+def with_integral_values(s, rng):
+    """The series with about a third of its values integral, up to 1e19 (beyond 2**53)."""
+    coeffs = s.coeffs.copy()
+    whole = rng.random(coeffs.size) < 0.3
+    scale = 10.0 ** rng.integers(0, 20, whole.sum())
+    coeffs[whole] = np.round(rng.uniform(-1.0, 1.0, whole.sum()) * scale)
+    return FaberSeries(s.budget, s.dim, coeffs)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    d=st.integers(1, 4),
+    n=st.integers(0, 4),
+    block=st.sampled_from([1, 3, faber._IO_BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_token_path_reads_writer_output_as_json_loads_does(d, n, block, seed):
+    rng = np.random.default_rng(seed)
+    s = with_integral_values(awkward_series(n, d, rng), rng)
+    text = series_to_json(s) + "\n"  # as the CLI writes it
+    saved = faber._IO_BLOCK
+    faber._IO_BLOCK = block  # slices of 32 * block characters split files and levels
+    try:
+        assert faber._json_layout(text) is not None
+        fast = series_from_json(text)
+    finally:
+        faber._IO_BLOCK = saved
+    decoded = faber._series_from_doc(json.loads(text))
+    assert fast.coeffs.tobytes() == decoded.coeffs.tobytes() == s.coeffs.tobytes()
+
+
+def test_token_path_keeps_exponents():
+    # a translate table that blanked the "e" of "value" would split these
+    values = [1e-05, -2.5e-300, 1.5e300, 5e-324, 1e16, -0.0, 123.0, 0.1, -7.2e-17]
+    text = series_to_json(FaberSeries(2, 1, values))
+    assert "e-05" in text and "e+300" in text and "e+16" in text
+    d, n, ints, read = faber._json_layout(text)
+    assert read.tobytes() == np.array(values).tobytes()
+    assert series_from_json(text).coeffs.tobytes() == np.array(values).tobytes()
+
+
+def layout_doc():
+    return series_to_json(random_series(2, 2, np.random.default_rng(13)))
+
+
+def first_value(text, token):
+    """The text with the first entry's value token replaced."""
+    head, rest = text.split('"value":', 1)
+    return head + '"value":' + token + rest[rest.index("}") :]
+
+
+OUTSIDE_LAYOUT = {
+    "whitespace": (lambda t: json.dumps(json.loads(t)), "ok"),
+    "leading-space": (lambda t: " " + t, "ok"),
+    "reordered-keys": (lambda t: t.replace('{"j":[-1,-1],"k":[0,0],', '{"k":[0,0],"j":[-1,-1],', 1), "ok"),
+    "capital-exponent": (lambda t: first_value(t, "1E5"), "ok"),
+    "unsigned-exponent": (lambda t: first_value(t, "1e5"), "ok"),
+    "integer-value": (lambda t: first_value(t, "3"), "ok"),
+    "400-digit-value": (lambda t: first_value(t, "1" + "0" * 400), "OverflowError"),
+    "bool-value": (lambda t: first_value(t, "true"), "ValueError"),
+    "19-digit-k": (lambda t: t.replace('"k":[0,0]', '"k":[0,1000000000000000000]', 1), "ValueError"),
+    "leading-zero": (lambda t: first_value(t, "01.5"), "JSONDecodeError"),
+    "plus-sign": (lambda t: first_value(t, "+1.5"), "JSONDecodeError"),
+    "trailing-comma": (lambda t: t[: t.rindex("]")] + ",]}", "JSONDecodeError"),
+    "no-entries": (lambda t: t[: t.index("[") + 1] + "]}", "ValueError"),
+}
+
+
+@pytest.mark.parametrize("name", OUTSIDE_LAYOUT)
+def test_json_outside_the_layout_takes_json_loads_with_its_first_error(name, io_block):
+    edit, kind = OUTSIDE_LAYOUT[name]
+    text = edit(layout_doc())
+    assert faber._json_layout(text) is None
+    got = outcome(series_from_json, text)
+    try:
+        want = outcome(faber._series_from_doc, json.loads(text))
+    except json.JSONDecodeError as exc:
+        want = type(exc).__name__, str(exc)
+    assert got == want and got[0] == kind
+    if kind == "ok":  # json.loads reads what a layout file of those values reads
+        doc = json.loads(text)
+        assert got[1][2] == series_from_json(json.dumps(doc, separators=(",", ":"))).coeffs.tobytes()
+
+
+def test_token_path_errors_name_the_entry_as_read():
+    text = layout_doc()
+    for edit, message in [
+        (lambda t: t.replace('"k":[0,0]', '"k":[0,-5]', 1), r"translation \(0, -5\)"),
+        (lambda t: t.replace('"j":[-1,-1]', '"j":[-1,-7]', 1), r"level \(-1, -7\) outside budget 2"),
+        (lambda t: t.replace('"k":[0,1]', '"k":[0,0]', 1), r"duplicate coefficient at level \(-1, -1\)"),
+    ]:
+        bad = edit(text)
+        assert faber._json_layout(bad) is not None
+        with pytest.raises(ValueError, match=message):
+            series_from_json(bad)
+        assert outcome(series_from_json, bad) == outcome(faber._series_from_doc, json.loads(bad))
+
+
+@pytest.mark.parametrize(
+    "read,write", [(series_from_text, series_to_text), (series_from_json, series_to_json)],
+    ids=["text", "json"],
+)
+def test_reader_peak_per_coefficient_holds_at_two_sizes(read, write, monkeypatch):
+    # slices of 32 KiB, whose lines and tokens hold well under 1 MiB; a
+    # reader that held every line or token would pass 130 B per coefficient
+    monkeypatch.setattr(faber, "_IO_BLOCK", 1 << 10)
+    for n in (10, 12):
+        s = analyze(kink(None, 2), n)
+        text = write(s)
+        read(text)  # warm: the level layout memo
+        tracemalloc.start()
+        try:
+            read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 130 * s.size + (1 << 20)
