@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -245,7 +246,9 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="faberkit")
     parser.add_argument("--print-config", action="store_true", help="print defaults and exit")
     subs = parser.add_subparsers(dest="command")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from faberkit import cli
 from faberkit.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +85,18 @@ def run_case(name: str, workdir: Path, golden: Path) -> dict[str, bytes]:
 def test_cli_output_matches_golden(name, tmp_path):
     stored = {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
     assert run_case(name, tmp_path, GOLDEN) == stored
+
+
+def test_one_parser_serves_a_usage_error_then_golden_commands(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    assert run(["levels", "--dim", "0", "--n", "2"]) == 2
+    assert "--dim" in capsys.readouterr().err
+    for name in ("analyze", "recover"):
+        (tmp_path / name).mkdir()
+        stored = {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
+        assert run_case(name, tmp_path / name, GOLDEN) == stored
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def capture(dest: Path) -> None:
