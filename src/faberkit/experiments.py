@@ -179,9 +179,9 @@ def comb_check(
     closure in the last one, built one dimension at a time.  A budget
     whose ``2**(-alpha (n+1))``, ``2**n`` or bulk sum is not a normal
     binary64 number, whose ``(1 - 2**-alpha)**-d`` or ``max(n,1)**(d-1)``
-    is not finite, or an alpha so small that ``2**-alpha`` rounds to 1,
-    raises ValueError instead of overflowing, dividing by zero or losing
-    the tail to underflow.
+    is not finite, whose tail ratio is not finite, or an alpha so small
+    that ``2**-alpha`` rounds to 1, raises ValueError instead of
+    overflowing, dividing by zero or losing the tail to underflow.
     """
     if alpha <= 0.0 or 2.0**-alpha == 1.0:
         raise ValueError(f"alpha={alpha!r} must be positive, with 2**-alpha below 1")
@@ -193,12 +193,15 @@ def comb_check(
     def bulk(n: int) -> int:
         return sum(math.comb(s + d - 1, d - 1) * (1 << s) for s in range(n + 1))
 
+    def out_of_range(n: int) -> ValueError:
+        return ValueError(f"budget n={n} leaves the normal binary64 range (alpha={alpha!r}, d={d})")
+
     ns = _check_range(n_range)
     for n in ns:
         if not (x ** (n + 1) >= sys.float_info.min and n <= sys.float_info.max_exp - 1
                 and bulk(n) <= sys.float_info.max and _finite_power(full1, d)
                 and _finite_power(float(max(n, 1)), d - 1)):
-            raise ValueError(f"budget n={n} leaves the normal binary64 range (alpha={alpha!r}, d={d})")
+            raise out_of_range(n)
     # tail[n], n >= 0: the sum of 2**(-alpha * order) over orders > n in dd
     # dimensions; for n < 0 that sum is full1**d
     tail = [x ** (n + 1) * full1 for n in range(ns[-1] + 1)]
@@ -209,6 +212,8 @@ def comb_check(
     for n in ns:
         denom = float(max(n, 1)) ** (d - 1)
         ratio_tail = (tail[n] if n >= 0 else full1**d) / (denom * x**n)
+        if not math.isfinite(ratio_tail):
+            raise out_of_range(n)
         rows.append((n, ratio_tail, bulk(n) / (denom * math.ldexp(1.0, n))))
     return rows
 

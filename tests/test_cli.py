@@ -231,6 +231,7 @@ BAD_INPUTS = {
     "comb-alpha-5e-324": "comb --dim 2 --n 1..3 --alpha 5e-324",
     "comb-d1030-full-sum-overflow": "comb --dim 1030 --n 2 --alpha 1",
     "comb-d400-n10-denominator-overflow": "comb --dim 400 --n 10 --alpha 1",
+    "comb-d578-tail-ratio-overflow": "comb --alpha 0.5 --dim 578 --n 1",
     "widths-p0": "widths --dim 1 --n 2..5 --p 0",
     "rates-p0": "rates --dim 1 --n 2..5 --p 0",
     "rates-p-1": "rates --dim 1 --n 2..5 --p -1",

@@ -204,6 +204,13 @@ class TestCombCheck:
         with pytest.raises(ValueError, match=f"budget n={n} "):
             comb_check(alpha, d, [n])
 
+    def test_tail_ratio_past_binary64_rejected(self):
+        # (1 - 2**-0.5)**-578 is finite, and dividing it by 2**-0.5 is not
+        with pytest.raises(ValueError, match="budget n=1 leaves the normal binary64 range"):
+            comb_check(0.5, 578, [1])
+        (row,) = comb_check(0.5, 577, [1])
+        assert row[1] == pytest.approx(7.23e307, rel=1e-3)
+
     def test_largest_normal_budget_keeps_the_tail_band(self):
         # 2**(-2 * 511) is the smallest normal binary64 number
         (row,) = comb_check(2.0, 2, [510])
