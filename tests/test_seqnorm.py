@@ -1,6 +1,7 @@
 """Sequence norms: level l_p sums, weighted aggregates, decay profiles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,3 +197,19 @@ def test_property_level_reductions_are_bit_identical_to_per_level_loops(
     finally:
         dyadic._GATHER = saved
         dyadic._reduction_blocks.cache_clear()
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_series_profile_holds_one_temporary_of_the_largest_level(p):
+    # |c| of the largest level, 2**(n-1) of the 2**(n+1) + 1 coefficients, is
+    # the one full-size temporary: (|c| / top)**p is taken in place
+    for n in (15, 17):
+        s = FaberSeries(n, 1, np.random.default_rng(n).standard_normal(2 ** (n + 1) + 1))
+        series_profile(s, p)  # warm: the level layout and plan memos
+        tracemalloc.start()
+        try:
+            series_profile(s, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.2 * s.size  # two temporaries are 8 B per coefficient
