@@ -289,12 +289,13 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
     owner then multiplies them by its own coefficients and adds the term
     to its own sum, in its own order.
 
-    The tables scale exactly: an entry e's tent is taken from
+    The tables scale exactly.  An entry e's tent is taken from
     ``x * 2.0**e``, a product by a power of two that stays in range for x
-    in [0, 1], so it has no rounding, and a lead axis' cells are ``min(floor(x * 2**E), 2**E - 1)`` for its
-    finest used entry E, shifted right by E - e for every other entry e:
-    ``floor(x * 2**e)`` is ``floor(x * 2**E) >> (E - e)``, and the clamp
-    at x = 1 shifts to the clamp of entry e.
+    in [0, 1], so it has no rounding.  A lead axis' cells are
+    ``min(floor(x * 2**E), 2**E - 1)`` for its finest used entry E,
+    shifted right by E - e for every other entry e: ``floor(x * 2**e)``
+    is ``floor(x * 2**E) >> (E - e)``, and the clamp at x = 1 shifts to
+    the clamp of entry e.
 
     The last axis has tent values only.  Its cells come from one lifted
     index per prefix item, ``G = flat * 2**n + min(floor(x * 2**n), 2**n - 1)``
@@ -740,10 +741,27 @@ def _json_entries(entries: list, d: int) -> tuple:
     """JSON entries as ``(J, K, V, error)`` for :func:`_build_series`.
 
     Every ``j`` and ``k`` must be a list of JSON integers and every
-    ``value`` a JSON number, never a bool.  The entries are read one by
-    one up to the first entry that fails, whose error is returned as
-    ``error``.
+    ``value`` a JSON number, never a bool.  When all entries have that
+    shape and fit int64 and float64, they are converted in bulk;
+    otherwise they are read one by one up to the first entry that fails,
+    whose error is returned as ``error``.
     """
+    try:
+        js = [e["j"] for e in entries]
+        ks = [e["k"] for e in entries]
+        vs = [e["value"] for e in entries]
+        if (
+            set(map(len, js)) | set(map(len, ks)) <= {d}
+            and set(map(type, itertools.chain.from_iterable(js + ks))) <= {int}
+            and set(map(type, vs)) <= {int, float}
+        ):
+            N = len(entries)
+            J = np.fromiter(itertools.chain.from_iterable(js), np.int64, N * d)
+            K = np.fromiter(itertools.chain.from_iterable(ks), np.int64, N * d)
+            V = np.fromiter(map(float, vs), np.float64, N)
+            return J.reshape(N, d), K.reshape(N, d), V, None
+    except (KeyError, TypeError, OverflowError):
+        pass
     js, ks, vs = [], [], []
     error = None
     try:
@@ -771,8 +789,8 @@ def series_from_json(text: str) -> FaberSeries:
     it peaks at 75 + 24 d B per coefficient, as the text reader does (123 B
     at d = 2, tracemalloc), plus at most 4 MB for the tokens of a slice of
     32 * ``_IO_BLOCK`` characters.  Any other text is decoded by json.loads
-    and checked entry by entry, so its first error is json.loads' or that
-    of the first entry of another type.
+    and read by :func:`_json_entries`, so its first error is json.loads'
+    or that of the first entry of another type.
     """
     layout = _json_layout(text)
     if layout is None:

@@ -213,3 +213,14 @@ def test_series_profile_holds_one_temporary_of_the_largest_level(p):
         finally:
             tracemalloc.stop()
         assert peak < 4.2 * s.size  # two temporaries are 8 B per coefficient
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 7.25])
+def test_in_place_power_is_byte_equal_to_a_new_array(p):
+    # numpy takes fast paths for some exponents; _level_lps relies on
+    # scaled **= p giving the bytes of scaled**p for every p
+    rng = np.random.default_rng(5)
+    scaled = rng.random((4, 25_000)) * 10.0 ** rng.uniform(-300, 0, (4, 25_000))
+    want = (scaled**p).tobytes()
+    scaled **= p
+    assert scaled.tobytes() == want
