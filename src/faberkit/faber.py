@@ -681,7 +681,7 @@ def series_from_text(text: str) -> FaberSeries:
 # possessive quantifiers keep no backtracking state.
 _JSON_INT = "-?+(?:0|[1-9][0-9]{0,17}+)"
 _JSON_FLOAT = "-?+(?:0|[1-9][0-9]*+)(?:[.][0-9]++(?:e[+-][0-9]++)?+|e[+-][0-9]++)"
-_JSON_HEAD = f'{{"dim":({_JSON_INT}),"budget":({_JSON_INT}),"entries":\\['
+_JSON_HEAD = rf'\{{"dim":({_JSON_INT}),"budget":({_JSON_INT}),"entries":\['
 #: Every character of an entry but its numbers and the "e" of "value".
 _JSON_SPACES = str.maketrans('{}[]":,jkvalu', " " * 13)
 
@@ -710,11 +710,11 @@ def _json_layout(text: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
     except ValueError:
         return None
     ints = ",".join([_JSON_INT] * d)
-    entry = f'{{"j":\\[{ints}\\],"k":\\[{ints}\\],"value":{_JSON_FLOAT}}}'
+    entry = rf'\{{"j":\[{ints}\],"k":\[{ints}\],"value":{_JSON_FLOAT}\}}'
     # each slice but the last ends with "},", the last with "}"
-    entries = re.compile(f"(?:{entry}(?:,|\\Z))*+").fullmatch
+    entries = re.compile(rf"(?:{entry}(?:,|\Z))*+").fullmatch
     blocks = []
-    for piece in _slices(text, head.end(), end - 2, "},"):
+    for piece in _slices(text, head.end(), end - 2, r"\},"):
         if not entries(piece):
             return None
         tokens = piece.translate(_JSON_SPACES).split()
