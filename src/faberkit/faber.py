@@ -230,9 +230,12 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
 
 
 #: Rows per evaluation chunk: bounds the per-axis tables and prefix
-#: products to O(_ROWS) floats each; 2**14 was the fastest of 2**10..2**16
-#: for a d=3 series on a 2-vCPU VM (1.0x, against 1.3x at 2**13 and 2**15).
-_ROWS = 1 << 14
+#: products to O(_ROWS) floats each.  For the joint defect of a 65,536-point
+#: batch (extremal series and their analyze approximants, best of 7, 2-vCPU
+#: VM), 2**13 took as long as 2**14 at d = 3 and 4 (within 3%) and 3-9%
+#: longer at d = 1 and 2, and 2**12 took 12-24% longer than 2**13; the peak
+#: at d = 3 was 2.05, 3.08 and 5.14 MiB at 2**12, 2**13 and 2**14.
+_ROWS = 1 << 13
 
 
 def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
@@ -274,6 +277,17 @@ def _tent(t: np.ndarray, floor: np.ndarray) -> None:
     np.subtract(1.0, t, out=t)
 
 
+def _choices(xi: np.ndarray, e: int, fine: np.ndarray | None, top: int) -> list:
+    """The (translation, value) choices of entry e on an axis of coordinates xi:
+    both boundary functions for e = -1, else the clamped cells and the tents,
+    the cells shifted from ``fine``, those of the axis' finest entry ``top``."""
+    if e < 0:
+        return [(0, 1.0 - xi), (1, xi)]
+    t = xi * 2.0**e
+    _tent(t, np.floor(t))
+    return [(fine if e == top else fine >> (top - e), t)]
+
+
 def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndarray]:
     """The values of series of one dim at (N, d) points of :func:`_cube_points`, in one walk.
 
@@ -281,13 +295,21 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
     of that series alone.  The union of the series' levels with a nonzero
     block is walked in lexicographic order, which is each series' own
     order, and each level lists the series that own it.  Per chunk of
-    ``_ROWS`` points only the (axis, entry) tables some walked level uses
-    are built, and a stack of prefix (flat index, product) lists lets
-    levels that share leading entries share their partial indices and
-    products (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004).
-    Each term's index and ``product * value`` are computed once; every
-    owner then multiplies them by its own coefficients and adds the term
-    to its own sum, in its own order.
+    ``_ROWS`` points a lead axis' (translation, tent) table of an entry is
+    built when the walk first reaches the entry, and a stack of prefix
+    (flat index, product) lists lets levels that share leading entries
+    share their partial indices and products (Bungartz & Griebel, Sparse
+    grids, Acta Numerica 13, 2004).  Each term's index and ``product *
+    value`` are computed once; every owner then multiplies them by its own
+    coefficients and adds the term to its own sum, in its own order.
+
+    The working set is the outputs, 8 B per point per series, plus one
+    chunk's arrays: at most ``max(1, 2d - 3) n + 8d + 2**(d + 1)`` floats
+    per row, n the largest budget.  Those are the chunk's coordinates, per
+    lead axis its finest cells and the tables of the entries reached, the
+    last axis' n + 3 tables, the prefix lists and the lifted indices below.
+    The walk is lexicographic, so axis 0's entries never come back: each is
+    read once, when the walk reaches it, and not kept.
 
     The tables scale exactly.  An entry e's tent is taken from
     ``x * 2.0**e``, a product by a power of two that stays in range for x
@@ -322,23 +344,15 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
     for row in range(0, X.shape[0], _ROWS):
         accs = [out[row : row + _ROWS] for out in outs]
         *lead, last = np.ascontiguousarray(X[row : row + _ROWS].T)
-        # tables[axis][e]: the (translation, value) choices of entry e
-        tables = []
-        for xi, entries in zip(lead, used):
-            table = {}
-            for e in reversed(entries):  # the finest first: its cells, shifted, are the others'
-                if e < 0:
-                    table[e] = [(0, 1.0 - xi), (1, xi)]
-                    continue
-                t = xi * 2.0**e
-                floor = np.floor(t)
-                if e == entries[-1]:
-                    cells = finest = np.minimum(floor.astype(np.int64), (1 << e) - 1)
-                else:
-                    cells = finest >> (entries[-1] - e)
-                table[e] = [(cells, t)]
-                _tent(t, floor)
-            tables.append(table)
+        # fines[axis]: the clamped cells of a lead axis' finest entry, shifted by the others
+        fines = [
+            np.minimum(np.floor(xi * 2.0 ** u[-1]).astype(np.int64), (1 << u[-1]) - 1)
+            if u[-1] >= 0 else None
+            for xi, u in zip(lead, used)
+        ]
+        # tables[axis][e]: the (translation, value) choices of entry e, built when the
+        # walk first reaches e; axis 0's are read once each, so they are not kept
+        tables = [{} for _ in lead]
         # the last axis: its boundary choices, its tents by entry, its finest cells
         ends = [(0, 1.0 - last), (1, last)] if -1 in used[-1] else None
         tents = {}
@@ -361,13 +375,15 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
             if same < d - 1:  # the prefix changed
                 del prefixes[same + 1 :]
                 for axis in range(same, d - 1):
-                    c = 1 << entries[axis] if entries[axis] >= 0 else 2
+                    e = entries[axis]
+                    choices = tables[axis].get(e)
+                    if choices is None:
+                        choices = _choices(lead[axis], e, fines[axis], used[axis][-1])
+                        if axis:
+                            tables[axis][e] = choices
+                    c = 1 << e if e >= 0 else 2
                     prefixes.append(
-                        [
-                            (flat * c + k, prod * v)
-                            for flat, prod in prefixes[-1]
-                            for k, v in tables[axis][entries[axis]]
-                        ]
+                        [(flat * c + k, prod * v) for flat, prod in prefixes[-1] for k, v in choices]
                     )
                 lifted = None
             previous = entries
@@ -414,19 +430,22 @@ def _defect(f: FunctionHandle, series: FaberSeries) -> FunctionHandle:
     When f was made by :func:`synthesize`, f's series and ``series`` are evaluated
     in one :func:`_evaluate_many` pass per batch of points, and f's values go through
     the count and checks of ``f.eval_batch``; the values are byte-equal to the two
-    separate calls that any other handle takes.
+    separate calls that any other handle takes.  The defect is subtracted into
+    the approximant's array.
     """
     if f.dim != series.dim:
         raise ValueError("dimension mismatch between handle and series")
     own = f._series
     if own is None:
         def evaluator(X):
-            return f.eval_batch(X) - evaluate_batch(series, X)
+            values = f.eval_batch(X)  # f's own array, never written
+            approx = evaluate_batch(series, X)
+            return np.subtract(values, approx, out=approx)
     else:
         def evaluator(X):
             X = f._counted(X)
             values, approx = _evaluate_many((own, series), _cube_points(X, own.dim))
-            return f._valid(X, values) - approx
+            return np.subtract(f._valid(X, values), approx, out=approx)
     return FunctionHandle(evaluator, f.dim, label=f"{f.label}-defect(n={series.budget})")
 
 
@@ -546,7 +565,9 @@ def _build_series(
     ``entry(i)`` returns entry i's ``(j, k)`` tuples as read, for the
     messages; J and K may hold them clamped.  ``error``, raised while reading
     the entry after the N, comes after every entry's check; missing
-    coefficients are reported last.
+    coefficients are reported last.  Duplicates and missing coefficients are
+    counted with a one-byte scatter over the layout; only a duplicate sorts
+    the positions, to name the first one.
     """
     layout = _levels(n, d)
     in_range = np.all((J >= -1) & (J <= n), axis=1)
@@ -557,8 +578,12 @@ def _build_series(
     first_bad = int(np.argmax(bad)) if bad.any() else len(J)
 
     pos = layout.starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
-    _, first = np.unique(pos, return_index=True)
-    if first.size < first_bad:
+    seen = np.zeros(layout.size, dtype=np.uint8)
+    seen[pos] = 1
+    distinct = int(np.count_nonzero(seen))
+    del seen
+    if distinct < first_bad:  # a duplicate; the sort names the first one
+        _, first = np.unique(pos, return_index=True)
         repeat = np.ones(first_bad, dtype=bool)
         repeat[first] = False
         j, k = entry(int(np.argmax(repeat)))
@@ -571,8 +596,8 @@ def _build_series(
         _check_translation(layout.levels[i], k)
     if error is not None:
         raise error
-    if first.size < layout.size:
-        raise ValueError(f"series misses {layout.size - first.size} coefficient line(s)")
+    if distinct < layout.size:
+        raise ValueError(f"series misses {layout.size - distinct} coefficient line(s)")
     values = np.zeros(layout.size)
     values[pos] = V
     return FaberSeries(n, d, values)
@@ -649,8 +674,8 @@ def series_from_text(text: str) -> FaberSeries:
 
     Beyond the text, the reader holds one block's lines and tokens, never
     all of them, then the coefficients' ``j k`` rows and values and
-    :func:`_build_series`' arrays: a peak of 75 + 24 d B per coefficient
-    (123 B at d = 2, tracemalloc), plus at most 14 MB for the block of a
+    :func:`_build_series`' arrays: a peak of 51 + 24 d B per coefficient
+    (99 B at d = 2, tracemalloc), plus at most 14 MB for the block of a
     slice of 32 * ``_IO_BLOCK`` characters.
     """
     blocks = _line_blocks(text)
@@ -786,7 +811,7 @@ def series_from_json(text: str) -> FaberSeries:
 
     A text in the writer's own layout (:func:`_json_layout`) is read as
     tokens, one slice at a time, and never decoded whole: beyond the text
-    it peaks at 75 + 24 d B per coefficient, as the text reader does (123 B
+    it peaks at 51 + 24 d B per coefficient, as the text reader does (99 B
     at d = 2, tracemalloc), plus at most 4 MB for the tokens of a slice of
     32 * ``_IO_BLOCK`` characters.  Any other text is decoded by json.loads
     and read by :func:`_json_entries`, so its first error is json.loads'

@@ -131,29 +131,47 @@ def _composite_points(level: int, order: int, d: int) -> int:
 
 def _tensor_batches(axes, weights=None):
     """``(X, w)`` per _CHUNK points of the C-ordered tensor grid of ``axes``: the
-    points and the product of the per-axis ``weights`` at them (None without)."""
+    points and the product of the per-axis ``weights`` at them (None without).
+    Each chunk's unravelled indices are dropped before it is yielded, and the
+    generator keeps no reference to what it yields."""
     shape = tuple(len(a) for a in axes)
     total = math.prod(shape)
-    for start in range(0, total, _CHUNK):
+
+    def batch(start):
         multi = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
         X = np.stack([a[i] for a, i in zip(axes, multi)], axis=1)
-        yield X, None if weights is None else math.prod(w[i] for w, i in zip(weights, multi))
+        return X, None if weights is None else math.prod(w[i] for w, i in zip(weights, multi))
+
+    for start in range(0, total, _CHUNK):
+        yield batch(start)
 
 
 def _power_sums(g: FunctionHandle, batches, q: float, moments: bool = False) -> list[float]:
     """Exact (``math.fsum``) totals over ``(X, w)`` batches of w * |g(X)|^q (w = 1
     when None) and, with ``moments``, of |g(X)|^2q; ValueError if a total overflows,
-    or is 0 although g was nonzero in a batch of sum 0 (|g|^2q: the first is > 0)."""
+    or is 0 although g was nonzero in a batch of sum 0 (|g|^2q: the first is > 0).
+
+    Per batch one array beyond g's values is held: |g| goes into a new array (g's
+    own values are never written), and the power, the weight product and the
+    square are taken in place in it, with the bytes of ``np.abs(v) ** q``,
+    ``w * powers`` and ``powers * powers``.  So ``moments`` needs unweighted
+    batches (w None), as Monte Carlo draws are.
+    """
     sums, squares = [], []
     lost = False
     for X, w in batches:
-        values = g.eval_batch(X)
-        powers = np.abs(values) ** q
-        sums.append(float(np.sum(powers if w is None else w * powers)))
-        lost = lost or (sums[-1] == 0.0 and bool(np.any(values)))
+        powers = np.abs(g.eval_batch(X))
+        del X  # before the next batch is drawn: a lower peak
+        nonzero = bool(np.any(powers))
+        powers **= q
+        if w is not None:
+            powers *= w
+        sums.append(float(np.sum(powers)))
+        lost = lost or (sums[-1] == 0.0 and nonzero)
         if moments:
-            squares.append(float(np.sum(powers * powers)))
-        del values, powers  # before the next batch is drawn: a lower peak
+            powers *= powers
+            squares.append(float(np.sum(powers)))
+        del w, powers
     totals = []
     for partials in (sums, squares)[: 1 + moments]:
         if not math.isfinite(sum(partials)):
@@ -201,7 +219,12 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
 
     def draws():  # one point per stratum, then the remainder, in chunks
         for corners, _ in _tensor_batches([np.arange(1 << level, dtype=np.float64)] * d):
-            yield (corners + rng.random(corners.shape)) * h, None
+            points = rng.random(corners.shape)
+            points += corners  # the bytes of (corners + points) * h
+            points *= h
+            del corners
+            yield points, None
+            del points
         for start in range(0, remainder, _CHUNK):
             yield rng.random((min(_CHUNK, remainder - start), d)), None
 
@@ -241,7 +264,12 @@ def lq_norm(g: FunctionHandle, spec: MeasureSpec) -> tuple[float, float]:
 
 
 def lq_error(f: FunctionHandle, series: FaberSeries, spec: MeasureSpec) -> tuple[float, float]:
-    """Norm of the recovery defect f - (truncated expansion), built by ``faber._defect``."""
+    """Norm of the recovery defect f - (truncated expansion), built by ``faber._defect``.
+
+    For a synthesized f, Monte Carlo holds at most 8 (d + 2) B per point of
+    its largest batch (the points and both series' values), plus the chunk
+    arrays of ``faber._evaluate_many`` and the 2**level strata coordinates.
+    """
     return lq_norm(_defect(f, series), spec)
 
 
