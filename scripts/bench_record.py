@@ -2,7 +2,8 @@
 
     python3 bench/sweep.py --runs 10 --first-seed S --out OUT PARENT_DIR CHANGE_DIR
     python3 bench/sweep.py --runs 2 --first-seed T --trace 1 --out OUT PARENT_DIR CHANGE_DIR
-    python3 scripts/bench_record.py OUT PARENT CHANGE --output BENCH_N.json
+    python3 scripts/bench_record.py OUT PARENT CHANGE --output BENCH_N.json \
+        [--studies PARENT_DIR CHANGE_DIR [--runs K] [--study NAME ...]]
 
 OUT is the sweep's output directory: ``a.jsonl`` holds the parent's runs
 and ``b.jsonl`` the change's, untraced and traced runs alike.  PARENT and
@@ -13,16 +14,29 @@ parent ratio of the medians, the pairs won and ``bench/compare.py``'s
 verdict.  Traced runs give ``per_layer_traced``: per workload and
 per-layer metric both sides' medians and runs.  The verdicts and
 statistics are ``bench/compare.py``'s own, imported from it.
+
+With ``--studies``, each named one-shot CLI study of ``STUDIES`` (all by
+default) runs K times per side as a fresh ``python -m faberkit.cli``
+process of that checkout's ``src/``, the sides alternating run by run.
+``studies`` then holds per study and side the median wall time, the
+median of the child's peak RSS (``os.wait4``'s ``ru_maxrss``) and the
+SHA-256 of stdout and of every file the study writes, and whether both
+sides wrote the same bytes on every run.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
+import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -145,14 +159,101 @@ def record(out: Path, parent: str, change: str) -> dict:
     return rec
 
 
+#: name -> faberkit CLI arguments of a one-shot study; relative --out paths
+#: land in the run's own empty directory.
+STUDIES = {
+    "recover-d3-mc": [
+        "recover", "--dim", "3", "--n", "4", "--func", "extremal", "--depth", "7",
+        "--measure", "mc", "--seed", "3",
+    ],
+    "rates-d2": [
+        "rates", "--dim", "2", "--p", "2", "--q", "2", "--func", "extremal",
+        "--depth", "12", "--n", "4..8", "--seed", "7",
+    ],
+    "rates-d1": [  # the README's rates command
+        "rates", "--dim", "1", "--p", "2", "--q", "2", "--func", "extremal",
+        "--depth", "14", "--n", "4..12", "--seed", "7", "--out", "rates.csv",
+    ],
+}
+
+
+def run_study(root: Path, args: list[str]) -> dict:
+    """One fresh CLI process of ``root``'s source in an empty directory: its exit
+    code, wall time, peak RSS and the SHA-256 of stdout and of each file it wrote."""
+    with tempfile.TemporaryDirectory() as work, tempfile.TemporaryFile() as out:
+        env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "faberkit.cli", *args],
+            cwd=work, env=env, stdout=out, stderr=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)  # the child's own rusage
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        digests = {"stdout": hashlib.sha256(out.read()).hexdigest()}
+        for path in sorted(Path(work).rglob("*")):
+            if path.is_file():
+                digests[str(path.relative_to(work))] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"exit": proc.returncode, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "sha256": digests}
+
+
+def study_row(args: list[str], runs: dict[str, list[dict]]) -> dict:
+    """One study's row from its ``run_study`` results per side ("parent", "change")."""
+    row = {"command": "faberkit " + " ".join(args)}
+    outputs = {}
+    for side, results in runs.items():
+        distinct = {json.dumps(r["sha256"], sort_keys=True) for r in results}
+        outputs[side] = distinct
+        row[side] = {
+            "wall_s": statistics.median(r["wall_s"] for r in results),
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
+            "exits": sorted({r["exit"] for r in results}),
+            "sha256": [json.loads(d) for d in sorted(distinct)],
+            "runs": {key: [r[key] for r in results] for key in ("wall_s", "peak_rss_mb")},
+        }
+    for key in ("wall_s", "peak_rss_mb"):
+        row[f"{key}_change_over_parent"] = row["change"][key] / row["parent"][key]
+    row["same_output"] = len(outputs["parent"]) == 1 and outputs["parent"] == outputs["change"]
+    return row
+
+
+def studies(roots: dict[str, Path], names: list[str], runs: int) -> dict:
+    """``study_row`` per named study, each run ``runs`` times per side, alternating."""
+    rows = {}
+    for name in names:
+        results = {side: [] for side in roots}
+        for i in range(runs):
+            for side in list(roots)[:: 1 if i % 2 == 0 else -1]:
+                results[side].append(run_study(roots[side], STUDIES[name]))
+        rows[name] = study_row(STUDIES[name], results)
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("out", type=Path, help="bench/sweep.py output directory (a.jsonl, b.jsonl)")
     ap.add_argument("parent", help="name of the parent side, e.g. its commit")
     ap.add_argument("change", help="name of the change side, e.g. its commit")
     ap.add_argument("--output", type=Path, help="JSON file to write (default: stdout)")
+    ap.add_argument("--studies", nargs=2, type=Path, metavar=("PARENT_DIR", "CHANGE_DIR"),
+                    help="also record the one-shot CLI studies of these two checkouts")
+    ap.add_argument("--runs", type=int, default=5, help="fresh processes per study and side")
+    ap.add_argument("--study", action="append", choices=sorted(STUDIES),
+                    help="a study to record (default: every study)")
     args = ap.parse_args(argv)
-    text = json.dumps(record(args.out, args.parent, args.change), indent=1) + "\n"
+    rec = record(args.out, args.parent, args.change)
+    if args.studies:
+        names = args.study or list(STUDIES)
+        rec["studies"] = {
+            "what": f"{args.runs} fresh processes per study and side, alternating; wall time "
+                    "and peak RSS are medians, sha256 lists each distinct set of outputs",
+            "command": f"python3 scripts/bench_record.py OUT {args.parent} {args.change} "
+                       f"--studies PARENT_CHECKOUT CHANGE_CHECKOUT --runs {args.runs}",
+            "rows": studies(dict(zip(("parent", "change"), args.studies)), names, args.runs),
+        }
+    text = json.dumps(rec, indent=1) + "\n"
     if args.output:
         args.output.write_text(text)
     else:

@@ -51,3 +51,59 @@ def test_record_matches_compare_schema(tmp_path, capsys):
     layer = rec["per_layer_traced"]["workloads"]["w"]["faber.sample.s"]
     assert (layer["parent"], layer["change"], layer["unit"]) == (0.002, 0.001, "s/op")
     assert rec["per_layer_traced"]["seeds"] == [11, 12]
+
+
+def _study_run(wall, rss, stdout="aa", exit=0):
+    return {"exit": exit, "wall_s": wall, "peak_rss_mb": rss, "sha256": {"stdout": stdout}}
+
+
+def test_study_row_takes_medians_and_compares_outputs():
+    runs = {
+        "parent": [_study_run(w, r) for w, r in ((2.0, 50.0), (3.0, 52.0), (2.5, 51.0))],
+        "change": [_study_run(w, r) for w, r in ((1.0, 45.0), (1.5, 46.0), (1.2, 44.0))],
+    }
+    row = bench_record.study_row(["rates", "--dim", "1"], runs)
+    assert row["command"] == "faberkit rates --dim 1"
+    assert (row["parent"]["wall_s"], row["parent"]["peak_rss_mb"]) == (2.5, 51.0)
+    assert (row["change"]["wall_s"], row["change"]["peak_rss_mb"]) == (1.2, 45.0)
+    assert row["peak_rss_mb_change_over_parent"] == 45.0 / 51.0
+    assert row["change"]["runs"]["wall_s"] == [1.0, 1.5, 1.2]
+    assert row["parent"]["sha256"] == [{"stdout": "aa"}] and row["same_output"]
+    runs["change"][1] = _study_run(1.5, 46.0, stdout="bb", exit=1)
+    row = bench_record.study_row(["rates"], runs)
+    assert not row["same_output"] and len(row["change"]["sha256"]) == 2
+    assert row["change"]["exits"] == [0, 1]
+
+
+def _checkout(root, greeting):
+    # a stand-in source tree whose CLI prints its arguments and writes --out
+    package = root / "src" / "faberkit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import sys\n"
+        f"print({greeting!r}, sys.argv[1:])\n"
+        "if '--out' in sys.argv:\n"
+        "    open(sys.argv[sys.argv.index('--out') + 1], 'w').write('rows\\n')\n"
+    )
+    return root
+
+
+def test_studies_run_each_checkout_as_fresh_processes(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "STUDIES", {"toy": ["toy", "--out", "t.csv"]})
+    for side, seed in (("a", 1), ("b", 1)):
+        _write(tmp_path / f"{side}.jsonl", [_run("w", seed, 0, {"ops_per_s": (1.0, "1/ref_s")})])
+    same = [_checkout(tmp_path / name, "hello") for name in ("p", "c")]
+    other = _checkout(tmp_path / "o", "bye")
+    out = tmp_path / "BENCH.json"
+    for change, equal in ((same[1], True), (other, False)):
+        argv = [str(tmp_path), "p0", "c1", "--output", str(out),
+                "--studies", str(same[0]), str(change), "--runs", "2"]
+        assert bench_record.main(argv) == 0
+        row = json.loads(out.read_text())["studies"]["rows"]["toy"]
+        assert row["same_output"] is equal
+        assert row["command"] == "faberkit toy --out t.csv"
+        for side in ("parent", "change"):
+            assert row[side]["exits"] == [0] and len(row[side]["runs"]["wall_s"]) == 2
+            assert row[side]["peak_rss_mb"] > 0.0
+            assert set(row[side]["sha256"][0]) == {"stdout", "t.csv"}
