@@ -895,6 +895,26 @@ def test_evaluate_many_of_no_points_is_empty(d, n):
     assert [(out.shape, out.dtype) for out in outs] == [((0,), np.float64)] * 2
 
 
+@pytest.mark.parametrize("d,budgets", [(2, (8, 12)), (4, (3, 4))])
+def test_evaluate_many_peak_beyond_outputs_is_bounded_per_chunk_row(d, budgets):
+    # the docstring's bound, max(1, 2d - 3) n + 8d + 2**(d + 1) floats per row
+    # of a _ROWS chunk, at two budgets: axis 0's entries are not kept, so at
+    # d = 2 the deeper series adds only the last axis' tents
+    rng = np.random.default_rng(d)
+    for n in budgets:
+        many = (random_series(n, d, rng), random_series(n - 2, d, rng))
+        X = rng.random((2 * faber._ROWS + 3, d))
+        faber._evaluate_many(many, X)  # warm: the level layouts
+        tracemalloc.start()
+        try:
+            faber._evaluate_many(many, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        floats = max(1, 2 * d - 3) * n + 8 * d + 2 ** (d + 1)
+        assert peak - 8 * len(X) * len(many) <= 8 * floats * faber._ROWS, (n, peak)
+
+
 def test_evaluate_many_tables_exact_at_tiny_and_extreme_coordinates():
     # tents x * 2.0**e and cells shifted from the finest entry's: exact for
     # x = 0, x = 1, subnormal x and x just below a cell interface

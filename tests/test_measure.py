@@ -1,6 +1,7 @@
 """Norm measurement: composite Gauss, stratified MC, sup grid, exact blocks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,29 @@ class TestJointDefect:
         assert np.array(joint).tobytes() == np.array(spelled).tobytes()
         assert f.eval_count == boxed.eval_count > 0
         assert g.eval_count == 2 * f.eval_count
+
+    def test_monte_carlo_peak_is_bounded_per_batch_point(self):
+        # lq_error's bound: 8 (d + 2) B per point of the largest batch, plus
+        # _evaluate_many's chunk arrays (floats per row as its docstring states)
+        # and the strata coordinates; 70,000 samples at d = 3 draw batches of
+        # 32,768 and 37,232 points, 140,000 samples one of 65,536
+        d, n = 3, 5
+        rng = np.random.default_rng(17)
+        f, s = synthesize(random_series(n, d, rng)), random_series(n - 2, d, rng)
+        for samples in (70_000, 140_000):
+            spec = MeasureSpec(2.0, StratifiedMC(samples=samples, seed=5))
+            lq_error(f, s, spec)  # warm: the level layouts and numpy.random
+            tracemalloc.start()
+            try:
+                lq_error(f, s, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            level = int(math.log2(samples)) // d
+            strata = 1 << (level * d)
+            batch = max(min(strata, measure._CHUNK), min(samples - strata, measure._CHUNK))
+            chunk = 8 * (max(1, 2 * d - 3) * n + 8 * d + 2 ** (d + 1)) * faber._ROWS
+            assert peak <= 8 * (d + 2) * batch + chunk + 8 * (1 << level), (samples, peak)
 
     def test_overflow_raises_the_same_evaluation_error(self):
         # (1 - x) c + v(x) c overflows for x > 0.06 with c near the top of binary64

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberkit import dyadic
+from faberkit import dyadic, measure
 from faberkit.dyadic import LevelVector, levels_up_to
 from faberkit.faber import FaberSeries, FunctionHandle, analyze, integrate, synthesize
 from faberkit.seqnorm import NormParams, decay_profile, level_lp, seq_norm, series_profile
@@ -224,3 +224,17 @@ def test_in_place_power_is_byte_equal_to_a_new_array(p):
     want = (scaled**p).tobytes()
     scaled **= p
     assert scaled.tobytes() == want
+    # measure._power_sums takes the power, the weight product and the square in
+    # place in its copy of |g|, and never writes g's own values
+    values = rng.standard_normal(50_000) * 10.0 ** rng.uniform(-20, 20, 50_000)
+    kept = values.copy()
+    w = rng.random(50_000)
+    g = FunctionHandle(lambda X: values, 1)
+    X = np.zeros((50_000, 1))
+    powers = np.abs(kept) ** p
+    weighted = measure._power_sums(g, [(X, w)], p)
+    assert np.array(weighted).tobytes() == np.array([np.sum(w * powers)]).tobytes()
+    moments = measure._power_sums(g, [(X, None)], p, moments=True)
+    spelled = [np.sum(powers), np.sum(powers * powers)]
+    assert np.array(moments).tobytes() == np.array(spelled).tobytes()
+    assert values.tobytes() == kept.tobytes()

@@ -508,7 +508,7 @@ def test_token_path_errors_name_the_entry_as_read():
 )
 def test_reader_peak_per_coefficient_holds_at_two_sizes(read, write, monkeypatch):
     # slices of 32 KiB, whose lines and tokens hold well under 1 MiB; a
-    # reader that held every line or token would pass 130 B per coefficient
+    # reader that held every line or token would pass 100 B per coefficient
     monkeypatch.setattr(faber, "_IO_BLOCK", 1 << 10)
     for n in (10, 12):
         s = analyze(kink(None, 2), n)
@@ -520,4 +520,4 @@ def test_reader_peak_per_coefficient_holds_at_two_sizes(read, write, monkeypatch
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 130 * s.size + (1 << 20)
+        assert peak <= 100 * s.size + (1 << 20)
