@@ -380,8 +380,8 @@ class TestJointDefect:
     def test_monte_carlo_peak_is_bounded_per_batch_point(self):
         # lq_error's bound: 8 (d + 2) B per point of the largest batch, plus
         # _evaluate_many's chunk arrays (floats per row as its docstring states)
-        # and the strata coordinates; 70,000 samples at d = 3 draw batches of
-        # 32,768 and 37,232 points, 140,000 samples one of 65,536
+        # and the strata coordinates; at d = 3, 70,000 samples draw batches of
+        # 32,768 and 37,232 points, 140,000 samples batches of up to 65,536
         d, n = 3, 5
         rng = np.random.default_rng(17)
         f, s = synthesize(random_series(n, d, rng)), random_series(n - 2, d, rng)
