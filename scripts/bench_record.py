@@ -3,7 +3,7 @@
     python3 bench/sweep.py --runs 10 --first-seed S --out OUT PARENT_DIR CHANGE_DIR
     python3 bench/sweep.py --runs 2 --first-seed T --trace 1 --out OUT PARENT_DIR CHANGE_DIR
     python3 scripts/bench_record.py OUT PARENT CHANGE --output BENCH_N.json \
-        [--studies PARENT_DIR CHANGE_DIR [--runs K] [--study NAME ...]]
+        [--studies PARENT_DIR CHANGE_DIR]
 
 OUT is the sweep's output directory: ``a.jsonl`` holds the parent's runs
 and ``b.jsonl`` the change's, untraced and traced runs alike.  PARENT and
@@ -15,8 +15,8 @@ verdict.  Traced runs give ``per_layer_traced``: per workload and
 per-layer metric both sides' medians and runs.  The verdicts and
 statistics are ``bench/compare.py``'s own, imported from it.
 
-With ``--studies``, each named one-shot CLI study of ``STUDIES`` (all by
-default) runs K times per side as a fresh ``python -m faberkit.cli``
+With ``--studies``, each one-shot CLI study of ``STUDIES`` runs
+``STUDY_RUNS`` times per side as a fresh ``python -m faberkit.cli``
 process of that checkout's ``src/``, the sides alternating run by run.
 ``studies`` then holds per study and side the median wall time, the
 median of the child's peak RSS (``os.wait4``'s ``ru_maxrss``) and the
@@ -176,6 +176,9 @@ STUDIES = {
     ],
 }
 
+#: fresh processes per study and side
+STUDY_RUNS = 5
+
 
 def run_study(root: Path, args: list[str]) -> dict:
     """One fresh CLI process of ``root``'s source in an empty directory: its exit
@@ -219,15 +222,15 @@ def study_row(args: list[str], runs: dict[str, list[dict]]) -> dict:
     return row
 
 
-def studies(roots: dict[str, Path], names: list[str], runs: int) -> dict:
-    """``study_row`` per named study, each run ``runs`` times per side, alternating."""
+def studies(roots: dict[str, Path]) -> dict:
+    """``study_row`` per study, each run ``STUDY_RUNS`` times per side, alternating."""
     rows = {}
-    for name in names:
+    for name, args in STUDIES.items():
         results = {side: [] for side in roots}
-        for i in range(runs):
+        for i in range(STUDY_RUNS):
             for side in list(roots)[:: 1 if i % 2 == 0 else -1]:
-                results[side].append(run_study(roots[side], STUDIES[name]))
-        rows[name] = study_row(STUDIES[name], results)
+                results[side].append(run_study(roots[side], args))
+        rows[name] = study_row(args, results)
     return rows
 
 
@@ -239,19 +242,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--output", type=Path, help="JSON file to write (default: stdout)")
     ap.add_argument("--studies", nargs=2, type=Path, metavar=("PARENT_DIR", "CHANGE_DIR"),
                     help="also record the one-shot CLI studies of these two checkouts")
-    ap.add_argument("--runs", type=int, default=5, help="fresh processes per study and side")
-    ap.add_argument("--study", action="append", choices=sorted(STUDIES),
-                    help="a study to record (default: every study)")
     args = ap.parse_args(argv)
     rec = record(args.out, args.parent, args.change)
     if args.studies:
-        names = args.study or list(STUDIES)
         rec["studies"] = {
-            "what": f"{args.runs} fresh processes per study and side, alternating; wall time "
+            "what": f"{STUDY_RUNS} fresh processes per study and side, alternating; wall time "
                     "and peak RSS are medians, sha256 lists each distinct set of outputs",
             "command": f"python3 scripts/bench_record.py OUT {args.parent} {args.change} "
-                       f"--studies PARENT_CHECKOUT CHANGE_CHECKOUT --runs {args.runs}",
-            "rows": studies(dict(zip(("parent", "change"), args.studies)), names, args.runs),
+                       "--studies PARENT_CHECKOUT CHANGE_CHECKOUT",
+            "rows": studies(dict(zip(("parent", "change"), args.studies))),
         }
     text = json.dumps(rec, indent=1) + "\n"
     if args.output:

@@ -231,10 +231,10 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
 
 #: Rows per evaluation chunk: bounds the per-axis tables and prefix
 #: products to O(_ROWS) floats each.  For the joint defect of a 65,536-point
-#: batch (extremal series and their analyze approximants, best of 7, 2-vCPU
-#: VM), 2**13 took as long as 2**14 at d = 3 and 4 (within 3%) and 3-9%
-#: longer at d = 1 and 2, and 2**12 took 12-24% longer than 2**13; the peak
-#: at d = 3 was 2.05, 3.08 and 5.14 MiB at 2**12, 2**13 and 2**14.
+#: batch (extremal series and their analyze approximants, median of 15
+#: alternating rounds, 2-vCPU VM), 2**13 took as long as 2**14 at d = 1..4
+#: (within 5% either way), and 2**12 took 11-21% longer than 2**13; the
+#: peak at d = 3 was 2.43, 3.83 and 6.65 MiB at 2**12, 2**13 and 2**14.
 _ROWS = 1 << 13
 
 
@@ -277,17 +277,6 @@ def _tent(t: np.ndarray, floor: np.ndarray) -> None:
     np.subtract(1.0, t, out=t)
 
 
-def _choices(xi: np.ndarray, e: int, fine: np.ndarray | None, top: int) -> list:
-    """The (translation, value) choices of entry e on an axis of coordinates xi:
-    both boundary functions for e = -1, else the clamped cells and the tents,
-    the cells shifted from ``fine``, those of the axis' finest entry ``top``."""
-    if e < 0:
-        return [(0, 1.0 - xi), (1, xi)]
-    t = xi * 2.0**e
-    _tent(t, np.floor(t))
-    return [(fine if e == top else fine >> (top - e), t)]
-
-
 def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndarray]:
     """The values of series of one dim at (N, d) points of :func:`_cube_points`, in one walk.
 
@@ -295,21 +284,24 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
     of that series alone.  The union of the series' levels with a nonzero
     block is walked in lexicographic order, which is each series' own
     order, and each level lists the series that own it.  Per chunk of
-    ``_ROWS`` points a lead axis' (translation, tent) table of an entry is
-    built when the walk first reaches the entry, and a stack of prefix
-    (flat index, product) lists lets levels that share leading entries
-    share their partial indices and products (Bungartz & Griebel, Sparse
-    grids, Acta Numerica 13, 2004).  Each term's index and ``product *
-    value`` are computed once; every owner then multiplies them by its own
-    coefficients and adds the term to its own sum, in its own order.
+    ``_ROWS`` points only the (axis, entry) tables some walked level uses
+    are built, and a stack of prefix (flat index, product) lists lets
+    levels that share leading entries share their partial indices and
+    products (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004).
+    Each term's index and ``product * value`` are computed once; every
+    owner then multiplies them by its own coefficients and adds the term
+    to its own sum, in its own order.
 
     The working set is the outputs, 8 B per point per series, plus one
-    chunk's arrays: at most ``max(1, 2d - 3) n + 8d + 2**(d + 1)`` floats
-    per row, n the largest budget.  Those are the chunk's coordinates, per
-    lead axis its finest cells and the tables of the entries reached, the
-    last axis' n + 3 tables, the prefix lists and the lifted indices below.
-    The walk is lexicographic, so axis 0's entries never come back: each is
-    read once, when the walk reaches it, and not kept.
+    chunk's arrays: at most ``(2d - 1) n + 8d + 2**(d + 1)`` floats per
+    row, n the largest budget.  Those are the chunk's coordinates, two
+    tables per entry of each lead axis, the last axis' n + 3 tables, the
+    prefix lists and the lifted indices below.  The tables are built up
+    front: building a lead axis' tables when the walk reaches an entry and
+    dropping axis 0's when it leaves them held 23-56 floats per row at
+    d = 2..4 instead of 41-73, but the freed pages came back as page
+    faults, and the bench's scatter-io op took 4-7% longer for 1 MB less
+    peak RSS (2-vCPU VM).
 
     The tables scale exactly.  An entry e's tent is taken from
     ``x * 2.0**e``, a product by a power of two that stays in range for x
@@ -344,15 +336,23 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
     for row in range(0, X.shape[0], _ROWS):
         accs = [out[row : row + _ROWS] for out in outs]
         *lead, last = np.ascontiguousarray(X[row : row + _ROWS].T)
-        # fines[axis]: the clamped cells of a lead axis' finest entry, shifted by the others
-        fines = [
-            np.minimum(np.floor(xi * 2.0 ** u[-1]).astype(np.int64), (1 << u[-1]) - 1)
-            if u[-1] >= 0 else None
-            for xi, u in zip(lead, used)
-        ]
-        # tables[axis][e]: the (translation, value) choices of entry e, built when the
-        # walk first reaches e; axis 0's are read once each, so they are not kept
-        tables = [{} for _ in lead]
+        # tables[axis][e]: the (translation, value) choices of entry e
+        tables = []
+        for xi, entries in zip(lead, used):
+            table = {}
+            for e in reversed(entries):  # the finest first: its cells, shifted, are the others'
+                if e < 0:
+                    table[e] = [(0, 1.0 - xi), (1, xi)]
+                    continue
+                t = xi * 2.0**e
+                floor = np.floor(t)
+                if e == entries[-1]:
+                    cells = finest = np.minimum(floor.astype(np.int64), (1 << e) - 1)
+                else:
+                    cells = finest >> (entries[-1] - e)
+                table[e] = [(cells, t)]
+                _tent(t, floor)
+            tables.append(table)
         # the last axis: its boundary choices, its tents by entry, its finest cells
         ends = [(0, 1.0 - last), (1, last)] if -1 in used[-1] else None
         tents = {}
@@ -375,15 +375,13 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
             if same < d - 1:  # the prefix changed
                 del prefixes[same + 1 :]
                 for axis in range(same, d - 1):
-                    e = entries[axis]
-                    choices = tables[axis].get(e)
-                    if choices is None:
-                        choices = _choices(lead[axis], e, fines[axis], used[axis][-1])
-                        if axis:
-                            tables[axis][e] = choices
-                    c = 1 << e if e >= 0 else 2
+                    c = 1 << entries[axis] if entries[axis] >= 0 else 2
                     prefixes.append(
-                        [(flat * c + k, prod * v) for flat, prod in prefixes[-1] for k, v in choices]
+                        [
+                            (flat * c + k, prod * v)
+                            for flat, prod in prefixes[-1]
+                            for k, v in tables[axis][entries[axis]]
+                        ]
                     )
                 lifted = None
             previous = entries

@@ -154,8 +154,8 @@ def _power_sums(g: FunctionHandle, batches, q: float, moments: bool = False) -> 
     Per batch one array beyond g's values is held: |g| goes into a new array (g's
     own values are never written), and the power, the weight product and the
     square are taken in place in it, with the bytes of ``np.abs(v) ** q``,
-    ``w * powers`` and ``powers * powers``.  So ``moments`` needs unweighted
-    batches (w None), as Monte Carlo draws are.
+    ``w * powers`` and ``powers * powers``: the square is of w * |g|^q, so a
+    weighted batch with ``moments`` is a ValueError.
     """
     sums, squares = [], []
     lost = False
@@ -169,6 +169,8 @@ def _power_sums(g: FunctionHandle, batches, q: float, moments: bool = False) -> 
         sums.append(float(np.sum(powers)))
         lost = lost or (sums[-1] == 0.0 and nonzero)
         if moments:
+            if w is not None:
+                raise ValueError("moments need unweighted batches")
             powers *= powers
             squares.append(float(np.sum(powers)))
         del w, powers

@@ -91,6 +91,7 @@ def _checkout(root, greeting):
 
 def test_studies_run_each_checkout_as_fresh_processes(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "STUDIES", {"toy": ["toy", "--out", "t.csv"]})
+    monkeypatch.setattr(bench_record, "STUDY_RUNS", 2)
     for side, seed in (("a", 1), ("b", 1)):
         _write(tmp_path / f"{side}.jsonl", [_run("w", seed, 0, {"ops_per_s": (1.0, "1/ref_s")})])
     same = [_checkout(tmp_path / name, "hello") for name in ("p", "c")]
@@ -98,7 +99,7 @@ def test_studies_run_each_checkout_as_fresh_processes(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     for change, equal in ((same[1], True), (other, False)):
         argv = [str(tmp_path), "p0", "c1", "--output", str(out),
-                "--studies", str(same[0]), str(change), "--runs", "2"]
+                "--studies", str(same[0]), str(change)]
         assert bench_record.main(argv) == 0
         row = json.loads(out.read_text())["studies"]["rows"]["toy"]
         assert row["same_output"] is equal

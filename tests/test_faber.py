@@ -897,9 +897,9 @@ def test_evaluate_many_of_no_points_is_empty(d, n):
 
 @pytest.mark.parametrize("d,budgets", [(2, (8, 12)), (4, (3, 4))])
 def test_evaluate_many_peak_beyond_outputs_is_bounded_per_chunk_row(d, budgets):
-    # the docstring's bound, max(1, 2d - 3) n + 8d + 2**(d + 1) floats per row
-    # of a _ROWS chunk, at two budgets: axis 0's entries are not kept, so at
-    # d = 2 the deeper series adds only the last axis' tents
+    # the docstring's bound, (2d - 1) n + 8d + 2**(d + 1) floats per row of a
+    # _ROWS chunk, at two budgets: a deeper series adds two tables per lead
+    # axis and one tent on the last axis per entry, and nothing per point
     rng = np.random.default_rng(d)
     for n in budgets:
         many = (random_series(n, d, rng), random_series(n - 2, d, rng))
@@ -911,7 +911,7 @@ def test_evaluate_many_peak_beyond_outputs_is_bounded_per_chunk_row(d, budgets):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        floats = max(1, 2 * d - 3) * n + 8 * d + 2 ** (d + 1)
+        floats = (2 * d - 1) * n + 8 * d + 2 ** (d + 1)
         assert peak - 8 * len(X) * len(many) <= 8 * floats * faber._ROWS, (n, peak)
 
 

@@ -397,7 +397,7 @@ class TestJointDefect:
             level = int(math.log2(samples)) // d
             strata = 1 << (level * d)
             batch = max(min(strata, measure._CHUNK), min(samples - strata, measure._CHUNK))
-            chunk = 8 * (max(1, 2 * d - 3) * n + 8 * d + 2 ** (d + 1)) * faber._ROWS
+            chunk = 8 * ((2 * d - 1) * n + 8 * d + 2 ** (d + 1)) * faber._ROWS
             assert peak <= 8 * (d + 2) * batch + chunk + 8 * (1 << level), (samples, peak)
 
     def test_overflow_raises_the_same_evaluation_error(self):

@@ -238,3 +238,5 @@ def test_in_place_power_is_byte_equal_to_a_new_array(p):
     spelled = [np.sum(powers), np.sum(powers * powers)]
     assert np.array(moments).tobytes() == np.array(spelled).tobytes()
     assert values.tobytes() == kept.tobytes()
+    with pytest.raises(ValueError, match="unweighted"):
+        measure._power_sums(g, [(X, w)], p, moments=True)
