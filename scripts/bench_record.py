@@ -7,7 +7,10 @@
 
 OUT is the sweep's output directory: ``a.jsonl`` holds the parent's runs
 and ``b.jsonl`` the change's, untraced and traced runs alike.  PARENT and
-CHANGE name the two sides (commit ids, say) in the record.  Untraced runs
+CHANGE name the two sides (commit ids, say) in the record.  Its
+``commands`` hold one sweep command per set of runs with the same trace
+flag and seeds, with ``--workload`` flags unless the set covers every
+workload of ``BENCHMARK.json``.  Untraced runs
 give ``workloads``: per workload the failed ops and, per end-to-end metric
 of ``BENCHMARK.json``, both sides' quartiles and runs, the change over
 parent ratio of the medians, the pairs won and ``bench/compare.py``'s
@@ -134,17 +137,30 @@ def seeds(runs: dict, traced: int) -> list[int]:
     return sorted({s for (_, trace), results in runs.items() if trace == traced for s in results})
 
 
+def sweep_commands(runs: dict) -> list[str]:
+    """One ``bench/sweep.py`` command per set of runs with the same trace flag and
+    seeds, naming its workloads unless the set holds every one of BENCHMARK.json."""
+    sets: dict[tuple[int, tuple[int, ...]], list[str]] = {}
+    for (workload, trace), results in sorted(runs.items()):
+        sets.setdefault((trace, tuple(sorted(results))), []).append(workload)
+    every = sorted(w["name"] for w in compare.SPEC["workloads"])
+    return [
+        f"python3 bench/sweep.py --runs {len(used)} --first-seed {used[0]}"
+        + (" --trace 1" if trace else "")
+        + ("" if names == every else "".join(f" --workload {w}" for w in names))
+        + " --out OUT PARENT_CHECKOUT CHANGE_CHECKOUT"
+        for (trace, used), names in sorted(sets.items())
+    ]
+
+
 def record(out: Path, parent: str, change: str) -> dict:
     a, b = sides(out)
     plain, traced = seeds(a, 0), seeds(a, 1)
+    pairs = ", ".join(f"{len(runs)} of {w}" for (w, trace), runs in sorted(a.items()) if not trace)
     rec = {
-        "what": f"parent {parent} vs change {change}: {len(plain)} alternating pairs of untraced "
-                f"runs per workload, and {len(traced)} traced pairs for the per-layer split",
-        "commands": [
-            f"python3 bench/sweep.py --runs {len(used)} --first-seed {used[0]}{flag} --out OUT "
-            "PARENT_CHECKOUT CHANGE_CHECKOUT"
-            for used, flag in ((plain, ""), (traced, " --trace 1")) if used
-        ] + [f"python3 scripts/bench_record.py OUT {parent} {change}"],
+        "what": f"parent {parent} vs change {change}: alternating pairs of untraced runs, {pairs}, "
+                f"and {len(traced)} traced pairs for the per-layer split",
+        "commands": sweep_commands(a) + [f"python3 scripts/bench_record.py OUT {parent} {change}"],
         "seeds": plain,
         "machine": machine(out),
         "workloads": end_to_end(a, b),

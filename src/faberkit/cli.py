@@ -104,13 +104,12 @@ def _spec_factory(args):
     q = args.q
 
     def factory(n: int) -> MeasureSpec:
+        level = args.mesh_level or measure._default_level(n)
         if args.measure == "composite":
-            level = args.mesh_level if args.mesh_level else n + 2
             return MeasureSpec(q, CompositeGauss(level=level, order=args.gauss_order))
         if args.measure == "mc":
             return MeasureSpec(q, StratifiedMC(samples=args.mc_samples, seed=args.seed))
         if args.measure == "sup":
-            level = args.mesh_level if args.mesh_level else n + 2
             return MeasureSpec(math.inf, SupGrid(level=level))
         return measure.default_spec(q, n, args.dim, seed=args.seed)
 
@@ -174,8 +173,7 @@ def _cmd_study(args) -> int:
     if args.command == "recover":
         _summary(f"error={r.error!r} nodes={r.m}")
         return 0
-    d = args.dim
-    e_log = (d - 1) / args.q if args.q > args.p else float(d - 1)
+    e_log = experiments._log_exponent(args.p, args.q, args.dim)
     try:
         slope = repr(experiments.fit_rate(records, e_log).slope)
     except ValueError:

@@ -172,9 +172,9 @@ def _levels(n: int, d: int) -> _Layout:
     A level's key is its entries + 1 in mixed radix n + 2; the levels are
     in lexicographic order, so their keys ascend, and (n + 2)**d <= 2**24
     fits an int64 for every (n, d) under the cap.  Its arrays are
-    read-only.  Fails like :func:`capped_node_count`.
+    read-only.  Fails like :func:`capped_node_count`, which
+    :func:`levels_up_to` calls before it enumerates a level.
     """
-    size = capped_node_count(n, d)
     levels = tuple(levels_up_to(n, d))
     entries = np.array([j.entries for j in levels], dtype=np.int64)
     shapes = np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
@@ -185,7 +185,7 @@ def _levels(n: int, d: int) -> _Layout:
     for a in (entries, shapes, starts, radix, keys, orders):
         a.setflags(write=False)
     position = {j.entries: i for i, j in enumerate(levels)}
-    return _Layout(levels, entries, shapes, starts, size, radix, keys, orders, position)
+    return _Layout(levels, entries, shapes, starts, int(starts[-1]), radix, keys, orders, position)
 
 
 def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:

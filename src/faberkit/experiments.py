@@ -77,11 +77,14 @@ class CubatureRecord:
 
 
 def reference_envelope(n: int, p: float, q: float, d: int) -> float:
-    """Theoretical error envelope at budget n (constant 1, max(n,1) powers)."""
-    nn = float(max(n, 1))
-    if q > p:
-        return 2.0 ** (-n / q) * nn ** ((d - 1) / q)
-    return 2.0 ** (-n / p) * nn ** (d - 1)
+    """Theoretical error envelope at budget n (constant 1, max(n,1) powers):
+    ``2**(-n / max(p, q)) * max(n, 1)**_log_exponent(p, q, d)``."""
+    return 2.0 ** (-n / max(p, q)) * float(max(n, 1)) ** _log_exponent(p, q, d)
+
+
+def _log_exponent(p: float, q: float, d: int) -> float:
+    """The envelope's power of max(n, 1): (d - 1)/q when q > p, else d - 1."""
+    return (d - 1) / q if q > p else float(d - 1)
 
 
 def _check_range(n_range: Sequence[int]) -> list[int]:

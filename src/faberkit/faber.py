@@ -305,16 +305,14 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
 
     The tables scale exactly.  An entry e's tent is taken from
     ``x * 2.0**e``, a product by a power of two that stays in range for x
-    in [0, 1], so it has no rounding.  A lead axis' cells are
-    ``min(floor(x * 2**E), 2**E - 1)`` for its finest used entry E,
-    shifted right by E - e for every other entry e: ``floor(x * 2**e)``
-    is ``floor(x * 2**E) >> (E - e)``, and the clamp at x = 1 shifts to
-    the clamp of entry e.
-
-    The last axis has tent values only.  Its cells come from one lifted
-    index per prefix item, ``G = flat * 2**n + min(floor(x * 2**n), 2**n - 1)``
-    with n the largest budget: a level of last entry e >= 0 reads
-    ``block[G >> (n - e)]``, which is ``flat * 2**e`` plus its clamped cell,
+    in [0, 1], so it has no rounding.  Every axis has one cell rule: its
+    cells at the largest budget n, ``fine = min(floor(x * 2**n), 2**n - 1)``,
+    give entry e's cells as ``fine >> (n - e)``, since ``floor(x * 2**e)``
+    is ``floor(x * 2**n) >> (n - e)`` and the clamp at x = 1 shifts to the
+    clamp of entry e.  A lead axis keeps them in its tables; the last axis
+    shifts one lifted index per prefix item instead,
+    ``G = flat * 2**n + fine``, and a level of last entry e >= 0 reads
+    ``block[G >> (n - e)]``, which is ``flat * 2**e`` plus its cells,
     exactly.  A prefix index is below 2**(n + d - 1) (entries of order <= n,
     one bit per boundary axis), so G has at most 2n + d - 1 <= 62 bits for
     every (n, d) under MAX_POINTS (39 at d = 2, n = 19).
@@ -330,38 +328,24 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
             block = s.coeffs[starts[i] : starts[i + 1]]
             owners.setdefault(levels[i].entries, []).append((at, block))
     walk = sorted(owners.items())
-    if not walk:
-        return outs
     used = [sorted({entries[axis] for entries, _ in walk}) for axis in range(d)]
     for row in range(0, X.shape[0], _ROWS):
         accs = [out[row : row + _ROWS] for out in outs]
-        *lead, last = np.ascontiguousarray(X[row : row + _ROWS].T)
-        # tables[axis][e]: the (translation, value) choices of entry e
+        # tables[axis][e]: the (translation, value) choices of entry e, whose
+        # cells are fine >> (n - e); the last axis' come from the lifted indices
         tables = []
-        for xi, entries in zip(lead, used):
+        columns = np.ascontiguousarray(X[row : row + _ROWS].T)
+        for axis, (xi, entries) in enumerate(zip(columns, used)):
+            fine = np.minimum(np.floor(xi * 2.0**n).astype(np.int64), (1 << n) - 1)
             table = {}
-            for e in reversed(entries):  # the finest first: its cells, shifted, are the others'
+            for e in entries:
                 if e < 0:
                     table[e] = [(0, 1.0 - xi), (1, xi)]
                     continue
                 t = xi * 2.0**e
-                floor = np.floor(t)
-                if e == entries[-1]:
-                    cells = finest = np.minimum(floor.astype(np.int64), (1 << e) - 1)
-                else:
-                    cells = finest >> (entries[-1] - e)
-                table[e] = [(cells, t)]
-                _tent(t, floor)
-            tables.append(table)
-        # the last axis: its boundary choices, its tents by entry, its finest cells
-        ends = [(0, 1.0 - last), (1, last)] if -1 in used[-1] else None
-        tents = {}
-        for e in used[-1]:
-            if e >= 0:
-                tents[e] = t = last * 2.0**e
                 _tent(t, np.floor(t))
-        if tents:
-            fine = np.minimum(np.floor(last * 2.0**n).astype(np.int64), (1 << n) - 1)
+                table[e] = [(fine >> (n - e) if axis < d - 1 else None, t)]
+            tables.append(table)
         # prefixes[a]: the (flat, product) list of the first a entries of
         # the previous level, a product of a values multiplied left to
         # right after the exact 1.0 * v of the first axis
@@ -386,13 +370,14 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
                 lifted = None
             previous = entries
             e = entries[-1]
+            last = tables[-1][e]  # the last axis' choices
             if e >= 0:
-                if lifted is None:
+                if lifted is None:  # fine is the last axis'
                     lifted = [(flat << n) + fine for flat, _ in prefixes[-1]]
-                v = tents[e]
+                ((_, v),) = last
                 terms = ((G >> (n - e), prod * v) for G, (_, prod) in zip(lifted, prefixes[-1]))
             else:
-                terms = ((flat * 2 + k, prod * v) for flat, prod in prefixes[-1] for k, v in ends)
+                terms = ((flat * 2 + k, prod * v) for flat, prod in prefixes[-1] for k, v in last)
             for index, base in terms:
                 for at, block in owned[:-1]:
                     accs[at] += base * block[index]

@@ -112,16 +112,21 @@ class MeasureSpec:
 def default_spec(q: float, n: int, d: int, seed: int = 0) -> MeasureSpec:
     """Default measurement for budget n in dimension d.
 
-    Composite Gauss on the mesh of level n + 2 where the cell count is
-    affordable (it resolves every crease of the truncated interpolant up
-    to the |.|^q kinks), stratified Monte Carlo otherwise.
+    Composite Gauss on the mesh of level n + 2 (:func:`_default_level`)
+    where the cell count is affordable, stratified Monte Carlo otherwise.
     """
-    level = max(n + 2, 1)
+    level = _default_level(n)
     if math.isinf(q):
         return MeasureSpec(q, SupGrid(level=level))
     if d <= 3 and _composite_points(level, DEFAULT_GAUSS_ORDER, d) <= MAX_POINTS:
         return MeasureSpec(q, CompositeGauss(level=level))
     return MeasureSpec(q, StratifiedMC(samples=DEFAULT_MC_SAMPLES, seed=seed))
+
+
+def _default_level(n: int) -> int:
+    """The mesh level n + 2 for budget n: it resolves every crease of the
+    truncated interpolant up to the |.|^q kinks."""
+    return max(n + 2, 1)
 
 
 def _composite_points(level: int, order: int, d: int) -> int:

@@ -43,6 +43,7 @@ def test_record_matches_compare_schema(tmp_path, capsys):
     assert "exited 1" in capsys.readouterr().err  # compare.load's note, off stdout
     rec = json.loads(out.read_text())
     assert rec["seeds"] == list(seeds)
+    assert "untraced runs, 10 of w, and 2 traced pairs" in rec["what"]
     ops = rec["workloads"]["w"]["metrics"]["ops_per_s"]
     assert ops["verdict"] == "improved" and ops["pairs_won"] == "10/10"
     assert ops["parent"]["median"] == 105.5 and ops["change"]["median"] == 205.5
@@ -51,6 +52,41 @@ def test_record_matches_compare_schema(tmp_path, capsys):
     layer = rec["per_layer_traced"]["workloads"]["w"]["faber.sample.s"]
     assert (layer["parent"], layer["change"], layer["unit"]) == (0.002, 0.001, "s/op")
     assert rec["per_layer_traced"]["seeds"] == [11, 12]
+    tail = " --out OUT PARENT_CHECKOUT CHANGE_CHECKOUT"
+    assert rec["commands"] == [
+        "python3 bench/sweep.py --runs 10 --first-seed 1 --workload w" + tail,
+        "python3 bench/sweep.py --runs 2 --first-seed 11 --trace 1 --workload w" + tail,
+        "python3 scripts/bench_record.py OUT p0 c1",
+    ]
+
+
+def test_commands_name_each_set_of_runs():
+    # one sweep command per (trace, seeds) set, with --workload flags unless the
+    # set holds every workload of BENCHMARK.json
+    workloads = sorted(w["name"] for w in bench_record.compare.SPEC["workloads"])
+    tail = " --out OUT PARENT_CHECKOUT CHANGE_CHECKOUT"
+
+    def runs(seeds_per_workload, trace=0):
+        return {(w, trace): {s: {} for s in seeds} for w, seeds in seeds_per_workload.items()}
+
+    one = runs({"scatter-io": range(1, 11)}) | runs({"scatter-io": (11, 12)}, trace=1)
+    assert bench_record.sweep_commands(one) == [
+        "python3 bench/sweep.py --runs 10 --first-seed 1 --workload scatter-io" + tail,
+        "python3 bench/sweep.py --runs 2 --first-seed 11 --trace 1 --workload scatter-io" + tail,
+    ]
+    two = runs({"cubature-hd": range(21, 31), "scatter-io": range(1, 6)})
+    assert bench_record.sweep_commands(two) == [
+        "python3 bench/sweep.py --runs 5 --first-seed 1 --workload scatter-io" + tail,
+        "python3 bench/sweep.py --runs 10 --first-seed 21 --workload cubature-hd" + tail,
+    ]
+    every = runs({w: range(1, 11) for w in workloads})
+    assert bench_record.sweep_commands(every) == [
+        "python3 bench/sweep.py --runs 10 --first-seed 1" + tail
+    ]
+    assert bench_record.sweep_commands(every | runs({"other": range(1, 11)})) == [
+        "python3 bench/sweep.py --runs 10 --first-seed 1"
+        + "".join(f" --workload {w}" for w in sorted([*workloads, "other"])) + tail
+    ]
 
 
 def _study_run(wall, rss, stdout="aa", exit=0):

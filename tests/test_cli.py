@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from faberkit import cli, measure
 from faberkit.cli import run
 from faberkit.faber import series_from_json, series_from_text
+from faberkit.measure import CompositeGauss
 
 
 def run_cli(capsys, *argv):
@@ -360,3 +362,18 @@ class TestErrorsAndConfig:
     def test_no_subcommand_exits_2(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+
+def test_default_mesh_level_is_measures_rule():
+    # composite, sup and auto read one rule, measure's n + 2; auto falls
+    # back to Monte Carlo, which has no mesh, only at d = 3
+    for d in (1, 2, 3):
+        for name in ("composite", "sup", "auto"):
+            argv = ["rates", "--dim", str(d), "--n", "0..6", "--measure", name]
+            factory = cli._spec_factory(cli._build_parser().parse_args(argv))
+            for n in range(7):
+                method = factory(n).method
+                if name == "auto" and not isinstance(method, CompositeGauss):
+                    assert d == 3, (n, method)
+                    continue
+                assert method.level == measure._default_level(n) == n + 2, (d, name, n)

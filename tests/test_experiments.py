@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -142,6 +143,20 @@ class TestConvergenceStudy:
         assert reference_envelope(6, 2.0, 2.0, 2) == pytest.approx(2.0**-3 * 6)
         assert reference_envelope(6, 1.0, 2.0, 2) == pytest.approx(2.0**-3 * 6**0.5)
         assert reference_envelope(0, 2.0, 2.0, 1) == 1.0
+
+        def two_branch(n, p, q, d):  # the envelope as a q > p and a q <= p branch
+            nn = float(max(n, 1))
+            if q > p:
+                return 2.0 ** (-n / q) * nn ** ((d - 1) / q)
+            return 2.0 ** (-n / p) * nn ** (d - 1)
+
+        exponents = (1.0, 1.5, 2.0, 3.0, math.inf)
+        for p, q in itertools.product(exponents, exponents):  # p = q, q = inf, p = inf
+            for n, d in itertools.product((0, 1, 6, 13), (1, 2, 3, 5)):
+                new, old = reference_envelope(n, p, q, d), two_branch(n, p, q, d)
+                assert struct.pack("<d", new) == struct.pack("<d", old), (n, p, q, d)
+        assert reference_envelope(6, math.inf, 2.0, 3) == 36.0
+        assert reference_envelope(6, 2.0, math.inf, 3) == 1.0
 
     def test_spread_family_overshoots_q_rate(self):
         # regression: the spread family measured in L_2 with p=1 decays at

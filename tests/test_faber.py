@@ -916,17 +916,25 @@ def test_evaluate_many_peak_beyond_outputs_is_bounded_per_chunk_row(d, budgets):
 
 
 def test_evaluate_many_tables_exact_at_tiny_and_extreme_coordinates():
-    # tents x * 2.0**e and cells shifted from the finest entry's: exact for
-    # x = 0, x = 1, subnormal x and x just below a cell interface
+    # tents x * 2.0**e and, on every axis, cells fine >> (n - e) from the
+    # cells fine at the largest budget n: exact for x = 0, x = 1, subnormal
+    # x and x just below a cell interface, also on a lead axis whose finest
+    # live entry is below n, and for an all-zero series
     rng = np.random.default_rng(21)
     n, d = 6, 3
-    many = (random_series(n, d, rng), random_series(n - 2, d, rng))
+    full = random_series(n, d, rng)
+    coarse_lead = FaberSeries(n, d, np.concatenate(
+        [a if j.entries[0] <= n - 3 else np.zeros_like(a) for j, a in full.items()]))
     coords = np.array([0.0, 1.0, 5e-324, 2.5e-310, 1e-300, 0.5, np.nextafter(0.5, 0.0),
                        np.nextafter(1.0, 0.0), 0.25 + 2**-60])
     X = rng.choice(coords, (4096, d))
     X[: coords.size, 0] = coords
-    for s, out in zip(many, faber._evaluate_many(many, X)):
-        assert out.tobytes() == per_level_eval(s, X).tobytes()
+    zero = FaberSeries.zeros(n, d)
+    for many in ((full, random_series(n - 2, d, rng)),
+                 (coarse_lead, random_series(n - 2, d, rng), zero), (zero,)):
+        for s, out in zip(many, faber._evaluate_many(many, X)):
+            assert out.tobytes() == per_level_eval(s, X).tobytes()
+    assert not faber._evaluate_many((zero,), X)[0].any()
 
 
 def test_lifted_last_axis_index_fits_int64():
