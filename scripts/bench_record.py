@@ -21,10 +21,12 @@ statistics are ``bench/compare.py``'s own, imported from it.
 With ``--studies``, each one-shot CLI study of ``STUDIES`` runs
 ``STUDY_RUNS`` times per side as a fresh ``python -m faberkit.cli``
 process of that checkout's ``src/``, the sides alternating run by run.
-``studies`` then holds per study and side the median wall time, the
-median of the child's peak RSS (``os.wait4``'s ``ru_maxrss``) and the
-SHA-256 of stdout and of every file the study writes, and whether both
-sides wrote the same bytes on every run.
+``studies`` then holds per study and side the wall time and the child's
+peak RSS (``os.wait4``'s ``ru_maxrss``) of every run, with their medians,
+minima and maxima, the SHA-256 of stdout and of every file the study
+writes, and whether both sides wrote the same bytes on every run.  A
+median of five fresh processes can move 10% on the same work; the minima
+and maxima show whether two sides' runs overlap.
 """
 
 from __future__ import annotations
@@ -232,6 +234,8 @@ def study_row(args: list[str], runs: dict[str, list[dict]]) -> dict:
             "sha256": [json.loads(d) for d in sorted(distinct)],
             "runs": {key: [r[key] for r in results] for key in ("wall_s", "peak_rss_mb")},
         }
+        for bound in (min, max):
+            row[side][bound.__name__] = {key: bound(row[side]["runs"][key]) for key in row[side]["runs"]}
     for key in ("wall_s", "peak_rss_mb"):
         row[f"{key}_change_over_parent"] = row["change"][key] / row["parent"][key]
     row["same_output"] = len(outputs["parent"]) == 1 and outputs["parent"] == outputs["change"]
@@ -263,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.studies:
         rec["studies"] = {
             "what": f"{STUDY_RUNS} fresh processes per study and side, alternating; wall time "
-                    "and peak RSS are medians, sha256 lists each distinct set of outputs",
+                    "and peak RSS are medians, with each run and their min and max; sha256 "
+                    "lists each distinct set of outputs",
             "command": f"python3 scripts/bench_record.py OUT {args.parent} {args.change} "
                        "--studies PARENT_CHECKOUT CHANGE_CHECKOUT",
             "rows": studies(dict(zip(("parent", "change"), args.studies))),

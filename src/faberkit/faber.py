@@ -230,7 +230,8 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
 
 
 #: Rows per evaluation chunk: bounds the per-axis tables and prefix
-#: products to O(_ROWS) floats each.  For the joint defect of a 65,536-point
+#: products to O(_ROWS) floats each; the measures hand a function pieces of
+#: at most _ROWS points, one chunk each.  For the joint defect of a 65,536-point
 #: batch (extremal series and their analyze approximants, median of 15
 #: alternating rounds, 2-vCPU VM), 2**13 took as long as 2**14 at d = 1..4
 #: (within 5% either way), and 2**12 took 11-21% longer than 2**13; the
@@ -277,7 +278,34 @@ def _tent(t: np.ndarray, floor: np.ndarray) -> None:
     np.subtract(1.0, t, out=t)
 
 
-def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndarray]:
+def _choices(xi: np.ndarray, fine, e: int, n: int, cells, tent: np.ndarray) -> list:
+    """Entry e's (translation, value) choices at the coordinates xi of one axis.
+
+    A boundary entry (e < 0) gives ``(0, 1 - x)`` and ``(1, x)``, an interior
+    one the single ``(fine >> (n - e), tent)``, where ``fine`` is the axis'
+    cells at budget n (None for the last axis, whose translation comes from
+    the lifted indices of :func:`_evaluate_many`).  The arrays are written
+    into ``tent`` and, for an interior entry with ``fine``, ``cells``.
+    """
+    if e < 0:
+        return [(0, np.subtract(1.0, xi, out=tent)), (1, xi)]
+    t = np.multiply(xi, 2.0**e, out=tent)
+    _tent(t, np.floor(t))
+    return [(None if fine is None else np.right_shift(fine, n - e, out=cells), t)]
+
+
+def _block(work: dict, dtype, count: int, rows: int) -> np.ndarray:
+    """``work``'s (count, rows) block of ``dtype``, made anew only when the kept one
+    is smaller."""
+    kept = work.get(dtype)
+    if kept is None or kept.shape[0] < count or kept.shape[1] < rows:
+        kept = work[dtype] = np.empty((count, rows), dtype)
+    return kept
+
+
+def _evaluate_many(
+    many: tuple[FaberSeries, ...], X: np.ndarray, work: dict | None = None
+) -> list[np.ndarray]:
     """The values of series of one dim at (N, d) points of :func:`_cube_points`, in one walk.
 
     Returns one array per series, each byte-equal to ``evaluate_batch``
@@ -293,15 +321,22 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
     to its own sum, in its own order.
 
     The working set is the outputs, 8 B per point per series, plus one
-    chunk's arrays: at most ``(2d - 1) n + 8d + 2**(d + 1)`` floats per
-    row, n the largest budget.  Those are the chunk's coordinates, two
-    tables per entry of each lead axis, the last axis' n + 3 tables, the
-    prefix lists and the lifted indices below.  The tables are built up
-    front: building a lead axis' tables when the walk reaches an entry and
-    dropping axis 0's when it leaves them held 23-56 floats per row at
-    d = 2..4 instead of 41-73, but the freed pages came back as page
-    faults, and the bench's scatter-io op took 4-7% longer for 1 MB less
-    peak RSS (2-vCPU VM).
+    chunk's arrays: at most ``max(2d - 3, 0) n + 6d + 2**(d + 1)`` floats
+    per row, n the largest budget.  Those are the chunk's coordinates and
+    cells at n, two tables per entry of each lead axis after the first,
+    the last axis' n + 3 tables (at d >= 2), the prefix lists, the lifted
+    indices below and five scratch rows: axis 0's cells and tent, rebuilt
+    in place each time the walk reaches a new first entry (the first
+    prefix is those choices themselves), and each term's index, base and
+    gathered coefficients.  All but the prefix lists and lifted indices
+    are rows of one float and one int block, kept in ``work`` when given:
+    the measures pass one dict per defect handle, so the pieces of a
+    measurement reuse the blocks.  Allocated and freed per piece, they
+    went back to the system and came back as page faults: 11,000 minor
+    faults per scatter-io op, against 1,900 with whole batches and 690
+    with the blocks kept, and the op took about 10% longer (2-vCPU VM).
+    For the same reason nothing is freed mid-walk: dropping a lead axis'
+    tables when the walk left them cost the bench's scatter-io op 4-7%.
 
     The tables scale exactly.  An entry e's tent is taken from
     ``x * 2.0**e``, a product by a power of two that stays in range for x
@@ -328,44 +363,62 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
             block = s.coeffs[starts[i] : starts[i + 1]]
             owners.setdefault(levels[i].entries, []).append((at, block))
     walk = sorted(owners.items())
-    used = [sorted({entries[axis] for entries, _ in walk}) for axis in range(d)]
-    for row in range(0, X.shape[0], _ROWS):
+    used = [sorted({entries[axis] for entries, _ in walk}) for axis in range(1, d)]
+    # one chunk's arrays are rows of a float and an int block: the coordinates
+    # and cells at n, axis 0's tent and cells, each term's base, gathered
+    # coefficients and index, and one row per table of the other axes
+    lead_cells = sum(e >= 0 for entries in used[:-1] for e in entries)
+    rows = min(X.shape[0], _ROWS)
+    work = {} if work is None else work
+    floats = _block(work, np.float64, d + 3 + sum(map(len, used)), rows)
+    ints = _block(work, np.int64, d + 2 + lead_cells, rows)
+
+    def add_chunk(row: int) -> None:  # its prefixes go on return
         accs = [out[row : row + _ROWS] for out in outs]
-        # tables[axis][e]: the (translation, value) choices of entry e, whose
-        # cells are fine >> (n - e); the last axis' come from the lifted indices
-        tables = []
-        columns = np.ascontiguousarray(X[row : row + _ROWS].T)
-        for axis, (xi, entries) in enumerate(zip(columns, used)):
-            fine = np.minimum(np.floor(xi * 2.0**n).astype(np.int64), (1 << n) - 1)
-            table = {}
-            for e in entries:
-                if e < 0:
-                    table[e] = [(0, 1.0 - xi), (1, xi)]
-                    continue
-                t = xi * 2.0**e
-                _tent(t, np.floor(t))
-                table[e] = [(fine >> (n - e) if axis < d - 1 else None, t)]
-            tables.append(table)
+        size = len(accs[0])
+        free, free_ints = (a[:size] for a in floats), (a[:size] for a in ints)
+        columns = [next(free) for _ in range(d)]
+        fines = [next(free_ints) for _ in range(d)]
+        for axis, (xi, fine) in enumerate(zip(columns, fines)):
+            xi[...] = X[row : row + size, axis]
+            np.copyto(fine, np.floor(xi * 2.0**n), casting="unsafe")
+            np.minimum(fine, (1 << n) - 1, out=fine)
+        tent, base, gathered = next(free), next(free), next(free)
+        cells, index = next(free_ints), next(free_ints)
+        # tables[axis][e]: the choices of entry e; axis 0's hold the walk's
+        # current first entry, in cells and tent
+        tables = [{}] + [
+            {
+                e: _choices(
+                    xi, fine, e, n, next(free_ints) if fine is not None and e >= 0 else None, next(free)
+                )
+                for e in entries
+            }
+            for xi, fine, entries in zip(columns[1:], [*fines[1:-1], None], used)
+        ]
+        first, fine = fines[0] if d > 1 else None, fines[-1]
         # prefixes[a]: the (flat, product) list of the first a entries of
         # the previous level, a product of a values multiplied left to
-        # right after the exact 1.0 * v of the first axis
+        # right; the first is axis 0's choices themselves, the bytes of
+        # 0 * c + k and 1.0 * v
         prefixes = [[(0, 1.0)]]
         previous: tuple[int, ...] = ()
         lifted = None
         for entries, owned in walk:
+            if entries[:1] != previous[:1]:
+                tables[0] = {entries[0]: _choices(columns[0], first, entries[0], n, cells, tent)}
             same = 0
             while same < len(prefixes) - 1 and entries[same] == previous[same]:
                 same += 1
             if same < d - 1:  # the prefix changed
                 del prefixes[same + 1 :]
                 for axis in range(same, d - 1):
+                    choices = tables[axis][entries[axis]]
                     c = 1 << entries[axis] if entries[axis] >= 0 else 2
                     prefixes.append(
-                        [
-                            (flat * c + k, prod * v)
-                            for flat, prod in prefixes[-1]
-                            for k, v in tables[axis][entries[axis]]
-                        ]
+                        choices
+                        if axis == 0
+                        else [(flat * c + k, prod * v) for flat, prod in prefixes[-1] for k, v in choices]
                     )
                 lifted = None
             previous = entries
@@ -375,15 +428,25 @@ def _evaluate_many(many: tuple[FaberSeries, ...], X: np.ndarray) -> list[np.ndar
                 if lifted is None:  # fine is the last axis'
                     lifted = [(flat << n) + fine for flat, _ in prefixes[-1]]
                 ((_, v),) = last
-                terms = ((G >> (n - e), prod * v) for G, (_, prod) in zip(lifted, prefixes[-1]))
+                terms = (
+                    (np.right_shift(G, n - e, out=index), prod, v)
+                    for G, (_, prod) in zip(lifted, prefixes[-1])
+                )
             else:
-                terms = ((flat * 2 + k, prod * v) for flat, prod in prefixes[-1] for k, v in last)
-            for index, base in terms:
-                for at, block in owned[:-1]:
-                    accs[at] += base * block[index]
-                at, block = owned[-1]
-                base *= block[index]
-                accs[at] += base
+                terms = (
+                    (np.add(np.left_shift(flat, 1, out=index), k, out=index), prod, v)
+                    for flat, prod in prefixes[-1]
+                    for k, v in last
+                )
+            for term, prod, v in terms:  # term is index, rewritten per term
+                np.multiply(prod, v, out=base)
+                for at, block in owned:
+                    block.take(term, out=gathered, mode="clip")
+                    gathered *= base  # base * block[term]: the product commutes
+                    accs[at] += gathered
+
+    for row in range(0, X.shape[0], _ROWS):
+        add_chunk(row)
     return outs
 
 
@@ -411,7 +474,8 @@ def _defect(f: FunctionHandle, series: FaberSeries) -> FunctionHandle:
     """The recovery defect f - (truncated expansion of ``series``), as a handle.
 
     When f was made by :func:`synthesize`, f's series and ``series`` are evaluated
-    in one :func:`_evaluate_many` pass per batch of points, and f's values go through
+    in one :func:`_evaluate_many` pass per batch of points, with one ``work`` dict
+    for every batch the handle is given, and f's values go through
     the count and checks of ``f.eval_batch``; the values are byte-equal to the two
     separate calls that any other handle takes.  The defect is subtracted into
     the approximant's array.
@@ -425,9 +489,11 @@ def _defect(f: FunctionHandle, series: FaberSeries) -> FunctionHandle:
             approx = evaluate_batch(series, X)
             return np.subtract(values, approx, out=approx)
     else:
+        work: dict = {}  # the evaluator's blocks, kept from piece to piece
+
         def evaluator(X):
             X = f._counted(X)
-            values, approx = _evaluate_many((own, series), _cube_points(X, own.dim))
+            values, approx = _evaluate_many((own, series), _cube_points(X, own.dim), work)
             return np.subtract(f._valid(X, values), approx, out=approx)
     return FunctionHandle(evaluator, f.dim, label=f"{f.label}-defect(n={series.budget})")
 

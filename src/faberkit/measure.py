@@ -14,10 +14,14 @@ Three methods:
   this is a lower bound of the true sup and reported with estimate 0.
 
 Tensor grids and the Monte Carlo strata come from ``_tensor_batches`` in
-chunks of ``_CHUNK`` points; ``_power_sums`` combines the per-chunk partial
-sums with exact accumulation.  The chunk size fixes the summation order
-inside each chunk, so results depend on it at the level of rounding (the
-sup grid not at all); with the fixed size they are deterministic.
+batches of ``_CHUNK`` points, each streamed to the function in pieces of at
+most ``faber._ROWS`` points; ``_power_sums`` gathers a batch's |g| in one
+array and combines the per-batch partial sums with exact accumulation.  The
+batch size fixes the summation order inside each batch, so results depend on
+it at the level of rounding (the sup grid not at all); with the fixed size
+they are deterministic.  The pieces change no value: a black-box f sees
+calls of at most ``faber._ROWS`` points, with the same points in the same
+order, and the same evaluation count when every value is finite.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .dyadic import MAX_LEVEL, MAX_POINTS, _as_level
-from .faber import FaberSeries, FunctionHandle, _defect
+from .faber import _ROWS, FaberSeries, FunctionHandle, _defect
 
 __all__ = [
     "CompositeGauss",
@@ -135,50 +139,70 @@ def _composite_points(level: int, order: int, d: int) -> int:
 
 
 def _tensor_batches(axes, weights=None):
-    """``(X, w)`` per _CHUNK points of the C-ordered tensor grid of ``axes``: the
-    points and the product of the per-axis ``weights`` at them (None without).
-    Each chunk's unravelled indices are dropped before it is yielded, and the
-    generator keeps no reference to what it yields."""
-    shape = tuple(len(a) for a in axes)
+    """Per _CHUNK points of the C-ordered tensor grid of ``axes``: the batch size
+    and a generator of its pieces ``(X, w)`` of at most ``faber._ROWS`` points,
+    the points and the product of the per-axis ``weights`` at them (None
+    without).  An int axis m stands for 0.0, 1.0, ..., m - 1 and is never
+    built.  Each piece's unravelled indices are dropped before it is yielded,
+    and the generators keep no reference to what they yield.
+    """
+    shape = tuple(a if isinstance(a, int) else len(a) for a in axes)
     total = math.prod(shape)
 
-    def batch(start):
-        multi = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
-        X = np.stack([a[i] for a, i in zip(axes, multi)], axis=1)
+    def piece(start, stop):
+        multi = np.unravel_index(np.arange(start, stop), shape)
+        X = np.stack(
+            [i if isinstance(a, int) else a[i] for a, i in zip(axes, multi)], axis=1, dtype=np.float64
+        )
         return X, None if weights is None else math.prod(w[i] for w, i in zip(weights, multi))
 
+    def pieces(start, stop):
+        for row in range(start, stop, _ROWS):
+            yield piece(row, min(row + _ROWS, stop))
+
     for start in range(0, total, _CHUNK):
-        yield batch(start)
+        yield min(_CHUNK, total - start), pieces(start, min(start + _CHUNK, total))
 
 
 def _power_sums(g: FunctionHandle, batches, q: float, moments: bool = False) -> list[float]:
-    """Exact (``math.fsum``) totals over ``(X, w)`` batches of w * |g(X)|^q (w = 1
-    when None) and, with ``moments``, of |g(X)|^2q; ValueError if a total overflows,
-    or is 0 although g was nonzero in a batch of sum 0 (|g|^2q: the first is > 0).
+    """Exact (``math.fsum``) totals over batches of w * |g(X)|^q (w = 1 when None)
+    and, with ``moments``, of |g(X)|^2q; ValueError if a total overflows, or is 0
+    although g was nonzero in a batch of sum 0 (|g|^2q: the first is > 0).
 
-    Per batch one array beyond g's values is held: |g| goes into a new array (g's
-    own values are never written), and the power, the weight product and the
-    square are taken in place in it, with the bytes of ``np.abs(v) ** q``,
-    ``w * powers`` and ``powers * powers``: the square is of w * |g|^q, so a
-    weighted batch with ``moments`` is a ValueError.
+    A batch is its size and its pieces ``(X, w)``, as :func:`_tensor_batches`
+    yields them.  Per batch one array is held, of its size: |g| of each piece
+    goes into its rows (g's own values are never written), and the power and
+    the weight product are taken in place there, then the square of the whole
+    batch, with the bytes of ``np.abs(v) ** q``, ``w * powers`` and ``powers *
+    powers``: the square is of w * |g|^q, so a weighted batch with ``moments``
+    is a ValueError.  So each batch's sums run over the bytes they would
+    without pieces, and a piece's points and values are freed before the next
+    is drawn.
     """
     sums, squares = [], []
     lost = False
-    for X, w in batches:
-        powers = np.abs(g.eval_batch(X))
-        del X  # before the next batch is drawn: a lower peak
-        nonzero = bool(np.any(powers))
-        powers **= q
-        if w is not None:
-            powers *= w
+    for size, pieces in batches:
+        powers = np.empty(size)
+        nonzero = False
+        stop = 0
+        for X, w in pieces:
+            rows = powers[stop : stop + len(X)]
+            stop += len(X)
+            np.abs(g.eval_batch(X), out=rows)
+            del X  # before the next piece is drawn: a lower peak
+            nonzero = nonzero or bool(np.any(rows))
+            rows **= q
+            if w is not None:
+                if moments:
+                    raise ValueError("moments need unweighted batches")
+                rows *= w
+            del w, rows
         sums.append(float(np.sum(powers)))
         lost = lost or (sums[-1] == 0.0 and nonzero)
         if moments:
-            if w is not None:
-                raise ValueError("moments need unweighted batches")
             powers *= powers
             squares.append(float(np.sum(powers)))
-        del w, powers
+        del powers
     totals = []
     for partials in (sums, squares)[: 1 + moments]:
         if not math.isfinite(sum(partials)):
@@ -224,16 +248,21 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
     rng = np.random.default_rng(m.seed)
     h = math.ldexp(1.0, -level)
 
-    def draws():  # one point per stratum, then the remainder, in chunks
-        for corners, _ in _tensor_batches([np.arange(1 << level, dtype=np.float64)] * d):
-            points = rng.random(corners.shape)
-            points += corners  # the bytes of (corners + points) * h
-            points *= h
-            del corners
-            yield points, None
-            del points
-        for start in range(0, remainder, _CHUNK):
-            yield rng.random((min(_CHUNK, remainder - start), d)), None
+    def points(pieces, stratified):  # rng draws the rows in order, piece by piece
+        for grid, _ in pieces:  # the strata's corners, or the remainder's indices
+            drawn = rng.random((len(grid), d))
+            if stratified:  # one point per stratum, from its corner
+                drawn += grid  # the bytes of (corners + drawn) * h
+                drawn *= h
+            del grid
+            yield drawn, None
+            del drawn
+
+    def draws():  # the strata, then the remainder
+        for size, pieces in _tensor_batches([1 << level] * d):
+            yield size, points(pieces, True)
+        for size, pieces in _tensor_batches([remainder]):
+            yield size, points(pieces, False)
 
     total, squares = _power_sums(g, draws(), q, moments=True)
     mean = total / n_total
@@ -252,8 +281,9 @@ def _sup_grid(g: FunctionHandle, m: SupGrid) -> tuple[float, float]:
         raise ValueError(f"sup grid level {m.level} in d={d} exceeds the cell budget")
     axis = np.ldexp(np.arange(side, dtype=np.float64), -m.level)
     best = 0.0
-    for X, _ in _tensor_batches([axis] * d):
-        best = max(best, float(np.max(np.abs(g.eval_batch(X)))))
+    for _, pieces in _tensor_batches([axis] * d):
+        for X, _ in pieces:
+            best = max(best, float(np.max(np.abs(g.eval_batch(X)))))
     return best, 0.0
 
 
@@ -273,9 +303,10 @@ def lq_norm(g: FunctionHandle, spec: MeasureSpec) -> tuple[float, float]:
 def lq_error(f: FunctionHandle, series: FaberSeries, spec: MeasureSpec) -> tuple[float, float]:
     """Norm of the recovery defect f - (truncated expansion), built by ``faber._defect``.
 
-    For a synthesized f, Monte Carlo holds at most 8 (d + 2) B per point of
-    its largest batch (the points and both series' values), plus the chunk
-    arrays of ``faber._evaluate_many`` and the 2**level strata coordinates.
+    The measurement holds 8 B per point of its largest batch (its |g|^q),
+    plus one piece's arrays, at most 8 (d + 3) B per row of ``faber._ROWS``
+    (the points, the weight product and, for a synthesized f, both series'
+    values), plus ``faber._evaluate_many``'s working set for one piece.
     """
     return lq_norm(_defect(f, series), spec)
 

@@ -104,6 +104,11 @@ def test_study_row_takes_medians_and_compares_outputs():
     assert (row["change"]["wall_s"], row["change"]["peak_rss_mb"]) == (1.2, 45.0)
     assert row["peak_rss_mb_change_over_parent"] == 45.0 / 51.0
     assert row["change"]["runs"]["wall_s"] == [1.0, 1.5, 1.2]
+    assert row["parent"]["runs"]["peak_rss_mb"] == [50.0, 52.0, 51.0]
+    assert row["parent"]["min"] == {"wall_s": 2.0, "peak_rss_mb": 50.0}
+    assert row["parent"]["max"] == {"wall_s": 3.0, "peak_rss_mb": 52.0}
+    assert row["change"]["min"] == {"wall_s": 1.0, "peak_rss_mb": 44.0}
+    assert row["change"]["max"] == {"wall_s": 1.5, "peak_rss_mb": 46.0}
     assert row["parent"]["sha256"] == [{"stdout": "aa"}] and row["same_output"]
     runs["change"][1] = _study_run(1.5, 46.0, stdout="bb", exit=1)
     row = bench_record.study_row(["rates"], runs)
@@ -142,5 +147,7 @@ def test_studies_run_each_checkout_as_fresh_processes(tmp_path, monkeypatch):
         assert row["command"] == "faberkit toy --out t.csv"
         for side in ("parent", "change"):
             assert row[side]["exits"] == [0] and len(row[side]["runs"]["wall_s"]) == 2
+            for key, runs in row[side]["runs"].items():
+                assert row[side]["min"][key] == min(runs) <= max(runs) == row[side]["max"][key]
             assert row[side]["peak_rss_mb"] > 0.0
             assert set(row[side]["sha256"][0]) == {"stdout", "t.csv"}

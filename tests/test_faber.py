@@ -895,11 +895,34 @@ def test_evaluate_many_of_no_points_is_empty(d, n):
     assert [(out.shape, out.dtype) for out in outs] == [((0,), np.float64)] * 2
 
 
-@pytest.mark.parametrize("d,budgets", [(2, (8, 12)), (4, (3, 4))])
+def test_evaluate_many_keeps_its_blocks_in_work():
+    # the pieces of a measurement reuse one float and one int block through
+    # work; what the blocks held before leaves no trace in the values, and
+    # only series with more tables make them anew
+    rng = np.random.default_rng(31)
+    many = (random_series(5, 3, rng), random_series(3, 3, rng))
+    work = {}
+    X = rng.random((faber._ROWS, 3))
+    faber._evaluate_many(many, X, work)
+    blocks = dict(work)
+    assert sorted(block.dtype.name for block in blocks.values()) == ["float64", "int64"]
+    for Y in (X[:100], rng.random((faber._ROWS, 3)), X[::-1]):
+        outs = faber._evaluate_many(many, Y, work)
+        assert all(work[key] is block for key, block in blocks.items())
+        for s, out in zip(many, outs):
+            assert out.tobytes() == per_level_eval(s, Y).tobytes()
+    deeper = (random_series(7, 3, rng),)
+    (out,) = faber._evaluate_many(deeper, X, work)
+    assert work[np.float64] is not blocks[np.float64]
+    assert out.tobytes() == per_level_eval(deeper[0], X).tobytes()
+
+
+@pytest.mark.parametrize("d,budgets", [(2, (8, 12)), (4, (3, 4)), (1, (8, 14))])
 def test_evaluate_many_peak_beyond_outputs_is_bounded_per_chunk_row(d, budgets):
-    # the docstring's bound, (2d - 1) n + 8d + 2**(d + 1) floats per row of a
-    # _ROWS chunk, at two budgets: a deeper series adds two tables per lead
-    # axis and one tent on the last axis per entry, and nothing per point
+    # the docstring's bound, max(2d - 3, 0) n + 6d + 2**(d + 1) floats per row
+    # of a _ROWS chunk, at two budgets: a deeper series adds two tables per
+    # lead axis after the first and one tent on the last axis per entry (none
+    # at d = 1, where axis 0 is the last), and nothing per point
     rng = np.random.default_rng(d)
     for n in budgets:
         many = (random_series(n, d, rng), random_series(n - 2, d, rng))
@@ -911,7 +934,7 @@ def test_evaluate_many_peak_beyond_outputs_is_bounded_per_chunk_row(d, budgets):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        floats = (2 * d - 1) * n + 8 * d + 2 ** (d + 1)
+        floats = max(2 * d - 3, 0) * n + 6 * d + 2 ** (d + 1)
         assert peak - 8 * len(X) * len(many) <= 8 * floats * faber._ROWS, (n, peak)
 
 

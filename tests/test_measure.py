@@ -221,7 +221,9 @@ def test_chunk_size_changes_rounding_only(monkeypatch):
 @pytest.mark.parametrize("chunk", [4, measure._CHUNK])
 @pytest.mark.parametrize("shape", [(3, 5, 7), (9,), (1, 4), (2, 1, 3)])
 def test_tensor_batches_cover_the_grid_once_in_c_order(monkeypatch, chunk, shape):
+    # with chunk 4, pieces of at most 3 rows: a batch of 4 is cut into 3 + 1
     monkeypatch.setattr(measure, "_CHUNK", chunk)
+    monkeypatch.setattr(measure, "_ROWS", min(measure._ROWS, chunk - 1))
     rng = np.random.default_rng(len(shape) * 10 + chunk)
     axes = [np.sort(rng.random(s)) for s in shape]
     weights = [rng.random(s) + 0.5 for s in shape]
@@ -229,15 +231,25 @@ def test_tensor_batches_cover_the_grid_once_in_c_order(monkeypatch, chunk, shape
     products = np.ones(len(grid))
     for w in np.meshgrid(*weights, indexing="ij"):
         products *= w.reshape(-1)
-    batches = list(measure._tensor_batches(axes, weights))
-    assert [len(X) for X, _ in batches[:-1]] == [chunk] * (len(batches) - 1)
-    assert 0 < len(batches[-1][0]) <= chunk
-    X = np.concatenate([X for X, _ in batches])
+    batches = [(size, list(pieces)) for size, pieces in measure._tensor_batches(axes, weights)]
+    assert [size for size, _ in batches[:-1]] == [chunk] * (len(batches) - 1)
+    assert 0 < batches[-1][0] <= chunk
+    # each batch is its own pieces, none crossing into the next, none over _ROWS rows
+    assert all(sum(len(X) for X, _ in pieces) == size for size, pieces in batches)
+    assert all(0 < len(X) <= measure._ROWS for _, pieces in batches for X, _ in pieces)
+    assert [len(X) for X, _ in batches[0][1]] == ([3, 1] if chunk == 4 else [len(grid)])
+    X = np.concatenate([X for _, pieces in batches for X, _ in pieces])
     assert X.tobytes() == grid.tobytes()
-    assert np.concatenate([w for _, w in batches]).tobytes() == products.tobytes()
-    bare = list(measure._tensor_batches(axes))
+    w = np.concatenate([w for _, pieces in batches for _, w in pieces])
+    assert w.tobytes() == products.tobytes()
+    bare = [X for _, pieces in measure._tensor_batches(axes) for X in pieces]
     assert all(w is None for _, w in bare)
     assert np.concatenate([X for X, _ in bare]).tobytes() == grid.tobytes()
+    # an int axis m is 0.0, 1.0, ..., m - 1, never built
+    indices = [X for _, pieces in measure._tensor_batches(list(shape)) for X, _ in pieces]
+    spelled = [np.arange(s, dtype=np.float64) for s in shape]
+    want = np.stack(np.meshgrid(*spelled, indexing="ij"), axis=-1).reshape(-1, len(shape))
+    assert np.concatenate(indices).tobytes() == want.tobytes()
 
 
 class TestLqError:
@@ -342,9 +354,9 @@ class TestJointDefect:
         sizes = []
         real = faber._evaluate_many
 
-        def spy(many, X):
+        def spy(many, X, *work):
             sizes.append(len(many))
-            return real(many, X)
+            return real(many, X, *work)
 
         monkeypatch.setattr(faber, "_evaluate_many", spy)
         return sizes
@@ -377,28 +389,56 @@ class TestJointDefect:
         assert f.eval_count == boxed.eval_count > 0
         assert g.eval_count == 2 * f.eval_count
 
+    @staticmethod
+    def streamed_peak(f, s, spec):
+        lq_error(f, s, spec)  # warm: the level layouts and numpy.random
+        tracemalloc.start()
+        try:
+            lq_error(f, s, spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def streamed_bound(d, n, batch):
+        # lq_error's bound: 8 B per point of the largest batch, plus one piece's
+        # points, weights and two series' values, plus _evaluate_many's floats
+        # per row (as its docstring states) for one piece of _ROWS rows
+        floats = max(2 * d - 3, 0) * n + 6 * d + 2 ** (d + 1)
+        return 8 * batch + 8 * (d + 3 + floats) * faber._ROWS
+
     def test_monte_carlo_peak_is_bounded_per_batch_point(self):
-        # lq_error's bound: 8 (d + 2) B per point of the largest batch, plus
-        # _evaluate_many's chunk arrays (floats per row as its docstring states)
-        # and the strata coordinates; at d = 3, 70,000 samples draw batches of
-        # 32,768 and 37,232 points, 140,000 samples batches of up to 65,536
+        # at d = 3, 70,000 samples draw batches of 32,768 and 37,232 points,
+        # 140,000 samples batches of up to 65,536
         d, n = 3, 5
         rng = np.random.default_rng(17)
         f, s = synthesize(random_series(n, d, rng)), random_series(n - 2, d, rng)
         for samples in (70_000, 140_000):
-            spec = MeasureSpec(2.0, StratifiedMC(samples=samples, seed=5))
-            lq_error(f, s, spec)  # warm: the level layouts and numpy.random
-            tracemalloc.start()
-            try:
-                lq_error(f, s, spec)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = self.streamed_peak(f, s, MeasureSpec(2.0, StratifiedMC(samples=samples, seed=5)))
             level = int(math.log2(samples)) // d
             strata = 1 << (level * d)
             batch = max(min(strata, measure._CHUNK), min(samples - strata, measure._CHUNK))
-            chunk = 8 * ((2 * d - 1) * n + 8 * d + 2 ** (d + 1)) * faber._ROWS
-            assert peak <= 8 * (d + 2) * batch + chunk + 8 * (1 << level), (samples, peak)
+            assert peak <= self.streamed_bound(d, n, batch), (samples, peak)
+
+    def test_monte_carlo_peak_at_d1_does_not_grow_with_the_strata(self):
+        # 2**16 and 2**19 strata: the corners come from each piece's indices,
+        # so the bound is the same at both
+        d, n = 1, 10
+        rng = np.random.default_rng(23)
+        f, s = synthesize(random_series(n, d, rng)), random_series(n - 2, d, rng)
+        for samples in (70_000, 1_000_000):
+            peak = self.streamed_peak(f, s, MeasureSpec(2.0, StratifiedMC(samples=samples, seed=5)))
+            assert peak <= self.streamed_bound(d, n, measure._CHUNK), (samples, peak)
+
+    @pytest.mark.parametrize("n,level", [(5, 5), (6, 6)])
+    def test_composite_peak_is_bounded_per_batch_point(self, n, level):
+        # the refined mesh has (2**(level + 1) * 5)**2 >= 102,400 points, so
+        # the largest batch is a full _CHUNK
+        d = 2
+        rng = np.random.default_rng(19)
+        f, s = synthesize(random_series(n, d, rng)), random_series(n - 2, d, rng)
+        peak = self.streamed_peak(f, s, MeasureSpec(2.0, CompositeGauss(level=level)))
+        assert peak <= self.streamed_bound(d, n, measure._CHUNK), peak
 
     def test_overflow_raises_the_same_evaluation_error(self):
         # (1 - x) c + v(x) c overflows for x > 0.06 with c near the top of binary64

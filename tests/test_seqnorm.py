@@ -225,18 +225,19 @@ def test_in_place_power_is_byte_equal_to_a_new_array(p):
     scaled **= p
     assert scaled.tobytes() == want
     # measure._power_sums takes the power, the weight product and the square in
-    # place in its copy of |g|, and never writes g's own values
+    # place in its batch array of |g|, filled piece by piece, and never writes
+    # g's own values: here one batch of 50,000 points in pieces of _ROWS rows
     values = rng.standard_normal(50_000) * 10.0 ** rng.uniform(-20, 20, 50_000)
     kept = values.copy()
     w = rng.random(50_000)
-    g = FunctionHandle(lambda X: values, 1)
-    X = np.zeros((50_000, 1))
+    g = FunctionHandle(lambda X: values[int(X[0, 0]) : int(X[-1, 0]) + 1], 1)
+    assert [size for size, _ in measure._tensor_batches([50_000])] == [50_000]
     powers = np.abs(kept) ** p
-    weighted = measure._power_sums(g, [(X, w)], p)
+    weighted = measure._power_sums(g, measure._tensor_batches([50_000], [w]), p)
     assert np.array(weighted).tobytes() == np.array([np.sum(w * powers)]).tobytes()
-    moments = measure._power_sums(g, [(X, None)], p, moments=True)
+    moments = measure._power_sums(g, measure._tensor_batches([50_000]), p, moments=True)
     spelled = [np.sum(powers), np.sum(powers * powers)]
     assert np.array(moments).tobytes() == np.array(spelled).tobytes()
     assert values.tobytes() == kept.tobytes()
     with pytest.raises(ValueError, match="unweighted"):
-        measure._power_sums(g, [(X, w)], p, moments=True)
+        measure._power_sums(g, measure._tensor_batches([50_000], [w]), p, moments=True)
