@@ -21,12 +21,15 @@ statistics are ``bench/compare.py``'s own, imported from it.
 With ``--studies``, each one-shot CLI study of ``STUDIES`` runs
 ``STUDY_RUNS`` times per side as a fresh ``python -m faberkit.cli``
 process of that checkout's ``src/``, the sides alternating run by run.
-``studies`` then holds per study and side the wall time and the child's
-peak RSS (``os.wait4``'s ``ru_maxrss``) of every run, with their medians,
-minima and maxima, the SHA-256 of stdout and of every file the study
-writes, and whether both sides wrote the same bytes on every run.  A
-median of five fresh processes can move 10% on the same work; the minima
-and maxima show whether two sides' runs overlap.
+``studies`` then holds per study and side, for every run, the wall time,
+the time of ``bench/run.py``'s calibration kernel timed right before the
+run, the wall time scaled by it as the bench scales op times
+(``wall_ref_s = wall_s * CALIBRATION_REF_S / kernel_s``) and the child's
+peak RSS (``os.wait4``'s ``ru_maxrss``), with their medians, minima and
+maxima; the SHA-256 of stdout and of every file the study writes, and
+whether both sides wrote the same bytes on every run.  A median of five
+fresh processes can move 10% on the same work as the host's speed
+drifts; the minima and maxima show whether two sides' runs overlap.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import compare  # noqa: E402
+import run  # noqa: E402
 
 
 def sides(out: Path) -> tuple[dict, dict]:
@@ -192,7 +196,11 @@ STUDIES = {
         "rates", "--dim", "1", "--p", "2", "--q", "2", "--func", "extremal",
         "--depth", "14", "--n", "4..12", "--seed", "7", "--out", "rates.csv",
     ],
+    "levels-d12": ["levels", "--dim", "12", "--n", "2"],  # 120,832 levels
 }
+
+#: what ``study_row`` records of each run, with medians, minima and maxima
+STUDY_KEYS = ("wall_s", "wall_ref_s", "kernel_s", "peak_rss_mb")
 
 #: fresh processes per study and side
 STUDY_RUNS = 5
@@ -200,7 +208,10 @@ STUDY_RUNS = 5
 
 def run_study(root: Path, args: list[str]) -> dict:
     """One fresh CLI process of ``root``'s source in an empty directory: its exit
-    code, wall time, peak RSS and the SHA-256 of stdout and of each file it wrote."""
+    code, wall time, the calibration kernel's time right before it and the
+    wall time scaled by it, peak RSS and the SHA-256 of stdout and of each
+    file it wrote."""
+    kernel = run.calibration_seconds()
     with tempfile.TemporaryDirectory() as work, tempfile.TemporaryFile() as out:
         env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
         start = time.perf_counter()
@@ -216,8 +227,9 @@ def run_study(root: Path, args: list[str]) -> dict:
         for path in sorted(Path(work).rglob("*")):
             if path.is_file():
                 digests[str(path.relative_to(work))] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"exit": proc.returncode, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
-            "sha256": digests}
+    return {"exit": proc.returncode, "wall_s": wall, "kernel_s": kernel,
+            "wall_ref_s": wall * run.CALIBRATION_REF_S / kernel,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0, "sha256": digests}
 
 
 def study_row(args: list[str], runs: dict[str, list[dict]]) -> dict:
@@ -227,16 +239,15 @@ def study_row(args: list[str], runs: dict[str, list[dict]]) -> dict:
     for side, results in runs.items():
         distinct = {json.dumps(r["sha256"], sort_keys=True) for r in results}
         outputs[side] = distinct
+        each = {key: [r[key] for r in results] for key in STUDY_KEYS}
         row[side] = {
-            "wall_s": statistics.median(r["wall_s"] for r in results),
-            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
+            **{key: statistics.median(values) for key, values in each.items()},
             "exits": sorted({r["exit"] for r in results}),
             "sha256": [json.loads(d) for d in sorted(distinct)],
-            "runs": {key: [r[key] for r in results] for key in ("wall_s", "peak_rss_mb")},
+            "runs": each,
+            **{bound.__name__: {key: bound(v) for key, v in each.items()} for bound in (min, max)},
         }
-        for bound in (min, max):
-            row[side][bound.__name__] = {key: bound(row[side]["runs"][key]) for key in row[side]["runs"]}
-    for key in ("wall_s", "peak_rss_mb"):
+    for key in ("wall_s", "wall_ref_s", "peak_rss_mb"):
         row[f"{key}_change_over_parent"] = row["change"][key] / row["parent"][key]
     row["same_output"] = len(outputs["parent"]) == 1 and outputs["parent"] == outputs["change"]
     return row
@@ -266,9 +277,10 @@ def main(argv: list[str] | None = None) -> int:
     rec = record(args.out, args.parent, args.change)
     if args.studies:
         rec["studies"] = {
-            "what": f"{STUDY_RUNS} fresh processes per study and side, alternating; wall time "
-                    "and peak RSS are medians, with each run and their min and max; sha256 "
-                    "lists each distinct set of outputs",
+            "what": f"{STUDY_RUNS} fresh processes per study and side, alternating; wall time, "
+                    "the calibration kernel's time before each run, the wall time scaled by "
+                    f"it to a {run.CALIBRATION_REF_S} s kernel, and peak RSS are medians, with "
+                    "each run and their min and max; sha256 lists each distinct set of outputs",
             "command": f"python3 scripts/bench_record.py OUT {args.parent} {args.change} "
                        "--studies PARENT_CHECKOUT CHANGE_CHECKOUT",
             "rows": studies(dict(zip(("parent", "change"), args.studies))),

@@ -143,9 +143,9 @@ def _summary(text: str) -> None:
 
 def _cmd_levels(args) -> int:
     layout = _levels(args.n, args.dim)  # the cap, before any level is enumerated
-    for j in layout.levels:
-        print(" ".join(str(e) for e in j.entries))
-    _summary(f"levels={len(layout.levels)} nodes={layout.size}")
+    for row in layout.entries.tolist():
+        print(" ".join(map(str, row)))
+    _summary(f"levels={len(layout.keys)} nodes={layout.size}")
     return 0
 
 

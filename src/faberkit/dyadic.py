@@ -94,24 +94,11 @@ def levels_up_to(n: int, d: int) -> list[LevelVector]:
     """All level vectors of truncation order <= n, in lexicographic order.
 
     The per-axis order is -1 < 0 < 1 < ..., so the boundary layer of each
-    axis precedes its interior levels.  Fails like
-    :func:`capped_node_count`, before enumerating: every level holds at
-    least one node, so the levels of a plannable (n, d) number at most
-    MAX_POINTS.
+    axis precedes its interior levels.  The rows of :func:`_levels`' entry
+    table, one LevelVector each; fails like :func:`capped_node_count`,
+    before enumerating.
     """
-    capped_node_count(n, d)
-
-    out: list[LevelVector] = []
-
-    def extend(prefix: tuple[int, ...], used: int) -> None:
-        if len(prefix) == d:
-            out.append(LevelVector(prefix))
-            return
-        for e in range(-1, n - used + 1):
-            extend(prefix + (e,), used + max(e, 0))
-
-    extend((), 0)
-    return out
+    return [LevelVector(row) for row in _levels(n, d).entries.tolist()]
 
 
 def _check_translation(j: LevelVector, k: tuple[int, ...]) -> None:
@@ -154,38 +141,41 @@ def capped_node_count(n: int, d: int) -> int:
 class _Layout:
     """The series layout of order <= n in d dimensions; see :func:`_levels`."""
 
-    levels: tuple[LevelVector, ...]  # levels_up_to(n, d)
-    entries: np.ndarray  # (L, d) int64 level entries
+    entries: np.ndarray  # (L, d) int64 level entries, in lexicographic order
     shapes: np.ndarray  # (L, d) int64 translation counts
     starts: np.ndarray  # (L + 1,) offsets of the levels' blocks in series order
     size: int  # m(n, d) coefficients
     radix: np.ndarray  # (d,) int64 place values of the level keys
     keys: np.ndarray  # (L,) int64 level keys, ascending in series order
     orders: np.ndarray  # (L,) int64 truncation orders sum(max(entries, 0))
-    position: dict  # level entries -> level index
 
 
 @functools.lru_cache(maxsize=64)
 def _levels(n: int, d: int) -> _Layout:
     """The series layout of order <= n, enumerated once per (n, d).
 
-    A level's key is its entries + 1 in mixed radix n + 2; the levels are
-    in lexicographic order, so their keys ascend, and (n + 2)**d <= 2**24
-    fits an int64 for every (n, d) under the cap.  Its arrays are
-    read-only.  Fails like :func:`capped_node_count`, which
-    :func:`levels_up_to` calls before it enumerates a level.
+    Fails like :func:`capped_node_count`, before enumerating.  The entry
+    table grows one axis at a time, each row repeated once per entry -1 ..
+    n - order of the next axis, so the rows are in lexicographic order.  A
+    level's key is its entries + 1 in mixed radix n + 2, so the keys
+    ascend, and (n + 2)**d <= 2**24 fits an int64 for every (n, d) under
+    the cap.  The read-only arrays hold 8 (2d + 3) B per level.
     """
-    levels = tuple(levels_up_to(n, d))
-    entries = np.array([j.entries for j in levels], dtype=np.int64)
+    capped_node_count(n, d)
+    entries = np.zeros((1, 0), dtype=np.int64)
+    orders = np.zeros(1, dtype=np.int64)
+    for _ in range(d):
+        counts = n + 2 - orders
+        e = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) - 1
+        entries = np.column_stack((np.repeat(entries, counts, axis=0), e))
+        orders = np.repeat(orders, counts) + np.maximum(e, 0)
     shapes = np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
     starts = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
     radix = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
     keys = (entries + 1) @ radix
-    orders = np.maximum(entries, 0).sum(axis=1)
     for a in (entries, shapes, starts, radix, keys, orders):
         a.setflags(write=False)
-    position = {j.entries: i for i, j in enumerate(levels)}
-    return _Layout(levels, entries, shapes, starts, int(starts[-1]), radix, keys, orders, position)
+    return _Layout(entries, shapes, starts, int(starts[-1]), radix, keys, orders)
 
 
 def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +188,7 @@ def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     :func:`capped_node_count`.
     """
     layout = _levels(n, d)
-    owner = np.repeat(np.arange(len(layout.levels)), np.diff(layout.starts))
+    owner = np.repeat(np.arange(len(layout.keys)), np.diff(layout.starts))
     flat = np.arange(layout.size) - layout.starts[owner]
     k = np.empty((layout.size, d), dtype=np.int64)
     for axis in reversed(range(d)):
@@ -346,7 +336,7 @@ def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
     starts = layout.starts
     points = _nodes(layout, k)
     points.setflags(write=False)
-    span = np.ones((len(layout.levels), d + 1), dtype=np.int64)
+    span = np.ones((len(layout.keys), d + 1), dtype=np.int64)
     span[:, :d] = np.cumprod(layout.shapes[:, ::-1], axis=1)[:, ::-1]
     first, left, right = _parent_steps(layout, span)
     sweeps = []

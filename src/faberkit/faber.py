@@ -34,6 +34,7 @@ from .dyadic import (
     _hierarchy,
     _levels,
     _reduction_blocks,
+    levels_up_to,
 )
 
 __all__ = [
@@ -124,7 +125,10 @@ class FunctionHandle:
         return vals
 
     def __call__(self, x) -> float:
+        """f at one point, given as d coordinates or a (1, d) array."""
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if X.shape != (1, self.dim):
+            raise ValueError(f"expected one point of {self.dim} coordinates, got shape {X.shape}")
         return float(self.eval_batch(X)[0])
 
     def __repr__(self) -> str:
@@ -153,8 +157,8 @@ class FaberSeries:
             )
         bad = np.flatnonzero(~np.isfinite(flat))
         if bad.size:
-            j = layout.levels[np.searchsorted(layout.starts, bad[0], side="right") - 1]
-            raise ValueError(f"non-finite coefficient at level {j.entries}")
+            j = layout.entries[np.searchsorted(layout.starts, bad[0], side="right") - 1]
+            raise ValueError(f"non-finite coefficient at level {tuple(j.tolist())}")
         flat.setflags(write=False)
         object.__setattr__(self, "budget", int(budget))
         object.__setattr__(self, "dim", int(dim))
@@ -169,21 +173,24 @@ class FaberSeries:
         raise AttributeError("FaberSeries is immutable")
 
     def levels(self) -> tuple[LevelVector, ...]:
-        return self._layout.levels
+        return tuple(levels_up_to(self.budget, self.dim))
 
     def items(self) -> Iterator[tuple[LevelVector, np.ndarray]]:
         starts = self._layout.starts
-        for i, j in enumerate(self._layout.levels):
+        for i, j in enumerate(self.levels()):
             yield j, self.coeffs[starts[i] : starts[i + 1]]
 
     def array(self, j) -> np.ndarray:
-        """Read-only flat coefficient array of level j (translation order)."""
+        """Read-only flat coefficient array of level j (translation order).
+
+        Every level of this dim and order <= budget is stored, found by its key.
+        """
         j = _as_level(j)
-        starts = self._layout.starts
-        i = self._layout.position.get(j.entries)
-        if i is None:
+        if j.dim != self.dim or j.order > self.budget:
             raise ValueError(f"level {j.entries} not stored (budget {self.budget})")
-        return self.coeffs[starts[i] : starts[i + 1]]
+        layout = self._layout
+        i = layout.keys.searchsorted(np.add(j.entries, 1) @ layout.radix)
+        return self.coeffs[layout.starts[i] : layout.starts[i + 1]]
 
     def get(self, j, k) -> float:
         j = _as_level(j)
@@ -357,11 +364,11 @@ def _evaluate_many(
     outs = [np.zeros(X.shape[0]) for _ in many]
     owners: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
     for at, s in enumerate(many):
-        levels, starts = s._layout.levels, s._layout.starts
+        starts = s._layout.starts
         live = np.flatnonzero(np.logical_or.reduceat(s.coeffs != 0.0, starts[:-1]))
-        for i in live.tolist():
+        for i, entries in zip(live.tolist(), s._layout.entries[live].tolist()):
             block = s.coeffs[starts[i] : starts[i + 1]]
-            owners.setdefault(levels[i].entries, []).append((at, block))
+            owners.setdefault(tuple(entries), []).append((at, block))
     walk = sorted(owners.items())
     used = [sorted({entries[axis] for entries, _ in walk}) for axis in range(1, d)]
     # one chunk's arrays are rows of a float and an int block: the coordinates
@@ -549,20 +556,20 @@ _IO_BLOCK = 1 << 15
 def _formatted(series: FaberSeries, level_part, k_sep: str, k_end: str) -> Iterator[str]:
     """The coefficients as strings ``level_part(j) + k + repr(value)``, in blocks.
 
-    k is the translation's entries joined by ``k_sep`` and followed by
-    ``k_end``.  Each level's part is built once and each translation's
-    string once per level, from per-axis digit strings; values are the
-    ``repr`` of ``coeffs.tolist()``.  Each yielded string holds at least
-    _IO_BLOCK and fewer than 2 * _IO_BLOCK coefficients, the last fewer.
+    j is a level's entries as a list, k the translation's entries joined
+    by ``k_sep`` and followed by ``k_end``.  Each level's part is built
+    once and each translation's string once per level, from per-axis digit
+    strings; values are the ``repr`` of ``coeffs.tolist()``.  Each yielded
+    string holds at least _IO_BLOCK and fewer than 2 * _IO_BLOCK
+    coefficients, the last fewer.
     """
-    starts = series._layout.starts
+    entries, shapes, starts = series._layout.entries, series._layout.shapes, series._layout.starts
     pieces = []
-    for i, j in enumerate(series._layout.levels):
-        *lead, last = j.translation_shape()
+    for i, (j, (*lead, last)) in enumerate(zip(entries.tolist(), shapes.tolist())):
         axes = [[f"{t}{k_sep}" for t in range(c)] for c in lead]
         axes.append([f"{t}{k_end}" for t in range(last)])
         ks = map("".join, itertools.product(*axes))
-        part = level_part(j.entries)
+        part = level_part(j)
         for start in range(starts[i], starts[i + 1], _IO_BLOCK):
             values = series.coeffs[start : min(start + _IO_BLOCK, starts[i + 1])].tolist()
             block = [part] * (3 * len(values))
@@ -621,9 +628,10 @@ def _build_series(
     layout = _levels(n, d)
     in_range = np.all((J >= -1) & (J <= n), axis=1)
     key = (np.where(in_range[:, None], J, -1) + 1) @ layout.radix
-    index = np.minimum(np.searchsorted(layout.keys, key), len(layout.levels) - 1)
+    index = np.minimum(np.searchsorted(layout.keys, key), len(layout.keys) - 1)
     shape = layout.shapes[index]
-    bad = ~(in_range & (layout.keys[index] == key) & np.all((K >= 0) & (K < shape), axis=1))
+    found = in_range & (layout.keys[index] == key)
+    bad = ~(found & np.all((K >= 0) & (K < shape), axis=1))
     first_bad = int(np.argmax(bad)) if bad.any() else len(J)
 
     pos = layout.starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
@@ -639,10 +647,9 @@ def _build_series(
         raise ValueError(f"duplicate coefficient at level {j}, translation {k}")
     if first_bad < len(J):
         j, k = entry(first_bad)
-        i = layout.position.get(j)
-        if i is None:
+        if not found[first_bad]:
             raise ValueError(f"level {j} outside budget {n} in d={d}")
-        _check_translation(layout.levels[i], k)
+        _check_translation(LevelVector(j), k)
     if error is not None:
         raise error
     if distinct < layout.size:

@@ -324,10 +324,10 @@ def block_lq_exact(j, coeffs, q: float) -> float:
     c = np.asarray(coeffs, dtype=np.float64).reshape(-1)
     if c.size != j.translation_count():
         raise ValueError("coefficient count does not match the level")
+    if not q >= 1.0:  # NaN fails too
+        raise ValueError("q < 1 not supported")
     if math.isinf(q):
         return float(np.max(np.abs(c), initial=0.0))
-    if q < 1.0:
-        raise ValueError("q < 1 not supported")
     mass = float(np.sum(np.abs(c) ** q))
     scale = math.ldexp(1.0, -j.order) / (q + 1.0) ** j.dim
     return (mass * scale) ** (1.0 / q)

@@ -107,12 +107,12 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
         raise ValueError("depth must be >= 1")
     layout = _levels(depth, d)
     coeffs = np.zeros(layout.size)
-    for j, start in zip(layout.levels, layout.starts.tolist()):
-        if all(e >= 0 for e in j.entries):
-            shape = j.translation_shape()
-            k = [_hash_key(seed, 1, axis, *j.entries) & (c - 1) for axis, c in enumerate(shape)]
+    rows = zip(layout.entries.tolist(), layout.shapes.tolist(), layout.starts.tolist())
+    for j, shape, start in rows:
+        if all(e >= 0 for e in j):
+            k = [_hash_key(seed, 1, axis, *j) & (c - 1) for axis, c in enumerate(shape)]
             flat = _flat_index(k, shape)
-            coeffs[start + flat] = 1.0 if _hash_key(seed, 0, *j.entries, flat) & 1 else -1.0
+            coeffs[start + flat] = 1.0 if _hash_key(seed, 0, *j, flat) & 1 else -1.0
     series = FaberSeries(depth, d, coeffs)
     handle = synthesize(series, label=f"spike(J={depth},seed={seed})")
     return handle, series

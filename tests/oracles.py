@@ -302,7 +302,9 @@ def _per_entry_build(d, n, entries):
     budget, else translation out of range, else a duplicate), then an
     error raised while producing the entries, then missing coefficients."""
     layout = _levels(n, d)
-    m, levels, level_entries, starts = layout.size, layout.levels, layout.entries, layout.starts
+    m, level_entries, starts = layout.size, layout.entries, layout.starts
+    levels = levels_up_to(n, d)
+    position = {j.entries: i for i, j in enumerate(levels)}
     js, ks, vals = [], [], []
     parse_error = None
     try:
@@ -329,7 +331,7 @@ def _per_entry_build(d, n, entries):
         line = int(np.argmax(repeat))
         raise ValueError(f"duplicate coefficient at level {js[line]}, translation {ks[line]}")
     if first_bad < len(js):
-        i = layout.position.get(js[first_bad])
+        i = position.get(js[first_bad])
         if i is None:
             raise ValueError(f"level {js[first_bad]} outside budget {n} in d={d}")
         _check_translation(levels[i], ks[first_bad])

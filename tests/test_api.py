@@ -1,5 +1,6 @@
 """Public API pin: changes to faberkit's exported names must be deliberate."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -82,6 +83,12 @@ def test_series_attributes_pinned():
         "array", "budget", "coeffs", "dim", "get", "items", "levels", "max_abs_diff", "size",
         "zeros",
     ]
+
+
+def test_level_layout_fields_pinned():
+    # one (L, d) table and per-level arrays; no object or dict per level
+    fields = [f.name for f in dataclasses.fields(faberkit.dyadic._Layout)]
+    assert fields == ["entries", "shapes", "starts", "size", "radix", "keys", "orders"]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

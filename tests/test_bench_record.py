@@ -89,26 +89,32 @@ def test_commands_name_each_set_of_runs():
     ]
 
 
-def _study_run(wall, rss, stdout="aa", exit=0):
-    return {"exit": exit, "wall_s": wall, "peak_rss_mb": rss, "sha256": {"stdout": stdout}}
+def _study_run(wall, rss, stdout="aa", exit=0, kernel=0.06):
+    return {"exit": exit, "wall_s": wall, "kernel_s": kernel, "wall_ref_s": wall * 0.06 / kernel,
+            "peak_rss_mb": rss, "sha256": {"stdout": stdout}}
 
 
 def test_study_row_takes_medians_and_compares_outputs():
+    # the parent's host ran its kernel in 0.12 s, twice the reference
     runs = {
-        "parent": [_study_run(w, r) for w, r in ((2.0, 50.0), (3.0, 52.0), (2.5, 51.0))],
+        "parent": [_study_run(w, r, kernel=0.12) for w, r in ((2.0, 50.0), (3.0, 52.0), (2.5, 51.0))],
         "change": [_study_run(w, r) for w, r in ((1.0, 45.0), (1.5, 46.0), (1.2, 44.0))],
     }
     row = bench_record.study_row(["rates", "--dim", "1"], runs)
     assert row["command"] == "faberkit rates --dim 1"
     assert (row["parent"]["wall_s"], row["parent"]["peak_rss_mb"]) == (2.5, 51.0)
     assert (row["change"]["wall_s"], row["change"]["peak_rss_mb"]) == (1.2, 45.0)
+    assert (row["parent"]["wall_ref_s"], row["parent"]["kernel_s"]) == (1.25, 0.12)
+    assert (row["change"]["wall_ref_s"], row["change"]["kernel_s"]) == (1.2, 0.06)
     assert row["peak_rss_mb_change_over_parent"] == 45.0 / 51.0
+    assert row["wall_ref_s_change_over_parent"] == 1.2 / 1.25
     assert row["change"]["runs"]["wall_s"] == [1.0, 1.5, 1.2]
     assert row["parent"]["runs"]["peak_rss_mb"] == [50.0, 52.0, 51.0]
-    assert row["parent"]["min"] == {"wall_s": 2.0, "peak_rss_mb": 50.0}
-    assert row["parent"]["max"] == {"wall_s": 3.0, "peak_rss_mb": 52.0}
-    assert row["change"]["min"] == {"wall_s": 1.0, "peak_rss_mb": 44.0}
-    assert row["change"]["max"] == {"wall_s": 1.5, "peak_rss_mb": 46.0}
+    assert row["parent"]["runs"]["wall_ref_s"] == [1.0, 1.5, 1.25]
+    assert row["parent"]["min"] == {"wall_s": 2.0, "wall_ref_s": 1.0, "kernel_s": 0.12, "peak_rss_mb": 50.0}
+    assert row["parent"]["max"] == {"wall_s": 3.0, "wall_ref_s": 1.5, "kernel_s": 0.12, "peak_rss_mb": 52.0}
+    assert row["change"]["min"] == {"wall_s": 1.0, "wall_ref_s": 1.0, "kernel_s": 0.06, "peak_rss_mb": 44.0}
+    assert row["change"]["max"] == {"wall_s": 1.5, "wall_ref_s": 1.5, "kernel_s": 0.06, "peak_rss_mb": 46.0}
     assert row["parent"]["sha256"] == [{"stdout": "aa"}] and row["same_output"]
     runs["change"][1] = _study_run(1.5, 46.0, stdout="bb", exit=1)
     row = bench_record.study_row(["rates"], runs)
@@ -130,9 +136,15 @@ def _checkout(root, greeting):
     return root
 
 
+def test_studies_list_the_level_table_study():
+    assert bench_record.STUDIES["levels-d12"] == ["levels", "--dim", "12", "--n", "2"]
+
+
 def test_studies_run_each_checkout_as_fresh_processes(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "STUDIES", {"toy": ["toy", "--out", "t.csv"]})
     monkeypatch.setattr(bench_record, "STUDY_RUNS", 2)
+    kernels = iter([0.03, 0.12] * 4)  # timed once before each run
+    monkeypatch.setattr(bench_record.run, "calibration_seconds", lambda: next(kernels))
     for side, seed in (("a", 1), ("b", 1)):
         _write(tmp_path / f"{side}.jsonl", [_run("w", seed, 0, {"ops_per_s": (1.0, "1/ref_s")})])
     same = [_checkout(tmp_path / name, "hello") for name in ("p", "c")]
@@ -149,5 +161,8 @@ def test_studies_run_each_checkout_as_fresh_processes(tmp_path, monkeypatch):
             assert row[side]["exits"] == [0] and len(row[side]["runs"]["wall_s"]) == 2
             for key, runs in row[side]["runs"].items():
                 assert row[side]["min"][key] == min(runs) <= max(runs) == row[side]["max"][key]
+            assert row[side]["runs"]["kernel_s"] == ([0.03, 0.12] if side == "parent" else [0.12, 0.03])
+            for wall, kernel, ref in zip(*(row[side]["runs"][k] for k in ("wall_s", "kernel_s", "wall_ref_s"))):
+                assert ref == wall * bench_record.run.CALIBRATION_REF_S / kernel
             assert row[side]["peak_rss_mb"] > 0.0
             assert set(row[side]["sha256"][0]) == {"stdout", "t.csv"}

@@ -1,11 +1,16 @@
 """Index arithmetic: enumeration, stencils, node sets, exact counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faberkit.dyadic import (
     MAX_LEVEL,
     LevelVector,
+    _levels,
     capped_node_count,
     levels_up_to,
     node_count,
@@ -71,6 +76,31 @@ class TestLevelsUpTo:
         got = [j.entries for j in levels_up_to(n, d)]
         assert got == sorted(brute_force_levels(n, d))
         assert len(got) == len(set(got))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(0, 6), d=st.integers(1, 5))
+    def test_table_matches_brute_force(self, n, d):
+        expected = sorted(brute_force_levels(n, d))
+        layout = _levels(n, d)
+        assert list(map(tuple, layout.entries.tolist())) == expected
+        assert [j.entries for j in levels_up_to(n, d)] == expected
+        assert layout.orders.tolist() == [sum(max(e, 0) for e in j) for j in expected]
+        shapes = [LevelVector(j).translation_shape() for j in expected]
+        assert list(map(tuple, layout.shapes.tolist())) == shapes
+        assert np.all(np.diff(layout.keys) > 0)
+
+    @pytest.mark.parametrize("n,d", [(2, 10), (2, 12)])
+    def test_table_retains_its_arrays_alone(self, n, d):
+        # 8 B per level for each of entries and shapes per axis, starts,
+        # keys and orders, and no object per level
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            layout = _levels.__wrapped__(n, d)  # a fresh build, outside the memo
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 8 * (2 * d + 3) * len(layout.keys) + 4096
 
     def test_rejects_d0(self):
         with pytest.raises(ValueError):
@@ -202,11 +232,12 @@ class TestNodeSet:
         with pytest.raises(ValueError, match="cap"):
             node_set(n, d)
 
-    @pytest.mark.parametrize("n,d", [(0, 30), (40, 1)])
+    @pytest.mark.parametrize("n,d", [(0, 30), (40, 1), (1, 14), (0, 16)])
     def test_levels_over_node_cap_rejected_before_enumerating(self, n, d):
         # (0, 30) has 2**30 levels: enumerating them would exhaust memory
-        with pytest.raises(ValueError, match="cap"):
-            levels_up_to(n, d)
+        for enumerate_levels in (levels_up_to, _levels):
+            with pytest.raises(ValueError, match="cap"):
+                enumerate_levels(n, d)
 
     @pytest.mark.parametrize("count", [levels_up_to, node_count, capped_node_count])
     @pytest.mark.parametrize(

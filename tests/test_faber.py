@@ -1,6 +1,7 @@
 """Basis evaluation, analysis/synthesis round trips, integration, serialization."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from faberkit.faber import (
 )
 from faberkit.seqnorm import series_profile
 from oracles import (
+    brute_force_levels,
     coeff,
     from_scalar,
     hat_eval,
@@ -426,7 +428,7 @@ class TestReductionPlan:
         # the last plans stay: 8 B of index per coefficient and of level
         # index per level, and at most 1 KiB of array objects per block
         stated = sum(
-            8 * (node_count(n, d) + len(_levels(n, d).levels)) + 1024 * count
+            8 * (node_count(n, d) + len(_levels(n, d).keys)) + 1024 * count
             for (n, d), count in list(zip(plans, blocks))[-kept:]
         )
         assert retained <= stated
@@ -623,6 +625,33 @@ class TestFaberSeries:
         for flat, k in enumerate(translations(j)):
             assert s.get(j, k) == arr[flat]
 
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(d=st.integers(1, 3), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_array_and_get_read_every_level_block(self, d, n, seed):
+        # blocks in the order of the brute-force level set, each level's
+        # translations in lexicographic order
+        s = random_series(n, d, np.random.default_rng(seed))
+        start = 0
+        for entries in sorted(brute_force_levels(n, d)):
+            j = LevelVector(entries)
+            block = s.coeffs[start : start + j.translation_count()]
+            for level in (j, entries, list(entries)):
+                arr = s.array(level)
+                assert arr.tobytes() == block.tobytes() and np.shares_memory(arr, s.coeffs)
+            assert [s.get(entries, k) for k in translations(j)] == block.tolist()
+            start += block.size
+        assert start == s.size
+
+    @pytest.mark.parametrize("j", [(0,), (0, 0, 0), (4, -1), (2, 2), (-1, 4), (3, 1)])
+    def test_array_and_get_refuse_a_level_not_stored(self, j):
+        # a wrong dim, or an order above the budget
+        s = random_series(3, 2, RNG)
+        message = re.escape(f"level {j} not stored (budget 3)")
+        with pytest.raises(ValueError, match=message):
+            s.array(j)
+        with pytest.raises(ValueError, match=message):
+            s.get(j, (0,) * len(j))
+
 
 class TestSerialization:
     def test_text_round_trip(self):
@@ -747,6 +776,19 @@ class TestFunctionHandle:
         f = FunctionHandle(lambda X: X[:, 0], 2)
         with pytest.raises(ValueError):
             f.eval_batch(np.zeros((3, 1)))
+
+    def test_call_takes_one_point(self):
+        f = FunctionHandle(lambda X: X[:, 0] * X[:, 1], 2)
+        assert f([0.5, 0.25]) == f([[0.5, 0.25]]) == 0.125
+        assert f.eval_count == 2
+        for x in ([[0.5, 0.5], [1.0, 1.0]], [0.5], [0.5, 0.5, 0.5], [[[0.5, 0.5]]], 0.5):
+            with pytest.raises(ValueError, match="one point of 2 coordinates"):
+                f(x)
+        assert f.eval_count == 2
+        g = FunctionHandle(lambda X: X[:, 0], 1)
+        assert g(0.5) == g([0.5]) == g([[0.5]]) == 0.5
+        with pytest.raises(ValueError, match="one point"):
+            g([0.5, 0.25])
 
 
 @settings(max_examples=25, deadline=None, database=None)

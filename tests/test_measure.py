@@ -298,6 +298,11 @@ class TestBlockLqExact:
         with pytest.raises(ValueError):
             block_lq_exact((-1, 2), np.zeros(8), 2.0)
 
+    @pytest.mark.parametrize("q", [0.5, -math.inf, math.nan])
+    def test_q_below_one_rejected(self, q):
+        with pytest.raises(ValueError, match="q < 1 not supported"):
+            block_lq_exact((1,), [1.0, 2.0], q)
+
     def test_q_inf_is_peak_height(self):
         assert block_lq_exact((2,), [0.0, -0.7, 0.2, 0.0], math.inf) == 0.7
 
