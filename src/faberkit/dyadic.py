@@ -4,10 +4,11 @@ everything that depends on the budget n and the dimension d alone.
 Levels and translations are exact integers.  A node coordinate is
 computed once, by one formula (:func:`_nodes`), as an exact binary64
 dyadic; :func:`node_set` returns these (m, d) float64 nodes.
-:func:`_levels` is the layout of a series of order <= n, memoized per
-(n, d); :func:`_hierarchy`, the node and sweep plan of analyze, and
+:func:`_levels`, the layout of a series of order <= n,
+:func:`_hierarchy`, the node and sweep plan of analyze, and
 :func:`_reduction_blocks`, the block indices of the level reductions,
-are memoized per (n, d) by :func:`_memo_when_small`.
+are memoized per (n, d) by :func:`_memo_when_small`, under the one rule
+and byte bound stated at ``_PLAN_MEMO_SIZE``.
 
 Level conventions
 -----------------
@@ -137,6 +138,53 @@ def capped_node_count(n: int, d: int) -> int:
     return m
 
 
+#: Largest m·d whose (n, d) structures are memoized; a larger one is built
+#: for its call and dropped.
+_PLAN_MEMO_POINTS = 1 << 17
+
+#: Entries each memo keeps.  Under _PLAN_MEMO_POINTS this count is a byte
+#: bound: a hierarchization plan holds 8·m·d bytes of nodes and at most
+#: 24·m·d of intp indices, 4 MiB; a set of reduction blocks holds 8 B of
+#: intp index per grouped coefficient (a lone level holds a slice), 1 MiB;
+#: a layout holds 8·(2d + 3) B per level, at most 82 KiB (the largest is
+#: (2, 6)'s 688 levels, by tracemalloc).  So the three memos retain at most
+#: 5 · (4 MiB + 1 MiB + 82 KiB), about 25.4 MiB.
+_PLAN_MEMO_SIZE = 5
+
+
+class _OverCap(Exception):
+    """An (n, d) over _PLAN_MEMO_POINTS; raised inside a memo, which keeps no exception."""
+
+
+def _memo_when_small(build):
+    """The (n, d) structure ``build``, memoized under the rule of _PLAN_MEMO_SIZE.
+
+    Fails like :func:`capped_node_count`, before ``build`` is called.  When
+    m·d <= _PLAN_MEMO_POINTS, ``build(n, d)`` is kept in an lru_cache of
+    _PLAN_MEMO_SIZE entries (a generator as a tuple), and a hit counts no
+    node; a larger structure is ``build(n, d)`` itself, built for its call
+    and dropped.
+    """
+
+    def kept(n: int, d: int):
+        if capped_node_count(n, d) * d > _PLAN_MEMO_POINTS:
+            raise _OverCap
+        built = build(n, d)
+        return tuple(built) if isinstance(built, Iterator) else built
+
+    memo = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(kept)
+
+    @functools.wraps(build)
+    def plan(n: int, d: int):
+        try:
+            return memo(n, d)
+        except _OverCap:
+            return build(n, d)
+
+    plan.cache_info, plan.cache_clear = memo.cache_info, memo.cache_clear
+    return plan
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class _Layout:
     """The series layout of order <= n in d dimensions; see :func:`_levels`."""
@@ -150,9 +198,9 @@ class _Layout:
     orders: np.ndarray  # (L,) int64 truncation orders sum(max(entries, 0))
 
 
-@functools.lru_cache(maxsize=64)
+@_memo_when_small
 def _levels(n: int, d: int) -> _Layout:
-    """The series layout of order <= n, enumerated once per (n, d).
+    """The series layout of order <= n.
 
     Fails like :func:`capped_node_count`, before enumerating.  The entry
     table grows one axis at a time, each row repeated once per entry -1 ..
@@ -161,7 +209,6 @@ def _levels(n: int, d: int) -> _Layout:
     ascend, and (n + 2)**d <= 2**24 fits an int64 for every (n, d) under
     the cap.  The read-only arrays hold 8 (2d + 3) B per level.
     """
-    capped_node_count(n, d)
     entries = np.zeros((1, 0), dtype=np.int64)
     orders = np.zeros(1, dtype=np.int64)
     for _ in range(d):
@@ -178,20 +225,18 @@ def _levels(n: int, d: int) -> _Layout:
     return _Layout(entries, shapes, starts, int(starts[-1]), radix, keys, orders)
 
 
-def _plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coefficient table of the series of order <= n, in series order.
+def _plan(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coefficient table of the series of a :func:`_levels` layout, in series order.
 
     Returns ``(owner, k)``: per coefficient i its level index ``owner[i]``
-    into :func:`_levels` and its translation ``k[i]``, an (m, d) int64
-    array (levels in the order of :func:`levels_up_to`, translations of a
-    level in lexicographic order, the last axis fastest).  Fails like
-    :func:`capped_node_count`.
+    into the layout and its translation ``k[i]``, an (m, d) int64 array
+    (levels in the order of :func:`levels_up_to`, translations of a level
+    in lexicographic order, the last axis fastest).
     """
-    layout = _levels(n, d)
     owner = np.repeat(np.arange(len(layout.keys)), np.diff(layout.starts))
     flat = np.arange(layout.size) - layout.starts[owner]
-    k = np.empty((layout.size, d), dtype=np.int64)
-    for axis in reversed(range(d)):
+    k = np.empty((layout.size, len(layout.radix)), dtype=np.int64)
+    for axis in reversed(range(k.shape[1])):
         count = layout.shapes[owner, axis]
         k[:, axis] = flat % count
         flat //= count
@@ -206,11 +251,10 @@ def _nodes(layout: _Layout, k: np.ndarray) -> np.ndarray:
     exact, as 2k + 1 < 2**(e+1) <= 2**25 under MAX_POINTS.
     """
     sizes = np.diff(layout.starts)
-    points = np.empty(k.shape)
+    points = k.astype(np.float64)
     for axis in range(k.shape[1]):
         e = layout.entries[:, axis]
         column = points[:, axis]
-        column[:] = k[:, axis]
         column *= 2.0
         column += np.repeat(e >= 0, sizes)
         column *= np.repeat(np.ldexp(1.0, -np.maximum(e + 1, 1)), sizes)
@@ -229,7 +273,8 @@ def node_set(n: int, d: int) -> np.ndarray:
     points analyze hands f.  Each call returns a fresh array.  Fails like
     :func:`capped_node_count`.
     """
-    return _nodes(_levels(n, d), _plan(n, d)[1])
+    layout = _levels(n, d)
+    return _nodes(layout, _plan(layout)[1])
 
 
 def node_count(n: int, d: int) -> int:
@@ -247,35 +292,6 @@ def node_count(n: int, d: int) -> int:
     for _ in range(d):
         ways = [sum(ways[a] * axis[c - a] for a in range(c + 1)) for c in range(n + 1)]
     return sum(ways)
-
-
-#: Largest m·d whose plans are memoized; a larger plan is built for its
-#: one call and dropped.
-_PLAN_MEMO_POINTS = 1 << 17
-
-#: Plans each memo keeps.  A hierarchization plan holds 8·m·d bytes of
-#: nodes and at most 24·m·d of intp indices, so its memo retains at most
-#: 5 · 32 · 2**17 B = 20 MiB.  A reduction plan holds 8 B of intp index
-#: per grouped coefficient (a lone level holds a slice), so its memo
-#: retains at most 5 · 8 · 2**17 B = 5 MiB.
-_PLAN_MEMO_SIZE = 5
-
-
-def _memo_when_small(build):
-    """The (n, d) plan ``build``, kept as ``tuple(build(n, d))`` in an lru_cache
-    of _PLAN_MEMO_SIZE plans when m·d <= _PLAN_MEMO_POINTS; a larger plan is
-    ``build(n, d)`` itself, built for its call and dropped.
-    """
-    memo = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(lambda n, d: tuple(build(n, d)))
-
-    @functools.wraps(build)
-    def plan(n: int, d: int):
-        if _levels(n, d).size * d > _PLAN_MEMO_POINTS:
-            return build(n, d)
-        return memo(n, d)
-
-    plan.cache_info, plan.cache_clear = memo.cache_info, memo.cache_clear
-    return plan
 
 
 def _parent_steps(layout: _Layout, span: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
@@ -332,8 +348,7 @@ def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
     All arrays are read-only.  Fails like :func:`capped_node_count`.
     """
     layout = _levels(n, d)
-    owner, k = _plan(n, d)
-    starts = layout.starts
+    owner, k = _plan(layout)
     points = _nodes(layout, k)
     points.setflags(write=False)
     span = np.ones((len(layout.keys), d + 1), dtype=np.int64)
@@ -345,7 +360,7 @@ def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
         level = owner[inner]
         row = first[level, axis]
         row += k[inner, axis]
-        before = inner - starts[level]  # index in the level's block, then h
+        before = inner - layout.starts[level]  # index in the level's block, then h
         before //= span[level, axis]
         sweep = [inner]
         for D, E in (left, right):

@@ -34,7 +34,6 @@ from .dyadic import (
     _hierarchy,
     _levels,
     _reduction_blocks,
-    levels_up_to,
 )
 
 __all__ = [
@@ -173,12 +172,10 @@ class FaberSeries:
         raise AttributeError("FaberSeries is immutable")
 
     def levels(self) -> tuple[LevelVector, ...]:
-        return tuple(levels_up_to(self.budget, self.dim))
+        return tuple(LevelVector(row) for row in self._layout.entries.tolist())
 
     def items(self) -> Iterator[tuple[LevelVector, np.ndarray]]:
-        starts = self._layout.starts
-        for i, j in enumerate(self.levels()):
-            yield j, self.coeffs[starts[i] : starts[i + 1]]
+        return zip(self.levels(), np.split(self.coeffs, self._layout.starts[1:-1]))
 
     def array(self, j) -> np.ndarray:
         """Read-only flat coefficient array of level j (translation order).

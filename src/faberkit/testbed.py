@@ -75,13 +75,12 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
         raise ValueError("p must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    owner, k = _plan(depth, d)
     layout = _levels(depth, d)
-    entries = layout.entries
+    owner, k = _plan(layout)
     scales = np.array([2.0 ** (-order / p) for order in range(depth + 1)])
-    interior = (entries >= 0).all(axis=1)
+    interior = (layout.entries >= 0).all(axis=1)
     scale = scales[layout.orders]
-    j = entries.view(np.uint64)
+    j = layout.entries.view(np.uint64)
     coeffs = np.empty(len(owner))
     for start in range(0, len(owner), _SIGN_ROWS):
         rows = slice(start, start + _SIGN_ROWS)
