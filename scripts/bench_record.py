@@ -197,6 +197,9 @@ STUDIES = {
         "--depth", "14", "--n", "4..12", "--seed", "7", "--out", "rates.csv",
     ],
     "levels-d12": ["levels", "--dim", "12", "--n", "2"],  # 120,832 levels
+    # layouts over the plan memo's size cap, built once per call
+    "analyze-d8": ["analyze", "--dim", "8", "--n", "3", "--func", "kink", "--out", "s.txt"],
+    "noncompact-18": ["noncompact", "--max-level", "18"],
 }
 
 #: what ``study_row`` records of each run, with medians, minima and maxima

@@ -141,10 +141,15 @@ def _summary(text: str) -> None:
     sys.stdout.write(f"# {text}\n")
 
 
+#: Rows of the level table that ``levels`` turns into Python lists at a time.
+_PRINT_ROWS = 1 << 13
+
+
 def _cmd_levels(args) -> int:
     layout = _levels(args.n, args.dim)  # the cap, before any level is enumerated
-    for row in layout.entries.tolist():
-        print(" ".join(map(str, row)))
+    for start in range(0, len(layout.keys), _PRINT_ROWS):
+        for row in layout.entries[start : start + _PRINT_ROWS].tolist():
+            print(" ".join(map(str, row)))
     _summary(f"levels={len(layout.keys)} nodes={layout.size}")
     return 0
 
@@ -326,6 +331,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -140,6 +140,13 @@ def test_studies_list_the_level_table_study():
     assert bench_record.STUDIES["levels-d12"] == ["levels", "--dim", "12", "--n", "2"]
 
 
+def test_studies_list_the_over_memo_cap_studies():
+    assert bench_record.STUDIES["analyze-d8"] == [
+        "analyze", "--dim", "8", "--n", "3", "--func", "kink", "--out", "s.txt",
+    ]
+    assert bench_record.STUDIES["noncompact-18"] == ["noncompact", "--max-level", "18"]
+
+
 def test_studies_run_each_checkout_as_fresh_processes(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "STUDIES", {"toy": ["toy", "--out", "t.csv"]})
     monkeypatch.setattr(bench_record, "STUDY_RUNS", 2)

@@ -6,6 +6,7 @@ import pytest
 
 from faberkit import cli, measure
 from faberkit.cli import run
+from faberkit.dyadic import levels_up_to
 from faberkit.faber import series_from_json, series_from_text
 from faberkit.measure import CompositeGauss
 
@@ -24,6 +25,12 @@ class TestLevels:
         assert len(rows) == 8
         assert rows[0] == "-1 -1"
         assert out.splitlines()[-1].startswith("# levels=8")
+
+    def test_levels_printed_in_row_blocks_are_the_level_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "levels", "--dim", "8", "--n", "3")
+        expected = [" ".join(map(str, j.entries)) for j in levels_up_to(3, 8)]
+        assert code == 0 and len(expected) == 10496 > cli._PRINT_ROWS  # two blocks
+        assert out.splitlines() == [*expected, f"# levels=10496 nodes=768609"]
 
     @pytest.mark.parametrize("dim,n", [("40", "0"), ("16", "0"), ("1", "62")])
     def test_levels_over_node_cap_exits_1(self, capsys, dim, n):
@@ -261,6 +268,31 @@ def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, argv):
 
 
 class TestErrorsAndConfig:
+    @pytest.mark.parametrize(
+        "exc,line",
+        [
+            (MemoryError("Unable to allocate 760. MiB for an array with shape (11100000, 9)"),
+             "error: Unable to allocate 760. MiB for an array with shape (11100000, 9)"),
+            (MemoryError(), "error: out of memory"),
+        ],
+    )
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch, exc, line):
+        # a stand-in for an allocation the machine refuses: none is attempted
+        def refuse(f, n):
+            raise exc
+
+        monkeypatch.setattr(cli, "analyze", refuse)
+        code, out, err = run_cli(capsys, "analyze", "--dim", "9", "--n", "4")
+        assert (code, out, err) == (1, "", line + "\n")
+
+    def test_other_exceptions_still_propagate(self, monkeypatch):
+        def fail(f, n):
+            raise RuntimeError("not a computation error")
+
+        monkeypatch.setattr(cli, "analyze", fail)
+        with pytest.raises(RuntimeError):
+            run(["analyze", "--dim", "1", "--n", "1"])
+
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faberkit import dyadic
 from faberkit.dyadic import (
     MAX_LEVEL,
     LevelVector,
@@ -109,6 +110,72 @@ class TestLevelsUpTo:
     def test_rejects_budget_above_cap(self):
         with pytest.raises(ValueError):
             levels_up_to(MAX_LEVEL + 1, 1)
+
+
+#: The stated bytes of one memoized layout (dyadic, at _PLAN_MEMO_SIZE).
+LAYOUT_BOUND = 82 << 10
+
+
+class TestLayoutMemo:
+    """_levels is memoized by the plan memo's rule, not by a count of its own."""
+
+    def test_largest_layouts_not_retained(self):
+        # the largest plannable budget of four dimensions; a memo capped by
+        # count alone would keep all four, about 63 MB
+        large = [(2, 12), (1, 13), (6, 8), (3, 10)]
+        assert all(node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS for n, d in large)
+        _levels.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, d in large:
+                _levels(n, d)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _levels.cache_info().currsize == 0
+        assert retained <= dyadic._PLAN_MEMO_SIZE * LAYOUT_BOUND
+
+    def test_small_layout_is_one_object_large_is_not_kept(self):
+        assert _levels(3, 2) is _levels(3, 2)
+        for n, d in ((17, 1), (2, 12)):
+            kept = _levels.cache_info().currsize
+            assert _levels(n, d) is not _levels(n, d)
+            assert _levels.cache_info().currsize == kept
+
+    def test_hit_counts_no_node(self, monkeypatch):
+        for plan in (_levels, dyadic._hierarchy, dyadic._reduction_blocks):
+            plan(3, 2)
+        counted = []
+        monkeypatch.setattr(dyadic, "node_count", lambda n, d: counted.append((n, d)))
+        for plan in (_levels, dyadic._hierarchy, dyadic._reduction_blocks):
+            plan(3, 2)
+        assert counted == []
+
+    def test_memo_retention_within_stated_bound(self):
+        # more layouts than the memo keeps, the largest last
+        plans = [(11, 2), (15, 1), (7, 3), (10, 2), (14, 1), (4, 4), (5, 4), (3, 5), (1, 7), (2, 6)]
+        assert len(plans) > dyadic._PLAN_MEMO_SIZE
+        assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
+        _levels.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sizes = [len(_levels(n, d).keys) for n, d in plans]
+            retained = tracemalloc.get_traced_memory()[0] - before
+            kept = _levels.cache_info().currsize
+        finally:
+            tracemalloc.stop()
+            _levels.cache_clear()
+        assert kept == dyadic._PLAN_MEMO_SIZE
+        # the last layouts stay: 8·(2d + 3) B per level, and at most 4 KiB
+        # per layout of array objects, memo entries and the small buffers
+        # that numpy caches for reuse when an evicted layout is freed
+        stated = sum(
+            8 * (2 * d + 3) * size + 4096 for (n, d), size in list(zip(plans, sizes))[-kept:]
+        )
+        assert retained <= stated
+        assert retained <= dyadic._PLAN_MEMO_SIZE * LAYOUT_BOUND
 
 
 class TestTranslations:

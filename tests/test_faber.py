@@ -299,7 +299,7 @@ class TestHierarchyPlan:
         n, d = 17, 1
         assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
         f = FunctionHandle(lambda X: X[:, 0] ** 2, d)
-        _levels(n, d)  # the level layout memo has a bound of its own
+        _levels(n, d)  # over the memo's size cap too: built for its call and dropped
         dyadic._hierarchy.cache_clear()
         tracemalloc.start()
         try:
@@ -317,7 +317,7 @@ class TestHierarchyPlan:
         assert len(plans) > dyadic._PLAN_MEMO_SIZE
         assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
         for n, d in plans:
-            _levels(n, d)  # the level layout memo has a bound of its own
+            _levels(n, d)  # the memo keeps the last layouts, the ones it holds after the loop
         dyadic._hierarchy.cache_clear()
         tracemalloc.start()
         try:
@@ -397,7 +397,7 @@ class TestReductionPlan:
     def test_integrate_over_size_cap_peaks_below_a_byte_per_coefficient(self):
         n, d = 17, 1
         s = FaberSeries(n, d, np.random.default_rng(3).standard_normal(node_count(n, d)))
-        integrate(s)  # warm: the level layout memo has a bound of its own
+        integrate(s)  # warm; (17, 1)'s layout is the series' own, over the memo's size cap
         tracemalloc.start()
         try:
             integrate(s)
@@ -413,7 +413,7 @@ class TestReductionPlan:
         assert len(plans) > dyadic._PLAN_MEMO_SIZE
         assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
         for n, d in plans:
-            _levels(n, d)  # the level layout memo has a bound of its own
+            _levels(n, d)  # the memo keeps the last layouts, the ones it holds after the loop
         dyadic._reduction_blocks.cache_clear()
         tracemalloc.start()
         try:
