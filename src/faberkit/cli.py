@@ -332,7 +332,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # numpy's names the array it could not allocate
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

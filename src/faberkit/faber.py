@@ -221,10 +221,10 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
     then the nodal values are hierarchized in place with one (+1, -2,
     +1) / -2 sweep per axis (Bungartz & Griebel, Sparse grids, Acta
     Numerica 13, 2004, sec. 4).  The nodes and the sweeps' index arrays depend on (n, d)
-    alone and are memoized per (n, d) for m·d <= 2**17, at most 5 plans
-    and 20 MiB; samples never are, so every call evaluates f at all m
-    nodes, handed to f as a fresh array.  Raises ValueError before
-    sampling when m(n, d) exceeds MAX_POINTS.
+    alone and are memoized by the rule stated at ``dyadic._PLAN_MEMO_SIZE``;
+    samples never are, so every call evaluates f at all m nodes, handed
+    to f as a fresh array.  Raises ValueError before sampling when m(n, d)
+    exceeds MAX_POINTS.
     """
     points, sweeps = _hierarchy(n, f.dim)
     values = f.eval_batch(points.copy())
