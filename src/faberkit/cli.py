@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import experiments, measure, testbed
-from .dyadic import _levels
+from .dyadic import _ROWS, _levels
 from .faber import (
     analyze,
     series_from_json,
@@ -141,14 +141,11 @@ def _summary(text: str) -> None:
     sys.stdout.write(f"# {text}\n")
 
 
-#: Rows of the level table that ``levels`` turns into Python lists at a time.
-_PRINT_ROWS = 1 << 13
-
-
 def _cmd_levels(args) -> int:
+    """Print the level table, turning _ROWS rows into Python lists at a time."""
     layout = _levels(args.n, args.dim)  # the cap, before any level is enumerated
-    for start in range(0, len(layout.keys), _PRINT_ROWS):
-        for row in layout.entries[start : start + _PRINT_ROWS].tolist():
+    for start in range(0, len(layout.keys), _ROWS):
+        for row in layout.entries[start : start + _ROWS].tolist():
             print(" ".join(map(str, row)))
     _summary(f"levels={len(layout.keys)} nodes={layout.size}")
     return 0

@@ -39,6 +39,18 @@ MAX_LEVEL = 62
 #: of one measurement pass (both mesh levels of a Richardson pair).
 MAX_POINTS = 1 << 25
 
+#: Rows per pass of every memory-bounded loop: the evaluator's chunks and
+#: the measures' pieces, the gathers of :func:`_reduction_blocks`, the rows
+#: ``levels`` prints at a time, the sign passes of ``testbed.extremal``, the
+#: series writers' blocks and the readers' slices of 32 * _ROWS characters.
+#: A pass only splits the work, so no value or byte depends on it.  For the
+#: joint defect of a 65,536-point batch (extremal series and their analyze
+#: approximants, median of 15 alternating rounds, 2-vCPU VM), 2**13 took as
+#: long as 2**14 at d = 1..4 (within 5% either way), and 2**12 took 11-21%
+#: longer than 2**13; the peak at d = 3 was 2.43, 3.83 and 6.65 MiB at
+#: 2**12, 2**13 and 2**14.
+_ROWS = 1 << 13
+
 
 @dataclass(frozen=True)
 class LevelVector:
@@ -375,11 +387,6 @@ def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
     return points, tuple(sweeps)
 
 
-#: Elements per gathered index of :func:`_reduction_blocks`, which bounds
-#: each block and the temporaries of its reductions to 64 KiB.
-_GATHER = 1 << 13
-
-
 @_memo_when_small
 def _reduction_blocks(n: int, d: int) -> Iterator[tuple[np.ndarray, tuple | np.ndarray]]:
     """The levels of order <= n grouped by size, a few levels at a time.
@@ -390,14 +397,15 @@ def _reduction_blocks(n: int, d: int) -> Iterator[tuple[np.ndarray, tuple | np.n
     size) block of their coefficients, one row per level: a view
     ``(None, slice(start, stop))`` for a level alone, else the read-only
     intp gather index ``starts[levels, None] + arange(size)`` of at most
-    _GATHER elements.  A row-wise reduction of a block is bit-identical
+    _ROWS elements, which bounds each block and the temporaries of its
+    reductions to 64 KiB.  A row-wise reduction of a block is bit-identical
     to the reduction of each level alone.
     """
     starts = _levels(n, d).starts
     sizes = np.diff(starts)
     for size in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == size)
-        step = max(1, _GATHER // size)
+        step = max(1, _ROWS // size)
         for first in range(0, group.size, step):
             levels = group[first : first + step]
             levels.setflags(write=False)

@@ -27,6 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .dyadic import (
+    _ROWS,
     LevelVector,
     _as_level,
     _check_translation,
@@ -233,16 +234,6 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
     return FaberSeries(n, f.dim, values)
 
 
-#: Rows per evaluation chunk: bounds the per-axis tables and prefix
-#: products to O(_ROWS) floats each; the measures hand a function pieces of
-#: at most _ROWS points, one chunk each.  For the joint defect of a 65,536-point
-#: batch (extremal series and their analyze approximants, median of 15
-#: alternating rounds, 2-vCPU VM), 2**13 took as long as 2**14 at d = 1..4
-#: (within 5% either way), and 2**12 took 11-21% longer than 2**13; the
-#: peak at d = 3 was 2.43, 3.83 and 6.65 MiB at 2**12, 2**13 and 2**14.
-_ROWS = 1 << 13
-
-
 def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     """Evaluate the truncated expansion at an (N, d) batch of points.
 
@@ -316,8 +307,8 @@ def _evaluate_many(
     of that series alone.  The union of the series' levels with a nonzero
     block is walked in lexicographic order, which is each series' own
     order, and each level lists the series that own it.  Per chunk of
-    ``_ROWS`` points only the (axis, entry) tables some walked level uses
-    are built, and a stack of prefix (flat index, product) lists lets
+    ``dyadic._ROWS`` points only the (axis, entry) tables some walked level
+    uses are built, and a stack of prefix (flat index, product) lists lets
     levels that share leading entries share their partial indices and
     products (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004).
     Each term's index and ``product * value`` are computed once; every
@@ -538,16 +529,11 @@ def integrate(series: FaberSeries) -> float:
 # Text format: header "dim <d> budget <n>", then one line per coefficient
 # "j_1 .. j_d k_1 .. k_d value" in level/translation order, values printed
 # as shortest round-trip decimals.  The JSON variant mirrors the fields.
-# The writers format a block of coefficients at a time and join the blocks
-# once, so they peak at twice the output, as an io.StringIO does.  Both
-# readers split a slice of the text at a time into tokens and convert them
-# into arrays with one converter, :func:`_token_rows`.
-
-#: Coefficients per formatted block of the writers; the readers read
-#: slices of 32 * _IO_BLOCK characters, about _IO_BLOCK text lines.  A
-#: writer's peak is twice its output plus about 57 B per block string,
-#: which long blocks keep small.
-_IO_BLOCK = 1 << 15
+# The writers format a block of about ``dyadic._ROWS`` coefficients at a
+# time and join the blocks once, so they peak at twice the output, as an
+# io.StringIO does, plus about 57 B per block string.  Both readers split a
+# slice of 32 * _ROWS characters, about _ROWS text lines, at a time into
+# tokens and convert them into arrays with one converter, :func:`_token_rows`.
 
 
 def _formatted(series: FaberSeries, level_part, k_sep: str, k_end: str) -> Iterator[str]:
@@ -557,8 +543,8 @@ def _formatted(series: FaberSeries, level_part, k_sep: str, k_end: str) -> Itera
     by ``k_sep`` and followed by ``k_end``.  Each level's part is built
     once and each translation's string once per level, from per-axis digit
     strings; values are the ``repr`` of ``coeffs.tolist()``.  Each yielded
-    string holds at least _IO_BLOCK and fewer than 2 * _IO_BLOCK
-    coefficients, the last fewer.
+    string holds at least _ROWS and fewer than 2 * _ROWS coefficients, the
+    last fewer.
     """
     entries, shapes, starts = series._layout.entries, series._layout.shapes, series._layout.starts
     pieces = []
@@ -567,13 +553,13 @@ def _formatted(series: FaberSeries, level_part, k_sep: str, k_end: str) -> Itera
         axes.append([f"{t}{k_end}" for t in range(last)])
         ks = map("".join, itertools.product(*axes))
         part = level_part(j)
-        for start in range(starts[i], starts[i + 1], _IO_BLOCK):
-            values = series.coeffs[start : min(start + _IO_BLOCK, starts[i + 1])].tolist()
+        for start in range(starts[i], starts[i + 1], _ROWS):
+            values = series.coeffs[start : min(start + _ROWS, starts[i + 1])].tolist()
             block = [part] * (3 * len(values))
             block[1::3] = itertools.islice(ks, len(values))
             block[2::3] = map(repr, values)
             pieces += block
-            if len(pieces) >= 3 * _IO_BLOCK:
+            if len(pieces) >= 3 * _ROWS:
                 yield "".join(pieces)
                 pieces = []
     yield "".join(pieces)
@@ -681,10 +667,10 @@ def _joined(blocks: list[tuple[np.ndarray, np.ndarray]], d: int) -> tuple[np.nda
 def _slices(text: str, start: int, stop: int, boundary: str) -> Iterator[str]:
     """``text[start:stop]`` in consecutive slices that end with a match of the
     regular expression ``boundary``: each the shortest of at least
-    ``32 * _IO_BLOCK`` characters, the last one whatever is left."""
+    ``32 * _ROWS`` characters, the last one whatever is left."""
     search = re.compile(boundary).search
     while start < stop:
-        cut = search(text, start + 32 * _IO_BLOCK, stop)
+        cut = search(text, start + 32 * _ROWS, stop)
         end = stop if cut is None else cut.end()
         yield text[start:end]
         start = end
@@ -728,8 +714,8 @@ def series_from_text(text: str) -> FaberSeries:
     Beyond the text, the reader holds one block's lines and tokens, never
     all of them, then the coefficients' ``j k`` rows and values and
     :func:`_build_series`' arrays: a peak of 51 + 24 d B per coefficient
-    (99 B at d = 2, tracemalloc), plus at most 14 MB for the block of a
-    slice of 32 * ``_IO_BLOCK`` characters.
+    (99 B at d = 2, tracemalloc), plus at most 10 MB for the block of a
+    slice of 32 * ``_ROWS`` characters (9.8 MB at d = 1, 5.7 MB at d = 2).
     """
     blocks = _line_blocks(text)
     lines = next(filter(None, blocks), None)
@@ -865,8 +851,8 @@ def series_from_json(text: str) -> FaberSeries:
     A text in the writer's own layout (:func:`_json_layout`) is read as
     tokens, one slice at a time, and never decoded whole: beyond the text
     it peaks at 51 + 24 d B per coefficient, as the text reader does (99 B
-    at d = 2, tracemalloc), plus at most 4 MB for the tokens of a slice of
-    32 * ``_IO_BLOCK`` characters.  Any other text is decoded by json.loads
+    at d = 2, tracemalloc), plus at most 2 MB for the tokens of a slice of
+    32 * ``_ROWS`` characters.  Any other text is decoded by json.loads
     and read by :func:`_json_entries`, so its first error is json.loads'
     or that of the first entry of another type.
     """

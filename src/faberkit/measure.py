@@ -15,12 +15,12 @@ Three methods:
 
 Tensor grids and the Monte Carlo strata come from ``_tensor_batches`` in
 batches of ``_CHUNK`` points, each streamed to the function in pieces of at
-most ``faber._ROWS`` points; ``_power_sums`` gathers a batch's |g| in one
+most ``dyadic._ROWS`` points; ``_power_sums`` gathers a batch's |g| in one
 array and combines the per-batch partial sums with exact accumulation.  The
 batch size fixes the summation order inside each batch, so results depend on
 it at the level of rounding (the sup grid not at all); with the fixed size
 they are deterministic.  The pieces change no value: a black-box f sees
-calls of at most ``faber._ROWS`` points, with the same points in the same
+calls of at most ``dyadic._ROWS`` points, with the same points in the same
 order, and the same evaluation count when every value is finite.
 """
 
@@ -32,8 +32,8 @@ from typing import Union
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL, MAX_POINTS, _as_level
-from .faber import _ROWS, FaberSeries, FunctionHandle, _defect
+from .dyadic import _ROWS, MAX_LEVEL, MAX_POINTS, _as_level
+from .faber import FaberSeries, FunctionHandle, _defect
 
 __all__ = [
     "CompositeGauss",
@@ -54,6 +54,8 @@ DEFAULT_GAUSS_ORDER = 5
 MAX_GAUSS_ORDER = 100
 DEFAULT_MC_SAMPLES = 200_000
 
+#: Points per measurement batch.  It fixes the summation order of every
+#: measured value, so it is a numerical convention, not a memory bound.
 _CHUNK = 1 << 16
 
 
@@ -140,7 +142,7 @@ def _composite_points(level: int, order: int, d: int) -> int:
 
 def _tensor_batches(axes, weights=None):
     """Per _CHUNK points of the C-ordered tensor grid of ``axes``: the batch size
-    and a generator of its pieces ``(X, w)`` of at most ``faber._ROWS`` points,
+    and a generator of its pieces ``(X, w)`` of at most ``dyadic._ROWS`` points,
     the points and the product of the per-axis ``weights`` at them (None
     without).  An int axis m stands for 0.0, 1.0, ..., m - 1 and is never
     built.  Each piece's unravelled indices are dropped before it is yielded,
@@ -304,7 +306,7 @@ def lq_error(f: FunctionHandle, series: FaberSeries, spec: MeasureSpec) -> tuple
     """Norm of the recovery defect f - (truncated expansion), built by ``faber._defect``.
 
     The measurement holds 8 B per point of its largest batch (its |g|^q),
-    plus one piece's arrays, at most 8 (d + 3) B per row of ``faber._ROWS``
+    plus one piece's arrays, at most 8 (d + 3) B per row of ``dyadic._ROWS``
     (the points, the weight product and, for a synthesized f, both series'
     values), plus ``faber._evaluate_many``'s working set for one piece.
     """

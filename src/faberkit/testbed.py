@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dyadic import _flat_index, _levels, _plan
+from .dyadic import _ROWS, _flat_index, _levels, _plan
 from .faber import FaberSeries, FunctionHandle, synthesize
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
-
-#: Coefficients per pass of :func:`extremal`'s sign hash; bounds its
-#: temporaries to O(_SIGN_ROWS) words next to the planner's table.
-_SIGN_ROWS = 1 << 16
 
 
 def _mix64(z):
@@ -67,8 +63,9 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     from the low bit of ``_hash_key(seed, 0, *j, *k)``; levels touching
     the boundary are zero so the normalization (2**order coefficients of
     magnitude 2**(-order/p)) is exact.  The signs come from uint64 passes
-    over row chunks of the planner's per-coefficient (level, translation)
-    table.  The series has node_count(depth, d) coefficients; a depth over
+    over chunks of ``dyadic._ROWS`` rows of the planner's per-coefficient
+    (level, translation) table, which bounds their temporaries to O(_ROWS)
+    words next to that table.  The series has node_count(depth, d) coefficients; a depth over
     the MAX_POINTS cap raises ValueError before anything is built.
     """
     if p < 1.0:
@@ -82,8 +79,8 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     scale = scales[layout.orders]
     j = layout.entries.view(np.uint64)
     coeffs = np.empty(len(owner))
-    for start in range(0, len(owner), _SIGN_ROWS):
-        rows = slice(start, start + _SIGN_ROWS)
+    for start in range(0, len(owner), _ROWS):
+        rows = slice(start, start + _ROWS)
         level = owner[rows]
         bits = _hash_key(seed, 0, *j[level].T, *k[rows].T.view(np.uint64)) & 1
         coeffs[rows] = np.where(interior[level], scale[level] * np.where(bits, 1.0, -1.0), 0.0)

@@ -117,13 +117,18 @@ def test_plan_layer_only_in_dyadic():
     # memos) lives in dyadic
     names = (
         "_plan", "_parent_steps", "_hierarchy", "_reduction_blocks", "_memo_when_small",
-        "_GATHER",
+        "_ROWS",
     )
     for name in names:
         planned = getattr(faberkit.dyadic, name)
         assert getattr(faberkit.faber, name, planned) is planned, name  # imported at most
+    # one rows-per-pass constant, dyadic's, which every bounded loop imports
+    for info in pkgutil.iter_modules(faberkit.__path__):
+        module = importlib.import_module(f"faberkit.{info.name}")
+        assert getattr(module, "_ROWS", faberkit.dyadic._ROWS) is faberkit.dyadic._ROWS, info.name
+        for name in ("_GATHER", "_PRINT_ROWS", "_SIGN_ROWS", "_IO_BLOCK"):
+            assert not hasattr(module, name), f"{info.name}.{name}"
     # one memo decorator; the blocks index the series, with no wrapper in faber
-    assert not hasattr(faberkit.faber, "_GATHER")
     gone = ("_hierarchy_plan", "_memoized_plan", "_reduction_plan", "_memoized_reductions", "_level_blocks")
     for name in gone:
         for module in (faberkit.faber, faberkit.dyadic):

@@ -29,7 +29,7 @@ class TestLevels:
     def test_levels_printed_in_row_blocks_are_the_level_rows(self, capsys):
         code, out, _ = run_cli(capsys, "levels", "--dim", "8", "--n", "3")
         expected = [" ".join(map(str, j.entries)) for j in levels_up_to(3, 8)]
-        assert code == 0 and len(expected) == 10496 > cli._PRINT_ROWS  # two blocks
+        assert code == 0 and len(expected) == 10496 > cli._ROWS  # two blocks
         assert out.splitlines() == [*expected, f"# levels=10496 nodes=768609"]
 
     @pytest.mark.parametrize("dim,n", [("40", "0"), ("16", "0"), ("1", "62")])

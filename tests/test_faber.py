@@ -349,11 +349,11 @@ class TestReductionPlan:
         assert (info.misses, info.hits) == (1, 7)
 
     # memoized, memoized with split size groups, over the size cap
-    @pytest.mark.parametrize("n,d,gather", [(4, 3, dyadic._GATHER), (4, 3, 5), (17, 1, dyadic._GATHER)])
+    @pytest.mark.parametrize("n,d,gather", [(4, 3, dyadic._ROWS), (4, 3, 5), (17, 1, dyadic._ROWS)])
     def test_blocks_cover_the_layout_with_read_only_intp_indices(self, n, d, gather, monkeypatch):
         layout = _levels(n, d)
         seen = []
-        monkeypatch.setattr(dyadic, "_GATHER", gather)
+        monkeypatch.setattr(dyadic, "_ROWS", gather)
         dyadic._reduction_blocks.cache_clear()
         try:
             blocks = list(dyadic._reduction_blocks(n, d))

@@ -165,7 +165,7 @@ def test_invalid_p_rejected_by_every_level_norm(p):
     d=st.integers(1, 5),
     n=st.integers(0, 5),
     dead=st.floats(0.0, 1.0),
-    gather=st.sampled_from([1, 5, dyadic._GATHER]),
+    gather=st.sampled_from([1, 5, dyadic._ROWS]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_property_level_reductions_are_bit_identical_to_per_level_loops(
@@ -181,7 +181,7 @@ def test_property_level_reductions_are_bit_identical_to_per_level_loops(
         for j in levels_up_to(n, d)
     ]
     s = FaberSeries(n, d, np.concatenate(blocks))
-    saved, dyadic._GATHER = dyadic._GATHER, gather
+    saved, dyadic._ROWS = dyadic._ROWS, gather
     dyadic._reduction_blocks.cache_clear()
     try:
         assert np.float64(integrate(s)).tobytes() == np.float64(per_level_integrate(s)).tobytes()
@@ -195,7 +195,7 @@ def test_property_level_reductions_are_bit_identical_to_per_level_loops(
                     np.float64(per_level_seq_norm(s, params)).tobytes()
                 )
     finally:
-        dyadic._GATHER = saved
+        dyadic._ROWS = saved
         dyadic._reduction_blocks.cache_clear()
 
 

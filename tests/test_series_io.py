@@ -29,10 +29,10 @@ from oracles import (
 )
 
 
-@pytest.fixture(params=[3, faber._IO_BLOCK], ids=["block3", "block-default"])
+@pytest.fixture(params=[3, faber._ROWS], ids=["block3", "block-default"])
 def io_block(request, monkeypatch):
     """Run the test with tiny blocks, so that blocks split levels and files."""
-    monkeypatch.setattr(faber, "_IO_BLOCK", request.param)
+    monkeypatch.setattr(faber, "_ROWS", request.param)
     return request.param
 
 
@@ -67,17 +67,17 @@ def awkward_series(budget, dim, rng):
 @given(
     d=st.integers(1, 4),
     n=st.integers(0, 4),
-    block=st.sampled_from([1, 5, faber._IO_BLOCK]),
+    block=st.sampled_from([1, 5, faber._ROWS]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_property_writers_byte_equal_to_per_line_writers(d, n, block, seed):
     s = awkward_series(n, d, np.random.default_rng(seed))
-    saved = faber._IO_BLOCK
-    faber._IO_BLOCK = block
+    saved = faber._ROWS
+    faber._ROWS = block
     try:
         text, doc = series_to_text(s), series_to_json(s)
     finally:
-        faber._IO_BLOCK = saved
+        faber._ROWS = saved
     assert text == per_line_to_text(s)
     assert doc == per_entry_to_json(s)
     assert series_from_text(text).coeffs.tobytes() == s.coeffs.tobytes()
@@ -410,20 +410,20 @@ def with_integral_values(s, rng):
 @given(
     d=st.integers(1, 4),
     n=st.integers(0, 4),
-    block=st.sampled_from([1, 3, faber._IO_BLOCK]),
+    block=st.sampled_from([1, 3, faber._ROWS]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_property_token_path_reads_writer_output_as_json_loads_does(d, n, block, seed):
     rng = np.random.default_rng(seed)
     s = with_integral_values(awkward_series(n, d, rng), rng)
     text = series_to_json(s) + "\n"  # as the CLI writes it
-    saved = faber._IO_BLOCK
-    faber._IO_BLOCK = block  # slices of 32 * block characters split files and levels
+    saved = faber._ROWS
+    faber._ROWS = block  # slices of 32 * block characters split files and levels
     try:
         assert faber._json_layout(text) is not None
         fast = series_from_json(text)
     finally:
-        faber._IO_BLOCK = saved
+        faber._ROWS = saved
     decoded = faber._series_from_doc(json.loads(text))
     assert fast.coeffs.tobytes() == decoded.coeffs.tobytes() == s.coeffs.tobytes()
 
@@ -509,7 +509,7 @@ def test_token_path_errors_name_the_entry_as_read():
 def test_reader_peak_per_coefficient_holds_at_two_sizes(read, write, monkeypatch):
     # slices of 32 KiB, whose lines and tokens hold well under 1 MiB; a
     # reader that held every line or token would pass 100 B per coefficient
-    monkeypatch.setattr(faber, "_IO_BLOCK", 1 << 10)
+    monkeypatch.setattr(faber, "_ROWS", 1 << 10)
     for n in (10, 12):
         s = analyze(kink(None, 2), n)
         text = write(s)
