@@ -156,7 +156,7 @@ _PLAN_MEMO_POINTS = 1 << 17
 
 #: Entries each memo keeps.  Under _PLAN_MEMO_POINTS this count is a byte
 #: bound: a hierarchization plan holds 8·m·d bytes of nodes and at most
-#: 24·m·d of intp indices, 4 MiB; a set of reduction blocks holds 8 B of
+#: 8·m·(3d - 1) of intp indices (axis 0's inner nodes are a slice), 4 MiB; a set of reduction blocks holds 8 B of
 #: intp index per grouped coefficient (a lone level holds a slice), 1 MiB;
 #: a layout holds 8·(2d + 3) B per level, at most 82 KiB (the largest is
 #: (2, 6)'s 688 levels, by tracemalloc).  So the three memos retain at most
@@ -351,13 +351,14 @@ def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
     """What analyze needs of (n, d) alone: ``(points, sweeps)``.
 
     ``points`` is :func:`_nodes`, the (m, d) float64 nodes of node_set(n,
-    d).  ``sweeps`` holds per axis the intp arrays ``(inner, left,
-    right)``: the nodes that are not boundary nodes along that axis, and
-    their two neighbours there, the nodes of their surplus stencil.  They
-    are intp, numpy's native index type, so indexing with them casts
-    nothing.  The neighbours are read off each node's (level,
-    translation), see :func:`_parent_steps`.
-    All arrays are read-only.  Fails like :func:`capped_node_count`.
+    d).  ``sweeps`` holds per axis ``(inner, left, right)``: the nodes
+    that are not boundary nodes along that axis, and their two neighbours
+    there, the nodes of their surplus stencil.  Axis 0's inner nodes are
+    one slice, the nodes after the levels of first entry -1, which come
+    first; every other index is an intp array, numpy's native index type,
+    so indexing with it casts nothing.  The neighbours are read off each
+    node's (level, translation), see :func:`_parent_steps`.  All arrays
+    are read-only.  Fails like :func:`capped_node_count`.
     """
     layout = _levels(n, d)
     owner, k = _plan(layout)
@@ -383,6 +384,8 @@ def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
             sweep.append(parent.astype(np.intp, copy=False))
         for a in sweep:
             a.setflags(write=False)
+        if axis == 0:
+            sweep[0] = slice(layout.size - inner.size, None)
         sweeps.append(tuple(sweep))
     return points, tuple(sweeps)
 

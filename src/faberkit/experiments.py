@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import capped_node_count
+from .dyadic import _levels, capped_node_count
 from .faber import FunctionHandle, analyze, integrate
 from .measure import MeasureSpec, default_spec, lq_error
 from .seqnorm import decay_profile
@@ -96,6 +96,21 @@ def _check_range(n_range: Sequence[int]) -> list[int]:
     return ns
 
 
+def _check_caps(ns: list[int], d: int) -> None:
+    """Raise the cap error of the first budget of ns that cannot be planned.
+
+    m(n, d) grows with n, so the last budget passes only if every budget
+    does; its layout is a memo hit when the study repeats.  Only a range
+    that fails counts nodes, budget by budget.
+    """
+    try:
+        _levels(ns[-1], d)
+    except ValueError:
+        for n in ns:
+            capped_node_count(n, d)
+        raise
+
+
 def convergence_study(
     f: FunctionHandle,
     p: float,
@@ -119,6 +134,7 @@ def convergence_study(
     for n, spec in zip(ns, specs):
         if spec.q != q:
             raise ValueError(f"the measure at n={n} has q={spec.q!r}, not the study's q={q!r}")
+    _check_caps(ns, d)
     records = []
     for n, spec in zip(ns, specs):
         before = f.eval_count
@@ -319,8 +335,10 @@ def cubature_study(f: FunctionHandle, n_range: Sequence[int]) -> list[CubatureRe
     if f.exact_integral is None:
         raise ValueError(f"{f.label!r} has no exact integral; cubature needs one")
     d = f.dim
+    ns = _check_range(n_range)
+    _check_caps(ns, d)
     rows = []
-    for n in _check_range(n_range):
+    for n in ns:
         before = f.eval_count
         series = analyze(f, n)
         m = f.eval_count - before

@@ -35,6 +35,7 @@ from .dyadic import (
     _hierarchy,
     _levels,
     _reduction_blocks,
+    capped_node_count,
 )
 
 __all__ = [
@@ -219,18 +220,23 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
     the rows of ``node_set(n, d)``, d = f.dim, are the nodes of the
     flattened series.  f is evaluated once, in one batch, at those m(n, d)
     distinct nodes (a fresh handle counts exactly m(n, d) evaluations),
-    then the nodal values are hierarchized in place with one (+1, -2,
-    +1) / -2 sweep per axis (Bungartz & Griebel, Sparse grids, Acta
-    Numerica 13, 2004, sec. 4).  The nodes and the sweeps' index arrays depend on (n, d)
+    then the nodal values are hierarchized, in a copy that analyze owns
+    (f's own array is never written), with one (+1, -2, +1) / -2 sweep
+    per axis, in place (Bungartz & Griebel, Sparse grids, Acta Numerica
+    13, 2004, sec. 4).  The nodes and the sweeps' index arrays depend on (n, d)
     alone and are memoized by the rule stated at ``dyadic._PLAN_MEMO_SIZE``;
     samples never are, so every call evaluates f at all m nodes, handed
     to f as a fresh array.  Raises ValueError before sampling when m(n, d)
     exceeds MAX_POINTS.
     """
     points, sweeps = _hierarchy(n, f.dim)
-    values = f.eval_batch(points.copy())
+    values = f.eval_batch(points.copy()).copy()
     for inner, left, right in sweeps:
-        values[inner] = -0.5 * (values[left] - 2.0 * values[inner] + values[right])
+        t = values[left]
+        t -= 2.0 * values[inner]
+        t += values[right]
+        t *= -0.5
+        values[inner] = t
     return FaberSeries(n, f.dim, values)
 
 
@@ -728,7 +734,7 @@ def series_from_text(text: str) -> FaberSeries:
     parsed = [_text_block(lines[1:], d)]
     del lines
     parsed += (_text_block(b, d) for b in blocks)
-    _levels(n, d)  # the cap, after every line's parse, before any array of d columns
+    capped_node_count(n, d)  # after every line's parse, before any array of d columns
     ints, values = _joined(parsed, d)
     del parsed
 
@@ -770,7 +776,7 @@ def _json_layout(text: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
         return None
     d, n = int(head[1]), int(head[2])
     try:
-        _levels(n, d)
+        capped_node_count(n, d)
     except ValueError:
         return None
     ints = ",".join([_JSON_INT] * d)
@@ -876,7 +882,7 @@ def _series_from_doc(doc) -> FaberSeries:
     entries = doc["entries"]
     if type(entries) is not list:
         raise ValueError(f"'entries' must be a list, got {entries!r:.40}")
-    _levels(n, d)  # the cap, before any entry is read
+    capped_node_count(n, d)  # before any entry is read
 
     def entry(i):
         return tuple(entries[i]["j"]), tuple(entries[i]["k"])

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from faberkit import cli, measure
+from faberkit import cli, experiments, measure
 from faberkit.cli import run
-from faberkit.dyadic import levels_up_to
+from faberkit.dyadic import MAX_POINTS, levels_up_to, node_count
 from faberkit.faber import series_from_json, series_from_text
 from faberkit.measure import CompositeGauss
 
@@ -265,6 +265,22 @@ def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, argv):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,n,d",
+    [("cubature --dim 5 --n 2..40", 12, 5), ("rates --dim 1 --n 2..40 --q 3", 24, 1)],
+    ids=["cubature-d5", "rates-d1"],
+)
+def test_over_cap_range_exits_1_before_its_first_budget(capsys, monkeypatch, argv, n, d):
+    # a spy in place of analyze: no budget of the range, cap-sized or not, runs
+    def analyze_spy(f, budget):
+        raise AssertionError(f"analyze called at n={budget}")
+
+    monkeypatch.setattr(experiments, "analyze", analyze_spy)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err == f"error: budget n={n} needs {node_count(n, d)} nodes in d={d}, over the cap {MAX_POINTS}\n"
 
 
 class TestErrorsAndConfig:

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from faberkit import experiments
+from faberkit import dyadic, experiments
 from faberkit.dyadic import node_count
 from faberkit.experiments import (
     RateRecord,
@@ -334,6 +334,53 @@ class TestCubatureStudy:
         rows = cubature_study(smooth("x2", 2), [4])
         assert rows[0].reference == pytest.approx(2.0**-4 * 4.0)
         assert rows[0].m == node_count(4, 2)
+
+
+class TestRangeRefusedBeforeSampling:
+    """A budget range over the node cap fails before its first budget is sampled."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+
+        def analyze_spy(f, n):  # never samples: a cap-sized budget must not run
+            calls.append(n)
+            raise AssertionError(f"analyze called at n={n}")
+
+        monkeypatch.setattr(experiments, "analyze", analyze_spy)
+        return calls
+
+    @pytest.mark.parametrize("study", ["convergence", "widths", "cubature"])
+    def test_over_cap_range_raises_the_first_over_cap_message(self, study, spy):
+        # m(n, 1) = 2**(n+1) + 1: n = 24 is the first budget over the cap
+        f = smooth("exp", 1)
+        ns = [2, 3, 24, 30]
+        message = f"budget n=24 needs {node_count(24, 1)} nodes in d=1, over the cap {dyadic.MAX_POINTS}"
+        with pytest.raises(ValueError) as info:
+            if study == "convergence":
+                convergence_study(f, 2.0, 3.0, ns)
+            elif study == "widths":
+                sampling_width_table(f, 2.0, 3.0, ns)
+            else:
+                cubature_study(f, ns)
+        assert str(info.value) == message
+        assert spy == [] and f.eval_count == 0
+
+    def test_dimension_and_level_caps_keep_their_messages(self, spy):
+        f = smooth("exp", 2)
+        with pytest.raises(ValueError, match="^d=40 needs at least 3\\*\\*d nodes"):
+            cubature_study(smooth("exp", 40), [0, 1])
+        with pytest.raises(ValueError, match=f"^budget exceeds MAX_LEVEL={dyadic.MAX_LEVEL}$"):
+            convergence_study(f, 2.0, 2.0, [1, 63])
+        assert spy == [] and f.eval_count == 0
+
+    def test_a_plannable_range_costs_a_memo_hit(self, monkeypatch):
+        # m(n, d) grows with n: the last budget's layout, a memo hit, checks all
+        dyadic._levels(5, 4)
+        counted = []
+        monkeypatch.setattr(dyadic, "node_count", lambda n, d: counted.append((n, d)))
+        experiments._check_caps([2, 3, 4, 5], 4)
+        assert counted == []
 
 
 class TestSemiAnalyticTail:

@@ -249,7 +249,9 @@ class TestHierarchyPlan:
     def test_plan_arrays_read_only(self, n, d):
         points, sweeps = dyadic._hierarchy(n, d)
         assert points.shape == (node_count(n, d), d) and len(sweeps) == d
-        for array in (points, *(a for sweep in sweeps for a in sweep)):
+        (first, *indices), *others = sweeps
+        assert isinstance(first, slice)  # axis 0's inner nodes: immutable, no array
+        for array in (points, *indices, *(a for sweep in others for a in sweep)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -257,7 +259,9 @@ class TestHierarchyPlan:
     def test_sweep_indices_are_native_intp(self, n, d):
         # numpy indexes with intp; any other dtype is cast on every sweep
         _, sweeps = dyadic._hierarchy(n, d)
-        for array in (a for sweep in sweeps for a in sweep):
+        (first, *indices), *others = sweeps
+        assert type(first.start) is int and first.stop is None and first.step is None
+        for array in (*indices, *(a for sweep in others for a in sweep)):
             assert array.dtype == np.intp and not array.flags.writeable
 
     @pytest.mark.parametrize(
@@ -276,6 +280,7 @@ class TestHierarchyPlan:
         points, sweeps = dyadic._hierarchy(n, d)
         lattice = np.ldexp(points, n + 1).astype(np.int64)
         for axis, (inner, left, right) in enumerate(sweeps):
+            inner = np.arange(len(points))[inner]  # axis 0's slice as its indices
             coord = lattice[:, axis]
             assert np.array_equal(inner, np.flatnonzero(coord % (1 << (n + 1)) != 0))
             step = coord[inner] & -coord[inner]
@@ -294,6 +299,21 @@ class TestHierarchyPlan:
         expected = analyze(FunctionHandle(lambda X: (X[:, 0] + 0.25) * (X[:, 1] + 0.25), 2), 3)
         assert series.coeffs.tobytes() == expected.coeffs.tobytes()
         assert dyadic._hierarchy(3, 2)[0].tobytes() == points.tobytes()
+
+    @pytest.mark.parametrize(
+        "evaluator",
+        [lambda X: np.broadcast_to(2.0, len(X)), lambda X: np.ascontiguousarray(X[:, 0] * 2.0)],
+        ids=["read-only", "kept"],
+    )
+    def test_evaluator_array_is_never_written(self, evaluator):
+        # f's values are hierarchized in a copy that analyze owns: a read-only
+        # array is read, and an array the evaluator keeps still holds 2x
+        kept = []
+        f = FunctionHandle(lambda X: kept.append(evaluator(X)) or kept[-1], 1)
+        series = analyze(f, 2)
+        expected = analyze(FunctionHandle(lambda X: np.array(evaluator(X)), 1), 2)
+        assert series.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert np.array_equal(kept[0], evaluator(node_set(2, 1)))
 
     def test_plan_over_size_cap_not_retained(self):
         n, d = 17, 1

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberkit import cli, faber
-from faberkit.dyadic import levels_up_to
+from faberkit import cli, dyadic, faber
+from faberkit.dyadic import levels_up_to, node_count
 from faberkit.testbed import kink
 from faberkit.faber import (
     FaberSeries,
@@ -500,6 +500,29 @@ def test_token_path_errors_name_the_entry_as_read():
         with pytest.raises(ValueError, match=message):
             series_from_json(bad)
         assert outcome(series_from_json, bad) == outcome(faber._series_from_doc, json.loads(bad))
+
+
+@pytest.mark.parametrize(
+    "read,write",
+    [
+        (series_from_text, series_to_text),
+        (series_from_json, series_to_json),
+        (lambda text: faber._series_from_doc(json.loads(text)), series_to_json),
+    ],
+    ids=["text", "json", "json-decoded"],
+)
+def test_reader_over_the_memo_size_cap_builds_its_layout_twice(read, write, monkeypatch):
+    # the cap is checked by counting nodes; the layout is built by
+    # _build_series, then by FaberSeries, and never kept
+    n, d = 17, 1
+    assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
+    s = FaberSeries(n, d, np.random.default_rng(17).standard_normal(node_count(n, d)))
+    text = write(s)
+    built = []
+    layout = dyadic._Layout
+    monkeypatch.setattr(dyadic, "_Layout", lambda *fields: built.append(1) or layout(*fields))
+    assert read(text).coeffs.tobytes() == s.coeffs.tobytes()
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize(
