@@ -156,10 +156,11 @@ _PLAN_MEMO_POINTS = 1 << 17
 
 #: Entries each memo keeps.  Under _PLAN_MEMO_POINTS this count is a byte
 #: bound: a hierarchization plan holds 8·m·d bytes of nodes and at most
-#: 8·m·(3d - 1) of intp indices (axis 0's inner nodes are a slice), 4 MiB; a set of reduction blocks holds 8 B of
-#: intp index per grouped coefficient (a lone level holds a slice), 1 MiB;
-#: a layout holds 8·(2d + 3) B per level, at most 82 KiB (the largest is
-#: (2, 6)'s 688 levels, by tracemalloc).  So the three memos retain at most
+#: 8·m·(3d - 1) of intp indices (axis 0's inner nodes are a slice), 4 MiB;
+#: a set of reduction blocks holds 8 B of intp index per grouped
+#: coefficient (a lone level holds a slice), 1 MiB; a layout holds
+#: 8·(2d + 3) B per level, at most 82 KiB (the largest is (2, 6)'s 688
+#: levels, by tracemalloc).  So the three memos retain at most
 #: 5 · (4 MiB + 1 MiB + 82 KiB), about 25.4 MiB.
 _PLAN_MEMO_SIZE = 5
 

@@ -223,11 +223,11 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
     then the nodal values are hierarchized, in a copy that analyze owns
     (f's own array is never written), with one (+1, -2, +1) / -2 sweep
     per axis, in place (Bungartz & Griebel, Sparse grids, Acta Numerica
-    13, 2004, sec. 4).  The nodes and the sweeps' index arrays depend on (n, d)
-    alone and are memoized by the rule stated at ``dyadic._PLAN_MEMO_SIZE``;
-    samples never are, so every call evaluates f at all m nodes, handed
-    to f as a fresh array.  Raises ValueError before sampling when m(n, d)
-    exceeds MAX_POINTS.
+    13, 2004, sec. 4).  The nodes and the sweeps' indices depend on (n, d)
+    alone and are memoized by the rule stated at
+    ``dyadic._PLAN_MEMO_SIZE``; samples never are, so every call evaluates
+    f at all m nodes, handed to f as a fresh array.  Raises ValueError
+    before sampling when m(n, d) exceeds MAX_POINTS.
     """
     points, sweeps = _hierarchy(n, f.dim)
     values = f.eval_batch(points.copy()).copy()
