@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import _levels, capped_node_count
 from .faber import FunctionHandle, analyze, integrate
-from .measure import MeasureSpec, default_spec, lq_error
+from .measure import MeasureSpec, _cap_error, default_spec, lq_error
 from .seqnorm import decay_profile
 from .testbed import hat_family
 
@@ -96,19 +96,27 @@ def _check_range(n_range: Sequence[int]) -> list[int]:
     return ns
 
 
-def _check_caps(ns: list[int], d: int) -> None:
-    """Raise the cap error of the first budget of ns that cannot be planned.
-
-    m(n, d) grows with n, so the last budget passes only if every budget
-    does; its layout is a memo hit when the study repeats.  Only a range
-    that fails counts nodes, budget by budget.
+def _analyses(f: FunctionHandle, ns: list[int], specs: Sequence[MeasureSpec] = ()):
+    """Yield (n, m, analyze(f, n)) per budget n of ns, m its fresh evaluations,
+    once the whole range is checked.  First the node cap: m(n, d) grows with n,
+    so the last budget's layout, a memo hit when the study repeats, passes
+    only if every budget does; only a failing range counts nodes, budget by
+    budget.  Then each spec's measure cap (``measure._cap_error``) in d.
     """
+    d = f.dim
     try:
         _levels(ns[-1], d)
     except ValueError:
         for n in ns:
             capped_node_count(n, d)
         raise
+    for spec in specs:
+        if error := _cap_error(spec.method, d):
+            raise ValueError(error)
+    for n in ns:
+        before = f.eval_count
+        series = analyze(f, n)
+        yield n, f.eval_count - before, series
 
 
 def convergence_study(
@@ -122,9 +130,9 @@ def convergence_study(
 
     The node count per row is the number of fresh evaluations the
     analysis performed (each budget owns its analysis).  p, q < 1 or NaN,
-    and a spec_factory whose spec measures another exponent than q at
-    any budget, raise ValueError before f is sampled: the reference
-    column and the rate fits use q.
+    a spec_factory whose spec measures another exponent than q at any
+    budget (the reference column and the rate fits use q), and the caps
+    of :func:`_analyses` raise ValueError before f is sampled.
     """
     if not (p >= 1.0 and q >= 1.0):
         raise ValueError(f"need p >= 1 and q >= 1, got p={p!r}, q={q!r}")
@@ -134,12 +142,8 @@ def convergence_study(
     for n, spec in zip(ns, specs):
         if spec.q != q:
             raise ValueError(f"the measure at n={n} has q={spec.q!r}, not the study's q={q!r}")
-    _check_caps(ns, d)
     records = []
-    for n, spec in zip(ns, specs):
-        before = f.eval_count
-        series = analyze(f, n)
-        m = f.eval_count - before
+    for (n, m, series), spec in zip(_analyses(f, ns, specs), specs):
         error, estimate = lq_error(f, series, spec)
         records.append(
             RateRecord(
@@ -335,13 +339,8 @@ def cubature_study(f: FunctionHandle, n_range: Sequence[int]) -> list[CubatureRe
     if f.exact_integral is None:
         raise ValueError(f"{f.label!r} has no exact integral; cubature needs one")
     d = f.dim
-    ns = _check_range(n_range)
-    _check_caps(ns, d)
     rows = []
-    for n in ns:
-        before = f.eval_count
-        series = analyze(f, n)
-        m = f.eval_count - before
+    for n, m, series in _analyses(f, _check_range(n_range)):
         err = abs(f.exact_integral - integrate(series))
         rows.append(
             CubatureRecord(

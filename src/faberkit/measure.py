@@ -119,12 +119,12 @@ def default_spec(q: float, n: int, d: int, seed: int = 0) -> MeasureSpec:
     """Default measurement for budget n in dimension d.
 
     Composite Gauss on the mesh of level n + 2 (:func:`_default_level`)
-    where the cell count is affordable, stratified Monte Carlo otherwise.
+    where :func:`_cap_error` lets it measure, stratified Monte Carlo otherwise.
     """
     level = _default_level(n)
     if math.isinf(q):
         return MeasureSpec(q, SupGrid(level=level))
-    if d <= 3 and _composite_points(level, DEFAULT_GAUSS_ORDER, d) <= MAX_POINTS:
+    if level <= MAX_LEVEL and not _cap_error(CompositeGauss(level=level), d):
         return MeasureSpec(q, CompositeGauss(level=level))
     return MeasureSpec(q, StratifiedMC(samples=DEFAULT_MC_SAMPLES, seed=seed))
 
@@ -135,9 +135,18 @@ def _default_level(n: int) -> int:
     return max(n + 2, 1)
 
 
-def _composite_points(level: int, order: int, d: int) -> int:
-    """Points of a composite measurement: the mesh of ``level`` and the next finer one."""
-    return ((1 << level) * order) ** d * (1 + 2**d)
+def _cap_error(m: Method, d: int) -> str:
+    """Why m cannot measure in d dimensions, or "": composite Gauss needs d <= 3 and its
+    mesh pair's ((2^L G)^d)(1 + 2^d) points, the sup grid its (2^L + 1)^d, <= MAX_POINTS."""
+    if isinstance(m, CompositeGauss):
+        if d > 3:
+            return "composite Gauss supports d <= 3; use stratified_mc"
+        if ((1 << m.level) * m.order) ** d * (1 + 2**d) > MAX_POINTS:
+            return (f"composite mesh level {m.level} in d={d} exceeds the cell budget; "
+                    "use stratified_mc instead")
+    if isinstance(m, SupGrid) and ((1 << m.level) + 1) ** d > MAX_POINTS:
+        return f"sup grid level {m.level} in d={d} exceeds the cell budget"
+    return ""
 
 
 def _tensor_batches(axes, weights=None):
@@ -229,14 +238,6 @@ def _composite_value(g: FunctionHandle, q: float, order: int, level: int) -> flo
 
 
 def _composite(g: FunctionHandle, q: float, m: CompositeGauss) -> tuple[float, float]:
-    d = g.dim
-    if d > 3:
-        raise ValueError("composite Gauss supports d <= 3; use stratified_mc")
-    if _composite_points(m.level, m.order, d) > MAX_POINTS:
-        raise ValueError(
-            f"composite mesh level {m.level} in d={d} exceeds the cell budget; "
-            "use stratified_mc instead"
-        )
     value = _composite_value(g, q, m.order, m.level)
     refined = _composite_value(g, q, m.order, m.level + 1)
     return value, abs(value - refined)
@@ -277,13 +278,9 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
 
 
 def _sup_grid(g: FunctionHandle, m: SupGrid) -> tuple[float, float]:
-    d = g.dim
-    side = (1 << m.level) + 1
-    if side**d > MAX_POINTS:
-        raise ValueError(f"sup grid level {m.level} in d={d} exceeds the cell budget")
-    axis = np.ldexp(np.arange(side, dtype=np.float64), -m.level)
+    axis = np.ldexp(np.arange((1 << m.level) + 1, dtype=np.float64), -m.level)
     best = 0.0
-    for _, pieces in _tensor_batches([axis] * d):
+    for _, pieces in _tensor_batches([axis] * g.dim):
         for X, _ in pieces:
             best = max(best, float(np.max(np.abs(g.eval_batch(X)))))
     return best, 0.0
@@ -292,6 +289,8 @@ def _sup_grid(g: FunctionHandle, m: SupGrid) -> tuple[float, float]:
 def lq_norm(g: FunctionHandle, spec: MeasureSpec) -> tuple[float, float]:
     """(value, error_estimate) of g's norm per the spec; ValueError if |g|^q leaves binary64."""
     m = spec.method
+    if error := _cap_error(m, g.dim):
+        raise ValueError(error)
     with np.errstate(over="ignore"):  # an overflow raises ValueError instead
         if isinstance(m, CompositeGauss):
             return _composite(g, spec.q, m)

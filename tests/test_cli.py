@@ -267,12 +267,31 @@ def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+def node_cap_line(n, d):
+    return f"budget n={n} needs {node_count(n, d)} nodes in d={d}, over the cap {MAX_POINTS}"
+
+
 @pytest.mark.parametrize(
-    "argv,n,d",
-    [("cubature --dim 5 --n 2..40", 12, 5), ("rates --dim 1 --n 2..40 --q 3", 24, 1)],
-    ids=["cubature-d5", "rates-d1"],
+    "argv,line",
+    [
+        ("cubature --dim 5 --n 2..40", node_cap_line(12, 5)),
+        ("rates --dim 1 --n 2..40 --q 3", node_cap_line(24, 1)),
+        # the node cap comes first: the sup grid is over its cap from n = 23
+        ("rates --dim 1 --n 2..40 --q inf", node_cap_line(24, 1)),
+        ("rates --dim 3 --n 2..7 --q inf --func kink",
+         "sup grid level 9 in d=3 exceeds the cell budget"),
+        ("rates --dim 2 --n 2..8 --measure composite --func kink",
+         "composite mesh level 10 in d=2 exceeds the cell budget; use stratified_mc instead"),
+        ("widths --dim 4 --n 1..2 --measure composite",
+         "composite Gauss supports d <= 3; use stratified_mc"),
+        # n = 3 alone fails in measurement (|g|^200 underflows): the cap is reported first
+        ("rates --dim 1 --n 3..20 --func kink --q 200 --measure composite",
+         "composite mesh level 22 in d=1 exceeds the cell budget; use stratified_mc instead"),
+    ],
+    ids=["cubature-d5", "rates-d1", "rates-d1-sup", "rates-d3-sup", "rates-d2-composite",
+         "widths-d4-composite", "rates-d1-cap-before-underflow"],
 )
-def test_over_cap_range_exits_1_before_its_first_budget(capsys, monkeypatch, argv, n, d):
+def test_over_cap_range_exits_1_before_its_first_budget(capsys, monkeypatch, argv, line):
     # a spy in place of analyze: no budget of the range, cap-sized or not, runs
     def analyze_spy(f, budget):
         raise AssertionError(f"analyze called at n={budget}")
@@ -280,7 +299,7 @@ def test_over_cap_range_exits_1_before_its_first_budget(capsys, monkeypatch, arg
     monkeypatch.setattr(experiments, "analyze", analyze_spy)
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 1 and out == ""
-    assert err == f"error: budget n={n} needs {node_count(n, d)} nodes in d={d}, over the cap {MAX_POINTS}\n"
+    assert err == f"error: {line}\n"
 
 
 class TestErrorsAndConfig:

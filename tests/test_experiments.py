@@ -374,12 +374,24 @@ class TestRangeRefusedBeforeSampling:
             convergence_study(f, 2.0, 2.0, [1, 63])
         assert spy == [] and f.eval_count == 0
 
-    def test_a_plannable_range_costs_a_memo_hit(self, monkeypatch):
+    @pytest.mark.parametrize("study", [convergence_study, sampling_width_table])
+    def test_a_later_spec_over_its_measure_cap_raises_first(self, study, spy):
+        # d = 3: the mesh pair of level 5 is over the point cap, levels 3 and 4 are not
+        f = smooth("exp", 3)
+        with pytest.raises(ValueError) as info:
+            study(f, 2.0, 2.0, [1, 2, 3], lambda n: MeasureSpec(2.0, CompositeGauss(level=n + 2)))
+        assert str(info.value) == (
+            "composite mesh level 5 in d=3 exceeds the cell budget; use stratified_mc instead"
+        )
+        assert spy == [] and f.eval_count == 0
+
+    def test_a_plannable_range_costs_a_memo_hit(self, monkeypatch, spy):
         # m(n, d) grows with n: the last budget's layout, a memo hit, checks all
         dyadic._levels(5, 4)
         counted = []
         monkeypatch.setattr(dyadic, "node_count", lambda n, d: counted.append((n, d)))
-        experiments._check_caps([2, 3, 4, 5], 4)
+        with pytest.raises(AssertionError, match="^analyze called at n=2$"):  # checked, then sampled
+            next(experiments._analyses(smooth("exp", 4), [2, 3, 4, 5]))
         assert counted == []
 
 

@@ -115,6 +115,33 @@ class TestCompositeGauss:
         with pytest.raises(ValueError, match="stratified_mc"):
             lq_norm(g, MeasureSpec(2.0, CompositeGauss(level=9)))
 
+    @pytest.mark.parametrize(
+        "method,d,message",
+        [
+            (CompositeGauss(level=1), 4, "composite Gauss supports d <= 3; use stratified_mc"),
+            (CompositeGauss(level=5), 3,
+             "composite mesh level 5 in d=3 exceeds the cell budget; use stratified_mc instead"),
+            (CompositeGauss(level=21, order=7), 1,
+             "composite mesh level 21 in d=1 exceeds the cell budget; use stratified_mc instead"),
+            (SupGrid(level=25), 1, "sup grid level 25 in d=1 exceeds the cell budget"),
+            (SupGrid(level=13), 2, "sup grid level 13 in d=2 exceeds the cell budget"),
+        ],
+    )
+    def test_over_cap_method_refused_before_evaluation(self, method, d, message):
+        g = FunctionHandle(lambda X: X[:, 0], d)
+        q = math.inf if isinstance(method, SupGrid) else 2.0
+        with pytest.raises(ValueError) as info:
+            lq_norm(g, MeasureSpec(q, method))
+        assert str(info.value) == message and g.eval_count == 0
+
+    @pytest.mark.parametrize(
+        "method,d",
+        [(CompositeGauss(level=4), 3), (CompositeGauss(level=20, order=7), 1), (SupGrid(level=24), 1),
+         (SupGrid(level=12), 2), (StratifiedMC(samples=MAX_POINTS), 9)],
+    )
+    def test_methods_at_their_caps_fit(self, method, d):
+        assert measure._cap_error(method, d) == ""
+
     def test_monotone_in_q(self):
         g = synthesize(random_series(2, 2, RNG))
         values = [
@@ -335,6 +362,14 @@ class TestDefaultSpec:
     def test_large_grid_falls_back_to_mc(self):
         spec = default_spec(2.0, 10, 3)
         assert isinstance(spec.method, StratifiedMC)
+
+    def test_composite_where_its_mesh_pair_fits(self):
+        # the choice written out: d <= 3 and ((2^L G)^d)(1 + 2^d) <= MAX_POINTS, L = n + 2
+        for d in range(1, 6):
+            for n in range(0, 70):
+                fits = d <= 3 and ((1 << (n + 2)) * 5) ** d * (1 + 2**d) <= MAX_POINTS
+                method = default_spec(2.0, n, d, seed=3).method
+                assert method == (CompositeGauss(level=n + 2) if fits else StratifiedMC(seed=3))
 
     def test_q_inf_uses_sup(self):
         assert isinstance(default_spec(math.inf, 3, 2).method, SupGrid)
