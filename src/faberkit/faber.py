@@ -144,13 +144,22 @@ class FaberSeries:
     levels in the order of :func:`levels_up_to`, the translations of a
     level in lexicographic order.  :meth:`items` and :meth:`array` are
     per-level views into it.  Instances are immutable and safe to share.
+    The constructor copies ``coeffs``; the package's own makers
+    (:func:`analyze`, the readers, :meth:`zeros`, the testbed) hand over
+    the array they own, and its layout, through :meth:`_adopt`.
     """
 
     __slots__ = ("budget", "dim", "coeffs", "_layout")
 
-    def __init__(self, budget: int, dim: int, coeffs):
+    def __new__(cls, budget: int, dim: int, coeffs):
         layout = _levels(budget, dim)
-        flat = np.array(coeffs, dtype=np.float64)
+        return cls._adopt(budget, dim, np.array(coeffs, dtype=np.float64), layout)
+
+    @classmethod
+    def _adopt(cls, budget: int, dim: int, flat: np.ndarray, layout) -> "FaberSeries":
+        """The series of ``flat``, a float64 array its caller owns and no longer
+        writes, in ``layout`` = ``_levels(budget, dim)``: its shape and values
+        checked, made read-only and kept, not copied."""
         if flat.shape != (layout.size,):
             raise ValueError(
                 f"budget {budget} in d={dim} expects {layout.size} coefficients,"
@@ -161,14 +170,17 @@ class FaberSeries:
             j = layout.entries[np.searchsorted(layout.starts, bad[0], side="right") - 1]
             raise ValueError(f"non-finite coefficient at level {tuple(j.tolist())}")
         flat.setflags(write=False)
-        object.__setattr__(self, "budget", int(budget))
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "coeffs", flat)
-        object.__setattr__(self, "_layout", layout)
+        series = object.__new__(cls)
+        object.__setattr__(series, "budget", int(budget))
+        object.__setattr__(series, "dim", int(dim))
+        object.__setattr__(series, "coeffs", flat)
+        object.__setattr__(series, "_layout", layout)
+        return series
 
     @classmethod
     def zeros(cls, budget: int, dim: int) -> "FaberSeries":
-        return cls(budget, dim, np.zeros(_levels(budget, dim).size))
+        layout = _levels(budget, dim)
+        return cls._adopt(budget, dim, np.zeros(layout.size), layout)
 
     def __setattr__(self, name, value):
         raise AttributeError("FaberSeries is immutable")
@@ -226,7 +238,8 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
     13, 2004, sec. 4).  The nodes and the sweeps' indices depend on (n, d)
     alone and are memoized by the rule stated at
     ``dyadic._PLAN_MEMO_SIZE``; samples never are, so every call evaluates
-    f at all m nodes, handed to f as a fresh array.  Raises ValueError
+    f at all m nodes, handed to f as a fresh array.  The hierarchized copy
+    becomes the series' array, not copied again.  Raises ValueError
     before sampling when m(n, d) exceeds MAX_POINTS.
     """
     points, sweeps = _hierarchy(n, f.dim)
@@ -237,7 +250,7 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
         t += values[right]
         t *= -0.5
         values[inner] = t
-    return FaberSeries(n, f.dim, values)
+    return FaberSeries._adopt(n, f.dim, values, _levels(n, f.dim))
 
 
 def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
@@ -539,7 +552,8 @@ def integrate(series: FaberSeries) -> float:
 # time and join the blocks once, so they peak at twice the output, as an
 # io.StringIO does, plus about 57 B per block string.  Both readers split a
 # slice of 32 * _ROWS characters, about _ROWS text lines, at a time into
-# tokens and convert them into arrays with one converter, :func:`_token_rows`.
+# tokens and convert them into arrays with one converter, :func:`_token_rows`;
+# :func:`_build_series` checks those slices in place.
 
 
 def _formatted(series: FaberSeries, level_part, k_sep: str, k_end: str) -> Iterator[str]:
@@ -599,75 +613,72 @@ def _int_rows(rows: list[tuple], d: int) -> np.ndarray:
     return np.array(table, np.int64).reshape(len(rows), d)
 
 
-def _build_series(
-    d: int, n: int, entry, J: np.ndarray, K: np.ndarray, V: np.ndarray, error=None
-) -> FaberSeries:
-    """Series from N entries ``(J[i], K[i], V[i])``, each coefficient exactly once.
+def _build_series(d: int, n: int, entry, slices: list, error=None) -> FaberSeries:
+    """Series from parsed slices of entries ``(J[i], K[i], V[i])``, each coefficient exactly once.
 
-    All entries are checked in one array pass, and the earliest failing
-    entry is reported as an entry-by-entry reader would: its level outside
-    the budget, else its translation out of range, else a duplicate.
-    ``entry(i)`` returns entry i's ``(j, k)`` tuples as read, for the
-    messages; J and K may hold them clamped.  ``error``, raised while reading
-    the entry after the N, comes after every entry's check; missing
-    coefficients are reported last.  Duplicates and missing coefficients are
-    counted with a one-byte scatter over the layout; only a duplicate sorts
-    the positions, to name the first one.
+    Each slice ``(J, K, V)`` is checked in place, in one array pass, and
+    the read stops at the earliest failing entry, reported as an
+    entry-by-entry reader would: a duplicate, else its level outside the
+    budget, else its translation out of range.  ``entry(i)`` returns entry
+    i's ``(j, k)`` tuples as read, for the messages; J and K may hold them
+    clamped.  ``error``, raised while reading the entry after the last,
+    comes after every entry's check; missing coefficients are reported
+    last.  A slice's positions and values are scattered into a one-byte
+    ``seen``, which finds repeats of earlier slices, and the series' own
+    array; a slice whose positions do not ascend is sorted to find its
+    own repeats.  Beyond the slices, the read builds one layout and 9 B
+    per coefficient, and hands the array to the series.
     """
     layout = _levels(n, d)
-    in_range = np.all((J >= -1) & (J <= n), axis=1)
-    key = (np.where(in_range[:, None], J, -1) + 1) @ layout.radix
-    index = np.minimum(np.searchsorted(layout.keys, key), len(layout.keys) - 1)
-    shape = layout.shapes[index]
-    found = in_range & (layout.keys[index] == key)
-    bad = ~(found & np.all((K >= 0) & (K < shape), axis=1))
-    first_bad = int(np.argmax(bad)) if bad.any() else len(J)
-
-    pos = layout.starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
     seen = np.zeros(layout.size, dtype=np.uint8)
-    seen[pos] = 1
-    distinct = int(np.count_nonzero(seen))
-    del seen
-    if distinct < first_bad:  # a duplicate; the sort names the first one
-        _, first = np.unique(pos, return_index=True)
-        repeat = np.ones(first_bad, dtype=bool)
-        repeat[first] = False
-        j, k = entry(int(np.argmax(repeat)))
-        raise ValueError(f"duplicate coefficient at level {j}, translation {k}")
-    if first_bad < len(J):
-        j, k = entry(first_bad)
-        if not found[first_bad]:
-            raise ValueError(f"level {j} outside budget {n} in d={d}")
-        _check_translation(LevelVector(j), k)
+    values = np.zeros(layout.size)
+    count = 0  # entries of the slices before this one
+    for J, K, V in slices:
+        in_range = np.all((J >= -1) & (J <= n), axis=1)
+        key = (np.where(in_range[:, None], J, -1) + 1) @ layout.radix
+        index = np.minimum(np.searchsorted(layout.keys, key), len(layout.keys) - 1)
+        shape = layout.shapes[index]
+        found = in_range & (layout.keys[index] == key)
+        bad = ~(found & np.all((K >= 0) & (K < shape), axis=1))
+        first_bad = int(np.argmax(bad)) if bad.any() else len(J)
+        pos = layout.starts[index[:first_bad]] + _flat_index(K[:first_bad].T, shape[:first_bad].T)
+        repeat = seen[pos] != 0
+        if not np.all(pos[1:] > pos[:-1]):
+            first = np.unique(pos, return_index=True)[1]
+            repeat[np.setdiff1d(np.arange(len(pos)), first)] = True
+        if repeat.any():
+            j, k = entry(count + int(np.argmax(repeat)))
+            raise ValueError(f"duplicate coefficient at level {j}, translation {k}")
+        if first_bad < len(J):
+            j, k = entry(count + first_bad)
+            if not found[first_bad]:
+                raise ValueError(f"level {j} outside budget {n} in d={d}")
+            _check_translation(LevelVector(j), k)
+        seen[pos] = 1
+        values[pos] = V
+        count += len(J)
     if error is not None:
         raise error
-    if distinct < layout.size:
-        raise ValueError(f"series misses {layout.size - distinct} coefficient line(s)")
-    values = np.zeros(layout.size)
-    values[pos] = V
-    return FaberSeries(n, d, values)
+    if count < layout.size:
+        raise ValueError(f"series misses {layout.size - count} coefficient line(s)")
+    return FaberSeries._adopt(n, d, values, layout)
 
 
-def _token_rows(tokens: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of 2d + 1 tokens ``j k value`` as (N, 2d) ``j k`` rows, clamped, and their values.
+def _token_rows(tokens: list[str], d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of 2d + 1 tokens ``j k value`` as a slice ``(J, K, V)`` of :func:`_build_series`.
 
-    Values are converted by ``float``, integers by ``int`` once per
-    distinct token (a block repeats few); ValueError if a token does not
-    convert.  The value tokens are deleted from ``tokens``.
+    J and K are (N, d) views of one (N, 2d) int64 table, clamped.  Values
+    are converted by ``float``, integers by ``int`` once per distinct
+    token (a block repeats few); ValueError if a token does not convert.
+    The value tokens are deleted from ``tokens``.
     """
     width = 2 * d + 1
     count = len(tokens) // width
     values = np.fromiter(map(float, tokens[2 * d :: width]), np.float64, count)
     del tokens[2 * d :: width]
     parsed = {t: _clamped(int(t)) for t in set(tokens)}
-    ints = np.fromiter(map(parsed.__getitem__, tokens), np.int64, len(tokens))
-    return ints.reshape(count, 2 * d), values
-
-
-def _joined(blocks: list[tuple[np.ndarray, np.ndarray]], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(ints, values)`` blocks of :func:`_token_rows` as two arrays."""
-    ints = np.concatenate([np.empty((0, 2 * d), np.int64), *(b[0] for b in blocks)])
-    return ints, np.concatenate([np.empty(0), *(b[1] for b in blocks)])
+    ints = np.fromiter(map(parsed.__getitem__, tokens), np.int64, len(tokens)).reshape(count, 2 * d)
+    return ints[:, :d], ints[:, d:], values
 
 
 def _slices(text: str, start: int, stop: int, boundary: str) -> Iterator[str]:
@@ -693,7 +704,7 @@ def _line_blocks(text: str) -> Iterator[list[str]]:
         yield list(filter(str.strip, piece.splitlines()))
 
 
-def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
+def _text_block(lines: list[str], d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficient lines as the :func:`_token_rows` of their tokens.
 
     A block whose lines do not all hold 2d + 1 tokens that convert is read
@@ -718,9 +729,11 @@ def series_from_text(text: str) -> FaberSeries:
     """The series of a text file, read one :func:`_line_blocks` block at a time.
 
     Beyond the text, the reader holds one block's lines and tokens, never
-    all of them, then the coefficients' ``j k`` rows and values and
-    :func:`_build_series`' arrays: a peak of 51 + 24 d B per coefficient
-    (99 B at d = 2, tracemalloc), plus at most 10 MB for the block of a
+    all of them, and each block's ``j k`` rows and values, 16 d + 8 B per
+    coefficient, which :func:`_build_series` checks in place; it adds a
+    one-byte ``seen`` and the series' own array, one layout per read.  The
+    peak is at most about 16 d + 26 B per coefficient (50 B at d = 2 and
+    148 B at d = 8, tracemalloc), plus at most 10 MB for the block of a
     slice of 32 * ``_ROWS`` characters (9.8 MB at d = 1, 5.7 MB at d = 2).
     """
     blocks = _line_blocks(text)
@@ -734,16 +747,14 @@ def series_from_text(text: str) -> FaberSeries:
     parsed = [_text_block(lines[1:], d)]
     del lines
     parsed += (_text_block(b, d) for b in blocks)
-    capped_node_count(n, d)  # after every line's parse, before any array of d columns
-    ints, values = _joined(parsed, d)
-    del parsed
+    capped_node_count(n, d)  # after every line's parse, before the layout's arrays
 
     def entry(i):  # coefficient line i as read; split again on an error path only
         lines = itertools.chain.from_iterable(_line_blocks(text))
         parts = next(itertools.islice(lines, 1 + i, None)).split()
         return tuple(map(int, parts[:d])), tuple(map(int, parts[d : 2 * d]))
 
-    return _build_series(d, n, entry, ints[:, :d], ints[:, d:], values)
+    return _build_series(d, n, entry, parsed)
 
 
 # The writer's own JSON layout: JSON integers of at most 18 digits, and
@@ -756,15 +767,16 @@ _JSON_HEAD = rf'\{{"dim":({_JSON_INT}),"budget":({_JSON_INT}),"entries":\['
 _JSON_SPACES = str.maketrans('{}[]":,jkvalu', " " * 13)
 
 
-def _json_layout(text: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
-    """``(d, n, ints, values)`` of a JSON text in the writer's own layout, else None.
+def _json_layout(text: str) -> tuple[int, int, list] | None:
+    """``(d, n, slices)`` of a JSON text in the writer's own layout, else None.
 
     The layout is the writer's header, then entries
     ``{"j":[..],"k":[..],"value":v}`` of d integers each and a number, as
     above, with no whitespace but after the closing ``}]}``.  json.loads
     reads such a text to the same integers and to ``float`` of the same
     number tokens, so the entries go as tokens through
-    :func:`_token_rows`, one :func:`_slices` slice at a time.  A header
+    :func:`_token_rows`, one :func:`_slices` slice at a time, into one
+    ``(J, K, V)`` slice of :func:`_build_series` each.  A header
     that the node cap refuses is left to json.loads too, so that its
     errors come in json.loads' order.
     """
@@ -783,14 +795,14 @@ def _json_layout(text: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
     entry = rf'\{{"j":\[{ints}\],"k":\[{ints}\],"value":{_JSON_FLOAT}\}}'
     # each slice but the last ends with "},", the last with "}"
     entries = re.compile(rf"(?:{entry}(?:,|\Z))*+").fullmatch
-    blocks = []
+    slices = []
     for piece in _slices(text, head.end(), end - 2, r"\},"):
         if not entries(piece):
             return None
         tokens = piece.translate(_JSON_SPACES).split()
         del tokens[2 * d :: 2 * d + 2]  # the "e" of each "value"
-        blocks.append(_token_rows(tokens, d))
-    return d, n, *_joined(blocks, d)
+        slices.append(_token_rows(tokens, d))
+    return d, n, slices
 
 
 def _json_int(doc: dict, key: str) -> int:
@@ -808,7 +820,7 @@ def _json_ints(entry: dict, key: str, at: int) -> tuple:
 
 
 def _json_entries(entries: list, d: int) -> tuple:
-    """JSON entries as ``(J, K, V, error)`` for :func:`_build_series`.
+    """JSON entries as one slice ``(J, K, V)`` of :func:`_build_series` and its ``error``.
 
     Every ``j`` and ``k`` must be a list of JSON integers and every
     ``value`` a JSON number, never a bool.  When all entries have that
@@ -855,23 +867,25 @@ def series_from_json(text: str) -> FaberSeries:
     """The series of a JSON file.
 
     A text in the writer's own layout (:func:`_json_layout`) is read as
-    tokens, one slice at a time, and never decoded whole: beyond the text
-    it peaks at 51 + 24 d B per coefficient, as the text reader does (99 B
-    at d = 2, tracemalloc), plus at most 2 MB for the tokens of a slice of
-    32 * ``_ROWS`` characters.  Any other text is decoded by json.loads
-    and read by :func:`_json_entries`, so its first error is json.loads'
-    or that of the first entry of another type.
+    tokens, one slice at a time, and never decoded whole.  As in the text
+    reader, the slices' rows are checked in place and the series takes the
+    array :func:`_build_series` fills, one layout per read: beyond the
+    text it peaks at about 16 d + 26 B per coefficient at most (50 B at
+    d = 2, 148 B at d = 8, tracemalloc), plus at most 2 MB for the tokens
+    of a slice of 32 * ``_ROWS`` characters.  Any other text is decoded
+    by json.loads and read by :func:`_json_entries`, so its first error
+    is json.loads' or that of the first entry of another type.
     """
     layout = _json_layout(text)
     if layout is None:
         return _series_from_doc(json.loads(text))
-    d, n, ints, values = layout
+    d, n, slices = layout
 
     def entry(i):  # entry i as read; decoded on an error path only
         e = json.loads(text)["entries"][i]
         return tuple(e["j"]), tuple(e["k"])
 
-    return _build_series(d, n, entry, ints[:, :d], ints[:, d:], values)
+    return _build_series(d, n, entry, slices)
 
 
 def _series_from_doc(doc) -> FaberSeries:
@@ -887,4 +901,5 @@ def _series_from_doc(doc) -> FaberSeries:
     def entry(i):
         return tuple(entries[i]["j"]), tuple(entries[i]["k"])
 
-    return _build_series(d, n, entry, *_json_entries(entries, d))
+    *parsed, error = _json_entries(entries, d)
+    return _build_series(d, n, entry, [parsed], error)

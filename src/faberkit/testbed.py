@@ -84,8 +84,7 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
         level = owner[rows]
         bits = _hash_key(seed, 0, *j[level].T, *k[rows].T.view(np.uint64)) & 1
         coeffs[rows] = np.where(interior[level], scale[level] * np.where(bits, 1.0, -1.0), 0.0)
-    del owner, k, level, bits  # the plan tables go before FaberSeries copies the coefficients
-    series = FaberSeries(depth, d, coeffs)
+    series = FaberSeries._adopt(depth, d, coeffs, layout)
     handle = synthesize(series, label=f"extremal(p={p:g},J={depth},seed={seed})")
     return handle, series
 
@@ -109,7 +108,7 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
             k = [_hash_key(seed, 1, axis, *j) & (c - 1) for axis, c in enumerate(shape)]
             flat = _flat_index(k, shape)
             coeffs[start + flat] = 1.0 if _hash_key(seed, 0, *j, flat) & 1 else -1.0
-    series = FaberSeries(depth, d, coeffs)
+    series = FaberSeries._adopt(depth, d, coeffs, layout)
     handle = synthesize(series, label=f"spike(J={depth},seed={seed})")
     return handle, series
 

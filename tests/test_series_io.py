@@ -433,7 +433,8 @@ def test_token_path_keeps_exponents():
     values = [1e-05, -2.5e-300, 1.5e300, 5e-324, 1e16, -0.0, 123.0, 0.1, -7.2e-17]
     text = series_to_json(FaberSeries(2, 1, values))
     assert "e-05" in text and "e+300" in text and "e+16" in text
-    *_, read = faber._json_layout(text)
+    *_, slices = faber._json_layout(text)
+    read = np.concatenate([V for _, _, V in slices])
     assert read.tobytes() == np.array(values).tobytes()
     assert series_from_json(text).coeffs.tobytes() == np.array(values).tobytes()
 
@@ -511,9 +512,9 @@ def test_token_path_errors_name_the_entry_as_read():
     ],
     ids=["text", "json", "json-decoded"],
 )
-def test_reader_over_the_memo_size_cap_builds_its_layout_twice(read, write, monkeypatch):
+def test_reader_over_the_memo_size_cap_builds_its_layout_once(read, write, monkeypatch):
     # the cap is checked by counting nodes; the layout is built by
-    # _build_series, then by FaberSeries, and never kept
+    # _build_series, handed to the series, and never kept
     n, d = 17, 1
     assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
     s = FaberSeries(n, d, np.random.default_rng(17).standard_normal(node_count(n, d)))
@@ -522,7 +523,7 @@ def test_reader_over_the_memo_size_cap_builds_its_layout_twice(read, write, monk
     layout = dyadic._Layout
     monkeypatch.setattr(dyadic, "_Layout", lambda *fields: built.append(1) or layout(*fields))
     assert read(text).coeffs.tobytes() == s.coeffs.tobytes()
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
@@ -530,11 +531,13 @@ def test_reader_over_the_memo_size_cap_builds_its_layout_twice(read, write, monk
     ids=["text", "json"],
 )
 def test_reader_peak_per_coefficient_holds_at_two_sizes(read, write, monkeypatch):
-    # slices of 32 KiB, whose lines and tokens hold well under 1 MiB; a
-    # reader that held every line or token would pass 100 B per coefficient
+    # slices of 32 KiB, whose lines and tokens hold well under 1 MiB; the
+    # slices' (J, K, V) tables hold 16 d + 8 B per coefficient and the
+    # series 9 B more, so a reader that joined the slices into one more
+    # table, or held every line or token, would pass 16 d + 32
     monkeypatch.setattr(faber, "_ROWS", 1 << 10)
-    for n in (10, 12):
-        s = analyze(kink(None, 2), n)
+    for n, d in ((10, 2), (12, 2), (2, 6), (3, 6)):
+        s = analyze(kink(None, d), n)
         text = write(s)
         read(text)  # warm: the level layout memo
         tracemalloc.start()
@@ -543,4 +546,4 @@ def test_reader_peak_per_coefficient_holds_at_two_sizes(read, write, monkeypatch
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 100 * s.size + (1 << 20)
+        assert peak <= (16 * d + 32) * s.size + (1 << 20), (n, d)
