@@ -21,6 +21,9 @@ statistics are ``bench/compare.py``'s own, imported from it.
 With ``--studies``, each one-shot CLI study of ``STUDIES`` runs
 ``STUDY_RUNS`` times per side as a fresh ``python -m faberkit.cli``
 process of that checkout's ``src/``, the sides alternating run by run.
+A study may name an untimed setup command in ``SETUPS``, run as a fresh
+process in the study's empty directory before the calibration kernel and
+the timed run, so that the study can read what the setup wrote.
 ``studies`` then holds per study and side, for every run, the wall time,
 the time of ``bench/run.py``'s calibration kernel timed right before the
 run, the wall time scaled by it as the bench scales op times
@@ -200,6 +203,19 @@ STUDIES = {
     # layouts over the plan memo's size cap, built once per call
     "analyze-d8": ["analyze", "--dim", "8", "--n", "3", "--func", "kink", "--out", "s.txt"],
     "noncompact-18": ["noncompact", "--max-level", "18"],
+    # a series file read back: the (14, 2) JSON round trip
+    "read-json-14-2": [
+        "recover", "--dim", "2", "--n", "14", "--func", "prescribed", "--series", "s.json",
+        "--measure", "mc", "--seed", "3",
+    ],
+}
+
+#: name -> faberkit CLI arguments run untimed before each run of that study,
+#: in the same empty directory
+SETUPS = {
+    "read-json-14-2": [
+        "analyze", "--dim", "2", "--n", "14", "--func", "kink", "--format", "json", "--out", "s.json",
+    ],
 }
 
 #: what ``study_row`` records of each run, with medians, minima and maxima
@@ -209,14 +225,17 @@ STUDY_KEYS = ("wall_s", "wall_ref_s", "kernel_s", "peak_rss_mb")
 STUDY_RUNS = 5
 
 
-def run_study(root: Path, args: list[str]) -> dict:
-    """One fresh CLI process of ``root``'s source in an empty directory: its exit
-    code, wall time, the calibration kernel's time right before it and the
-    wall time scaled by it, peak RSS and the SHA-256 of stdout and of each
-    file it wrote."""
-    kernel = run.calibration_seconds()
+def run_study(root: Path, args: list[str], setup: list[str] = ()) -> dict:
+    """One fresh CLI process of ``root``'s source in an empty directory, after the
+    untimed ``setup`` process there, if any: its exit code, wall time, the
+    calibration kernel's time right before it and the wall time scaled by it,
+    peak RSS and the SHA-256 of stdout and of each file in the directory."""
     with tempfile.TemporaryDirectory() as work, tempfile.TemporaryFile() as out:
         env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+        if setup:
+            subprocess.run([sys.executable, "-m", "faberkit.cli", *setup], cwd=work, env=env,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+        kernel = run.calibration_seconds()
         start = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-m", "faberkit.cli", *args],
@@ -235,9 +254,11 @@ def run_study(root: Path, args: list[str]) -> dict:
             "peak_rss_mb": usage.ru_maxrss / 1024.0, "sha256": digests}
 
 
-def study_row(args: list[str], runs: dict[str, list[dict]]) -> dict:
+def study_row(args: list[str], runs: dict[str, list[dict]], setup: list[str] = ()) -> dict:
     """One study's row from its ``run_study`` results per side ("parent", "change")."""
     row = {"command": "faberkit " + " ".join(args)}
+    if setup:
+        row["setup"] = "faberkit " + " ".join(setup)
     outputs = {}
     for side, results in runs.items():
         distinct = {json.dumps(r["sha256"], sort_keys=True) for r in results}
@@ -260,11 +281,12 @@ def studies(roots: dict[str, Path]) -> dict:
     """``study_row`` per study, each run ``STUDY_RUNS`` times per side, alternating."""
     rows = {}
     for name, args in STUDIES.items():
+        setup = SETUPS.get(name, ())
         results = {side: [] for side in roots}
         for i in range(STUDY_RUNS):
             for side in list(roots)[:: 1 if i % 2 == 0 else -1]:
-                results[side].append(run_study(roots[side], args))
-        rows[name] = study_row(args, results)
+                results[side].append(run_study(roots[side], args, setup))
+        rows[name] = study_row(args, results, setup)
     return rows
 
 

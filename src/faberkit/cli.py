@@ -101,6 +101,17 @@ def _build_function(args):
 
 
 def _spec_factory(args):
+    """Each budget's measure spec, after refusing a flag that ``--measure auto`` does not read."""
+    if args.measure == "auto":
+        for flag, value, default in (
+            ("--gauss-order", args.gauss_order, measure.DEFAULT_GAUSS_ORDER),
+            ("--mesh-level", args.mesh_level, 0),
+            ("--mc-samples", args.mc_samples, measure.DEFAULT_MC_SAMPLES),
+        ):
+            if value != default:
+                raise ValueError(
+                    f"{flag} {value} is not read by --measure auto; use --measure mc|composite|sup"
+                )
     q = args.q
 
     def factory(n: int) -> MeasureSpec:
@@ -161,14 +172,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_study(args) -> int:
     """recover, rates and widths: one convergence study over args.n."""
+    specs = _spec_factory(args)
     f = _build_function(args)
     if args.command == "widths":
-        table = experiments.sampling_width_table(f, args.p, args.q, args.n, _spec_factory(args))
+        table = experiments.sampling_width_table(f, args.p, args.q, args.n, specs)
         rows = [(w.m, w.error, w.upper_ref, w.lower_ref) for w in table]
         _write_rows(args.out, ("m", "error", "upper_ref", "lower_ref"), rows, args.format)
         _summary(f"rows={len(rows)} nodes={rows[-1][0]}")
         return 0
-    records = experiments.convergence_study(f, args.p, args.q, args.n, _spec_factory(args))
+    records = experiments.convergence_study(f, args.p, args.q, args.n, specs)
     rows = [(r.n, r.m, r.error, r.error_estimate, r.reference) for r in records]
     _write_rows(args.out, ("n", "m", "error", "error_estimate", "reference"), rows, args.format)
     r = records[-1]
@@ -246,10 +258,24 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads ``-inf`` and ``-nan`` as values, as it reads ``-1``.
+
+    argparse takes an argument that starts with "-" and does not look like
+    a negative number for a flag, so ``--p -inf`` would miss its value
+    while ``--p=-inf`` has it.  No flag of this parser is spelled so.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:].lower() in ("inf", "infinity", "nan"):
+            return None  # a value, as argparse returns for "-1"
+        return super()._parse_optional(arg_string)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="faberkit")
+    parser = _Parser(prog="faberkit")
     parser.add_argument("--print-config", action="store_true", help="print defaults and exit")
     subs = parser.add_subparsers(dest="command")
 

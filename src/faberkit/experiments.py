@@ -333,7 +333,8 @@ def sampling_width_table(
 def cubature_study(f: FunctionHandle, n_range: Sequence[int]) -> list[CubatureRecord]:
     """Integrate the reconstruction and compare with the exact integral.
 
-    Reference envelope ``2**-n * max(n,1)**(d-1)``.  Requires a handle
+    Reference envelope ``2**-n * max(n,1)**(d-1)``, the
+    :func:`reference_envelope` of p = q = 1.  Requires a handle
     that ships its exact integral.
     """
     if f.exact_integral is None:
@@ -347,7 +348,7 @@ def cubature_study(f: FunctionHandle, n_range: Sequence[int]) -> list[CubatureRe
                 n=n,
                 m=m,
                 abs_error=err,
-                reference=math.ldexp(1.0, -n) * float(max(n, 1)) ** (d - 1),
+                reference=reference_envelope(n, 1.0, 1.0, d),
             )
         )
     return rows

@@ -123,21 +123,55 @@ def test_study_row_takes_medians_and_compares_outputs():
 
 
 def _checkout(root, greeting):
-    # a stand-in source tree whose CLI prints its arguments and writes --out
+    # a stand-in source tree whose CLI prints its arguments, writes --out,
+    # prints the file --series names and sleeps --sleep seconds
     package = root / "src" / "faberkit"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "cli.py").write_text(
-        "import sys\n"
+        "import sys, time\n"
         f"print({greeting!r}, sys.argv[1:])\n"
         "if '--out' in sys.argv:\n"
         "    open(sys.argv[sys.argv.index('--out') + 1], 'w').write('rows\\n')\n"
+        "if '--series' in sys.argv:\n"
+        "    print(open(sys.argv[sys.argv.index('--series') + 1]).read())\n"
+        "if '--sleep' in sys.argv:\n"
+        "    time.sleep(float(sys.argv[sys.argv.index('--sleep') + 1]))\n"
     )
     return root
 
 
 def test_studies_list_the_level_table_study():
     assert bench_record.STUDIES["levels-d12"] == ["levels", "--dim", "12", "--n", "2"]
+
+
+def test_studies_list_the_series_read_study_and_its_setup():
+    assert bench_record.SETUPS["read-json-14-2"] == [
+        "analyze", "--dim", "2", "--n", "14", "--func", "kink", "--format", "json", "--out", "s.json",
+    ]
+    assert bench_record.STUDIES["read-json-14-2"] == [
+        "recover", "--dim", "2", "--n", "14", "--func", "prescribed", "--series", "s.json",
+        "--measure", "mc", "--seed", "3",
+    ]
+
+
+def test_a_study_setup_runs_untimed_in_the_study_directory(tmp_path, monkeypatch):
+    # the setup writes s.txt and sleeps 1 s; the timed run reads s.txt
+    monkeypatch.setattr(bench_record, "STUDIES", {"toy": ["read", "--series", "s.txt"]})
+    monkeypatch.setattr(bench_record, "SETUPS", {"toy": ["make", "--out", "s.txt", "--sleep", "1"]})
+    monkeypatch.setattr(bench_record, "STUDY_RUNS", 1)
+    kernels = iter([0.06, 0.06])  # one per timed run, none for a setup
+    monkeypatch.setattr(bench_record.run, "calibration_seconds", lambda: next(kernels))
+    roots = {side: _checkout(tmp_path / side, "hello") for side in ("parent", "change")}
+    row = bench_record.studies(roots)["toy"]
+    assert row["command"] == "faberkit read --series s.txt"
+    assert row["setup"] == "faberkit make --out s.txt --sleep 1"
+    for side in roots:
+        assert row[side]["exits"] == [0]  # s.txt was there to read
+        assert row[side]["wall_s"] < 1.0
+        assert set(row[side]["sha256"][0]) == {"stdout", "s.txt"}
+    assert row["same_output"]
+    assert "setup" not in bench_record.study_row(["read"], {side: [_study_run(1.0, 1.0)] for side in roots})
 
 
 def test_studies_list_the_over_memo_cap_studies():

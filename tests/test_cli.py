@@ -253,6 +253,9 @@ BAD_INPUTS = {
     "q1000-mc-underflow": "recover --dim 1 --n 3 --func kink --q 1000 --measure mc",
     "q2000-overflow": "recover --dim 3 --n 0 --func spike --depth 6 --q 2000",
     "q2000-mc-overflow": "recover --dim 3 --n 0 --func spike --depth 6 --q 2000 --measure mc",
+    "auto-mc-samples": "widths --dim 4 --n 1..2 --func exp --mc-samples 5000",
+    "p-minus-inf-spaced": "recover --dim 3 --n 0 --p -inf",
+    "p-minus-inf-joined": "recover --dim 3 --n 0 --p=-inf",
 }
 
 
@@ -300,6 +303,47 @@ def test_over_cap_range_exits_1_before_its_first_budget(capsys, monkeypatch, arg
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 1 and out == ""
     assert err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "flags,line",
+    [
+        ("--gauss-order 7", "--gauss-order 7"),
+        ("--mesh-level 4", "--mesh-level 4"),
+        ("--mc-samples 5000", "--mc-samples 5000"),
+        ("--mc-samples 5000 --gauss-order 3", "--gauss-order 3"),
+    ],
+    ids=["gauss-order", "mesh-level", "mc-samples", "two-flags"],
+)
+def test_auto_measure_refuses_flags_it_does_not_read(capsys, monkeypatch, flags, line):
+    def analyze_spy(f, budget):
+        raise AssertionError(f"analyze called at n={budget}")
+
+    monkeypatch.setattr(experiments, "analyze", analyze_spy)
+    argv = f"widths --dim 4 --n 1..2 --func exp {flags}".split()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {line} is not read by --measure auto; use --measure mc|composite|sup\n"
+
+
+def test_auto_measure_accepts_its_flags_at_their_defaults(capsys):
+    argv = ["recover", "--dim", "1", "--n", "2", "--func", "exp"]
+    defaults = [
+        "--gauss-order", str(measure.DEFAULT_GAUSS_ORDER), "--mesh-level", "0",
+        "--mc-samples", str(measure.DEFAULT_MC_SAMPLES),
+    ]
+    assert run_cli(capsys, *argv, *defaults) == run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-INF", "-Infinity", "-NaN", "-1", "-0.5"])
+@pytest.mark.parametrize(
+    "head", ["recover --dim 3 --n 0 --p", "rates --dim 1 --n 2..3 --q", "comb --dim 1 --n 3 --alpha"]
+)
+def test_negative_float_values_parse_alike_in_both_spellings(capsys, head, value):
+    spaced = run_cli(capsys, *head.split(), value)
+    joined = run_cli(capsys, *head.split()[:-1], f"{head.split()[-1]}={value}")
+    assert spaced == joined and spaced[0] == 1 and spaced[2].startswith("error: ")
 
 
 class TestErrorsAndConfig:

@@ -92,7 +92,7 @@ def requests(draw):
             value = pick(draw, POOLS[flag], (small,))
         else:
             value = pick(draw, POOLS["float" if action.type is float else flag])
-        argv.append(f"{flag}={value}")  # so that "-inf" is a value, not a flag
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 
 
