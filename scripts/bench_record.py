@@ -203,6 +203,11 @@ STUDIES = {
     # layouts over the plan memo's size cap, built once per call
     "analyze-d8": ["analyze", "--dim", "8", "--n", "3", "--func", "kink", "--out", "s.txt"],
     "noncompact-18": ["noncompact", "--max-level", "18"],
+    "cubature-d4": ["cubature", "--dim", "4", "--func", "kink", "--n", "2..7"],
+    # the recovery defect of a black-box f
+    "rates-d2-kink": [
+        "rates", "--dim", "2", "--func", "kink", "--n", "2..5", "--measure", "composite",
+    ],
     # a series file read back: the (14, 2) JSON round trip
     "read-json-14-2": [
         "recover", "--dim", "2", "--n", "14", "--func", "prescribed", "--series", "s.json",

@@ -71,9 +71,28 @@ def _budget_range(text: str) -> list[int]:
     return list(range(a, b + 1))
 
 
+#: flag, default and the --func values that read it; the study commands read
+#: --p and --seed themselves
+_FUNCTION_FLAGS = (
+    ("--p", 2.0, ("extremal",)),
+    ("--depth", 14, ("extremal", "spike")),
+    ("--seed", 0, ("extremal", "spike")),
+    ("--anchor", "", ("kink",)),
+    ("--hat-level", 0, ("hat",)),
+    ("--series", "", ("prescribed",)),
+)
+
+
 def _build_function(args):
+    """The --func handle, after refusing a function flag that it does not read."""
     d = args.dim
     name = args.func
+    for flag, default, readers in _FUNCTION_FLAGS:
+        if flag in ("--p", "--seed") and args.command in ("recover", "rates", "widths"):
+            continue
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value != default and name not in readers:
+            raise ValueError(f"{flag} {value} is not read by --func {name}")
     if name == "extremal":
         handle, _ = testbed.extremal(args.p, args.depth, args.seed, d)
         return handle

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -185,6 +186,9 @@ class FaberSeries:
     def __setattr__(self, name, value):
         raise AttributeError("FaberSeries is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the public constructor
+        return FaberSeries, (self.budget, self.dim, self.coeffs)
+
     def levels(self) -> tuple[LevelVector, ...]:
         return tuple(LevelVector(row) for row in self._layout.entries.tolist())
 
@@ -317,15 +321,64 @@ def _block(work: dict, dtype, count: int, rows: int) -> np.ndarray:
     return kept
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class _Walk:
+    """What an :func:`_evaluate_many` walk over series of one dim reads at every
+    chunk; see :func:`_walk_plan`."""
+
+    dim: int
+    budget: int  # n, the largest budget
+    count: int  # series, one output each
+    levels: list  # (entries, [(series index, block)]) per walked level, in order
+    used: list  # per axis 1..d-1, the sorted entries the walked levels use
+    floats: int  # rows of the float block
+    ints: int  # rows of the int block
+
+
+def _walk_plan(many: tuple[FaberSeries, ...]) -> _Walk:
+    """The walk of :func:`_evaluate_many` over ``many``, series of one dim.
+
+    It holds views of the series' blocks, so it belongs to ``many``: a
+    defect handle builds it once and walks it for every piece it is given.
+    """
+    d = many[0].dim
+    owners: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
+    for at, s in enumerate(many):
+        starts = s._layout.starts
+        live = np.flatnonzero(np.logical_or.reduceat(s.coeffs != 0.0, starts[:-1]))
+        for i, entries in zip(live.tolist(), s._layout.entries[live].tolist()):
+            block = s.coeffs[starts[i] : starts[i + 1]]
+            owners.setdefault(tuple(entries), []).append((at, block))
+    levels = sorted(owners.items())
+    used = [sorted({entries[axis] for entries, _ in levels}) for axis in range(1, d)]
+    # one chunk's arrays are rows of a float and an int block: the coordinates
+    # and cells at n, axis 0's tent and cells, each term's base, gathered
+    # coefficients and index, and one row per table of the other axes
+    lead_cells = sum(e >= 0 for entries in used[:-1] for e in entries)
+    return _Walk(
+        dim=d,
+        budget=max(s.budget for s in many),
+        count=len(many),
+        levels=levels,
+        used=used,
+        floats=d + 3 + sum(map(len, used)),
+        ints=d + 2 + lead_cells,
+    )
+
+
 def _evaluate_many(
-    many: tuple[FaberSeries, ...], X: np.ndarray, work: dict | None = None
+    many: _Walk | tuple[FaberSeries, ...], X: np.ndarray, work: dict | None = None
 ) -> list[np.ndarray]:
     """The values of series of one dim at (N, d) points of :func:`_cube_points`, in one walk.
 
-    Returns one array per series, each byte-equal to ``evaluate_batch``
-    of that series alone.  The union of the series' levels with a nonzero
-    block is walked in lexicographic order, which is each series' own
-    order, and each level lists the series that own it.  Per chunk of
+    ``many`` is the walk's :func:`_walk_plan`, or the series to plan it
+    from for this call alone.  Returns one array per series, each
+    byte-equal to ``evaluate_batch`` of that series alone.  The union of
+    the series' levels with a nonzero block is walked in lexicographic
+    order, which is each series' own order, and each level lists the
+    series that own it.  Both paths of the recovery defect (:func:`_defect`)
+    plan once per handle and pass that plan and one ``work`` dict with
+    every piece, so a piece rebuilds neither the walk nor the blocks.  Per chunk of
     ``dyadic._ROWS`` points only the (axis, entry) tables some walked level
     uses are built, and a stack of prefix (flat index, product) lists lets
     levels that share leading entries share their partial indices and
@@ -366,26 +419,13 @@ def _evaluate_many(
     one bit per boundary axis), so G has at most 2n + d - 1 <= 62 bits for
     every (n, d) under MAX_POINTS (39 at d = 2, n = 19).
     """
-    d = many[0].dim
-    n = max(s.budget for s in many)
-    outs = [np.zeros(X.shape[0]) for _ in many]
-    owners: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
-    for at, s in enumerate(many):
-        starts = s._layout.starts
-        live = np.flatnonzero(np.logical_or.reduceat(s.coeffs != 0.0, starts[:-1]))
-        for i, entries in zip(live.tolist(), s._layout.entries[live].tolist()):
-            block = s.coeffs[starts[i] : starts[i + 1]]
-            owners.setdefault(tuple(entries), []).append((at, block))
-    walk = sorted(owners.items())
-    used = [sorted({entries[axis] for entries, _ in walk}) for axis in range(1, d)]
-    # one chunk's arrays are rows of a float and an int block: the coordinates
-    # and cells at n, axis 0's tent and cells, each term's base, gathered
-    # coefficients and index, and one row per table of the other axes
-    lead_cells = sum(e >= 0 for entries in used[:-1] for e in entries)
+    plan = many if isinstance(many, _Walk) else _walk_plan(many)
+    d, n, walk, used = plan.dim, plan.budget, plan.levels, plan.used
+    outs = [np.zeros(X.shape[0]) for _ in range(plan.count)]
     rows = min(X.shape[0], _ROWS)
     work = {} if work is None else work
-    floats = _block(work, np.float64, d + 3 + sum(map(len, used)), rows)
-    ints = _block(work, np.int64, d + 2 + lead_cells, rows)
+    floats = _block(work, np.float64, plan.floats, rows)
+    ints = _block(work, np.int64, plan.ints, rows)
 
     def add_chunk(row: int) -> None:  # its prefixes go on return
         accs = [out[row : row + _ROWS] for out in outs]
@@ -487,27 +527,28 @@ def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:
 def _defect(f: FunctionHandle, series: FaberSeries) -> FunctionHandle:
     """The recovery defect f - (truncated expansion of ``series``), as a handle.
 
-    When f was made by :func:`synthesize`, f's series and ``series`` are evaluated
-    in one :func:`_evaluate_many` pass per batch of points, with one ``work`` dict
-    for every batch the handle is given, and f's values go through
-    the count and checks of ``f.eval_batch``; the values are byte-equal to the two
-    separate calls that any other handle takes.  The defect is subtracted into
-    the approximant's array.
+    The handle plans its :func:`_evaluate_many` walk once and keeps one ``work``
+    dict for every batch of points it is given.  When f was made by
+    :func:`synthesize`, f's series and ``series`` are walked together, and f's
+    values go through the count and checks of ``f.eval_batch``; any other f is
+    called on its own, then ``series`` is walked.  The values are byte-equal to
+    ``f.eval_batch`` and ``evaluate_batch`` called apart.  The defect is
+    subtracted into the approximant's array.
     """
     if f.dim != series.dim:
         raise ValueError("dimension mismatch between handle and series")
     own = f._series
+    plan = _walk_plan((series,) if own is None else (own, series))
+    work: dict = {}  # the evaluator's blocks, kept from piece to piece
     if own is None:
         def evaluator(X):
             values = f.eval_batch(X)  # f's own array, never written
-            approx = evaluate_batch(series, X)
+            (approx,) = _evaluate_many(plan, _cube_points(X, series.dim), work)
             return np.subtract(values, approx, out=approx)
     else:
-        work: dict = {}  # the evaluator's blocks, kept from piece to piece
-
         def evaluator(X):
             X = f._counted(X)
-            values, approx = _evaluate_many((own, series), _cube_points(X, own.dim), work)
+            values, approx = _evaluate_many(plan, _cube_points(X, own.dim), work)
             return np.subtract(f._valid(X, values), approx, out=approx)
     return FunctionHandle(evaluator, f.dim, label=f"{f.label}-defect(n={series.budget})")
 

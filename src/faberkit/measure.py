@@ -251,21 +251,25 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
     rng = np.random.default_rng(m.seed)
     h = math.ldexp(1.0, -level)
 
-    def points(pieces, stratified):  # rng draws the rows in order, piece by piece
-        for grid, _ in pieces:  # the strata's corners, or the remainder's indices
-            drawn = rng.random((len(grid), d))
-            if stratified:  # one point per stratum, from its corner
-                drawn += grid  # the bytes of (corners + drawn) * h
-                drawn *= h
-            del grid
+    def strata(pieces):  # one point per stratum, from its corner
+        for corners, _ in pieces:
+            drawn = rng.random((len(corners), d))
+            drawn += corners  # the bytes of (corners + drawn) * h
+            drawn *= h
+            del corners
             yield drawn, None
             del drawn
 
-    def draws():  # the strata, then the remainder
+    def uniform(size):  # the remainder's rows, drawn by count
+        for row in range(0, size, _ROWS):
+            yield rng.random((min(_ROWS, size - row), d)), None
+
+    def draws():  # the strata, then the remainder, in _CHUNK batches of _ROWS pieces
         for size, pieces in _tensor_batches([1 << level] * d):
-            yield size, points(pieces, True)
-        for size, pieces in _tensor_batches([remainder]):
-            yield size, points(pieces, False)
+            yield size, strata(pieces)
+        for start in range(0, remainder, _CHUNK):
+            size = min(_CHUNK, remainder - start)
+            yield size, uniform(size)
 
     total, squares = _power_sums(g, draws(), q, moments=True)
     mean = total / n_total

@@ -68,7 +68,7 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     words next to that table.  The series has node_count(depth, d) coefficients; a depth over
     the MAX_POINTS cap raises ValueError before anything is built.
     """
-    if p < 1.0:
+    if not p >= 1.0:  # NaN fails too
         raise ValueError("p must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -181,6 +181,15 @@ def test_studies_list_the_over_memo_cap_studies():
     assert bench_record.STUDIES["noncompact-18"] == ["noncompact", "--max-level", "18"]
 
 
+def test_studies_list_the_cubature_and_black_box_defect_studies():
+    assert bench_record.STUDIES["cubature-d4"] == [
+        "cubature", "--dim", "4", "--func", "kink", "--n", "2..7",
+    ]
+    assert bench_record.STUDIES["rates-d2-kink"] == [
+        "rates", "--dim", "2", "--func", "kink", "--n", "2..5", "--measure", "composite",
+    ]
+
+
 def test_studies_run_each_checkout_as_fresh_processes(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "STUDIES", {"toy": ["toy", "--out", "t.csv"]})
     monkeypatch.setattr(bench_record, "STUDY_RUNS", 2)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from faberkit import cli, experiments, measure
+from faberkit import cli, experiments, measure, testbed
 from faberkit.cli import run
 from faberkit.dyadic import MAX_POINTS, levels_up_to, node_count
 from faberkit.faber import series_from_json, series_from_text
@@ -256,6 +256,12 @@ BAD_INPUTS = {
     "auto-mc-samples": "widths --dim 4 --n 1..2 --func exp --mc-samples 5000",
     "p-minus-inf-spaced": "recover --dim 3 --n 0 --p -inf",
     "p-minus-inf-joined": "recover --dim 3 --n 0 --p=-inf",
+    "unread-anchor-depth": "recover --dim 2 --n 2 --func x2 --anchor nan --depth -5",
+    "unread-depth-hat-level": "cubature --dim 2 --n 2 --func kink --depth -3 --hat-level 99",
+    "unread-series": "rates --dim 1 --n 2..3 --func exp --series @s.txt",
+    "analyze-unread-p": "analyze --dim 1 --n 2 --func spike --depth 3 --p 3",
+    "cubature-unread-seed": "cubature --dim 1 --n 2 --func hat --seed 4",
+    "extremal-p-nan": "recover --dim 1 --n 2 --func extremal --p nan",
 }
 
 
@@ -324,6 +330,55 @@ def test_auto_measure_refuses_flags_it_does_not_read(capsys, monkeypatch, flags,
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {line} is not read by --measure auto; use --measure mc|composite|sup\n"
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        ("recover --dim 2 --n 2 --func x2 --anchor nan --depth -5", "--depth -5 is not read by --func x2"),
+        ("cubature --dim 2 --n 2 --func kink --depth -3 --hat-level 99",
+         "--depth -3 is not read by --func kink"),
+        ("widths --dim 1 --n 2 --func hat --anchor 0.3", "--anchor 0.3 is not read by --func hat"),
+        ("recover --dim 1 --n 2 --func kink --hat-level 2", "--hat-level 2 is not read by --func kink"),
+        ("rates --dim 1 --n 2 --func extremal --depth 3 --series s.txt",
+         "--series s.txt is not read by --func extremal"),
+        ("analyze --dim 1 --n 2 --func spike --depth 3 --p 3", "--p 3.0 is not read by --func spike"),
+        ("analyze --dim 1 --n 2 --func kink --p nan", "--p nan is not read by --func kink"),
+        ("cubature --dim 1 --n 2 --func hat --seed 4", "--seed 4 is not read by --func hat"),
+    ],
+    ids=["recover-x2", "cubature-kink", "widths-hat", "recover-kink", "rates-extremal",
+         "analyze-spike-p", "analyze-kink-p-nan", "cubature-hat-seed"],
+)
+def test_function_flags_the_func_does_not_read_are_refused(capsys, monkeypatch, argv, line):
+    # refused before the function is built, let alone sampled
+    for name in ("extremal", "spike", "kink", "hat_family", "smooth"):
+        monkeypatch.setattr(testbed, name, lambda *args: pytest.fail("function built"))
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "recover --dim 1 --n 2 --func exp --p 3 --seed 4",
+        "rates --dim 1 --n 2..3 --func kink --anchor 0.3 --p 1.5 --seed 2 --measure mc --mc-samples 1000",
+        "widths --dim 1 --n 2 --func hat --hat-level 1 --seed 5",
+        "analyze --dim 1 --n 2 --func extremal --depth 3 --p 3 --seed 4",
+        "cubature --dim 1 --n 2 --func spike --depth 3 --seed 4",
+        "cubature --dim 1 --n 2 --func x2 --depth 14 --anchor= --hat-level 0 --p 2 --seed 0",
+    ],
+    ids=["recover-p-seed", "rates-kink", "widths-hat", "analyze-extremal", "cubature-spike",
+         "cubature-defaults"],
+)
+def test_function_flags_that_are_read_or_at_their_defaults_pass(capsys, argv):
+    code, _, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+
+
+def test_extremal_p_nan_is_refused_as_below_one(capsys):
+    for command in ("recover", "analyze"):
+        argv = f"{command} --dim 1 --n 2 --func extremal --depth 3 --p nan".split()
+        assert run_cli(capsys, *argv) == (1, "", "error: p must be >= 1\n")
 
 
 def test_auto_measure_accepts_its_flags_at_their_defaults(capsys):

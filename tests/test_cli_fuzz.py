@@ -46,6 +46,17 @@ POOLS = {
 #: Flags always drawn: their defaults (depth 14, 200,000 samples) are too large.
 ALWAYS = ("--depth", "--mc-samples")
 
+#: The function flags, and those each --func reads (a smooth function reads
+#: none); the study commands read --p and --seed themselves.
+FUNCTION_FLAGS = ("--p", "--depth", "--seed", "--anchor", "--hat-level", "--series")
+READS = {
+    "extremal": ("--p", "--depth", "--seed"),
+    "spike": ("--depth", "--seed"),
+    "kink": ("--anchor",),
+    "hat": ("--hat-level",),
+    "prescribed": ("--series",),
+}
+
 #: Error lines of a request refused for a node, mesh or sup-grid cap.
 CAP_ERROR = re.compile(r"over the cap|exceeds the cell budget|composite Gauss supports d <= 3")
 
@@ -76,7 +87,7 @@ def requests(draw):
     top = MAX_N.get(int(dim), 1)
     lo = draw(st.integers(0, top))
     hi = draw(st.integers(lo, top))
-    argv = [name]
+    drawn = []
     for action in subparsers()[name]._actions:
         flag = action.option_strings[0]
         if flag == "-h" or flag not in ALWAYS and (
@@ -92,8 +103,35 @@ def requests(draw):
             value = pick(draw, POOLS[flag], (small,))
         else:
             value = pick(draw, POOLS["float" if action.type is float else flag])
+        drawn.append((flag, value))
+    argv = [name]
+    unread = unread_flags(name, dict(drawn).get("--func", "x2"))
+    for flag, value in drawn:
+        if flag in unread and draw(st.sampled_from(range(10))) != 5:
+            continue  # a flag the function does not read is kept one time in ten
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
+
+
+def unread_flags(command, func):
+    """The function flags that ``func`` does not read on ``command``."""
+    unread = set(FUNCTION_FLAGS) - set(READS.get(func, ()))
+    return unread - {"--p", "--seed"} if command in ("recover", "rates", "widths") else unread
+
+
+def refusals(argv):
+    """The error lines that may refuse argv's unread function flags at non-default
+    values, one per such flag; argv must parse."""
+    parser = subparsers().get(argv[0]) if argv else None
+    if parser is None or parser.get_default("func") is None:
+        return set()
+    args = parser.parse_args(argv[1:])
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in unread_flags(argv[0], args.func)}
+    return {
+        f"error: {flag} {value} is not read by --func {args.func}"
+        for flag, value in values.items()
+        if value != parser.get_default(flag[2:].replace("-", "_"))
+    }
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +177,11 @@ def test_every_request_exits_0_1_or_2(tmp, argv):
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     assert not any("Traceback" in line for line in lines)
+    expected = set() if code == 2 else refusals(argv)
+    if expected:  # refused, unless a flag --measure auto does not read came first
+        assert code == 1 and (lines[0] in expected or "by --measure auto" in lines[0])
+    else:
+        assert not any("by --func" in line for line in lines)
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         if argv[0] in STUDIES and CAP_ERROR.search(lines[0]):

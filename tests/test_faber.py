@@ -1,6 +1,8 @@
 """Basis evaluation, analysis/synthesis round trips, integration, serialization."""
 
+import copy
 import json
+import pickle
 import re
 import tracemalloc
 
@@ -620,6 +622,23 @@ class TestFaberSeries:
         with pytest.raises(ValueError, match="cap"):
             FaberSeries.zeros(40, 1)
 
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_keep_the_series(self, copier):
+        for s in (FaberSeries.zeros(1, 1), random_series(3, 2, RNG)):
+            t = copier(s)
+            assert type(t) is FaberSeries and (t.budget, t.dim) == (s.budget, s.dim)
+            assert t.coeffs.dtype == np.float64 and t.coeffs.tobytes() == s.coeffs.tobytes()
+            assert not t.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                t.coeffs[0] = 1.0
+            with pytest.raises(AttributeError, match="immutable"):
+                t.budget = s.budget + 1
+            assert [j.entries for j in t.levels()] == [j.entries for j in s.levels()]
+
     def test_coefficients_copied_and_read_only(self):
         coeffs = np.zeros(5)
         s = FaberSeries(1, 1, coeffs)
@@ -958,25 +977,30 @@ def test_evaluate_many_of_no_points_is_empty(d, n):
 
 
 def test_evaluate_many_keeps_its_blocks_in_work():
-    # the pieces of a measurement reuse one float and one int block through
-    # work; what the blocks held before leaves no trace in the values, and
-    # only series with more tables make them anew
+    # the pieces of a measurement walk one plan and reuse one float and one int
+    # block through work; what the blocks held before leaves no trace in the
+    # values, only plans with more tables make them anew, and a plan walks its
+    # own series whatever plan used work before
     rng = np.random.default_rng(31)
     many = (random_series(5, 3, rng), random_series(3, 3, rng))
+    plan = faber._walk_plan(many)
     work = {}
     X = rng.random((faber._ROWS, 3))
-    faber._evaluate_many(many, X, work)
+    faber._evaluate_many(plan, X, work)
     blocks = dict(work)
     assert sorted(block.dtype.name for block in blocks.values()) == ["float64", "int64"]
     for Y in (X[:100], rng.random((faber._ROWS, 3)), X[::-1]):
-        outs = faber._evaluate_many(many, Y, work)
+        outs = faber._evaluate_many(plan, Y, work)
         assert all(work[key] is block for key, block in blocks.items())
         for s, out in zip(many, outs):
             assert out.tobytes() == per_level_eval(s, Y).tobytes()
     deeper = (random_series(7, 3, rng),)
-    (out,) = faber._evaluate_many(deeper, X, work)
+    (out,) = faber._evaluate_many(faber._walk_plan(deeper), X, work)
     assert work[np.float64] is not blocks[np.float64]
     assert out.tobytes() == per_level_eval(deeper[0], X).tobytes()
+    for s, out in zip(many, faber._evaluate_many(plan, X[::-1], work)):
+        assert out.tobytes() == per_level_eval(s, X[::-1]).tobytes()
+    assert faber._evaluate_many(many, X[::-1])[1].tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("d,budgets", [(2, (8, 12)), (4, (3, 4)), (1, (8, 14))])

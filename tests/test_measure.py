@@ -181,6 +181,28 @@ class TestStratifiedMC:
         vm, em = lq_norm(g, MeasureSpec(2.0, StratifiedMC(samples=250_000, seed=8)))
         assert abs(vc - vm) <= 3 * (ec + em + 1e-12)
 
+    def test_remainder_over_two_batches_keeps_its_value(self, monkeypatch):
+        # 2**17 strata, then 70,001 remainder draws: batches of 65,536 and
+        # 4,465 points, the last piece partial; the value is the one the
+        # remainder's index grids gave
+        batches, pieces = [], []
+        real = measure._power_sums
+
+        def spy(g, draws, q, moments=False):
+            def seen():
+                for size, batch in draws:
+                    batches.append(size)
+                    yield size, batch
+            return real(g, seen(), q, moments)
+
+        monkeypatch.setattr(measure, "_power_sums", spy)
+        g = FunctionHandle(lambda X: pieces.append(len(X)) or X[:, 0] ** 2 - 0.3, 1)
+        value = lq_norm(g, MeasureSpec(2.0, StratifiedMC(samples=(1 << 17) + 70_001, seed=9)))
+        assert value == (0.29994817208822916, 0.00040183231554168477)
+        assert batches == [measure._CHUNK] * 3 + [4465]
+        assert pieces == [faber._ROWS] * 24 + [4465]
+        assert g.eval_count == (1 << 17) + 70_001
+
     def test_zero_function(self):
         z = FunctionHandle(lambda X: np.zeros(len(X)), 1)
         value, est = lq_norm(z, MeasureSpec(2.0, StratifiedMC(samples=1500, seed=2)))
@@ -390,13 +412,13 @@ class TestJointDefect:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        # the number of series of every _evaluate_many call
+        # the number of series of every _evaluate_many call's plan
         sizes = []
         real = faber._evaluate_many
 
-        def spy(many, X, *work):
-            sizes.append(len(many))
-            return real(many, X, *work)
+        def spy(plan, X, *work):
+            sizes.append(plan.count)
+            return real(plan, X, *work)
 
         monkeypatch.setattr(faber, "_evaluate_many", spy)
         return sizes
@@ -428,6 +450,27 @@ class TestJointDefect:
         assert np.array(joint).tobytes() == np.array(spelled).tobytes()
         assert f.eval_count == boxed.eval_count > 0
         assert g.eval_count == 2 * f.eval_count
+
+    def test_defect_plans_its_walk_once(self, passes, monkeypatch):
+        # one plan per defect handle, not one per piece: 200,000 samples at
+        # d = 3 are 2**15 strata and 167,232 remainder draws, 25 pieces
+        plans = []
+        real = faber._walk_plan
+
+        def spy(many):
+            plans.append(len(many))
+            return real(many)
+
+        monkeypatch.setattr(faber, "_walk_plan", spy)
+        rng = np.random.default_rng(41)
+        s = random_series(3, 3, rng)
+        spec = MeasureSpec(2.0, StratifiedMC(samples=200_000, seed=6))
+        boxed = FunctionHandle(lambda X: np.cos(X).prod(axis=1), 3)
+        for f, count in ((synthesize(random_series(4, 3, rng)), 2), (boxed, 1)):
+            lq_error(f, s, spec)
+            assert plans == [count] and passes == [count] * 25
+            plans.clear()
+            passes.clear()
 
     @staticmethod
     def streamed_peak(f, s, spec):

@@ -40,6 +40,11 @@ class TestExtremal:
                 else:
                     assert level_lp(series, j, p) == 0.0
 
+    @pytest.mark.parametrize("p", [0.5, -math.inf, math.nan])
+    def test_p_below_one_or_nan_refused(self, p):
+        with pytest.raises(ValueError, match=r"^p must be >= 1$"):
+            extremal(p, 3, seed=0, d=1)
+
     def test_sup_norm_is_one(self):
         _, series = extremal(2.0, 6, seed=1, d=1)
         assert seq_norm(series, NormParams(r=0.5, p=2.0, q=math.inf)) == pytest.approx(1.0)
