@@ -376,10 +376,11 @@ def _evaluate_many(
     byte-equal to ``evaluate_batch`` of that series alone.  The union of
     the series' levels with a nonzero block is walked in lexicographic
     order, which is each series' own order, and each level lists the
-    series that own it.  Both paths of the recovery defect (:func:`_defect`)
-    plan once per handle and pass that plan and one ``work`` dict with
-    every piece, so a piece rebuilds neither the walk nor the blocks.  Per chunk of
-    ``dyadic._ROWS`` points only the (axis, entry) tables some walked level
+    series that own it.  Both paths of the recovery defect
+    (:func:`_defect`) plan once per handle and pass that plan and one
+    ``work`` dict with every piece, so a piece rebuilds neither the walk
+    nor the blocks.  Per chunk of ``dyadic._ROWS`` points only the
+    (axis, entry) tables some walked level
     uses are built, and a stack of prefix (flat index, product) lists lets
     levels that share leading entries share their partial indices and
     products (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004).

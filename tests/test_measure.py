@@ -412,13 +412,14 @@ class TestJointDefect:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        # the number of series of every _evaluate_many call's plan
+        # the number of series of every _evaluate_many call: a defect's plan,
+        # or the series tuple of an evaluate_batch call
         sizes = []
         real = faber._evaluate_many
 
-        def spy(plan, X, *work):
-            sizes.append(plan.count)
-            return real(plan, X, *work)
+        def spy(many, X, *work):
+            sizes.append(len(many) if isinstance(many, tuple) else many.count)
+            return real(many, X, *work)
 
         monkeypatch.setattr(faber, "_evaluate_many", spy)
         return sizes
