@@ -326,9 +326,7 @@ class _Walk:
     """What an :func:`_evaluate_many` walk over series of one dim reads at every
     chunk; see :func:`_walk_plan`."""
 
-    dim: int
-    budget: int  # n, the largest budget
-    count: int  # series, one output each
+    series: tuple  # the series it walks, one output each
     levels: list  # (entries, [(series index, block)]) per walked level, in order
     used: list  # per axis 1..d-1, the sorted entries the walked levels use
     floats: int  # rows of the float block
@@ -356,9 +354,7 @@ def _walk_plan(many: tuple[FaberSeries, ...]) -> _Walk:
     # coefficients and index, and one row per table of the other axes
     lead_cells = sum(e >= 0 for entries in used[:-1] for e in entries)
     return _Walk(
-        dim=d,
-        budget=max(s.budget for s in many),
-        count=len(many),
+        series=many,
         levels=levels,
         used=used,
         floats=d + 3 + sum(map(len, used)),
@@ -421,8 +417,9 @@ def _evaluate_many(
     every (n, d) under MAX_POINTS (39 at d = 2, n = 19).
     """
     plan = many if isinstance(many, _Walk) else _walk_plan(many)
-    d, n, walk, used = plan.dim, plan.budget, plan.levels, plan.used
-    outs = [np.zeros(X.shape[0]) for _ in range(plan.count)]
+    d, walk, used = plan.series[0].dim, plan.levels, plan.used
+    n = max(s.budget for s in plan.series)
+    outs = [np.zeros(X.shape[0]) for _ in plan.series]
     rows = min(X.shape[0], _ROWS)
     work = {} if work is None else work
     floats = _block(work, np.float64, plan.floats, rows)

@@ -418,7 +418,7 @@ class TestJointDefect:
         real = faber._evaluate_many
 
         def spy(many, X, *work):
-            sizes.append(len(many) if isinstance(many, tuple) else many.count)
+            sizes.append(len(many if isinstance(many, tuple) else many.series))
             return real(many, X, *work)
 
         monkeypatch.setattr(faber, "_evaluate_many", spy)
