@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -227,14 +228,7 @@ def _cmd_cubature(args) -> int:
 
 def _cmd_noncompact(args) -> int:
     report = experiments.noncompact_demo(args.max_level)
-    doc = {
-        "levels": list(report.levels),
-        "witnesses": [list(row) for row in report.witnesses],
-        "distances": [list(row) for row in report.distances],
-        "profiles": [list(row) for row in report.profiles],
-        "conclusion": report.conclusion,
-    }
-    _emit(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
+    _emit(args.out, json.dumps(dataclasses.asdict(report), separators=(",", ":")) + "\n")
     off_diag = min(
         report.distances[a][b]
         for a in report.levels

@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -260,8 +260,8 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
 def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     """Evaluate the truncated expansion at an (N, d) batch of points.
 
-    Checks the points, then runs :func:`_evaluate_many` on the one
-    series.  Per level and point only the covering cell contributes per
+    :func:`_evaluate_many` on a walk plan of the one series, which checks
+    the points.  Per level and point only the covering cell contributes per
     active axis (left-closed cell convention; values at cell interfaces
     agree by continuity) and both boundary functions contribute on level
     -1 axes.  Products multiply left to right over the axes and terms are
@@ -269,7 +269,7 @@ def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     summation order is that of a plain per-level loop and the result does
     not depend on the chunk size.
     """
-    return _evaluate_many((series,), _cube_points(points, series.dim))[0]
+    return _evaluate_many(_walk_plan((series,)), points)[0]
 
 
 def _cube_points(points, d: int) -> np.ndarray:
@@ -312,15 +312,6 @@ def _choices(xi: np.ndarray, fine, e: int, n: int, cells, tent: np.ndarray) -> l
     return [(None if fine is None else np.right_shift(fine, n - e, out=cells), t)]
 
 
-def _block(work: dict, dtype, count: int, rows: int) -> np.ndarray:
-    """``work``'s (count, rows) block of ``dtype``, made anew only when the kept one
-    is smaller."""
-    kept = work.get(dtype)
-    if kept is None or kept.shape[0] < count or kept.shape[1] < rows:
-        kept = work[dtype] = np.empty((count, rows), dtype)
-    return kept
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class _Walk:
     """What an :func:`_evaluate_many` walk over series of one dim reads at every
@@ -331,13 +322,16 @@ class _Walk:
     used: list  # per axis 1..d-1, the sorted entries the walked levels use
     floats: int  # rows of the float block
     ints: int  # rows of the int block
+    blocks: list = field(default_factory=list)  # the float and int blocks, once made
 
 
 def _walk_plan(many: tuple[FaberSeries, ...]) -> _Walk:
     """The walk of :func:`_evaluate_many` over ``many``, series of one dim.
 
-    It holds views of the series' blocks, so it belongs to ``many``: a
-    defect handle builds it once and walks it for every piece it is given.
+    It holds views of the series' coefficient blocks, so it belongs to
+    ``many``, and it keeps the float and int blocks of its walk's chunk
+    arrays from call to call: a defect handle builds it once and walks it
+    for every piece it is given, ``evaluate_batch`` builds one per call.
     """
     d = many[0].dim
     owners: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
@@ -362,22 +356,19 @@ def _walk_plan(many: tuple[FaberSeries, ...]) -> _Walk:
     )
 
 
-def _evaluate_many(
-    many: _Walk | tuple[FaberSeries, ...], X: np.ndarray, work: dict | None = None
-) -> list[np.ndarray]:
-    """The values of series of one dim at (N, d) points of :func:`_cube_points`, in one walk.
+def _evaluate_many(plan: _Walk, points) -> list[np.ndarray]:
+    """The values of the series of ``plan``, a :func:`_walk_plan`, at (N, d) points, in one walk.
 
-    ``many`` is the walk's :func:`_walk_plan`, or the series to plan it
-    from for this call alone.  Returns one array per series, each
-    byte-equal to ``evaluate_batch`` of that series alone.  The union of
-    the series' levels with a nonzero block is walked in lexicographic
-    order, which is each series' own order, and each level lists the
-    series that own it.  Both paths of the recovery defect
-    (:func:`_defect`) plan once per handle and pass that plan and one
-    ``work`` dict with every piece, so a piece rebuilds neither the walk
-    nor the blocks.  Per chunk of ``dyadic._ROWS`` points only the
-    (axis, entry) tables some walked level
-    uses are built, and a stack of prefix (flat index, product) lists lets
+    The points go through :func:`_cube_points` first, so a point outside
+    [0,1]^d raises ValueError before any value is computed.  Returns one
+    array per series, each byte-equal to ``evaluate_batch`` of that series
+    alone.  The union of the series' levels with a nonzero block is walked
+    in lexicographic order, which is each series' own order, and each
+    level lists the series that own it.  The recovery defect
+    (:func:`_defect`) plans once per handle and walks that plan for every
+    piece, so a piece rebuilds neither the walk nor the blocks.  Per chunk
+    of ``dyadic._ROWS`` points only the (axis, entry) tables some walked
+    level uses are built, and a stack of prefix (flat index, product) lists lets
     levels that share leading entries share their partial indices and
     products (Bungartz & Griebel, Sparse grids, Acta Numerica 13, 2004).
     Each term's index and ``product * value`` are computed once; every
@@ -393,8 +384,8 @@ def _evaluate_many(
     in place each time the walk reaches a new first entry (the first
     prefix is those choices themselves), and each term's index, base and
     gathered coefficients.  All but the prefix lists and lifted indices
-    are rows of one float and one int block, kept in ``work`` when given:
-    the measures pass one dict per defect handle, so the pieces of a
+    are rows of one float and one int block, which the plan keeps and
+    makes anew only for a call of more rows, so the pieces of a
     measurement reuse the blocks.  Allocated and freed per piece, they
     went back to the system and came back as page faults: 11,000 minor
     faults per scatter-io op, against 1,900 with whole batches and 690
@@ -416,14 +407,14 @@ def _evaluate_many(
     one bit per boundary axis), so G has at most 2n + d - 1 <= 62 bits for
     every (n, d) under MAX_POINTS (39 at d = 2, n = 19).
     """
-    plan = many if isinstance(many, _Walk) else _walk_plan(many)
     d, walk, used = plan.series[0].dim, plan.levels, plan.used
+    X = _cube_points(points, d)
     n = max(s.budget for s in plan.series)
     outs = [np.zeros(X.shape[0]) for _ in plan.series]
     rows = min(X.shape[0], _ROWS)
-    work = {} if work is None else work
-    floats = _block(work, np.float64, plan.floats, rows)
-    ints = _block(work, np.int64, plan.ints, rows)
+    if not plan.blocks or plan.blocks[0].shape[1] < rows:
+        plan.blocks[:] = np.empty((plan.floats, rows)), np.empty((plan.ints, rows), np.int64)
+    floats, ints = plan.blocks
 
     def add_chunk(row: int) -> None:  # its prefixes go on return
         accs = [out[row : row + _ROWS] for out in outs]
@@ -525,29 +516,28 @@ def synthesize(series: FaberSeries, label: str | None = None) -> FunctionHandle:
 def _defect(f: FunctionHandle, series: FaberSeries) -> FunctionHandle:
     """The recovery defect f - (truncated expansion of ``series``), as a handle.
 
-    The handle plans its :func:`_evaluate_many` walk once and keeps one ``work``
-    dict for every batch of points it is given.  When f was made by
-    :func:`synthesize`, f's series and ``series`` are walked together, and f's
-    values go through the count and checks of ``f.eval_batch``; any other f is
-    called on its own, then ``series`` is walked.  The values are byte-equal to
+    The handle plans its :func:`_evaluate_many` walk once, over f's series
+    and ``series`` when f was made by :func:`synthesize` and over ``series``
+    alone otherwise, and walks that plan for every batch of points it is
+    given.  Each batch is counted as f's evaluations, walked, which checks
+    the points, and then, for any other f, handed to f; f's values go
+    through the checks of ``f.eval_batch``.  So a point outside [0,1]^d
+    raises ValueError before a black-box f runs, with the count as
+    ``f.eval_batch`` leaves it.  The values are byte-equal to
     ``f.eval_batch`` and ``evaluate_batch`` called apart.  The defect is
-    subtracted into the approximant's array.
+    subtracted into the approximant's array; f's own array is never written.
     """
     if f.dim != series.dim:
         raise ValueError("dimension mismatch between handle and series")
     own = f._series
     plan = _walk_plan((series,) if own is None else (own, series))
-    work: dict = {}  # the evaluator's blocks, kept from piece to piece
-    if own is None:
-        def evaluator(X):
-            values = f.eval_batch(X)  # f's own array, never written
-            (approx,) = _evaluate_many(plan, _cube_points(X, series.dim), work)
-            return np.subtract(values, approx, out=approx)
-    else:
-        def evaluator(X):
-            X = f._counted(X)
-            values, approx = _evaluate_many(plan, _cube_points(X, own.dim), work)
-            return np.subtract(f._valid(X, values), approx, out=approx)
+
+    def evaluator(X):
+        X = f._counted(X)
+        *values, approx = _evaluate_many(plan, X)
+        values = f._valid(X, f._evaluator(X) if own is None else values[0])
+        return np.subtract(values, approx, out=approx)
+
     return FunctionHandle(evaluator, f.dim, label=f"{f.label}-defect(n={series.budget})")
 
 
@@ -774,6 +764,8 @@ def series_from_text(text: str) -> FaberSeries:
     peak is at most about 16 d + 26 B per coefficient (50 B at d = 2 and
     148 B at d = 8, tracemalloc), plus at most 10 MB for the block of a
     slice of 32 * ``_ROWS`` characters (9.8 MB at d = 1, 5.7 MB at d = 2).
+    The node cap is checked after every line's parse, by the layout that
+    :func:`_build_series` builds first.
     """
     blocks = _line_blocks(text)
     lines = next(filter(None, blocks), None)
@@ -786,7 +778,6 @@ def series_from_text(text: str) -> FaberSeries:
     parsed = [_text_block(lines[1:], d)]
     del lines
     parsed += (_text_block(b, d) for b in blocks)
-    capped_node_count(n, d)  # after every line's parse, before the layout's arrays
 
     def entry(i):  # coefficient line i as read; split again on an error path only
         lines = itertools.chain.from_iterable(_line_blocks(text))

@@ -59,12 +59,20 @@ DEFAULT_MC_SAMPLES = 200_000
 _CHUNK = 1 << 16
 
 
+def _check_int(name: str, value) -> None:
+    """ValueError unless value is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CompositeGauss:
     level: int
     order: int = DEFAULT_GAUSS_ORDER
 
     def __post_init__(self) -> None:
+        _check_int("Gauss order", self.order)
+        _check_int("mesh level", self.level)
         if not 2 <= self.order <= MAX_GAUSS_ORDER:
             raise ValueError(f"Gauss order {self.order} outside 2..{MAX_GAUSS_ORDER}")
         if self.level < 1:
@@ -90,6 +98,7 @@ class SupGrid:
     level: int
 
     def __post_init__(self) -> None:
+        _check_int("grid level", self.level)
         if self.level < 1:
             raise ValueError("grid level must be >= 1")
         if self.level > MAX_LEVEL:
@@ -321,7 +330,9 @@ def block_lq_exact(j, coeffs, q: float) -> float:
 
     Valid only when all level entries are >= 0: the hats of one interior
     level have disjoint interiors and each contributes
-    |c|^q * 2**-order / (q+1)**d.
+    |c|^q * 2**-order / (q+1)**d.  When the sum of |c|^q overflows, it is
+    taken of (|c| / max |c|)^q instead, as seqnorm.level_lp does; a finite
+    sum is used as it is.
     """
     j = _as_level(j)
     if any(e < 0 for e in j.entries):
@@ -331,8 +342,13 @@ def block_lq_exact(j, coeffs, q: float) -> float:
         raise ValueError("coefficient count does not match the level")
     if not q >= 1.0:  # NaN fails too
         raise ValueError("q < 1 not supported")
+    a = np.abs(c)
+    top = float(np.max(a))
     if math.isinf(q):
-        return float(np.max(np.abs(c), initial=0.0))
-    mass = float(np.sum(np.abs(c) ** q))
+        return top
+    with np.errstate(over="ignore"):  # an overflow is redone below
+        mass = float(np.sum(a**q))
     scale = math.ldexp(1.0, -j.order) / (q + 1.0) ** j.dim
+    if math.isinf(mass) and math.isfinite(top):  # scale by the maximum, as seqnorm.level_lp does
+        return top * (float(np.sum((a / top) ** q)) * scale) ** (1.0 / q)
     return (mass * scale) ** (1.0 / q)

@@ -963,7 +963,7 @@ def test_property_evaluate_many_is_bit_identical_to_per_level_loop(d, budgets, d
     X[-2:] = 1.0
     interfaces = rng.random(X.shape) < 0.25
     X[interfaces] = np.ldexp(rng.integers(0, (1 << (n + 1)) + 1, interfaces.sum()), -(n + 1))
-    outs = faber._evaluate_many(many, X)
+    outs = faber._evaluate_many(faber._walk_plan(many), X)
     assert len(outs) == len(many)
     for s, out in zip(many, outs):
         assert out.tobytes() == per_level_eval(s, X).tobytes()
@@ -972,35 +972,36 @@ def test_property_evaluate_many_is_bit_identical_to_per_level_loop(d, budgets, d
 @pytest.mark.parametrize("d,n", [(1, 0), (3, 4)])
 def test_evaluate_many_of_no_points_is_empty(d, n):
     many = (random_series(n, d, np.random.default_rng(2)), random_series(n + 1, d, RNG))
-    outs = faber._evaluate_many(many, np.empty((0, d)))
+    outs = faber._evaluate_many(faber._walk_plan(many), np.empty((0, d)))
     assert [(out.shape, out.dtype) for out in outs] == [((0,), np.float64)] * 2
 
 
-def test_evaluate_many_keeps_its_blocks_in_work():
-    # the pieces of a measurement walk one plan and reuse one float and one int
-    # block through work; what the blocks held before leaves no trace in the
-    # values, only plans with more tables make them anew, and a plan walks its
-    # own series whatever plan used work before
+def test_walk_plan_reuses_its_own_blocks():
+    # the pieces of a measurement walk one plan, which keeps one float and one
+    # int block across calls with different points; what the blocks held
+    # before leaves no trace in the values, only a call of more rows makes them
+    # anew, and a new plan, also of a deeper series, gets blocks of its own
     rng = np.random.default_rng(31)
     many = (random_series(5, 3, rng), random_series(3, 3, rng))
     plan = faber._walk_plan(many)
-    work = {}
     X = rng.random((faber._ROWS, 3))
-    faber._evaluate_many(plan, X, work)
-    blocks = dict(work)
-    assert sorted(block.dtype.name for block in blocks.values()) == ["float64", "int64"]
-    for Y in (X[:100], rng.random((faber._ROWS, 3)), X[::-1]):
-        outs = faber._evaluate_many(plan, Y, work)
-        assert all(work[key] is block for key, block in blocks.items())
+    faber._evaluate_many(plan, X[:100])
+    (small_floats, _) = plan.blocks
+    faber._evaluate_many(plan, X)
+    blocks = list(plan.blocks)
+    assert [block.dtype.name for block in blocks] == ["float64", "int64"]
+    assert blocks[0] is not small_floats
+    for Y in (X[:100], rng.random((2 * faber._ROWS + 3, 3)), X[::-1]):
+        outs = faber._evaluate_many(plan, Y)
+        assert all(kept is block for kept, block in zip(plan.blocks, blocks))
         for s, out in zip(many, outs):
             assert out.tobytes() == per_level_eval(s, Y).tobytes()
-    deeper = (random_series(7, 3, rng),)
-    (out,) = faber._evaluate_many(faber._walk_plan(deeper), X, work)
-    assert work[np.float64] is not blocks[np.float64]
-    assert out.tobytes() == per_level_eval(deeper[0], X).tobytes()
-    for s, out in zip(many, faber._evaluate_many(plan, X[::-1], work)):
-        assert out.tobytes() == per_level_eval(s, X[::-1]).tobytes()
-    assert faber._evaluate_many(many, X[::-1])[1].tobytes() == out.tobytes()
+    for series in (many, (random_series(7, 3, rng),)):
+        fresh = faber._walk_plan(series)
+        outs = faber._evaluate_many(fresh, X[::-1])
+        assert not any(kept is block for kept in fresh.blocks for block in blocks)
+        for s, out in zip(series, outs):
+            assert out.tobytes() == per_level_eval(s, X[::-1]).tobytes()
 
 
 @pytest.mark.parametrize("d,budgets", [(2, (8, 12)), (4, (3, 4)), (1, (8, 14))])
@@ -1013,10 +1014,10 @@ def test_evaluate_many_peak_beyond_outputs_is_bounded_per_chunk_row(d, budgets):
     for n in budgets:
         many = (random_series(n, d, rng), random_series(n - 2, d, rng))
         X = rng.random((2 * faber._ROWS + 3, d))
-        faber._evaluate_many(many, X)  # warm: the level layouts
+        faber._evaluate_many(faber._walk_plan(many), X)  # warm: the level layouts
         tracemalloc.start()
         try:
-            faber._evaluate_many(many, X)
+            faber._evaluate_many(faber._walk_plan(many), X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1041,9 +1042,9 @@ def test_evaluate_many_tables_exact_at_tiny_and_extreme_coordinates():
     zero = FaberSeries.zeros(n, d)
     for many in ((full, random_series(n - 2, d, rng)),
                  (coarse_lead, random_series(n - 2, d, rng), zero), (zero,)):
-        for s, out in zip(many, faber._evaluate_many(many, X)):
+        for s, out in zip(many, faber._evaluate_many(faber._walk_plan(many), X)):
             assert out.tobytes() == per_level_eval(s, X).tobytes()
-    assert not faber._evaluate_many((zero,), X)[0].any()
+    assert not faber._evaluate_many(faber._walk_plan((zero,)), X)[0].any()
 
 
 def test_lifted_last_axis_index_fits_int64():

@@ -1,6 +1,7 @@
 """Norm measurement: composite Gauss, stratified MC, sup grid, exact blocks."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,19 @@ class TestSpecValidation:
             method(level=MAX_LEVEL + 1)
         with pytest.raises(ValueError, match="MAX_LEVEL"):
             method(level=10**8)
+
+    @pytest.mark.parametrize("method", [CompositeGauss, SupGrid])
+    def test_non_integer_level_rejected_naming_the_field(self, method):
+        assert method(level=np.int64(3)).level == method(level=3).level == 3
+        for level in (3.0, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError, match=f"level must be an integer, got {re.escape(repr(level))}"):
+                method(level=level)
+
+    def test_non_integer_gauss_order_rejected_naming_the_field(self):
+        assert CompositeGauss(level=2, order=np.int32(4)).order == 4
+        for order in (4.0, 4.5, "4"):
+            with pytest.raises(ValueError, match=f"Gauss order must be an integer, got {re.escape(repr(order))}"):
+                CompositeGauss(level=2, order=order)
 
 
 class TestCompositeGauss:
@@ -352,6 +366,17 @@ class TestBlockLqExact:
         with pytest.raises(ValueError, match="q < 1 not supported"):
             block_lq_exact((1,), [1.0, 2.0], q)
 
+    def test_large_coefficients_scaled_not_overflowed(self):
+        # |c|^4 overflows binary64 but the norm, (2 c^4 / 2 / 5)^(1/4) = c / 5^(1/4),
+        # does not; a finite sum keeps the bytes of the unscaled formula
+        value = block_lq_exact((1,), [1e300, 1e300], 4.0)
+        assert value == pytest.approx(1e300 / 5**0.25, rel=1e-15)
+        assert block_lq_exact((1,), [-1e300, 0.0], 4.0) == pytest.approx(1e300 / 10**0.25, rel=1e-15)
+        coeffs = RNG.uniform(-1, 1, 4)
+        expected = (float(np.sum(np.abs(coeffs) ** 2.5)) * 2.0**-2 / 3.5) ** (1 / 2.5)
+        assert block_lq_exact((2,), coeffs, 2.5) == expected
+        assert block_lq_exact((1,), [math.inf, 1.0], 4.0) == math.inf
+
     def test_q_inf_is_peak_height(self):
         assert block_lq_exact((2,), [0.0, -0.7, 0.2, 0.0], math.inf) == 0.7
 
@@ -412,14 +437,13 @@ class TestJointDefect:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        # the number of series of every _evaluate_many call: a defect's plan,
-        # or the series tuple of an evaluate_batch call
+        # the number of series of every _evaluate_many call's plan
         sizes = []
         real = faber._evaluate_many
 
-        def spy(many, X, *work):
-            sizes.append(len(many if isinstance(many, tuple) else many.series))
-            return real(many, X, *work)
+        def spy(plan, points):
+            sizes.append(len(plan.series))
+            return real(plan, points)
 
         monkeypatch.setattr(faber, "_evaluate_many", spy)
         return sizes
@@ -472,6 +496,38 @@ class TestJointDefect:
             assert plans == [count] and passes == [count] * 25
             plans.clear()
             passes.clear()
+
+    @pytest.mark.parametrize("synthesized", [True, False])
+    def test_refuses_bad_points_with_the_handle_messages_and_counts(self, synthesized):
+        # one evaluator for both kinds of f: a wrong shape is refused uncounted,
+        # a point outside the cube or a NaN coordinate after f counts it, as
+        # f.eval_batch counts, and a black-box f never runs on such points
+        rng = np.random.default_rng(7)
+        s = random_series(3, 2, rng)
+        calls = []
+
+        def ones(X):
+            calls.append(len(X))
+            return np.ones(len(X))
+
+        f = synthesize(random_series(4, 2, rng)) if synthesized else FunctionHandle(ones, 2)
+        g = faber._defect(f, s)
+        cases = [
+            (np.zeros((3, 3)), r"expected \(N, 2\) points, got shape \(3, 3\)", 0),
+            ([0.5, 0.5], r"expected \(N, 2\) points, got shape \(2,\)", 0),
+            ([[0.5, 0.5], [0.25, 1.5]], r"point \(0\.25, 1\.5\) outside \[0,1\]\^d", 2),
+            ([[-0.0, 1.0], [-1e-300, 0.0]], r"point \(-1e-300, 0\.0\) outside \[0,1\]\^d", 2),
+            ([[0.5, np.nan]], r"point \(0\.5, nan\) outside \[0,1\]\^d", 1),
+        ]
+        for points, message, count in cases:
+            before = f.eval_count, g.eval_count
+            with pytest.raises(ValueError, match=message):
+                g.eval_batch(points)
+            assert (f.eval_count - before[0], g.eval_count - before[1]) == (count, count)
+        assert calls == []
+        X = rng.random((5, 2))
+        expected = f.eval_batch(X) - evaluate_batch(s, X)
+        assert g.eval_batch(X).tobytes() == expected.tobytes() and calls == ([] if synthesized else [5, 5])
 
     @staticmethod
     def streamed_peak(f, s, spec):
