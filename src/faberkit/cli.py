@@ -72,28 +72,48 @@ def _budget_range(text: str) -> list[int]:
     return list(range(a, b + 1))
 
 
-#: flag, default and the --func values that read it; the study commands read
-#: --p and --seed themselves
-_FUNCTION_FLAGS = (
-    ("--p", 2.0, ("extremal",)),
-    ("--depth", 14, ("extremal", "spike")),
-    ("--seed", 0, ("extremal", "spike")),
-    ("--anchor", "", ("kink",)),
-    ("--hat-level", 0, ("hat",)),
-    ("--series", "", ("prescribed",)),
+_STUDIES = ("recover", "rates", "widths")
+
+#: --func and --measure: each one's default and choices
+_CHOICES = {
+    "func": ("x2", ("extremal", "spike", "kink", "hat", "prescribed", *testbed.SMOOTH_IDS)),
+    "measure": ("auto", ("auto", "composite", "mc", "sup")),
+}
+
+#: The flags that --func or --measure picks: flag, kind, default (its type is
+#: the flag's type), help, and the --func or --measure values or commands
+#: that read it; the studies read --p and --seed themselves.  A flag at
+#: another value that none of them reads is refused, measure flags first.
+_CHOICE_FLAGS = (
+    ("--gauss-order", "measure", measure.DEFAULT_GAUSS_ORDER, None, ("composite",)),
+    ("--mesh-level", "measure", 0, "0 selects n + 2", ("composite", "sup")),
+    ("--mc-samples", "measure", measure.DEFAULT_MC_SAMPLES, None, ("mc",)),
+    ("--p", "func", 2.0, None, ("extremal", *_STUDIES)),
+    ("--depth", "func", 14, "series depth J for extremal/spike", ("extremal", "spike")),
+    ("--seed", "func", 0, None, ("extremal", "spike", *_STUDIES)),
+    ("--anchor", "func", "", "comma-separated kink anchor", ("kink",)),
+    ("--hat-level", "func", 0, None, ("hat",)),
+    ("--series", "func", "", "series file for --func prescribed", ("prescribed",)),
 )
 
 
+def _refuse_unread(args) -> None:
+    """ValueError for the first choice flag away from its default that neither
+    the command, --func nor --measure reads."""
+    chosen = {args.command, args.func, getattr(args, "measure", None)}
+    for flag, kind, default, _, readers in _CHOICE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), default)
+        if value != default and chosen.isdisjoint(readers):
+            choice = getattr(args, kind)
+            hint = "; use --measure mc|composite|sup" if choice == "auto" else ""
+            raise ValueError(f"{flag} {value} is not read by --{kind} {choice}{hint}")
+
+
 def _build_function(args):
-    """The --func handle, after refusing a function flag that it does not read."""
+    """The --func handle, after refusing a choice flag that is not read."""
+    _refuse_unread(args)
     d = args.dim
     name = args.func
-    for flag, default, readers in _FUNCTION_FLAGS:
-        if flag in ("--p", "--seed") and args.command in ("recover", "rates", "widths"):
-            continue
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value != default and name not in readers:
-            raise ValueError(f"{flag} {value} is not read by --func {name}")
     if name == "extremal":
         handle, _ = testbed.extremal(args.p, args.depth, args.seed, d)
         return handle
@@ -121,28 +141,17 @@ def _build_function(args):
 
 
 def _spec_factory(args):
-    """Each budget's measure spec, after refusing a flag that ``--measure auto`` does not read."""
-    if args.measure == "auto":
-        for flag, value, default in (
-            ("--gauss-order", args.gauss_order, measure.DEFAULT_GAUSS_ORDER),
-            ("--mesh-level", args.mesh_level, 0),
-            ("--mc-samples", args.mc_samples, measure.DEFAULT_MC_SAMPLES),
-        ):
-            if value != default:
-                raise ValueError(
-                    f"{flag} {value} is not read by --measure auto; use --measure mc|composite|sup"
-                )
-    q = args.q
+    """Each budget's measure spec."""
 
     def factory(n: int) -> MeasureSpec:
         level = args.mesh_level or measure._default_level(n)
         if args.measure == "composite":
-            return MeasureSpec(q, CompositeGauss(level=level, order=args.gauss_order))
+            return MeasureSpec(args.q, CompositeGauss(level=level, order=args.gauss_order))
         if args.measure == "mc":
-            return MeasureSpec(q, StratifiedMC(samples=args.mc_samples, seed=args.seed))
+            return MeasureSpec(args.q, StratifiedMC(samples=args.mc_samples, seed=args.seed))
         if args.measure == "sup":
             return MeasureSpec(math.inf, SupGrid(level=level))
-        return measure.default_spec(q, n, args.dim, seed=args.seed)
+        return measure.default_spec(args.q, n, args.dim, seed=args.seed)
 
     return factory
 
@@ -246,24 +255,13 @@ def _cmd_comb(args) -> int:
     return 0
 
 
-def _add_function_flags(sub) -> None:
-    sub.add_argument(
-        "--func",
-        default="x2",
-        choices=("extremal", "spike", "kink", "hat", "prescribed", *testbed.SMOOTH_IDS),
-    )
-    sub.add_argument("--depth", type=int, default=14, help="series depth J for extremal/spike")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--anchor", default="", help="comma-separated kink anchor")
-    sub.add_argument("--hat-level", type=int, default=0)
-    sub.add_argument("--series", default="", help="series file for --func prescribed")
-
-
-def _add_measure_flags(sub) -> None:
-    sub.add_argument("--measure", choices=("auto", "composite", "mc", "sup"), default="auto")
-    sub.add_argument("--gauss-order", type=int, default=measure.DEFAULT_GAUSS_ORDER)
-    sub.add_argument("--mesh-level", type=int, default=0, help="0 selects n + 2")
-    sub.add_argument("--mc-samples", type=int, default=measure.DEFAULT_MC_SAMPLES)
+def _add_choice_flags(sub, kind: str) -> None:
+    """--func or --measure, then the flags of its kind in _CHOICE_FLAGS."""
+    default, choices = _CHOICES[kind]
+    sub.add_argument(f"--{kind}", default=default, choices=choices)
+    for flag, owner, value, help_text, _ in _CHOICE_FLAGS:
+        if owner == kind:
+            sub.add_argument(flag, type=type(value), default=value, help=help_text)
 
 
 def _add_output_flags(sub) -> None:
@@ -300,8 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("analyze", help="sample a function and write its series")
     sp.add_argument("--dim", type=_positive_int, required=True)
     sp.add_argument("--n", type=_nonneg_int, required=True)
-    sp.add_argument("--p", type=float, default=2.0)
-    _add_function_flags(sp)
+    _add_choice_flags(sp, "func")
     sp.add_argument("--out", default="")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(handler=_cmd_analyze)
@@ -319,18 +316,16 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help=None if budgets is _single_budget else "budget range a..b or single budget",
         )
-        sp.add_argument("--p", type=float, default=2.0)
         sp.add_argument("--q", type=float, default=2.0)
-        _add_function_flags(sp)
-        _add_measure_flags(sp)
+        _add_choice_flags(sp, "func")
+        _add_choice_flags(sp, "measure")
         _add_output_flags(sp)
         sp.set_defaults(handler=_cmd_study)
 
     sp = subs.add_parser("cubature", help="integration error study")
     sp.add_argument("--dim", type=_positive_int, required=True)
     sp.add_argument("--n", type=_budget_range, required=True)
-    sp.add_argument("--p", type=float, default=2.0)
-    _add_function_flags(sp)
+    _add_choice_flags(sp, "func")
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_cubature)
 

@@ -87,6 +87,10 @@ class StratifiedMC:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_int("Monte Carlo samples", self.samples)
+        _check_int("Monte Carlo seed", self.seed)
+        if self.seed < 0:
+            raise ValueError(f"Monte Carlo seed {self.seed} must be >= 0")
         if self.samples < 1000:
             raise ValueError("need at least 10^3 samples")
         if self.samples > MAX_POINTS:
@@ -116,6 +120,8 @@ class MeasureSpec:
     method: Method
 
     def __post_init__(self) -> None:
+        if not isinstance(self.method, Method):
+            raise ValueError(f"unknown measure method {self.method!r}")
         if not self.q >= 1.0:
             raise ValueError(f"q = {self.q} not supported; need q >= 1")
         if math.isinf(self.q) and not isinstance(self.method, SupGrid):
@@ -309,9 +315,7 @@ def lq_norm(g: FunctionHandle, spec: MeasureSpec) -> tuple[float, float]:
             return _composite(g, spec.q, m)
         if isinstance(m, StratifiedMC):
             return _stratified(g, spec.q, m)
-    if isinstance(m, SupGrid):
-        return _sup_grid(g, m)
-    raise TypeError(f"unknown method {m!r}")
+    return _sup_grid(g, m)
 
 
 def lq_error(f: FunctionHandle, series: FaberSeries, spec: MeasureSpec) -> tuple[float, float]:

@@ -82,14 +82,20 @@ def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
 
 
 def seq_norm(series: FaberSeries, params: NormParams) -> float:
-    """Weighted l_q-over-levels norm of a truncated series."""
+    """Weighted l_q-over-levels norm of a truncated series; ValueError if a
+    weighted level norm leaves binary64.  A zero level adds 0 at any weight."""
     exponent = params.r - 1.0 / params.p
-    terms = [2.0 ** (order * exponent) * lp for order, lp in _level_lps(series, params.p)]
-    if math.isinf(params.q):
-        return max(terms, default=0.0)
+    terms = []
+    for order, lp in _level_lps(series, params.p):
+        try:
+            terms.append(lp and 2.0 ** (order * exponent) * lp)
+        except OverflowError:
+            terms.append(math.inf)
     top = max(terms, default=0.0)
-    if top == 0.0:
-        return 0.0
+    if math.isinf(top):
+        raise ValueError(f"r={params.r!r} takes a weighted level norm out of binary64")
+    if math.isinf(params.q) or top == 0.0:
+        return top
     return top * math.fsum((t / top) ** params.q for t in terms) ** (1.0 / params.q)
 
 

@@ -333,6 +333,38 @@ def test_auto_measure_refuses_flags_it_does_not_read(capsys, monkeypatch, flags,
 
 
 @pytest.mark.parametrize(
+    "flags,line",
+    [
+        ("--measure mc --gauss-order 7", "--gauss-order 7 is not read by --measure mc"),
+        ("--measure sup --q inf --gauss-order 3", "--gauss-order 3 is not read by --measure sup"),
+        ("--measure mc --mesh-level 4", "--mesh-level 4 is not read by --measure mc"),
+        ("--measure composite --mc-samples 5000", "--mc-samples 5000 is not read by --measure composite"),
+        ("--measure sup --q inf --mc-samples 5000", "--mc-samples 5000 is not read by --measure sup"),
+        ("--measure mc --mc-samples 5000 --mesh-level 4 --gauss-order 3",
+         "--gauss-order 3 is not read by --measure mc"),
+        ("--measure composite --depth 3 --mc-samples 5000", "--mc-samples 5000 is not read by --measure composite"),
+    ],
+    ids=["mc-gauss-order", "sup-gauss-order", "mc-mesh-level", "composite-mc-samples", "sup-mc-samples",
+         "mc-three-flags", "measure-flag-before-function-flag"],
+)
+def test_explicit_measure_refuses_flags_it_does_not_read(capsys, monkeypatch, flags, line):
+    def analyze_spy(f, budget):
+        raise AssertionError(f"analyze called at n={budget}")
+
+    monkeypatch.setattr(experiments, "analyze", analyze_spy)
+    code, out, err = run_cli(capsys, *f"recover --dim 1 --n 3 --func x2 {flags}".split())
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
+def test_parser_defaults_are_not_refused_after_a_patched_measure_default(capsys, monkeypatch):
+    # the refusal compares with the parser's own default, whatever measure's default is now
+    cli._build_parser()
+    monkeypatch.setattr(measure, "DEFAULT_MC_SAMPLES", 1000)
+    code, out, err = run_cli(capsys, *"recover --dim 4 --n 1 --func exp".split())
+    assert (code, err) == (0, "") and out.splitlines()[-1].endswith("nodes=297")
+
+
+@pytest.mark.parametrize(
     "argv,line",
     [
         ("recover --dim 2 --n 2 --func x2 --anchor nan --depth -5", "--depth -5 is not read by --func x2"),
@@ -366,9 +398,13 @@ def test_function_flags_the_func_does_not_read_are_refused(capsys, monkeypatch, 
         "analyze --dim 1 --n 2 --func extremal --depth 3 --p 3 --seed 4",
         "cubature --dim 1 --n 2 --func spike --depth 3 --seed 4",
         "cubature --dim 1 --n 2 --func x2 --depth 14 --anchor= --hat-level 0 --p 2 --seed 0",
+        "recover --dim 1 --n 3 --func x2 --measure composite --gauss-order 3 --mesh-level 6",
+        "recover --dim 1 --n 3 --func x2 --measure sup --q inf --mesh-level 6",
+        "recover --dim 1 --n 3 --func x2 --measure mc --mc-samples 1000 --seed 3",
+        "recover --dim 1 --n 3 --func x2 --measure sup --q inf --gauss-order 5 --mc-samples 200000",
     ],
     ids=["recover-p-seed", "rates-kink", "widths-hat", "analyze-extremal", "cubature-spike",
-         "cubature-defaults"],
+         "cubature-defaults", "composite-flags", "sup-mesh-level", "mc-flags", "sup-defaults"],
 )
 def test_function_flags_that_are_read_or_at_their_defaults_pass(capsys, argv):
     code, _, err = run_cli(capsys, *argv.split())

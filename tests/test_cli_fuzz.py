@@ -7,7 +7,9 @@ without a pool here fails the test.  The pools are small budgets, dims,
 levels, samples and depths, or values far over a cap that the request
 refuses before any work, so no cap-sized case ever runs; budgets shrink as
 the dimension grows (``MAX_N``), and the auto measure's Monte Carlo
-samples are cut to 1000 for the fuzz.
+samples are cut to 1000 for the fuzz.  A flag that the chosen command,
+``--func`` and ``--measure`` do not read is kept one time in ten, and then
+its refusal is the expected error.
 """
 
 import io
@@ -46,10 +48,15 @@ POOLS = {
 #: Flags always drawn: their defaults (depth 14, 200,000 samples) are too large.
 ALWAYS = ("--depth", "--mc-samples")
 
-#: The function flags, and those each --func reads (a smooth function reads
-#: none); the study commands read --p and --seed themselves.
+#: The measure and function flags, in the order the CLI refuses them, and
+#: those each --measure or --func value reads (auto and a smooth function
+#: read none); the study commands read --p and --seed themselves.
+MEASURE_FLAGS = ("--gauss-order", "--mesh-level", "--mc-samples")
 FUNCTION_FLAGS = ("--p", "--depth", "--seed", "--anchor", "--hat-level", "--series")
 READS = {
+    "composite": ("--gauss-order", "--mesh-level"),
+    "sup": ("--mesh-level",),
+    "mc": ("--mc-samples",),
     "extremal": ("--p", "--depth", "--seed"),
     "spike": ("--depth", "--seed"),
     "kink": ("--anchor",),
@@ -105,33 +112,42 @@ def requests(draw):
             value = pick(draw, POOLS["float" if action.type is float else flag])
         drawn.append((flag, value))
     argv = [name]
-    unread = unread_flags(name, dict(drawn).get("--func", "x2"))
+    chosen = (dict(drawn).get(f"--{kind}", subparsers()[name].get_default(kind)) for kind in ("func", "measure"))
+    unread = unread_flags(name, *chosen)
     for flag, value in drawn:
         if flag in unread and draw(st.sampled_from(range(10))) != 5:
-            continue  # a flag the function does not read is kept one time in ten
+            continue  # a flag that is not read is kept one time in ten
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 
 
-def unread_flags(command, func):
-    """The function flags that ``func`` does not read on ``command``."""
-    unread = set(FUNCTION_FLAGS) - set(READS.get(func, ()))
-    return unread - {"--p", "--seed"} if command in ("recover", "rates", "widths") else unread
+def unread_flags(command, func, measure):
+    """The flags that neither ``command``, ``func`` nor ``measure`` reads, in
+    the order the CLI refuses them; ``measure`` is None where there is none."""
+    read = set(READS.get(func, ()) + READS.get(measure, ()))
+    if command in ("recover", "rates", "widths"):
+        read |= {"--p", "--seed"}
+    flags = FUNCTION_FLAGS if measure is None else MEASURE_FLAGS + FUNCTION_FLAGS
+    return [flag for flag in flags if flag not in read]
 
 
 def refusals(argv):
-    """The error lines that may refuse argv's unread function flags at non-default
-    values, one per such flag; argv must parse."""
+    """The error lines that refuse argv's unread flags at non-default values,
+    one per such flag, in the order the CLI checks them; argv must parse."""
     parser = subparsers().get(argv[0]) if argv else None
     if parser is None or parser.get_default("func") is None:
-        return set()
+        return []
     args = parser.parse_args(argv[1:])
-    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in unread_flags(argv[0], args.func)}
-    return {
-        f"error: {flag} {value} is not read by --func {args.func}"
-        for flag, value in values.items()
-        if value != parser.get_default(flag[2:].replace("-", "_"))
-    }
+    chosen = {"func": args.func, "measure": getattr(args, "measure", None)}
+    lines = []
+    for flag in unread_flags(argv[0], chosen["func"], chosen["measure"]):
+        dest = flag[2:].replace("-", "_")
+        value = getattr(args, dest)
+        if value != parser.get_default(dest):
+            kind = "measure" if flag in MEASURE_FLAGS else "func"
+            hint = "; use --measure mc|composite|sup" if chosen[kind] == "auto" else ""
+            lines.append(f"error: {flag} {value} is not read by --{kind} {chosen[kind]}{hint}")
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -142,13 +158,14 @@ def tmp(tmp_path_factory):
     return path
 
 
-#: Requests refused for each cap; the fuzz draws few of them.
+#: Requests refused for each cap, with only flags that are read; the fuzz
+#: draws few of them.
 CAP_REFUSALS = (
     "cubature --dim=1 --n=2..40",
-    "rates --dim=1 --n=2..40 --q=inf --depth=1 --mc-samples=1000",
-    "rates --dim=1 --n=2..3 --measure=composite --mesh-level=30 --depth=1 --mc-samples=1000",
-    "rates --dim=2 --n=1..2 --q=inf --measure=sup --mesh-level=30 --depth=1 --mc-samples=1000",
-    "widths --dim=4 --n=1..2 --measure=composite --depth=1 --mc-samples=1000",
+    "rates --dim=1 --n=2..40 --q=inf",
+    "rates --dim=1 --n=2..3 --measure=composite --mesh-level=30",
+    "rates --dim=2 --n=1..2 --q=inf --measure=sup --mesh-level=30",
+    "widths --dim=4 --n=1..2 --measure=composite",
 )
 
 
@@ -158,11 +175,9 @@ def with_examples(test):
     return test
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@with_examples
-@given(argv=requests())
-def test_every_request_exits_0_1_or_2(tmp, argv):
-    argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+def run_patched(argv):
+    """run(argv) with the auto measure's samples cut to 1000: its exit code,
+    its stderr lines and the budgets that analyze was called at."""
     analyze, called = experiments.analyze, []
 
     def analyze_spy(f, n):
@@ -174,14 +189,30 @@ def test_every_request_exits_0_1_or_2(tmp, argv):
         mp.setattr(experiments, "analyze", analyze_spy)
         mp.setattr(measure, "DEFAULT_MC_SAMPLES", 1000)
         code = run(argv)
-    lines = err.getvalue().splitlines()
+    return code, err.getvalue().splitlines(), called
+
+
+@pytest.mark.parametrize("argv", CAP_REFUSALS)
+def test_cap_examples_are_refused_for_a_cap_before_analyze(argv):
+    code, lines, called = run_patched(argv.split())
+    assert code == 1 and len(lines) == 1 and CAP_ERROR.search(lines[0])
+    assert called == []
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@with_examples
+@given(argv=requests())
+def test_every_request_exits_0_1_or_2(tmp, argv):
+    argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+    code, lines, called = run_patched(argv)
     assert code in (0, 1, 2)
     assert not any("Traceback" in line for line in lines)
-    expected = set() if code == 2 else refusals(argv)
-    if expected:  # refused, unless a flag --measure auto does not read came first
-        assert code == 1 and (lines[0] in expected or "by --measure auto" in lines[0])
+    expected = [] if code == 2 else refusals(argv)
+    if expected:  # refused for the first unread flag, before any work
+        assert code == 1 and lines[0] == expected[0]
+        assert called == []
     else:
-        assert not any("by --func" in line for line in lines)
+        assert not any("is not read by" in line for line in lines)
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         if argv[0] in STUDIES and CAP_ERROR.search(lines[0]):

@@ -94,6 +94,30 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=f"Gauss order must be an integer, got {re.escape(repr(order))}"):
                 CompositeGauss(level=2, order=order)
 
+    def test_mc_integers_rejected_naming_the_field(self):
+        mc = StratifiedMC(samples=np.int64(2000), seed=np.int32(3))
+        assert (mc.samples, mc.seed) == (2000, 3)
+        for kwargs, field in (
+            ({"samples": 2000.0}, "samples"),
+            ({"samples": "2000"}, "samples"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": 1.0}, "seed"),
+        ):
+            (value,) = kwargs.values()
+            with pytest.raises(ValueError, match=f"Monte Carlo {field} must be an integer, got {re.escape(repr(value))}"):
+                StratifiedMC(**kwargs)
+
+    def test_mc_negative_seed_rejected(self):
+        assert StratifiedMC(seed=0).seed == 0
+        for seed in (-1, np.int64(-7)):
+            with pytest.raises(ValueError, match=f"Monte Carlo seed {seed} must be >= 0"):
+                StratifiedMC(seed=seed)
+
+    @pytest.mark.parametrize("method", ["composite", None, 3, CompositeGauss])
+    def test_unknown_method_rejected_when_the_spec_is_built(self, method):
+        with pytest.raises(ValueError, match=f"unknown measure method {re.escape(repr(method))}"):
+            MeasureSpec(2.0, method)
+
 
 class TestCompositeGauss:
     def test_constant_every_q(self):

@@ -1,6 +1,7 @@
 """Sequence norms: level l_p sums, weighted aggregates, decay profiles."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -112,6 +113,26 @@ class TestSeqNorm:
         r, p = 1.25, 2.0
         expected = 2.0 ** (4 * (r - 1 / p))
         assert seq_norm(s, NormParams(r, p, 3.0)) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    @pytest.mark.parametrize(
+        "r,series",
+        [
+            (1e308, random_series(2, 2, RNG)),  # the weight 2^(order (r - 1/p)) overflows
+            (1000.0, single_level_series((1,), [1e10, 1e10])),  # the weight is finite, the term is not
+        ],
+        ids=["weight", "term"],
+    )
+    def test_term_out_of_binary64_is_a_value_error_naming_r(self, r, series, q):
+        with pytest.raises(ValueError, match=f"r={re.escape(repr(r))} takes a weighted level norm out of binary64"):
+            seq_norm(series, NormParams(r, 2.0, q))
+
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    def test_zero_levels_add_zero_at_any_weight(self, q):
+        # only the order-0 level is nonzero; every other level's weight overflows
+        s = single_level_series((0,), [3.0], budget=3)
+        assert seq_norm(s, NormParams(1e308, 2.0, q)) == 3.0
+        assert seq_norm(FaberSeries.zeros(3, 2), NormParams(1e308, 2.0, q)) == 0.0
 
 
 class TestProfiles:
