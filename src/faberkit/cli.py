@@ -82,7 +82,7 @@ _CHOICES = {
 
 #: The flags that --func or --measure picks: flag, kind, default (its type is
 #: the flag's type), help, and the --func or --measure values or commands
-#: that read it; the studies read --p and --seed themselves.  A flag at
+#: that read it (auto reads --seed for its Monte Carlo fallback).  A flag at
 #: another value that none of them reads is refused, measure flags first.
 _CHOICE_FLAGS = (
     ("--gauss-order", "measure", measure.DEFAULT_GAUSS_ORDER, None, ("composite",)),
@@ -90,7 +90,7 @@ _CHOICE_FLAGS = (
     ("--mc-samples", "measure", measure.DEFAULT_MC_SAMPLES, None, ("mc",)),
     ("--p", "func", 2.0, None, ("extremal", *_STUDIES)),
     ("--depth", "func", 14, "series depth J for extremal/spike", ("extremal", "spike")),
-    ("--seed", "func", 0, None, ("extremal", "spike", *_STUDIES)),
+    ("--seed", "func", 0, None, ("extremal", "spike", "mc", "auto")),
     ("--anchor", "func", "", "comma-separated kink anchor", ("kink",)),
     ("--hat-level", "func", 0, None, ("hat",)),
     ("--series", "func", "", "series file for --func prescribed", ("prescribed",)),

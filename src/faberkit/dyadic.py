@@ -93,6 +93,12 @@ def _as_level(j) -> LevelVector:
     return j if isinstance(j, LevelVector) else LevelVector(tuple(j))
 
 
+def _check_int(name: str, value) -> None:
+    """ValueError unless value is a Python or numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_budget(n: int, d: int) -> None:
     """Reject a dimension below 1 or a budget outside 0..MAX_LEVEL."""
     if d < 1:

@@ -31,6 +31,7 @@ from .dyadic import (
     _ROWS,
     LevelVector,
     _as_level,
+    _check_int,
     _check_translation,
     _flat_index,
     _hierarchy,
@@ -89,6 +90,7 @@ class FunctionHandle:
         exact_integral: float | None = None,
         exact_l2: float | None = None,
     ):
+        _check_int("dimension", dim)
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self._evaluator = evaluator

@@ -13,26 +13,28 @@ Three methods:
 * sup over the full grid of a given level (the only q = inf method);
   this is a lower bound of the true sup and reported with estimate 0.
 
-Tensor grids and the Monte Carlo strata come from ``_tensor_batches`` in
-batches of ``_CHUNK`` points, each streamed to the function in pieces of at
-most ``dyadic._ROWS`` points; ``_power_sums`` gathers a batch's |g| in one
-array and combines the per-batch partial sums with exact accumulation.  The
-batch size fixes the summation order inside each batch, so results depend on
-it at the level of rounding (the sup grid not at all); with the fixed size
-they are deterministic.  The pieces change no value: a black-box f sees
-calls of at most ``dyadic._ROWS`` points, with the same points in the same
-order, and the same evaluation count when every value is finite.
+Every method takes its points from ``_batches``, the one loop over a row
+range: batches of ``_CHUNK`` rows, streamed to f in pieces of at most
+``dyadic._ROWS`` rows that the tensor grids and the Monte Carlo strata
+unravel in C order and the Monte Carlo remainder draws by row count.
+``_power_sums`` gathers a batch's |g| in one array and adds the per-batch
+sums exactly.  The batch size fixes the summation order inside each batch,
+so results depend on it at the level of rounding (the sup grid not at all);
+with the fixed size they are deterministic.  The pieces change no value: a
+black-box f gets the same points in the same order and count (when every
+value is finite), in calls of at most ``dyadic._ROWS`` points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .dyadic import _ROWS, MAX_LEVEL, MAX_POINTS, _as_level
+from .dyadic import _ROWS, MAX_LEVEL, MAX_POINTS, _as_level, _check_int
 from .faber import FaberSeries, FunctionHandle, _defect
 
 __all__ = [
@@ -57,12 +59,6 @@ DEFAULT_MC_SAMPLES = 200_000
 #: Points per measurement batch.  It fixes the summation order of every
 #: measured value, so it is a numerical convention, not a memory bound.
 _CHUNK = 1 << 16
-
-
-def _check_int(name: str, value) -> None:
-    """ValueError unless value is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,23 +160,11 @@ def _cap_error(m: Method, d: int) -> str:
     return ""
 
 
-def _tensor_batches(axes, weights=None):
-    """Per _CHUNK points of the C-ordered tensor grid of ``axes``: the batch size
-    and a generator of its pieces ``(X, w)`` of at most ``dyadic._ROWS`` points,
-    the points and the product of the per-axis ``weights`` at them (None
-    without).  An int axis m stands for 0.0, 1.0, ..., m - 1 and is never
-    built.  Each piece's unravelled indices are dropped before it is yielded,
-    and the generators keep no reference to what they yield.
-    """
-    shape = tuple(a if isinstance(a, int) else len(a) for a in axes)
-    total = math.prod(shape)
-
-    def piece(start, stop):
-        multi = np.unravel_index(np.arange(start, stop), shape)
-        X = np.stack(
-            [i if isinstance(a, int) else a[i] for a, i in zip(axes, multi)], axis=1, dtype=np.float64
-        )
-        return X, None if weights is None else math.prod(w[i] for w, i in zip(weights, multi))
+def _batches(total, piece):
+    """Per _CHUNK rows of the range 0..total: the batch size and a generator of
+    ``piece(start, stop)`` over its rows in order, at most ``dyadic._ROWS`` rows a
+    call, that keeps no reference to what it yields.  A piece is ``(X, w)``: the
+    points and their weights (None without)."""
 
     def pieces(start, stop):
         for row in range(start, stop, _ROWS):
@@ -190,13 +174,28 @@ def _tensor_batches(axes, weights=None):
         yield min(_CHUNK, total - start), pieces(start, min(start + _CHUNK, total))
 
 
+def _tensor_batches(axes, weights=None):
+    """:func:`_batches` over the C-ordered tensor grid of the arrays ``axes``: a
+    piece is its rows' points and the product of the per-axis ``weights`` at
+    them (None without), its unravelled indices dropped when it is returned.
+    """
+    shape = tuple(len(a) for a in axes)
+
+    def piece(start, stop):
+        multi = np.unravel_index(np.arange(start, stop), shape)
+        X = np.stack([a[i] for a, i in zip(axes, multi)], axis=1)
+        return X, None if weights is None else math.prod(w[i] for w, i in zip(weights, multi))
+
+    return _batches(math.prod(shape), piece)
+
+
 def _power_sums(g: FunctionHandle, batches, q: float, moments: bool = False) -> list[float]:
     """Exact (``math.fsum``) totals over batches of w * |g(X)|^q (w = 1 when None)
     and, with ``moments``, of |g(X)|^2q; ValueError if a total overflows, or is 0
     although g was nonzero in a batch of sum 0 (|g|^2q: the first is > 0).
 
-    A batch is its size and its pieces ``(X, w)``, as :func:`_tensor_batches`
-    yields them.  Per batch one array is held, of its size: |g| of each piece
+    A batch is its size and its pieces ``(X, w)``, as :func:`_batches` yields
+    them.  Per batch one array is held, of its size: |g| of each piece
     goes into its rows (g's own values are never written), and the power and
     the weight product are taken in place there, then the square of the whole
     batch, with the bytes of ``np.abs(v) ** q``, ``w * powers`` and ``powers *
@@ -262,31 +261,23 @@ def _stratified(g: FunctionHandle, q: float, m: StratifiedMC) -> tuple[float, fl
     d = g.dim
     n_total = m.samples
     level = int(math.log2(n_total)) // d
-    remainder = n_total - (1 << (level * d))
+    shape = (1 << level,) * d
     rng = np.random.default_rng(m.seed)
     h = math.ldexp(1.0, -level)
 
-    def strata(pieces):  # one point per stratum, from its corner
-        for corners, _ in pieces:
-            drawn = rng.random((len(corners), d))
-            drawn += corners  # the bytes of (corners + drawn) * h
-            drawn *= h
-            del corners
-            yield drawn, None
-            del drawn
+    def stratum(start, stop):  # one point per stratum, drawn from its corner
+        corners = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1, dtype=float)
+        drawn = rng.random((stop - start, d))
+        drawn += corners  # the bytes of (corners + drawn) * h
+        drawn *= h
+        return drawn, None
 
-    def uniform(size):  # the remainder's rows, drawn by count
-        for row in range(0, size, _ROWS):
-            yield rng.random((min(_ROWS, size - row), d)), None
+    def uniform(start, stop):  # a remainder piece, drawn by row count
+        return rng.random((stop - start, d)), None
 
-    def draws():  # the strata, then the remainder, in _CHUNK batches of _ROWS pieces
-        for size, pieces in _tensor_batches([1 << level] * d):
-            yield size, strata(pieces)
-        for start in range(0, remainder, _CHUNK):
-            size = min(_CHUNK, remainder - start)
-            yield size, uniform(size)
-
-    total, squares = _power_sums(g, draws(), q, moments=True)
+    strata = math.prod(shape)
+    draws = itertools.chain(_batches(strata, stratum), _batches(n_total - strata, uniform))
+    total, squares = _power_sums(g, draws, q, moments=True)
     mean = total / n_total
     var = max(squares / n_total - mean * mean, 0.0)
     se = math.sqrt(var / n_total)

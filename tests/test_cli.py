@@ -377,9 +377,12 @@ def test_parser_defaults_are_not_refused_after_a_patched_measure_default(capsys,
         ("analyze --dim 1 --n 2 --func spike --depth 3 --p 3", "--p 3.0 is not read by --func spike"),
         ("analyze --dim 1 --n 2 --func kink --p nan", "--p nan is not read by --func kink"),
         ("cubature --dim 1 --n 2 --func hat --seed 4", "--seed 4 is not read by --func hat"),
+        ("recover --dim 1 --n 3 --func x2 --measure composite --seed 5", "--seed 5 is not read by --func x2"),
+        ("rates --dim 1 --n 2..3 --q inf --func kink --measure sup --seed 5",
+         "--seed 5 is not read by --func kink"),
     ],
     ids=["recover-x2", "cubature-kink", "widths-hat", "recover-kink", "rates-extremal",
-         "analyze-spike-p", "analyze-kink-p-nan", "cubature-hat-seed"],
+         "analyze-spike-p", "analyze-kink-p-nan", "cubature-hat-seed", "composite-seed", "sup-seed"],
 )
 def test_function_flags_the_func_does_not_read_are_refused(capsys, monkeypatch, argv, line):
     # refused before the function is built, let alone sampled

@@ -49,14 +49,16 @@ POOLS = {
 ALWAYS = ("--depth", "--mc-samples")
 
 #: The measure and function flags, in the order the CLI refuses them, and
-#: those each --measure or --func value reads (auto and a smooth function
-#: read none); the study commands read --p and --seed themselves.
+#: those each --measure or --func value reads (a smooth function reads none;
+#: auto reads --seed for its Monte Carlo fallback); the study commands read
+#: --p themselves.
 MEASURE_FLAGS = ("--gauss-order", "--mesh-level", "--mc-samples")
 FUNCTION_FLAGS = ("--p", "--depth", "--seed", "--anchor", "--hat-level", "--series")
 READS = {
     "composite": ("--gauss-order", "--mesh-level"),
     "sup": ("--mesh-level",),
-    "mc": ("--mc-samples",),
+    "mc": ("--mc-samples", "--seed"),
+    "auto": ("--seed",),
     "extremal": ("--p", "--depth", "--seed"),
     "spike": ("--depth", "--seed"),
     "kink": ("--anchor",),
@@ -126,7 +128,7 @@ def unread_flags(command, func, measure):
     the order the CLI refuses them; ``measure`` is None where there is none."""
     read = set(READS.get(func, ()) + READS.get(measure, ()))
     if command in ("recover", "rates", "widths"):
-        read |= {"--p", "--seed"}
+        read |= {"--p"}
     flags = FUNCTION_FLAGS if measure is None else MEASURE_FLAGS + FUNCTION_FLAGS
     return [flag for flag in flags if flag not in read]
 

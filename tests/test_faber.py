@@ -796,6 +796,12 @@ class TestSerialization:
 
 
 class TestFunctionHandle:
+    def test_dim_must_be_an_integer(self):
+        assert FunctionHandle(lambda X: X[:, 0], np.int64(2)).dim == 2
+        for dim in (1.5, 2.0, "2", None, True):
+            with pytest.raises(ValueError, match=f"dimension must be an integer, got {re.escape(repr(dim))}"):
+                FunctionHandle(lambda X: X[:, 0], dim)
+
     def test_counter_monotone(self):
         f = FunctionHandle(lambda X: X[:, 0], 1)
         f((0.5,))

@@ -1,5 +1,6 @@
 """Norm measurement: composite Gauss, stratified MC, sup grid, exact blocks."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -84,13 +85,13 @@ class TestSpecValidation:
     @pytest.mark.parametrize("method", [CompositeGauss, SupGrid])
     def test_non_integer_level_rejected_naming_the_field(self, method):
         assert method(level=np.int64(3)).level == method(level=3).level == 3
-        for level in (3.0, np.float64(3.0), "3", None):
+        for level in (3.0, np.float64(3.0), "3", None, True):
             with pytest.raises(ValueError, match=f"level must be an integer, got {re.escape(repr(level))}"):
                 method(level=level)
 
     def test_non_integer_gauss_order_rejected_naming_the_field(self):
         assert CompositeGauss(level=2, order=np.int32(4)).order == 4
-        for order in (4.0, 4.5, "4"):
+        for order in (4.0, 4.5, "4", True):
             with pytest.raises(ValueError, match=f"Gauss order must be an integer, got {re.escape(repr(order))}"):
                 CompositeGauss(level=2, order=order)
 
@@ -102,6 +103,8 @@ class TestSpecValidation:
             ({"samples": "2000"}, "samples"),
             ({"seed": 1.5}, "seed"),
             ({"seed": 1.0}, "seed"),
+            ({"samples": False}, "samples"),
+            ({"seed": True}, "seed"),
         ):
             (value,) = kwargs.values()
             with pytest.raises(ValueError, match=f"Monte Carlo {field} must be an integer, got {re.escape(repr(value))}"):
@@ -305,6 +308,32 @@ def test_chunk_size_changes_rounding_only(monkeypatch):
         assert abs(eb - ea) <= 1e-12 * a
 
 
+def test_measured_bytes_are_pinned():
+    # Monte Carlo with 131,072 strata in two batches, then a remainder (d = 1),
+    # with no remainder (d = 2), and with a remainder of 167,232 rows in three
+    # batches (d = 3); then composite Gauss and the sup grid, each over two
+    # batches.  q = 2 squares |g| without numpy's power kernel, and g takes
+    # only exact products, so the digest holds on every host.
+    def kinked(d):
+        def evaluator(X):
+            v = np.abs(X[:, 0] - 0.3) - 0.2
+            for i in range(1, d):
+                v = v * (X[:, i] + 0.5)
+            return v
+        return FunctionHandle(evaluator, d)
+
+    cases = [
+        (1, MeasureSpec(2.0, StratifiedMC(samples=200_000, seed=3))),
+        (2, MeasureSpec(2.0, StratifiedMC(samples=4096, seed=4))),
+        (3, MeasureSpec(2.0, StratifiedMC(samples=200_000, seed=5))),
+        (2, MeasureSpec(2.0, CompositeGauss(level=6))),
+        (2, MeasureSpec(math.inf, SupGrid(level=8))),
+    ]
+    values = np.array([lq_norm(kinked(d), spec) for d, spec in cases])
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == "5b1e5c40fcdaf38407d1d6e8d46f459a274925f2ee2cc16a5590c430db20a75a"
+
+
 @pytest.mark.parametrize("chunk", [4, measure._CHUNK])
 @pytest.mark.parametrize("shape", [(3, 5, 7), (9,), (1, 4), (2, 1, 3)])
 def test_tensor_batches_cover_the_grid_once_in_c_order(monkeypatch, chunk, shape):
@@ -332,9 +361,14 @@ def test_tensor_batches_cover_the_grid_once_in_c_order(monkeypatch, chunk, shape
     bare = [X for _, pieces in measure._tensor_batches(axes) for X in pieces]
     assert all(w is None for _, w in bare)
     assert np.concatenate([X for X, _ in bare]).tobytes() == grid.tobytes()
-    # an int axis m is 0.0, 1.0, ..., m - 1, never built
-    indices = [X for _, pieces in measure._tensor_batches(list(shape)) for X, _ in pieces]
-    spelled = [np.arange(s, dtype=np.float64) for s in shape]
+    # _batches hands its piece each row range once, in order: here the C-order
+    # indices of the range's rows, as the Monte Carlo strata take their corners
+    def corners(start, stop):
+        return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
+
+    indices = [X for _, pieces in measure._batches(len(grid), corners) for X in pieces]
+    assert [len(X) for X in indices] == [len(X) for _, pieces in batches for X, _ in pieces]
+    spelled = [np.arange(s) for s in shape]
     want = np.stack(np.meshgrid(*spelled, indexing="ij"), axis=-1).reshape(-1, len(shape))
     assert np.concatenate(indices).tobytes() == want.tobytes()
 

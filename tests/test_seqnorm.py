@@ -247,18 +247,26 @@ def test_in_place_power_is_byte_equal_to_a_new_array(p):
     assert scaled.tobytes() == want
     # measure._power_sums takes the power, the weight product and the square in
     # place in its batch array of |g|, filled piece by piece, and never writes
-    # g's own values: here one batch of 50,000 points in pieces of _ROWS rows
+    # g's own values: here one batch of 50,000 points in pieces of _ROWS rows,
+    # each point its row index
     values = rng.standard_normal(50_000) * 10.0 ** rng.uniform(-20, 20, 50_000)
     kept = values.copy()
     w = rng.random(50_000)
     g = FunctionHandle(lambda X: values[int(X[0, 0]) : int(X[-1, 0]) + 1], 1)
-    assert [size for size, _ in measure._tensor_batches([50_000])] == [50_000]
+
+    def rows(weights=None):
+        def piece(start, stop):
+            X = np.arange(start, stop, dtype=np.float64)[:, None]
+            return X, None if weights is None else weights[start:stop]
+        return measure._batches(50_000, piece)
+
+    assert [size for size, _ in rows()] == [50_000]
     powers = np.abs(kept) ** p
-    weighted = measure._power_sums(g, measure._tensor_batches([50_000], [w]), p)
+    weighted = measure._power_sums(g, rows(w), p)
     assert np.array(weighted).tobytes() == np.array([np.sum(w * powers)]).tobytes()
-    moments = measure._power_sums(g, measure._tensor_batches([50_000]), p, moments=True)
+    moments = measure._power_sums(g, rows(), p, moments=True)
     spelled = [np.sum(powers), np.sum(powers * powers)]
     assert np.array(moments).tobytes() == np.array(spelled).tobytes()
     assert values.tobytes() == kept.tobytes()
     with pytest.raises(ValueError, match="unweighted"):
-        measure._power_sums(g, measure._tensor_batches([50_000], [w]), p, moments=True)
+        measure._power_sums(g, rows(w), p, moments=True)
