@@ -99,14 +99,16 @@ _CHOICE_FLAGS = (
 
 def _refuse_unread(args) -> None:
     """ValueError for the first choice flag away from its default that neither
-    the command, --func nor --measure reads."""
+    the command, --func nor --measure reads.  It names the command's choices
+    of each kind that has a reader: both for --seed where --measure exists."""
     chosen = {args.command, args.func, getattr(args, "measure", None)}
     for flag, kind, default, _, readers in _CHOICE_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"), default)
         if value != default and chosen.isdisjoint(readers):
-            choice = getattr(args, kind)
-            hint = "; use --measure mc|composite|sup" if choice == "auto" else ""
-            raise ValueError(f"{flag} {value} is not read by --{kind} {choice}{hint}")
+            named = " or ".join(f"--{k} {getattr(args, k)}" for k, (_, values) in _CHOICES.items()
+                                if hasattr(args, k) and not set(values).isdisjoint(readers))
+            hint = "; use --measure mc|composite|sup" if getattr(args, kind) == "auto" else ""
+            raise ValueError(f"{flag} {value} is not read by {named}{hint}")
 
 
 def _build_function(args):

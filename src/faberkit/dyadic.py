@@ -30,6 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
+__all__ = ["MAX_LEVEL", "LevelVector", "levels_up_to", "node_count", "node_set"]
+
 #: Hard cap on level entries: a level's 2**MAX_LEVEL translations must
 #: be countable in an int64.
 MAX_LEVEL = 62
@@ -59,7 +61,7 @@ class LevelVector:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(_check_int("level entry", e) for e in self.entries)
         if not entries:
             raise ValueError("level vector needs dimension >= 1")
         for e in entries:
@@ -93,20 +95,25 @@ def _as_level(j) -> LevelVector:
     return j if isinstance(j, LevelVector) else LevelVector(tuple(j))
 
 
-def _check_int(name: str, value) -> None:
-    """ValueError unless value is a Python or numpy integer; a bool is not one."""
+def _check_int(name: str, value) -> int:
+    """value as an int; ValueError unless it is a Python or numpy integer (a
+    bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _check_budget(n: int, d: int) -> None:
-    """Reject a dimension below 1 or a budget outside 0..MAX_LEVEL."""
+def _check_budget(n: int, d: int) -> tuple[int, int]:
+    """(n, d) as ints; ValueError unless both are integers, d >= 1 and
+    0 <= n <= MAX_LEVEL."""
+    n, d = _check_int("budget", n), _check_int("dimension", d)
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("budget must be >= 0")
     if n > MAX_LEVEL:
         raise ValueError(f"budget exceeds MAX_LEVEL={MAX_LEVEL}")
+    return n, d
 
 
 def levels_up_to(n: int, d: int) -> list[LevelVector]:
@@ -147,7 +154,7 @@ def capped_node_count(n: int, d: int) -> int:
     MAX_LEVEL or a node count above MAX_POINTS.  As m(n, d) >= 3**d, a
     dimension with 3**d over the cap is refused before m is counted.
     """
-    _check_budget(n, d)
+    n, d = _check_budget(n, d)
     if d > math.log(MAX_POINTS, 3):
         raise ValueError(f"d={d} needs at least 3**d nodes, over the cap {MAX_POINTS}")
     m = node_count(n, d)
@@ -195,6 +202,7 @@ def _memo_when_small(build):
 
     @functools.wraps(build)
     def plan(n: int, d: int):
+        n, d = _check_budget(n, d)  # before the memo, which takes 2.0 for 2
         try:
             return memo(n, d)
         except _OverCap:
@@ -305,7 +313,7 @@ def node_count(n: int, d: int) -> int:
     c >= 1, so the count is a d-fold convolution truncated at cost n.
     Fails like :func:`levels_up_to` for a budget above MAX_LEVEL.
     """
-    _check_budget(n, d)
+    n, d = _check_budget(n, d)
     axis = [3] + [1 << c for c in range(1, n + 1)]
     ways = [1] + [0] * n  # ways[c]: points of the axes so far with total cost c
     for _ in range(d):

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import _levels, capped_node_count
+from .dyadic import _check_int, _levels, capped_node_count
 from .faber import FunctionHandle, analyze, integrate
 from .measure import MeasureSpec, _cap_error, default_spec, lq_error
 from .seqnorm import decay_profile
@@ -88,7 +88,7 @@ def _log_exponent(p: float, q: float, d: int) -> float:
 
 
 def _check_range(n_range: Sequence[int]) -> list[int]:
-    ns = [int(n) for n in n_range]
+    ns = [_check_int("budget", n) for n in n_range]
     if not ns:
         raise ValueError("empty budget range")
     if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -268,6 +268,7 @@ def noncompact_demo(max_level: int) -> NoncompactReport:
     sequence norm, pairwise distance one: no uniformly convergent
     subsequence exists.
     """
+    max_level = _check_int("max_level", max_level)
     if max_level < 2:
         raise ValueError("need max_level >= 2")
     capped_node_count(max_level, 1)  # the profiles analyze at budget max_level

@@ -90,11 +90,11 @@ class FunctionHandle:
         exact_integral: float | None = None,
         exact_l2: float | None = None,
     ):
-        _check_int("dimension", dim)
+        dim = _check_int("dimension", dim)
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self._evaluator = evaluator
-        self.dim = int(dim)
+        self.dim = dim
         self.label = label
         self.exact_integral = exact_integral
         self.exact_l2 = exact_l2
@@ -111,16 +111,17 @@ class FunctionHandle:
         return self._valid(X, self._evaluator(X))
 
     def _counted(self, points) -> np.ndarray:
-        """The points as a contiguous (N, dim) float64 array, counted as N evaluations."""
-        X = np.ascontiguousarray(points, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"expected (N, {self.dim}) points, got shape {X.shape}")
+        """The points of :func:`_points`, counted as N evaluations."""
+        X = _points(points, self.dim)
         self._count += X.shape[0]
         return X
 
     def _valid(self, X: np.ndarray, vals) -> np.ndarray:
-        """f's values at the points X as float64, checked for shape and finiteness."""
-        vals = np.asarray(vals, dtype=np.float64)
+        """f's values at the points X as float64, checked for dtype, shape and finiteness."""
+        vals = np.asarray(vals)
+        if np.iscomplexobj(vals):
+            raise ValueError(f"evaluator of {self.label!r} returned complex values")
+        vals = vals.astype(np.float64, copy=False)
         if vals.shape != (X.shape[0],):
             raise ValueError(f"evaluator of {self.label!r} returned shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
@@ -130,7 +131,7 @@ class FunctionHandle:
 
     def __call__(self, x) -> float:
         """f at one point, given as d coordinates or a (1, d) array."""
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        X = np.atleast_2d(x)
         if X.shape != (1, self.dim):
             raise ValueError(f"expected one point of {self.dim} coordinates, got shape {X.shape}")
         return float(self.eval_batch(X)[0])
@@ -211,7 +212,7 @@ class FaberSeries:
 
     def get(self, j, k) -> float:
         j = _as_level(j)
-        k = tuple(int(v) for v in k)
+        k = tuple(_check_int("translation", v) for v in k)
         _check_translation(j, k)
         return float(self.array(j)[_flat_index(k, j.translation_shape())])
 
@@ -274,11 +275,21 @@ def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     return _evaluate_many(_walk_plan((series,)), points)[0]
 
 
-def _cube_points(points, d: int) -> np.ndarray:
-    """The points as a contiguous (N, d) float64 array; ValueError unless in [0,1]^d."""
-    X = np.ascontiguousarray(points, dtype=np.float64)
+def _points(points, d: int) -> np.ndarray:
+    """The points as a contiguous (N, d) float64 array; ValueError for a
+    complex array, whose imaginary part a cast would drop, or another shape."""
+    X = np.asarray(points)
+    if np.iscomplexobj(X):
+        raise ValueError(f"points must be real, got dtype {X.dtype}")
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != d:
-        raise ValueError(f"expected (N, {d}) points, got {X.shape}")
+        raise ValueError(f"expected (N, {d}) points, got shape {X.shape}")
+    return X
+
+
+def _cube_points(points, d: int) -> np.ndarray:
+    """The points of :func:`_points`; ValueError unless in [0,1]^d."""
+    X = _points(points, d)
     if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):  # NaN fails too
         outside = np.flatnonzero(~np.all((X >= 0.0) & (X <= 1.0), axis=1))
         raise ValueError(f"point {tuple(X[outside[0]].tolist())} outside [0,1]^d")

@@ -46,9 +46,6 @@ __all__ = [
     "lq_error",
     "block_lq_exact",
     "default_spec",
-    "DEFAULT_GAUSS_ORDER",
-    "MAX_GAUSS_ORDER",
-    "DEFAULT_MC_SAMPLES",
 ]
 
 DEFAULT_GAUSS_ORDER = 5

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dyadic import _ROWS, _flat_index, _levels, _plan
+from .dyadic import _ROWS, _check_int, _flat_index, _levels, _plan
 from .faber import FaberSeries, FunctionHandle, synthesize
 
 __all__ = [
@@ -70,6 +70,7 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     """
     if not p >= 1.0:  # NaN fails too
         raise ValueError("p must be >= 1")
+    depth, seed = _check_int("depth", depth), _check_int("seed", seed)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     layout = _levels(depth, d)
@@ -98,6 +99,7 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
     errors with q above the coefficient exponent.  Depths over the
     MAX_POINTS cap fail as in :func:`extremal`.
     """
+    depth, seed = _check_int("depth", depth), _check_int("seed", seed)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     layout = _levels(depth, d)
@@ -159,6 +161,7 @@ def hat_family(j: int, d: int = 1) -> FunctionHandle:
     yet any two of them are at uniform distance 1: the peak of the
     coarser hat is a zero of the finer one.
     """
+    j = _check_int("hat level", j)
     if j < 0:
         raise ValueError("hat level must be >= 0")
 

@@ -181,6 +181,12 @@ class TestAnalyzeAndRecover:
         assert code == 1
         assert "--series" in err
 
+    def test_prescribed_series_of_another_dim_fails(self, capsys, tmp_path):
+        series_path = tmp_path / "series.txt"
+        series_path.write_text("dim 1 budget 0\n-1 0 1.0\n-1 1 2.5\n0 0 -0.2\n")
+        argv = f"recover --dim 2 --n 2 --func prescribed --series {series_path}".split()
+        assert run_cli(capsys, *argv) == (1, "", "error: series has dim 1, requested 2\n")
+
 
 class TestWidthsAndCubature:
     def test_widths_schema(self, capsys, tmp_path):
@@ -377,9 +383,11 @@ def test_parser_defaults_are_not_refused_after_a_patched_measure_default(capsys,
         ("analyze --dim 1 --n 2 --func spike --depth 3 --p 3", "--p 3.0 is not read by --func spike"),
         ("analyze --dim 1 --n 2 --func kink --p nan", "--p nan is not read by --func kink"),
         ("cubature --dim 1 --n 2 --func hat --seed 4", "--seed 4 is not read by --func hat"),
-        ("recover --dim 1 --n 3 --func x2 --measure composite --seed 5", "--seed 5 is not read by --func x2"),
+        # --seed is read by values of both kinds: a command with --measure names both
+        ("recover --dim 1 --n 3 --func x2 --measure composite --seed 5",
+         "--seed 5 is not read by --func x2 or --measure composite"),
         ("rates --dim 1 --n 2..3 --q inf --func kink --measure sup --seed 5",
-         "--seed 5 is not read by --func kink"),
+         "--seed 5 is not read by --func kink or --measure sup"),
     ],
     ids=["recover-x2", "cubature-kink", "widths-hat", "recover-kink", "rates-extremal",
          "analyze-spike-p", "analyze-kink-p-nan", "cubature-hat-seed", "composite-seed", "sup-seed"],
@@ -483,6 +491,12 @@ class TestErrorsAndConfig:
         code, _, err = run_cli(capsys, "comb", "--alpha", "1", "--dim", "1", "--n", "9..3")
         assert code == 2
         assert "--n" in err
+
+    @pytest.mark.parametrize("budgets", ["5..3", "5..x", "x", "3..-1", "2..", ""])
+    def test_bad_budget_range_is_named(self, capsys, budgets):
+        code, out, err = run_cli(capsys, "rates", "--dim", "1", "--n", budgets)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"faberkit rates: error: argument --n: bad budget range {budgets!r}"
 
     def test_zero_dim_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "levels", "--dim", "0", "--n", "2")

@@ -148,7 +148,10 @@ def refusals(argv):
         if value != parser.get_default(dest):
             kind = "measure" if flag in MEASURE_FLAGS else "func"
             hint = "; use --measure mc|composite|sup" if chosen[kind] == "auto" else ""
-            lines.append(f"error: {flag} {value} is not read by --{kind} {chosen[kind]}{hint}")
+            named = f"--{kind} {chosen[kind]}"
+            if flag == "--seed" and chosen["measure"] is not None:  # mc and auto read it too
+                named += f" or --measure {chosen['measure']}"
+            lines.append(f"error: {flag} {value} is not read by {named}{hint}")
     return lines
 
 

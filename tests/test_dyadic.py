@@ -1,5 +1,6 @@
 """Index arithmetic: enumeration, stencils, node sets, exact counts."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,13 @@ class TestLevelVector:
     def test_translation_shape(self):
         assert LevelVector((3, -1, 0)).translation_shape() == (8, 2, 1)
 
+    @pytest.mark.parametrize("entry", [2.5, 2.0, np.float64(2.0), "2", True, None])
+    def test_rejects_a_non_integer_entry_by_name(self, entry):
+        # an entry was truncated by int(): 2.5 and "2" read level 2
+        assert LevelVector((np.int64(2), np.int32(0))).entries == (2, 0)
+        with pytest.raises(ValueError, match=f"level entry must be an integer, got {re.escape(repr(entry))}"):
+            LevelVector((entry, 0))
+
 
 class TestLevelsUpTo:
     def test_n0_d1(self):
@@ -110,6 +118,30 @@ class TestLevelsUpTo:
     def test_rejects_budget_above_cap(self):
         with pytest.raises(ValueError):
             levels_up_to(MAX_LEVEL + 1, 1)
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (2.5, 1, "budget must be an integer, got 2.5"),
+            (2.0, 1, "budget must be an integer, got 2.0"),
+            ("2", 1, "budget must be an integer, got '2'"),
+            (2, 1.0, "dimension must be an integer, got 1.0"),
+            (2, True, "dimension must be an integer, got True"),
+        ],
+        ids=["fraction", "integral-float", "string", "float-dim", "bool-dim"],
+    )
+    def test_plan_functions_refuse_non_integers_on_a_warm_memo(self, n, d, message):
+        # the memo keys (2.0, 1) as (2, 1): the check comes before it
+        for plan in (node_count, capped_node_count, levels_up_to, node_set):
+            plan(2, 1)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                plan(n, d)
+
+    def test_plan_functions_take_numpy_integers(self):
+        n, d = np.int64(3), np.int32(2)
+        assert node_count(n, d) == capped_node_count(n, d) == node_count(3, 2) == 113
+        assert levels_up_to(n, d) == levels_up_to(3, 2)
+        assert node_set(n, d).tobytes() == node_set(3, 2).tobytes()
 
 
 #: The stated bytes of one memoized layout (dyadic, at _PLAN_MEMO_SIZE).

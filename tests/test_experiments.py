@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -108,6 +109,25 @@ class TestConvergenceStudy:
             convergence_study(f, 2.0, 2.0, [])
 
     @pytest.mark.parametrize(
+        "n_range,message",
+        [([2.5, 3.7, 4, 5], "got 2.5"), ([2, 3.0], "got 3.0"), (["3"], "got '3'"), ([True], "got True")],
+        ids=["fraction", "integral-float", "string", "bool"],
+    )
+    def test_rejects_a_non_integer_budget_before_sampling(self, n_range, message):
+        # int() truncated them: [2.5, 3.7, 4, 5] ran n = 2, 3, 4, 5
+        f = smooth("x2", 1)
+        for study in (
+            lambda: convergence_study(f, 2.0, 2.0, n_range),
+            lambda: sampling_width_table(f, 2.0, 2.0, n_range),
+            lambda: cubature_study(f, n_range),
+            lambda: comb_check(1.0, 1, n_range),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, {message}")):
+                study()
+        assert f.eval_count == 0
+        assert cubature_study(f, np.arange(2, 4)) == cubature_study(f, [2, 3])
+
+    @pytest.mark.parametrize(
         "p,q", [(0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (2.0, 0.5), (2.0, math.nan)]
     )
     def test_rejects_exponents_below_one_before_sampling(self, p, q):
@@ -201,6 +221,10 @@ class TestCombCheck:
         with pytest.raises(ValueError):
             comb_check(0.0, 1, [3])
 
+    def test_rejects_dimension_below_one(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            comb_check(1.0, 0, [3])
+
     @pytest.mark.parametrize("alpha", [1e-17, 5e-324])
     def test_rejects_alpha_with_unit_ratio(self, alpha):
         with pytest.raises(ValueError, match=f"alpha={alpha!r}"):
@@ -257,6 +281,11 @@ class TestNoncompactDemo:
     def test_rejects_small_budget(self):
         with pytest.raises(ValueError):
             noncompact_demo(1)
+
+    def test_rejects_a_non_integer_max_level(self):
+        with pytest.raises(ValueError, match=re.escape("max_level must be an integer, got 2.5")):
+            noncompact_demo(2.5)
+        assert noncompact_demo(np.int64(2)) == noncompact_demo(2)
 
     @pytest.mark.parametrize("max_level,message", [(24, "over the cap"), (400, "MAX_LEVEL")])
     def test_unplannable_budget_fails_before_building_members(

@@ -171,6 +171,19 @@ class TestAnalyze:
             analyze(g, n)
             assert g.eval_count == node_count(n, d)
 
+    def test_float_budget_refused_on_a_cold_and_a_warm_memo(self):
+        # the plan memo's lru_cache takes 2.0 for 2, so a warm memo returned a
+        # budget-2 series; the budget is checked before the memo is read
+        f = FunctionHandle(lambda X: X[:, 0], 1)
+        dyadic._hierarchy.cache_clear()
+        dyadic._levels.cache_clear()
+        with pytest.raises(ValueError, match=re.escape("budget must be an integer, got 2.0")):
+            analyze(f, 2.0)
+        assert analyze(f, np.int64(2)).budget == 2 and f.eval_count == 9
+        with pytest.raises(ValueError, match=re.escape("budget must be an integer, got 2.0")):
+            analyze(f, 2.0)
+        assert f.eval_count == 9
+
     @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3)])
     def test_round_trip_prescribed_series(self, d, n):
         for trial in range(3):
@@ -492,6 +505,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_batch(s, [(0.5, 1.5)])
 
+    def test_points_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("expected (N, 2) points, got shape (3, 3)")):
+            evaluate_batch(random_series(1, 2, RNG), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_points_rejected(self, dtype):
+        # a cast to float64 dropped the imaginary part, with a ComplexWarning only
+        s = random_series(1, 1, RNG)
+        for points in (np.array([[0.5 + 1j]], dtype=dtype), np.array([[0.5]], dtype=dtype)):
+            with pytest.raises(ValueError, match=f"points must be real, got dtype {np.dtype(dtype)}"):
+                evaluate_batch(s, points)
+
     def test_nan_point_rejected_by_name(self):
         s = random_series(1, 2, RNG)
         X = np.array([[0.5, 0.5], [0.25, np.nan]])
@@ -657,6 +682,29 @@ class TestFaberSeries:
         with pytest.raises(ValueError):
             s.array((0,))[0] = 1.0
 
+    @pytest.mark.parametrize(
+        "read,message",
+        [
+            (lambda s: s.get((2,), (1.5,)), "translation must be an integer, got 1.5"),
+            (lambda s: s.get((2,), ("1",)), "translation must be an integer, got '1'"),
+            (lambda s: s.array((2.5,)), "level entry must be an integer, got 2.5"),
+            (lambda s: s.get((2.0,), (1,)), "level entry must be an integer, got 2.0"),
+            (lambda s: FaberSeries(2.0, 1, np.zeros(9)), "budget must be an integer, got 2.0"),
+            (lambda s: FaberSeries.zeros(3, 1.0), "dimension must be an integer, got 1.0"),
+        ],
+        ids=["translation", "string-translation", "level", "integral-float-level", "budget", "dim"],
+    )
+    def test_refuses_a_non_integer_level_translation_or_shape(self, read, message):
+        # int() truncated them: get((2,), (1.5,)) read translation 1
+        s = FaberSeries.zeros(3, 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(s)
+        assert s.get((np.int64(2),), (np.int32(1),)) == 0.0
+
+    def test_max_abs_diff_refuses_another_shape(self):
+        with pytest.raises(ValueError, match="series shapes differ"):
+            FaberSeries.zeros(1, 1).max_abs_diff(FaberSeries.zeros(2, 1))
+
     def test_get_indexes_lexicographically(self):
         s = random_series(2, 2, RNG)
         j = LevelVector((1, 1))
@@ -770,6 +818,8 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             series_from_text("budget 1 dim 2\n")
+        with pytest.raises(ValueError, match="empty series text"):
+            series_from_text("\n\n")
 
     @pytest.mark.parametrize(
         "read,text",
@@ -796,6 +846,22 @@ class TestSerialization:
 
 
 class TestFunctionHandle:
+    def test_dim_below_one_refused(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            FunctionHandle(lambda X: X[:, 0], 0)
+
+    def test_complex_points_and_values_refused(self):
+        # a cast to float64 dropped the imaginary part, with a ComplexWarning only
+        f = FunctionHandle(lambda X: X[:, 0], 1)
+        for call in (lambda: f.eval_batch([[0.5 + 1j]]), lambda: f((0.5j,))):
+            with pytest.raises(ValueError, match="points must be real, got dtype complex128"):
+                call()
+        assert f.eval_count == 0
+        g = FunctionHandle(lambda X: X[:, 0] + 0j, 1, label="c")
+        for call in (lambda: g.eval_batch([[0.5]]), lambda: g(0.5), lambda: analyze(g, 1)):
+            with pytest.raises(ValueError, match="evaluator of 'c' returned complex values"):
+                call()
+
     def test_dim_must_be_an_integer(self):
         assert FunctionHandle(lambda X: X[:, 0], np.int64(2)).dim == 2
         for dim in (1.5, 2.0, "2", None, True):
@@ -821,6 +887,9 @@ class TestFunctionHandle:
         f = FunctionHandle(lambda X: X[:, 0], 2)
         with pytest.raises(ValueError):
             f.eval_batch(np.zeros((3, 1)))
+        g = FunctionHandle(lambda X: X, 2, label="g")
+        with pytest.raises(ValueError, match=re.escape("evaluator of 'g' returned shape (1, 2)")):
+            g.eval_batch([[0.5, 0.5]])
 
     def test_call_takes_one_point(self):
         f = FunctionHandle(lambda X: X[:, 0] * X[:, 1], 2)

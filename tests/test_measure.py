@@ -110,6 +110,15 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=f"Monte Carlo {field} must be an integer, got {re.escape(repr(value))}"):
                 StratifiedMC(**kwargs)
 
+    @pytest.mark.parametrize(
+        "method,message",
+        [(CompositeGauss, "mesh level must be >= 1"), (SupGrid, "grid level must be >= 1")],
+    )
+    def test_level_below_one_rejected(self, method, message):
+        for level in (0, -1):
+            with pytest.raises(ValueError, match=message):
+                method(level=level)
+
     def test_mc_negative_seed_rejected(self):
         assert StratifiedMC(seed=0).seed == 0
         for seed in (-1, np.int64(-7)):
@@ -408,6 +417,10 @@ class TestLqError:
 class TestBlockLqExact:
     def test_single_tent_area(self):
         assert block_lq_exact((0,), [1.0], 1.0) == pytest.approx(0.5)
+
+    def test_wrong_coefficient_count_rejected(self):
+        with pytest.raises(ValueError, match="coefficient count does not match the level"):
+            block_lq_exact((1,), [1.0, 1.0, 1.0], 2.0)
 
     def test_two_disjoint_tents_l2(self):
         assert block_lq_exact((1,), [1.0, 1.0], 2.0) == pytest.approx(math.sqrt(1 / 3))

@@ -43,6 +43,11 @@ class TestNormParams:
         with pytest.raises(ValueError):
             NormParams(r=0.5, p=1.0, q=0.0)
 
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_r(self, r):
+        with pytest.raises(ValueError, match="r must be finite"):
+            NormParams(r=r, p=2.0, q=2.0)
+
 
 class TestLevelLp:
     def test_single_unit_coefficient(self):

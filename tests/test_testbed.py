@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,28 @@ class TestExtremal:
             extremal(0.5, 4, 0, 1)
         with pytest.raises(ValueError):
             extremal(1.0, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: extremal(2.0, 3.5, 0, 1), "depth must be an integer, got 3.5"),
+            (lambda: extremal(2.0, 3, 0.5, 1), "seed must be an integer, got 0.5"),
+            (lambda: extremal(2.0, 3, 0, 1.0), "dimension must be an integer, got 1.0"),
+            (lambda: spike(3.0, 0, 1), "depth must be an integer, got 3.0"),
+            (lambda: spike(3, "1", 1), "seed must be an integer, got '1'"),
+        ],
+        ids=["extremal-depth", "extremal-seed", "extremal-dim", "spike-depth", "spike-seed"],
+    )
+    def test_prescribed_families_refuse_non_integers_by_name(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    def test_prescribed_families_take_numpy_integers(self):
+        # a numpy seed overflowed the 64-bit hash's mask
+        for make in (lambda *a: extremal(2.0, *a), spike):
+            plain = make(4, 7, 2)[1]
+            numpy_ints = make(np.int32(4), np.int64(7), np.int64(2))[1]
+            assert numpy_ints.budget == 4 and numpy_ints.coeffs.tobytes() == plain.coeffs.tobytes()
 
     @pytest.mark.parametrize("depth,d", [(40, 1), (2, 20)])
     def test_depth_over_node_cap_fails_fast(self, depth, d):
@@ -224,6 +247,21 @@ class TestHatFamily:
     def test_tensorized_constant_in_other_axes(self):
         f = hat_family(1, d=2)
         assert f((0.25, 0.1)) == f((0.25, 0.9)) == 1.0
+
+    @pytest.mark.parametrize(
+        "j,message",
+        [(-1, "hat level must be >= 0"), (1.5, "hat level must be an integer, got 1.5"),
+         (1.0, "hat level must be an integer, got 1.0")],
+        ids=["negative", "fraction", "integral-float"],
+    )
+    def test_rejects_a_bad_level(self, j, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hat_family(j)
+
+    def test_takes_a_numpy_level(self):
+        # math.ldexp refused a numpy level with a TypeError
+        f = hat_family(np.int64(2))
+        assert f((0.125,)) == 1.0 and f.exact_integral == 0.125
 
 
 class TestSmoothCatalog:
