@@ -61,12 +61,10 @@ class LevelVector:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(_check_int("level entry", e) for e in self.entries)
+        entries = tuple(_check_int("level entry", e, -1) for e in self.entries)
         if not entries:
             raise ValueError("level vector needs dimension >= 1")
         for e in entries:
-            if e < -1:
-                raise ValueError(f"level entry {e} < -1")
             if e > MAX_LEVEL:
                 raise ValueError(f"level entry {e} exceeds MAX_LEVEL={MAX_LEVEL}")
         object.__setattr__(self, "entries", entries)
@@ -95,22 +93,21 @@ def _as_level(j) -> LevelVector:
     return j if isinstance(j, LevelVector) else LevelVector(tuple(j))
 
 
-def _check_int(name: str, value) -> int:
-    """value as an int; ValueError unless it is a Python or numpy integer (a
-    bool is not one)."""
+def _check_int(name: str, value, low: int | None = None) -> int:
+    """value as an int; ValueError, naming it, unless it is a Python or numpy
+    integer (a bool is not one) and, when low is given, at least low."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+        raise ValueError(f"{name} must be an integer, got {value!r:.40}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 def _check_budget(n: int, d: int) -> tuple[int, int]:
     """(n, d) as ints; ValueError unless both are integers, d >= 1 and
     0 <= n <= MAX_LEVEL."""
-    n, d = _check_int("budget", n), _check_int("dimension", d)
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 0:
-        raise ValueError("budget must be >= 0")
+    n, d = _check_int("budget", n, 0), _check_int("dimension", d, 1)
     if n > MAX_LEVEL:
         raise ValueError(f"budget exceeds MAX_LEVEL={MAX_LEVEL}")
     return n, d

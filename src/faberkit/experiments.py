@@ -208,8 +208,7 @@ def comb_check(
     """
     if alpha <= 0.0 or 2.0**-alpha == 1.0:
         raise ValueError(f"alpha={alpha!r} must be positive, with 2**-alpha below 1")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    d = _check_int("dimension", d, 1)
     x = 2.0**-alpha
     full1 = 1.0 / (1.0 - x)
 
@@ -268,9 +267,7 @@ def noncompact_demo(max_level: int) -> NoncompactReport:
     sequence norm, pairwise distance one: no uniformly convergent
     subsequence exists.
     """
-    max_level = _check_int("max_level", max_level)
-    if max_level < 2:
-        raise ValueError("need max_level >= 2")
+    max_level = _check_int("max_level", max_level, 2)
     capped_node_count(max_level, 1)  # the profiles analyze at budget max_level
     levels = tuple(range(max_level + 1))
     members = [hat_family(j) for j in levels]

@@ -90,9 +90,7 @@ class FunctionHandle:
         exact_integral: float | None = None,
         exact_l2: float | None = None,
     ):
-        dim = _check_int("dimension", dim)
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
+        dim = _check_int("dimension", dim, 1)
         self._evaluator = evaluator
         self.dim = dim
         self.label = label
@@ -119,7 +117,7 @@ class FunctionHandle:
     def _valid(self, X: np.ndarray, vals) -> np.ndarray:
         """f's values at the points X as float64, checked for dtype, shape and finiteness."""
         vals = np.asarray(vals)
-        if np.iscomplexobj(vals):
+        if _complex(vals):
             raise ValueError(f"evaluator of {self.label!r} returned complex values")
         vals = vals.astype(np.float64, copy=False)
         if vals.shape != (X.shape[0],):
@@ -275,11 +273,16 @@ def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
     return _evaluate_many(_walk_plan((series,)), points)[0]
 
 
+def _complex(a: np.ndarray) -> bool:
+    """Whether a is a complex array or an object array that holds a complex."""
+    return np.iscomplexobj(a) or a.dtype == object and any(map(np.iscomplexobj, a.flat))
+
+
 def _points(points, d: int) -> np.ndarray:
     """The points as a contiguous (N, d) float64 array; ValueError for a
     complex array, whose imaginary part a cast would drop, or another shape."""
     X = np.asarray(points)
-    if np.iscomplexobj(X):
+    if _complex(X):
         raise ValueError(f"points must be real, got dtype {X.dtype}")
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != d:
@@ -848,13 +851,6 @@ def _json_layout(text: str) -> tuple[int, int, list] | None:
     return d, n, slices
 
 
-def _json_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    if type(value) is not int:
-        raise ValueError(f"header {key!r} must be an integer, got {value!r:.40}")
-    return value
-
-
 def _json_ints(entry: dict, key: str, at: int) -> tuple:
     value = entry[key]
     if type(value) is not list or not set(map(type, value)) <= {int}:
@@ -935,7 +931,7 @@ def _series_from_doc(doc) -> FaberSeries:
     """The series of a decoded JSON document, checked field by field."""
     if type(doc) is not dict:
         raise ValueError(f"series JSON must be an object, got {doc!r:.40}")
-    d, n = _json_int(doc, "dim"), _json_int(doc, "budget")
+    d, n = (_check_int(f"header {key!r}", doc[key]) for key in ("dim", "budget"))
     entries = doc["entries"]
     if type(entries) is not list:
         raise ValueError(f"'entries' must be a list, got {entries!r:.40}")

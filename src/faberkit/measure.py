@@ -64,12 +64,10 @@ class CompositeGauss:
     order: int = DEFAULT_GAUSS_ORDER
 
     def __post_init__(self) -> None:
-        _check_int("Gauss order", self.order)
-        _check_int("mesh level", self.level)
+        object.__setattr__(self, "order", _check_int("Gauss order", self.order))
+        object.__setattr__(self, "level", _check_int("mesh level", self.level, 1))
         if not 2 <= self.order <= MAX_GAUSS_ORDER:
             raise ValueError(f"Gauss order {self.order} outside 2..{MAX_GAUSS_ORDER}")
-        if self.level < 1:
-            raise ValueError("mesh level must be >= 1")
         if self.level > MAX_LEVEL:
             raise ValueError(f"mesh level {self.level} exceeds MAX_LEVEL={MAX_LEVEL}")
 
@@ -80,8 +78,8 @@ class StratifiedMC:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_int("Monte Carlo samples", self.samples)
-        _check_int("Monte Carlo seed", self.seed)
+        object.__setattr__(self, "samples", _check_int("Monte Carlo samples", self.samples))
+        object.__setattr__(self, "seed", _check_int("Monte Carlo seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"Monte Carlo seed {self.seed} must be >= 0")
         if self.samples < 1000:
@@ -95,9 +93,7 @@ class SupGrid:
     level: int
 
     def __post_init__(self) -> None:
-        _check_int("grid level", self.level)
-        if self.level < 1:
-            raise ValueError("grid level must be >= 1")
+        object.__setattr__(self, "level", _check_int("grid level", self.level, 1))
         if self.level > MAX_LEVEL:
             raise ValueError(f"grid level {self.level} exceeds MAX_LEVEL={MAX_LEVEL}")
 
@@ -129,7 +125,7 @@ def default_spec(q: float, n: int, d: int, seed: int = 0) -> MeasureSpec:
     Composite Gauss on the mesh of level n + 2 (:func:`_default_level`)
     where :func:`_cap_error` lets it measure, stratified Monte Carlo otherwise.
     """
-    level = _default_level(n)
+    level, d = _default_level(_check_int("budget", n)), _check_int("dimension", d, 1)
     if math.isinf(q):
         return MeasureSpec(q, SupGrid(level=level))
     if level <= MAX_LEVEL and not _cap_error(CompositeGauss(level=level), d):

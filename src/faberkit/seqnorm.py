@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _as_level, _reduction_blocks
+from .dyadic import _as_level, _check_int, _reduction_blocks
 from .faber import FaberSeries, FunctionHandle, analyze
 
 __all__ = ["NormParams", "level_lp", "seq_norm", "series_profile", "decay_profile"]
@@ -115,6 +115,4 @@ def decay_profile(f: FunctionHandle, p: float, n: int) -> list[tuple[int, float]
     level-wise coefficient bound; the probe is one-sided (boundedness),
     the converse direction is not measurable from finitely many levels.
     """
-    if n < 2:
-        raise ValueError("profile needs budget n >= 2")
-    return series_profile(analyze(f, n), p)
+    return series_profile(analyze(f, _check_int("budget", n, 2)), p)

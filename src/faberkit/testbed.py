@@ -70,9 +70,7 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     """
     if not p >= 1.0:  # NaN fails too
         raise ValueError("p must be >= 1")
-    depth, seed = _check_int("depth", depth), _check_int("seed", seed)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth, seed = _check_int("depth", depth, 1), _check_int("seed", seed)
     layout = _levels(depth, d)
     owner, k = _plan(layout)
     scales = np.array([2.0 ** (-order / p) for order in range(depth + 1)])
@@ -99,9 +97,7 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
     errors with q above the coefficient exponent.  Depths over the
     MAX_POINTS cap fail as in :func:`extremal`.
     """
-    depth, seed = _check_int("depth", depth), _check_int("seed", seed)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth, seed = _check_int("depth", depth, 1), _check_int("seed", seed)
     layout = _levels(depth, d)
     coeffs = np.zeros(layout.size)
     rows = zip(layout.entries.tolist(), layout.shapes.tolist(), layout.starts.tolist())
@@ -122,6 +118,7 @@ def _is_shallow_dyadic(c: float, max_level: int = 40) -> bool:
 
 def default_kink_anchor(d: int) -> tuple[float, ...]:
     """Anchor coordinates frac(1/sqrt(2) + i/sqrt(3)), non-dyadic per axis."""
+    d = _check_int("dimension", d, 1)
     return tuple((math.sqrt(0.5) + i / math.sqrt(3.0)) % 1.0 for i in range(d))
 
 
@@ -161,9 +158,7 @@ def hat_family(j: int, d: int = 1) -> FunctionHandle:
     yet any two of them are at uniform distance 1: the peak of the
     coarser hat is a zero of the finer one.
     """
-    j = _check_int("hat level", j)
-    if j < 0:
-        raise ValueError("hat level must be >= 0")
+    j = _check_int("hat level", j, 0)
 
     def evaluator(X: np.ndarray) -> np.ndarray:
         t = np.ldexp(X[:, 0], j)
@@ -223,6 +218,7 @@ def smooth(name: str, d: int = 1) -> FunctionHandle:
         evaluator, axis_int, axis_sq = _SMOOTH[name]
     except KeyError:
         raise ValueError(f"unknown smooth id {name!r}; choose from {SMOOTH_IDS}")
+    d = _check_int("dimension", d, 1)  # before the exact values read it
     return FunctionHandle(
         evaluator,
         d,

@@ -237,6 +237,7 @@ BAD_INPUTS = {
     "bad-anchor": "recover --dim 1 --n 2 --func kink --anchor 0.5",
     "depth-over-cap": "rates --func extremal --depth 40 --dim 1 --n 4",
     "noncompact-over-cap": "noncompact --max-level 400",
+    "noncompact-max-level-1": "noncompact --max-level 1",
     "mc-samples-over-cap": "recover --dim 1 --n 2 --func exp --measure mc --mc-samples 100000000000",
     "comb-negative-alpha": "comb --alpha -1 --dim 1 --n 3",
     "comb-n1100": "comb --alpha 1 --dim 2 --n 1100",
@@ -534,6 +535,10 @@ class TestErrorsAndConfig:
         assert code == 1
         assert err.startswith("error: budget exceeds MAX_LEVEL")
         assert out == ""
+
+    def test_noncompact_max_level_below_two_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "noncompact", "--max-level", "1")
+        assert (code, out, err) == (1, "", "error: max_level must be >= 2\n")
 
     def test_mc_samples_over_point_cap_exits_1(self, capsys):
         code, out, err = run_cli(

@@ -40,8 +40,10 @@ def floats(lattice):
 
 class TestLevelVector:
     def test_rejects_entries_below_minus_one(self):
-        with pytest.raises(ValueError):
-            LevelVector((-2, 0))
+        for entries in ((-2, 0), (-2,)):
+            with pytest.raises(ValueError) as info:
+                LevelVector(entries)
+            assert str(info.value) == "level entry must be >= -1"
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -136,6 +138,12 @@ class TestLevelsUpTo:
             plan(2, 1)
             with pytest.raises(ValueError, match=re.escape(message)):
                 plan(n, d)
+
+    def test_refused_value_is_shown_by_its_first_40_characters(self):
+        value = "9" * 60
+        with pytest.raises(ValueError) as info:
+            node_count(value, 1)
+        assert str(info.value) == f"budget must be an integer, got {value!r:.40}"
 
     def test_plan_functions_take_numpy_integers(self):
         n, d = np.int64(3), np.int32(2)

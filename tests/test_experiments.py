@@ -225,6 +225,14 @@ class TestCombCheck:
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             comb_check(1.0, 0, [3])
 
+    @pytest.mark.parametrize("d", [2.0, True, "2"], ids=["integral-float", "bool", "string"])
+    def test_rejects_a_non_integer_dimension(self, d):
+        # 2.0 raised a TypeError in math.comb, and True ran as d = 1
+        with pytest.raises(ValueError) as info:
+            comb_check(1.0, d, [3])
+        assert str(info.value) == f"dimension must be an integer, got {d!r}"
+        assert comb_check(1.0, np.int64(2), [3]) == comb_check(1.0, 2, [3])
+
     @pytest.mark.parametrize("alpha", [1e-17, 5e-324])
     def test_rejects_alpha_with_unit_ratio(self, alpha):
         with pytest.raises(ValueError, match=f"alpha={alpha!r}"):
@@ -279,8 +287,9 @@ class TestNoncompactDemo:
         assert "subsequence" in noncompact_demo(2).conclusion
 
     def test_rejects_small_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             noncompact_demo(1)
+        assert str(info.value) == "max_level must be >= 2"
 
     def test_rejects_a_non_integer_max_level(self):
         with pytest.raises(ValueError, match=re.escape("max_level must be an integer, got 2.5")):

@@ -517,6 +517,14 @@ class TestEvaluate:
             with pytest.raises(ValueError, match=f"points must be real, got dtype {np.dtype(dtype)}"):
                 evaluate_batch(s, points)
 
+    def test_object_points_holding_a_complex_rejected(self):
+        # float() of the complex raised a TypeError
+        s = random_series(1, 1, RNG)
+        for value in (0.5 + 1j, 0.5 + 0j, np.complex64(0.5)):
+            with pytest.raises(ValueError, match="points must be real, got dtype object"):
+                evaluate_batch(s, np.array([[value]], dtype=object))
+        assert evaluate_batch(s, np.array([[0.5]], dtype=object)) == evaluate_batch(s, [[0.5]])
+
     def test_nan_point_rejected_by_name(self):
         s = random_series(1, 2, RNG)
         X = np.array([[0.5, 0.5], [0.25, np.nan]])
@@ -859,6 +867,17 @@ class TestFunctionHandle:
         assert f.eval_count == 0
         g = FunctionHandle(lambda X: X[:, 0] + 0j, 1, label="c")
         for call in (lambda: g.eval_batch([[0.5]]), lambda: g(0.5), lambda: analyze(g, 1)):
+            with pytest.raises(ValueError, match="evaluator of 'c' returned complex values"):
+                call()
+
+    def test_object_arrays_holding_a_complex_refused(self):
+        # float() of the complex raised a TypeError
+        f = FunctionHandle(lambda X: X[:, 0], 1)
+        with pytest.raises(ValueError, match="points must be real, got dtype object"):
+            f.eval_batch(np.array([[0.5 + 1j]], dtype=object))
+        assert f.eval_count == 0
+        g = FunctionHandle(lambda X: np.array([1 + 1j], dtype=object), 1, label="c")
+        for call in (lambda: g.eval_batch([[0.5]]), lambda: g(0.5)):
             with pytest.raises(ValueError, match="evaluator of 'c' returned complex values"):
                 call()
 

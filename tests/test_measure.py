@@ -95,6 +95,29 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=f"Gauss order must be an integer, got {re.escape(repr(order))}"):
                 CompositeGauss(level=2, order=order)
 
+    def test_numpy_integers_are_kept_as_ints(self):
+        # a numpy level overflowed the cap check: level 20, order 7 passed in d = 3
+        mesh = CompositeGauss(level=np.int64(20), order=np.int64(7))
+        assert measure._cap_error(mesh, 3) == measure._cap_error(CompositeGauss(20, 7), 3) != ""
+        for m in (mesh, SupGrid(level=np.int64(3)), StratifiedMC(np.int64(2000), np.int32(3))):
+            assert {type(v) for v in vars(m).values()} == {int}
+
+    @pytest.mark.parametrize(
+        "q,n,d,message",
+        [
+            (2.0, 2.5, 1, "budget must be an integer, got 2.5"),  # named the mesh level 4.5
+            (2.0, "2", 1, "budget must be an integer, got '2'"),
+            (2.0, 2, 0, "dimension must be >= 1"),
+            (2.0, 2, 2.0, "dimension must be an integer, got 2.0"),
+            (math.inf, 2, "2", "dimension must be an integer, got '2'"),
+        ],
+        ids=["fraction-budget", "string-budget", "zero-dim", "float-dim", "string-dim-sup"],
+    )
+    def test_default_spec_refuses_its_integers_by_name(self, q, n, d, message):
+        with pytest.raises(ValueError) as info:
+            default_spec(q, n, d)
+        assert str(info.value) == message
+
     def test_mc_integers_rejected_naming_the_field(self):
         mc = StratifiedMC(samples=np.int64(2000), seed=np.int32(3))
         assert (mc.samples, mc.seed) == (2000, 3)

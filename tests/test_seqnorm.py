@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberkit import dyadic, measure
+from faberkit import dyadic, measure, seqnorm
 from faberkit.dyadic import LevelVector, levels_up_to
 from faberkit.faber import FaberSeries, FunctionHandle, analyze, integrate, synthesize
 from faberkit.seqnorm import NormParams, decay_profile, level_lp, seq_norm, series_profile
@@ -175,6 +175,21 @@ class TestProfiles:
         f = FunctionHandle(lambda X: X[:, 0], 1)
         with pytest.raises(ValueError):
             decay_profile(f, 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(1, "budget must be >= 2"), (2.5, "budget must be an integer, got 2.5"),
+         (2.0, "budget must be an integer, got 2.0"), ("3", "budget must be an integer, got '3'")],
+        ids=["one", "fraction", "integral-float", "string"],
+    )
+    def test_budget_refused_before_analyze(self, monkeypatch, n, message):
+        def analyze_spy(f, budget):
+            raise AssertionError(f"analyze called at n={budget!r}")
+
+        monkeypatch.setattr(seqnorm, "analyze", analyze_spy)
+        with pytest.raises(ValueError) as info:
+            decay_profile(FunctionHandle(lambda X: X[:, 0], 1), 2.0, n)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.inf, math.nan])

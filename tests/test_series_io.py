@@ -280,6 +280,7 @@ def with_entry(at, **fields):
         (json_doc(dim=1.7), r"header 'dim' must be an integer, got 1.7"),
         (json_doc(budget=1.0), r"header 'budget' must be an integer, got 1.0"),
         (json_doc(dim=True), r"header 'dim' must be an integer, got True"),
+        (json_doc(budget="9" * 60), r"header 'budget' must be an integer, got '9{39}\Z"),
         (with_entry(0, j=[-1.9, 0]), r"entry 0: 'j' must be a list of integers"),
         (with_entry(1, k=[0.5, 0]), r"entry 1: 'k' must be a list of integers"),
         (with_entry(3, value="2"), r"entry 3: 'value' must be a number, got '2'"),
@@ -290,7 +291,7 @@ def with_entry(at, **fields):
     ],
     ids=[
         "value-null", "entries-int", "top-level-list", "j-int", "dim-float", "budget-float",
-        "dim-bool", "j-float", "k-float", "value-string", "value-bool", "k-bool", "k-string",
+        "dim-bool", "budget-long-string", "j-float", "k-float", "value-string", "value-bool", "k-bool", "k-string",
         "entry-list",
     ],
 )

@@ -323,6 +323,21 @@ class TestDefaultAnchor:
     def test_first_axis_is_inverse_sqrt2(self):
         assert default_kink_anchor(1)[0] == pytest.approx(1 / math.sqrt(2))
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: default_kink_anchor(2.0), "dimension must be an integer, got 2.0"),
+            (lambda: default_kink_anchor(0), "dimension must be >= 1"),  # returned ()
+            (lambda: kink(None, 2.0), "dimension must be an integer, got 2.0"),
+            (lambda: smooth("x2", "2"), "dimension must be an integer, got '2'"),
+        ],
+        ids=["anchor-float", "anchor-zero", "kink-float", "smooth-string"],
+    )
+    def test_dimension_refused_by_name(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
 
 def _assert_products_match_np_prod(X, anchor):
     d = X.shape[1]
