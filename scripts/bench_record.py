@@ -200,9 +200,10 @@ STUDIES = {
         "--depth", "14", "--n", "4..12", "--seed", "7", "--out", "rates.csv",
     ],
     "levels-d12": ["levels", "--dim", "12", "--n", "2"],  # 120,832 levels
-    # layouts over the plan memo's size cap, built once per call
+    # plans over the plan memo's size cap: built once per call, or held by the study
     "analyze-d8": ["analyze", "--dim", "8", "--n", "3", "--func", "kink", "--out", "s.txt"],
     "noncompact-18": ["noncompact", "--max-level", "18"],
+    "noncompact-20": ["noncompact", "--max-level", "20"],
     "cubature-d4": ["cubature", "--dim", "4", "--func", "kink", "--n", "2..7"],
     # the recovery defect of a black-box f
     "rates-d2-kink": [

@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from . import experiments, measure, testbed
-from .dyadic import _ROWS, _levels
+from .dyadic import _ROWS, _grid_plan
 from .faber import (
     analyze,
     series_from_json,
@@ -185,7 +185,7 @@ def _summary(text: str) -> None:
 
 def _cmd_levels(args) -> int:
     """Print the level table, turning _ROWS rows into Python lists at a time."""
-    layout = _levels(args.n, args.dim)  # the cap, before any level is enumerated
+    layout = _grid_plan(args.n, args.dim).layout  # the cap, before any level is enumerated
     for start in range(0, len(layout.keys), _ROWS):
         for row in layout.entries[start : start + _ROWS].tolist():
             print(" ".join(map(str, row)))

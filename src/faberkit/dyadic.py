@@ -3,12 +3,11 @@ everything that depends on the budget n and the dimension d alone.
 
 Levels and translations are exact integers.  A node coordinate is
 computed once, by one formula (:func:`_nodes`), as an exact binary64
-dyadic; :func:`node_set` returns these (m, d) float64 nodes.
-:func:`_levels`, the layout of a series of order <= n,
-:func:`_hierarchy`, the node and sweep plan of analyze, and
-:func:`_reduction_blocks`, the block indices of the level reductions,
-are memoized per (n, d) by :func:`_memo_when_small`, under the one rule
-and byte bound stated at ``_PLAN_MEMO_SIZE``.
+dyadic; :func:`node_set` returns these (m, d) float64 nodes.  A
+:class:`_GridPlan` holds what depends on (n, d) alone: the layout of a
+series of order <= n, the node and sweep plan of analyze, and the block
+indices of the level reductions.  :func:`_grid_plan` memoizes one plan per
+(n, d) under the one rule and byte bound stated at ``_PLAN_MEMO_SIZE``.
 
 Level conventions
 -----------------
@@ -26,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +41,7 @@ MAX_LEVEL = 62
 MAX_POINTS = 1 << 25
 
 #: Rows per pass of every memory-bounded loop: the evaluator's chunks and
-#: the measures' pieces, the gathers of :func:`_reduction_blocks`, the rows
+#: the measures' pieces, the gathers of :meth:`_GridPlan.blocks`, the rows
 #: ``levels`` prints at a time, the sign passes of ``testbed.extremal``, the
 #: series writers' blocks and the readers' slices of 32 * _ROWS characters.
 #: A pass only splits the work, so no value or byte depends on it.  For the
@@ -117,11 +116,11 @@ def levels_up_to(n: int, d: int) -> list[LevelVector]:
     """All level vectors of truncation order <= n, in lexicographic order.
 
     The per-axis order is -1 < 0 < 1 < ..., so the boundary layer of each
-    axis precedes its interior levels.  The rows of :func:`_levels`' entry
+    axis precedes its interior levels.  The rows of the plan layout's entry
     table, one LevelVector each; fails like :func:`capped_node_count`,
     before enumerating.
     """
-    return [LevelVector(row) for row in _levels(n, d).entries.tolist()]
+    return [LevelVector(row) for row in _grid_plan(n, d).layout.entries.tolist()]
 
 
 def _check_translation(j: LevelVector, k: tuple[int, ...]) -> None:
@@ -160,58 +159,23 @@ def capped_node_count(n: int, d: int) -> int:
     return m
 
 
-#: Largest m·d whose (n, d) structures are memoized; a larger one is built
-#: for its call and dropped.
+#: Largest m·d whose plan is memoized; a larger plan is built for its
+#: caller, who holds or drops it.
 _PLAN_MEMO_POINTS = 1 << 17
 
-#: Entries each memo keeps.  Under _PLAN_MEMO_POINTS this count is a byte
-#: bound: a hierarchization plan holds 8·m·d bytes of nodes and at most
-#: 8·m·(3d - 1) of intp indices (axis 0's inner nodes are a slice), 4 MiB;
-#: a set of reduction blocks holds 8 B of intp index per grouped
-#: coefficient (a lone level holds a slice), 1 MiB; a layout holds
-#: 8·(2d + 3) B per level, at most 82 KiB (the largest is (2, 6)'s 688
-#: levels, by tracemalloc).  So the three memos retain at most
-#: 5 · (4 MiB + 1 MiB + 82 KiB), about 25.4 MiB.
+#: Plans the memo keeps.  Under _PLAN_MEMO_POINTS this count is a byte
+#: bound: a plan holds at most 8·m·d bytes of nodes and 8·m·(3d - 1) of
+#: intp sweep indices (axis 0's inner nodes are a slice), 4 MiB; 8 B of
+#: intp block index per grouped coefficient (a lone level holds a slice),
+#: 1 MiB; and a layout of 8·(2d + 3) B per level, at most 82 KiB (the
+#: largest is (2, 6)'s 688 levels, by tracemalloc).  So the memo retains
+#: at most 5 · (4 MiB + 1 MiB + 82 KiB), about 25.4 MiB.
 _PLAN_MEMO_SIZE = 5
-
-
-class _OverCap(Exception):
-    """An (n, d) over _PLAN_MEMO_POINTS; raised inside a memo, which keeps no exception."""
-
-
-def _memo_when_small(build):
-    """The (n, d) structure ``build``, memoized under the rule of _PLAN_MEMO_SIZE.
-
-    Fails like :func:`capped_node_count`, before ``build`` is called.  When
-    m·d <= _PLAN_MEMO_POINTS, ``build(n, d)`` is kept in an lru_cache of
-    _PLAN_MEMO_SIZE entries (a generator as a tuple), and a hit counts no
-    node; a larger structure is ``build(n, d)`` itself, built for its call
-    and dropped.
-    """
-
-    def kept(n: int, d: int):
-        if capped_node_count(n, d) * d > _PLAN_MEMO_POINTS:
-            raise _OverCap
-        built = build(n, d)
-        return tuple(built) if isinstance(built, Iterator) else built
-
-    memo = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(kept)
-
-    @functools.wraps(build)
-    def plan(n: int, d: int):
-        n, d = _check_budget(n, d)  # before the memo, which takes 2.0 for 2
-        try:
-            return memo(n, d)
-        except _OverCap:
-            return build(n, d)
-
-    plan.cache_info, plan.cache_clear = memo.cache_info, memo.cache_clear
-    return plan
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class _Layout:
-    """The series layout of order <= n in d dimensions; see :func:`_levels`."""
+    """The series layout of order <= n in d dimensions; see :class:`_GridPlan`."""
 
     entries: np.ndarray  # (L, d) int64 level entries, in lexicographic order
     shapes: np.ndarray  # (L, d) int64 translation counts
@@ -222,35 +186,8 @@ class _Layout:
     orders: np.ndarray  # (L,) int64 truncation orders sum(max(entries, 0))
 
 
-@_memo_when_small
-def _levels(n: int, d: int) -> _Layout:
-    """The series layout of order <= n.
-
-    Fails like :func:`capped_node_count`, before enumerating.  The entry
-    table grows one axis at a time, each row repeated once per entry -1 ..
-    n - order of the next axis, so the rows are in lexicographic order.  A
-    level's key is its entries + 1 in mixed radix n + 2, so the keys
-    ascend, and (n + 2)**d <= 2**24 fits an int64 for every (n, d) under
-    the cap.  The read-only arrays hold 8 (2d + 3) B per level.
-    """
-    entries = np.zeros((1, 0), dtype=np.int64)
-    orders = np.zeros(1, dtype=np.int64)
-    for _ in range(d):
-        counts = n + 2 - orders
-        e = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) - 1
-        entries = np.column_stack((np.repeat(entries, counts, axis=0), e))
-        orders = np.repeat(orders, counts) + np.maximum(e, 0)
-    shapes = np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
-    starts = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
-    radix = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    keys = (entries + 1) @ radix
-    for a in (entries, shapes, starts, radix, keys, orders):
-        a.setflags(write=False)
-    return _Layout(entries, shapes, starts, int(starts[-1]), radix, keys, orders)
-
-
 def _plan(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coefficient table of the series of a :func:`_levels` layout, in series order.
+    """Per-coefficient table of the series of a plan's layout, in series order.
 
     Returns ``(owner, k)``: per coefficient i its level index ``owner[i]``
     into the layout and its translation ``k[i]``, an (m, d) int64 array
@@ -297,7 +234,7 @@ def node_set(n: int, d: int) -> np.ndarray:
     points analyze hands f.  Each call returns a fresh array.  Fails like
     :func:`capped_node_count`.
     """
-    layout = _levels(n, d)
+    layout = _grid_plan(n, d).layout
     return _nodes(layout, _plan(layout)[1])
 
 
@@ -358,65 +295,108 @@ def _parent_steps(layout: _Layout, span: np.ndarray) -> tuple[np.ndarray, tuple,
     return first, *sides
 
 
-@_memo_when_small
-def _hierarchy(n: int, d: int) -> tuple[np.ndarray, tuple]:
-    """What analyze needs of (n, d) alone: ``(points, sweeps)``.
+class _GridPlan:
+    """Everything that depends on the budget n and the dimension d alone.
 
-    ``points`` is :func:`_nodes`, the (m, d) float64 nodes of node_set(n,
-    d).  ``sweeps`` holds per axis ``(inner, left, right)``: the nodes
-    that are not boundary nodes along that axis, and their two neighbours
-    there, the nodes of their surplus stencil.  Axis 0's inner nodes are
-    one slice, the nodes after the levels of first entry -1, which come
-    first; every other index is an intp array, numpy's native index type,
-    so indexing with it casts nothing.  The neighbours are read off each
-    node's (level, translation), see :func:`_parent_steps`.  All arrays
-    are read-only.  Fails like :func:`capped_node_count`.
+    The constructor builds ``layout``, the series layout of order <= n,
+    and fails like :func:`capped_node_count` before enumerating.  The
+    entry table grows one axis at a time, each row repeated once per entry
+    -1 .. n - order of the next axis, so the rows are in lexicographic
+    order.  A level's key is its entries + 1 in mixed radix n + 2, so the
+    keys ascend, and (n + 2)**d <= 2**24 fits an int64 for every (n, d)
+    under the cap.  The read-only arrays hold 8 (2d + 3) B per level.
+    :attr:`hierarchy` and :meth:`blocks` are built on first use.  ``small``
+    says whether m·d <= _PLAN_MEMO_POINTS, that is whether
+    :func:`_grid_plan` keeps the plan.
     """
-    layout = _levels(n, d)
-    owner, k = _plan(layout)
-    points = _nodes(layout, k)
-    points.setflags(write=False)
-    span = np.ones((len(layout.keys), d + 1), dtype=np.int64)
-    span[:, :d] = np.cumprod(layout.shapes[:, ::-1], axis=1)[:, ::-1]
-    first, left, right = _parent_steps(layout, span)
-    sweeps = []
-    for axis in range(d):
-        inner = np.flatnonzero(layout.entries[owner, axis] >= 0)
-        level = owner[inner]
-        row = first[level, axis]
-        row += k[inner, axis]
-        before = inner - layout.starts[level]  # index in the level's block, then h
-        before //= span[level, axis]
-        sweep = [inner]
-        for D, E in (left, right):
-            parent = E[row]
-            parent *= before
-            parent += D[row]
-            parent += inner
-            sweep.append(parent.astype(np.intp, copy=False))
-        for a in sweep:
+
+    def __init__(self, n: int, d: int) -> None:
+        self.small = capped_node_count(n, d) * d <= _PLAN_MEMO_POINTS
+        entries = np.zeros((1, 0), dtype=np.int64)
+        orders = np.zeros(1, dtype=np.int64)
+        for _ in range(d):
+            counts = n + 2 - orders
+            e = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) - 1
+            entries = np.column_stack((np.repeat(entries, counts, axis=0), e))
+            orders = np.repeat(orders, counts) + np.maximum(e, 0)
+        shapes = np.where(entries < 0, 2, 1 << np.maximum(entries, 0))
+        starts = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
+        radix = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        keys = (entries + 1) @ radix
+        for a in (entries, shapes, starts, radix, keys, orders):
             a.setflags(write=False)
-        if axis == 0:
-            sweep[0] = slice(layout.size - inner.size, None)
-        sweeps.append(tuple(sweep))
-    return points, tuple(sweeps)
+        self.budget, self.dim = n, d
+        self.layout = _Layout(entries, shapes, starts, int(starts[-1]), radix, keys, orders)
+
+    @functools.cached_property
+    def hierarchy(self) -> tuple[np.ndarray, tuple]:
+        """What analyze needs: ``(points, sweeps)``, built on first use and kept.
+
+        ``points`` is :func:`_nodes`, the (m, d) float64 nodes of node_set(n,
+        d).  ``sweeps`` holds per axis ``(inner, left, right)``: the nodes
+        that are not boundary nodes along that axis, and their two neighbours
+        there, the nodes of their surplus stencil.  Axis 0's inner nodes are
+        one slice, the nodes after the levels of first entry -1, which come
+        first; every other index is an intp array, numpy's native index type,
+        so indexing with it casts nothing.  The neighbours are read off each
+        node's (level, translation), see :func:`_parent_steps`.  All arrays
+        are read-only.
+        """
+        layout, d = self.layout, self.dim
+        owner, k = _plan(layout)
+        points = _nodes(layout, k)
+        points.setflags(write=False)
+        span = np.ones((len(layout.keys), d + 1), dtype=np.int64)
+        span[:, :d] = np.cumprod(layout.shapes[:, ::-1], axis=1)[:, ::-1]
+        first, left, right = _parent_steps(layout, span)
+        sweeps = []
+        for axis in range(d):
+            inner = np.flatnonzero(layout.entries[owner, axis] >= 0)
+            level = owner[inner]
+            row = first[level, axis]
+            row += k[inner, axis]
+            before = inner - layout.starts[level]  # index in the level's block, then h
+            before //= span[level, axis]
+            sweep = [inner]
+            for D, E in (left, right):
+                parent = E[row]
+                parent *= before
+                parent += D[row]
+                parent += inner
+                sweep.append(parent.astype(np.intp, copy=False))
+            for a in sweep:
+                a.setflags(write=False)
+            if axis == 0:
+                sweep[0] = slice(layout.size - inner.size, None)
+            sweeps.append(tuple(sweep))
+        return points, tuple(sweeps)
+
+    def blocks(self) -> Iterable[tuple[np.ndarray, tuple | np.ndarray]]:
+        """The levels grouped by size, a few levels at a time.
+
+        ``(levels, index)`` per size group, in ascending size: ``levels``,
+        the group's read-only level indices into ``layout``, and ``index``,
+        which ``coeffs[index]`` reads as the (len(levels), size) block of
+        their coefficients, one row per level: a view ``(None, slice(start,
+        stop))`` for a level alone, else the read-only intp gather index
+        ``starts[levels, None] + arange(size)`` of at most _ROWS elements,
+        which bounds each block and the temporaries of its reductions to 64
+        KiB.  A row-wise reduction of a block is bit-identical to the
+        reduction of each level alone.  A small plan builds the blocks on
+        first use and keeps them as a tuple; a plan over _PLAN_MEMO_POINTS
+        yields them one by one on every call, so no gather index outlives
+        its block.
+        """
+        return self._kept_blocks if self.small else _size_groups(self.layout.starts)
+
+    @functools.cached_property
+    def _kept_blocks(self) -> tuple:
+        return tuple(_size_groups(self.layout.starts))
 
 
-@_memo_when_small
-def _reduction_blocks(n: int, d: int) -> Iterator[tuple[np.ndarray, tuple | np.ndarray]]:
-    """The levels of order <= n grouped by size, a few levels at a time.
-
-    Yields ``(levels, index)`` per size group, in ascending size:
-    ``levels``, the group's read-only level indices into :func:`_levels`,
-    and ``index``, which ``coeffs[index]`` reads as the (len(levels),
-    size) block of their coefficients, one row per level: a view
-    ``(None, slice(start, stop))`` for a level alone, else the read-only
-    intp gather index ``starts[levels, None] + arange(size)`` of at most
-    _ROWS elements, which bounds each block and the temporaries of its
-    reductions to 64 KiB.  A row-wise reduction of a block is bit-identical
-    to the reduction of each level alone.
-    """
-    starts = _levels(n, d).starts
+def _size_groups(starts: np.ndarray) -> Iterator[tuple[np.ndarray, tuple | np.ndarray]]:
+    """The blocks of :meth:`_GridPlan.blocks`, built from the layout's level
+    starts alone, so a plan that yields them is not kept alive by them."""
     sizes = np.diff(starts)
     for size in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == size)
@@ -430,3 +410,25 @@ def _reduction_blocks(n: int, d: int) -> Iterator[tuple[np.ndarray, tuple | np.n
                 index = (starts[levels, None] + np.arange(size)).astype(np.intp, copy=False)
                 index.setflags(write=False)
                 yield levels, index
+
+
+#: :func:`_grid_plan`'s memo: the small plans by (n, d), least recently used first.
+_PLANS: dict[tuple[int, int], _GridPlan] = {}
+
+
+def _grid_plan(n: int, d: int) -> _GridPlan:
+    """The plan of (n, d), memoized under the rule of _PLAN_MEMO_SIZE.
+
+    Fails like :func:`capped_node_count`.  The budget is checked before the
+    memo is read and the node cap on a miss only, so a hit counts no node.
+    A small plan is kept among the _PLAN_MEMO_SIZE most recently used; a
+    plan over _PLAN_MEMO_POINTS is built afresh on every call, for its
+    caller to hold or drop.
+    """
+    key = _check_budget(n, d)  # before the memo, whose keys take 2.0 for 2
+    plan = _PLANS.pop(key, None) or _GridPlan(*key)
+    if plan.small:
+        _PLANS[key] = plan  # last, as the most recently used
+        if len(_PLANS) > _PLAN_MEMO_SIZE:
+            del _PLANS[next(iter(_PLANS))]
+    return plan

@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import _check_int, _levels, capped_node_count
-from .faber import FunctionHandle, analyze, integrate
+from .dyadic import _check_int, _grid_plan, capped_node_count
+from .faber import FunctionHandle, _analyze, analyze, integrate
 from .measure import MeasureSpec, _cap_error, default_spec, lq_error
-from .seqnorm import decay_profile
+from .seqnorm import _profile
 from .testbed import hat_family
 
 __all__ = [
@@ -78,7 +78,9 @@ class CubatureRecord:
 
 def reference_envelope(n: int, p: float, q: float, d: int) -> float:
     """Theoretical error envelope at budget n (constant 1, max(n,1) powers):
-    ``2**(-n / max(p, q)) * max(n, 1)**_log_exponent(p, q, d)``."""
+    ``2**(-n / max(p, q)) * max(n, 1)**_log_exponent(p, q, d)``; ValueError
+    unless the budget n >= 0 and the dimension d >= 1 are integers."""
+    n, d = _check_int("budget", n, 0), _check_int("dimension", d, 1)
     return 2.0 ** (-n / max(p, q)) * float(max(n, 1)) ** _log_exponent(p, q, d)
 
 
@@ -99,13 +101,14 @@ def _check_range(n_range: Sequence[int]) -> list[int]:
 def _analyses(f: FunctionHandle, ns: list[int], specs: Sequence[MeasureSpec] = ()):
     """Yield (n, m, analyze(f, n)) per budget n of ns, m its fresh evaluations,
     once the whole range is checked.  First the node cap: m(n, d) grows with n,
-    so the last budget's layout, a memo hit when the study repeats, passes
-    only if every budget does; only a failing range counts nodes, budget by
-    budget.  Then each spec's measure cap (``measure._cap_error``) in d.
+    so the last budget's plan passes only if every budget does.  A small
+    plan stays in the memo for that budget's analysis, and a memo hit counts
+    no node.  Only a failing range counts nodes, budget by budget.  Then
+    each spec's measure cap (``measure._cap_error``) in d.
     """
     d = f.dim
     try:
-        _levels(ns[-1], d)
+        _grid_plan(ns[-1], d)
     except ValueError:
         for n in ns:
             capped_node_count(n, d)
@@ -265,10 +268,12 @@ def noncompact_demo(max_level: int) -> NoncompactReport:
     the coarser hat, where the finer hat vanishes exactly; every member
     has a flat (single unit spike) coefficient profile.  Bounded in the
     sequence norm, pairwise distance one: no uniformly convergent
-    subsequence exists.
+    subsequence exists.  Every member is analyzed and profiled on one plan
+    of (max_level, 1), held here, so its sweeps are built once even above
+    the plan memo's size cap.
     """
     max_level = _check_int("max_level", max_level, 2)
-    capped_node_count(max_level, 1)  # the profiles analyze at budget max_level
+    plan = _grid_plan(max_level, 1)  # held: every member is analyzed and profiled on it
     levels = tuple(range(max_level + 1))
     members = [hat_family(j) for j in levels]
     witnesses = []
@@ -283,8 +288,7 @@ def noncompact_demo(max_level: int) -> NoncompactReport:
         witnesses.append(tuple(wrow))
         distances.append(tuple(drow))
     profiles = tuple(
-        tuple(v for _, v in decay_profile(members[j], p=2.0, n=max_level))
-        for j in levels
+        tuple(v for _, v in _profile(_analyze(m, plan), 2.0, plan.blocks())) for m in members
     )
     conclusion = (
         "hat family: level-wise coefficient norms stay at 1 while all pairwise "

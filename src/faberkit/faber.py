@@ -34,9 +34,7 @@ from .dyadic import (
     _check_int,
     _check_translation,
     _flat_index,
-    _hierarchy,
-    _levels,
-    _reduction_blocks,
+    _grid_plan,
     capped_node_count,
 )
 
@@ -154,13 +152,13 @@ class FaberSeries:
     __slots__ = ("budget", "dim", "coeffs", "_layout")
 
     def __new__(cls, budget: int, dim: int, coeffs):
-        layout = _levels(budget, dim)
+        layout = _grid_plan(budget, dim).layout
         return cls._adopt(budget, dim, np.array(coeffs, dtype=np.float64), layout)
 
     @classmethod
     def _adopt(cls, budget: int, dim: int, flat: np.ndarray, layout) -> "FaberSeries":
         """The series of ``flat``, a float64 array its caller owns and no longer
-        writes, in ``layout`` = ``_levels(budget, dim)``: its shape and values
+        writes, in ``layout``, the layout of the plan of (budget, dim): its shape and values
         checked, made read-only and kept, not copied."""
         if flat.shape != (layout.size,):
             raise ValueError(
@@ -181,7 +179,7 @@ class FaberSeries:
 
     @classmethod
     def zeros(cls, budget: int, dim: int) -> "FaberSeries":
-        layout = _levels(budget, dim)
+        layout = _grid_plan(budget, dim).layout
         return cls._adopt(budget, dim, np.zeros(layout.size), layout)
 
     def __setattr__(self, name, value):
@@ -240,14 +238,24 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
     then the nodal values are hierarchized, in a copy that analyze owns
     (f's own array is never written), with one (+1, -2, +1) / -2 sweep
     per axis, in place (Bungartz & Griebel, Sparse grids, Acta Numerica
-    13, 2004, sec. 4).  The nodes and the sweeps' indices depend on (n, d)
-    alone and are memoized by the rule stated at
-    ``dyadic._PLAN_MEMO_SIZE``; samples never are, so every call evaluates
-    f at all m nodes, handed to f as a fresh array.  The hierarchized copy
-    becomes the series' array, not copied again.  Raises ValueError
-    before sampling when m(n, d) exceeds MAX_POINTS.
+    13, 2004, sec. 4).  The layout, the nodes and the sweeps' indices
+    depend on (n, d) alone: they come from one plan, memoized by the rule
+    stated at ``dyadic._PLAN_MEMO_SIZE``, see :func:`_analyze`.  Raises
+    ValueError before sampling when m(n, d) exceeds MAX_POINTS.
     """
-    points, sweeps = _hierarchy(n, f.dim)
+    return _analyze(f, _grid_plan(n, f.dim))
+
+
+def _analyze(f: FunctionHandle, plan) -> FaberSeries:
+    """:func:`analyze` of f on ``plan``, a ``dyadic._GridPlan`` of f.dim.
+
+    The plan's layout and sweeps are built once and read by every call
+    that holds the plan; samples never are kept, so every call evaluates
+    f at all m nodes, handed to f as a fresh array.  The hierarchized
+    copy becomes the series' array, not copied again, and the series
+    keeps the plan's layout, never its sweeps.
+    """
+    points, sweeps = plan.hierarchy
     values = f.eval_batch(points.copy()).copy()
     for inner, left, right in sweeps:
         t = values[left]
@@ -255,7 +263,7 @@ def analyze(f: FunctionHandle, n: int) -> FaberSeries:
         t += values[right]
         t *= -0.5
         values[inner] = t
-    return FaberSeries._adopt(n, f.dim, values, _levels(n, f.dim))
+    return FaberSeries._adopt(plan.budget, f.dim, values, plan.layout)
 
 
 def evaluate_batch(series: FaberSeries, points) -> np.ndarray:
@@ -572,7 +580,7 @@ def integrate(series: FaberSeries) -> float:
     layout = series._layout
     terms = np.ldexp(1.0, -(layout.orders + series.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # such a level is redone below
-        for levels, index in _reduction_blocks(series.budget, series.dim):
+        for levels, index in _grid_plan(series.budget, series.dim).blocks():
             terms[levels] *= series.coeffs[index].sum(axis=1)
     values = terms.tolist()
     if not math.isfinite(sum(values)):  # a level sum or the total overflowed
@@ -674,7 +682,7 @@ def _build_series(d: int, n: int, entry, slices: list, error=None) -> FaberSerie
     own repeats.  Beyond the slices, the read builds one layout and 9 B
     per coefficient, and hands the array to the series.
     """
-    layout = _levels(n, d)
+    layout = _grid_plan(n, d).layout
     seen = np.zeros(layout.size, dtype=np.uint8)
     values = np.zeros(layout.size)
     count = 0  # entries of the slices before this one

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _as_level, _check_int, _reduction_blocks
+from .dyadic import _as_level, _check_int, _grid_plan
 from .faber import FaberSeries, FunctionHandle, analyze
 
 __all__ = ["NormParams", "level_lp", "seq_norm", "series_profile", "decay_profile"]
@@ -52,8 +52,9 @@ def level_lp(series: FaberSeries, j, p: float) -> float:
     return top * float(np.sum((arr / top) ** p)) ** (1.0 / p)
 
 
-def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
-    """(truncation order, level_lp) of every stored level in series order.
+def _level_lps(series: FaberSeries, p: float, blocks) -> list[tuple[int, float]]:
+    """(truncation order, level_lp) of every stored level in series order,
+    ``blocks`` the reduction blocks of the plan of the series' budget and dim.
 
     Levels of one size are reduced together, row by row: the maximum
     ``top``, the sum of ``(|c| / top)**p``, then ``top * sum**(1/p)`` in
@@ -65,7 +66,7 @@ def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     orders = series._layout.orders
     tops = np.empty(len(orders))
     sums = np.empty(len(orders))
-    for levels, index in _reduction_blocks(series.budget, series.dim):
+    for levels, index in blocks:
         scaled = np.abs(series.coeffs[index])
         top = scaled.max(axis=1)
         # an all-zero level divides by 1 and gets 0.0 below, as in level_lp
@@ -86,7 +87,7 @@ def seq_norm(series: FaberSeries, params: NormParams) -> float:
     weighted level norm leaves binary64.  A zero level adds 0 at any weight."""
     exponent = params.r - 1.0 / params.p
     terms = []
-    for order, lp in _level_lps(series, params.p):
+    for order, lp in _level_lps(series, params.p, _grid_plan(series.budget, series.dim).blocks()):
         try:
             terms.append(lp and 2.0 ** (order * exponent) * lp)
         except OverflowError:
@@ -101,8 +102,13 @@ def seq_norm(series: FaberSeries, params: NormParams) -> float:
 
 def series_profile(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     """Per truncation order, the maximum level_lp over levels of that order."""
+    return _profile(series, p, _grid_plan(series.budget, series.dim).blocks())
+
+
+def _profile(series: FaberSeries, p: float, blocks) -> list[tuple[int, float]]:
+    """:func:`series_profile` of the series, reduced by ``blocks``, as :func:`_level_lps`."""
     best = [0.0] * (series.budget + 1)
-    for order, value in _level_lps(series, p):
+    for order, value in _level_lps(series, p, blocks):
         if value > best[order]:
             best[order] = value
     return list(enumerate(best))

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dyadic import _ROWS, _check_int, _flat_index, _levels, _plan
+from .dyadic import _ROWS, _check_int, _flat_index, _grid_plan, _plan
 from .faber import FaberSeries, FunctionHandle, synthesize
 
 __all__ = [
@@ -71,7 +71,7 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     if not p >= 1.0:  # NaN fails too
         raise ValueError("p must be >= 1")
     depth, seed = _check_int("depth", depth, 1), _check_int("seed", seed)
-    layout = _levels(depth, d)
+    layout = _grid_plan(depth, d).layout
     owner, k = _plan(layout)
     scales = np.array([2.0 ** (-order / p) for order in range(depth + 1)])
     interior = (layout.entries >= 0).all(axis=1)
@@ -98,7 +98,7 @@ def spike(depth: int, seed: int, d: int) -> tuple[FunctionHandle, FaberSeries]:
     MAX_POINTS cap fail as in :func:`extremal`.
     """
     depth, seed = _check_int("depth", depth, 1), _check_int("seed", seed)
-    layout = _levels(depth, d)
+    layout = _grid_plan(depth, d).layout
     coeffs = np.zeros(layout.size)
     rows = zip(layout.entries.tolist(), layout.shapes.tolist(), layout.starts.tolist())
     for j, shape, start in rows:

@@ -23,7 +23,7 @@ from faberkit.dyadic import (
     _as_level,
     _check_translation,
     _flat_index,
-    _levels,
+    _grid_plan,
     levels_up_to,
 )
 from faberkit.faber import FaberSeries, FunctionHandle
@@ -301,7 +301,7 @@ def _per_entry_build(d, n, entries):
     entry: the earliest failing entry is reported (level outside the
     budget, else translation out of range, else a duplicate), then an
     error raised while producing the entries, then missing coefficients."""
-    layout = _levels(n, d)
+    layout = _grid_plan(n, d).layout
     m, level_entries, starts = layout.size, layout.entries, layout.starts
     levels = levels_up_to(n, d)
     position = {j.entries: i for i, j in enumerate(levels)}

@@ -114,11 +114,8 @@ def test_scalar_oracles_only_in_tests():
 
 def test_plan_layer_only_in_dyadic():
     # what depends on (n, d) alone (layout, nodes, sweeps, reduction blocks,
-    # memos) lives in dyadic
-    names = (
-        "_plan", "_parent_steps", "_hierarchy", "_reduction_blocks", "_memo_when_small",
-        "_ROWS",
-    )
+    # the plan that holds them and its memo) lives in dyadic
+    names = ("_plan", "_parent_steps", "_GridPlan", "_grid_plan", "_PLANS", "_ROWS")
     for name in names:
         planned = getattr(faberkit.dyadic, name)
         assert getattr(faberkit.faber, name, planned) is planned, name  # imported at most
@@ -128,12 +125,15 @@ def test_plan_layer_only_in_dyadic():
         assert getattr(module, "_ROWS", faberkit.dyadic._ROWS) is faberkit.dyadic._ROWS, info.name
         for name in ("_GATHER", "_PRINT_ROWS", "_SIGN_ROWS", "_IO_BLOCK"):
             assert not hasattr(module, name), f"{info.name}.{name}"
-    # one memo decorator; the blocks index the series, with no wrapper in faber
-    gone = ("_hierarchy_plan", "_memoized_plan", "_reduction_plan", "_memoized_reductions", "_level_blocks")
+    # one plan per (n, d) behind one memo; the blocks index the series, with no wrapper in faber
+    gone = (
+        "_hierarchy_plan", "_memoized_plan", "_reduction_plan", "_memoized_reductions",
+        "_level_blocks", "_memo_when_small", "_hierarchy", "_reduction_blocks", "_levels",
+    )
     for name in gone:
         for module in (faberkit.faber, faberkit.dyadic):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert list(inspect.signature(faberkit.dyadic._reduction_blocks).parameters) == ["n", "d"]
+    assert list(inspect.signature(faberkit.dyadic._grid_plan).parameters) == ["n", "d"]
     for module in (faberkit.faber, faberkit.dyadic):
         assert not hasattr(module, "_lattice"), module.__name__
 

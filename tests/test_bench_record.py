@@ -179,6 +179,7 @@ def test_studies_list_the_over_memo_cap_studies():
         "analyze", "--dim", "8", "--n", "3", "--func", "kink", "--out", "s.txt",
     ]
     assert bench_record.STUDIES["noncompact-18"] == ["noncompact", "--max-level", "18"]
+    assert bench_record.STUDIES["noncompact-20"] == ["noncompact", "--max-level", "20"]
 
 
 def test_studies_list_the_cubature_and_black_box_defect_studies():

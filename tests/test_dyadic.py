@@ -12,7 +12,7 @@ from faberkit import dyadic
 from faberkit.dyadic import (
     MAX_LEVEL,
     LevelVector,
-    _levels,
+    _grid_plan,
     capped_node_count,
     levels_up_to,
     node_count,
@@ -92,7 +92,7 @@ class TestLevelsUpTo:
     @given(n=st.integers(0, 6), d=st.integers(1, 5))
     def test_table_matches_brute_force(self, n, d):
         expected = sorted(brute_force_levels(n, d))
-        layout = _levels(n, d)
+        layout = _grid_plan(n, d).layout
         assert list(map(tuple, layout.entries.tolist())) == expected
         assert [j.entries for j in levels_up_to(n, d)] == expected
         assert layout.orders.tolist() == [sum(max(e, 0) for e in j) for j in expected]
@@ -107,7 +107,7 @@ class TestLevelsUpTo:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            layout = _levels.__wrapped__(n, d)  # a fresh build, outside the memo
+            layout = dyadic._GridPlan(n, d).layout  # a fresh build, outside the memo
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -156,66 +156,98 @@ class TestLevelsUpTo:
 LAYOUT_BOUND = 82 << 10
 
 
-class TestLayoutMemo:
-    """_levels is memoized by the plan memo's rule, not by a count of its own."""
+class TestPlanMemo:
+    """One plan per (n, d), memoized by the rule of _PLAN_MEMO_SIZE, not by a count of its own."""
 
     def test_largest_layouts_not_retained(self):
         # the largest plannable budget of four dimensions; a memo capped by
         # count alone would keep all four, about 63 MB
         large = [(2, 12), (1, 13), (6, 8), (3, 10)]
         assert all(node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS for n, d in large)
-        _levels.cache_clear()
+        dyadic._PLANS.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for n, d in large:
-                _levels(n, d)
+                _grid_plan(n, d)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert _levels.cache_info().currsize == 0
+        assert len(dyadic._PLANS) == 0
         assert retained <= dyadic._PLAN_MEMO_SIZE * LAYOUT_BOUND
 
-    def test_small_layout_is_one_object_large_is_not_kept(self):
-        assert _levels(3, 2) is _levels(3, 2)
+    def test_small_plan_is_one_object_large_is_not_kept(self):
+        assert _grid_plan(3, 2) is _grid_plan(3, 2)
         for n, d in ((17, 1), (2, 12)):
-            kept = _levels.cache_info().currsize
-            assert _levels(n, d) is not _levels(n, d)
-            assert _levels.cache_info().currsize == kept
+            kept = len(dyadic._PLANS)
+            assert _grid_plan(n, d) is not _grid_plan(n, d)
+            assert len(dyadic._PLANS) == kept
 
     def test_hit_counts_no_node(self, monkeypatch):
-        for plan in (_levels, dyadic._hierarchy, dyadic._reduction_blocks):
-            plan(3, 2)
+        def use(plan):
+            plan.hierarchy
+            list(plan.blocks())
+
+        use(_grid_plan(3, 2))
         counted = []
         monkeypatch.setattr(dyadic, "node_count", lambda n, d: counted.append((n, d)))
-        for plan in (_levels, dyadic._hierarchy, dyadic._reduction_blocks):
-            plan(3, 2)
+        use(_grid_plan(3, 2))
         assert counted == []
+
+    def test_memo_keeps_the_most_recently_used(self):
+        dyadic._PLANS.clear()
+        first = _grid_plan(0, 1)
+        for n in range(1, dyadic._PLAN_MEMO_SIZE):
+            _grid_plan(n, 1)
+        assert _grid_plan(0, 1) is first  # a hit makes it the most recent
+        _grid_plan(dyadic._PLAN_MEMO_SIZE, 1)  # evicts (1, 1), the least recent
+        assert list(dyadic._PLANS) == [(n, 1) for n in (2, 3, 4, 0, 5)]
+        assert _grid_plan(0, 1) is first
 
     def test_memo_retention_within_stated_bound(self):
         # more layouts than the memo keeps, the largest last
         plans = [(11, 2), (15, 1), (7, 3), (10, 2), (14, 1), (4, 4), (5, 4), (3, 5), (1, 7), (2, 6)]
         assert len(plans) > dyadic._PLAN_MEMO_SIZE
         assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
-        _levels.cache_clear()
+        dyadic._PLANS.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            sizes = [len(_levels(n, d).keys) for n, d in plans]
+            sizes = [len(_grid_plan(n, d).layout.keys) for n, d in plans]
             retained = tracemalloc.get_traced_memory()[0] - before
-            kept = _levels.cache_info().currsize
+            kept = len(dyadic._PLANS)
         finally:
             tracemalloc.stop()
-            _levels.cache_clear()
+            dyadic._PLANS.clear()
         assert kept == dyadic._PLAN_MEMO_SIZE
         # the last layouts stay: 8·(2d + 3) B per level, and at most 4 KiB
-        # per layout of array objects, memo entries and the small buffers
-        # that numpy caches for reuse when an evicted layout is freed
+        # per plan of array and plan objects, memo entries and the small
+        # buffers that numpy caches for reuse when an evicted layout is freed
         stated = sum(
             8 * (2 * d + 3) * size + 4096 for (n, d), size in list(zip(plans, sizes))[-kept:]
         )
         assert retained <= stated
         assert retained <= dyadic._PLAN_MEMO_SIZE * LAYOUT_BOUND
+
+    def test_full_plans_retained_within_the_one_stated_bound(self):
+        # layouts, sweeps and blocks of more plans than the memo keeps, the
+        # largest m·d under its size cap last: 5 · (4 MiB + 1 MiB + 82 KiB)
+        plans = [(4, 4), (14, 1), (10, 2), (3, 5), (7, 3), (15, 1), (5, 4), (2, 6), (11, 2)]
+        assert len(plans) > dyadic._PLAN_MEMO_SIZE
+        dyadic._PLANS.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, d in plans:
+                plan = _grid_plan(n, d)
+                plan.hierarchy
+                plan.blocks()
+            del plan
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            dyadic._PLANS.clear()
+        assert retained <= dyadic._PLAN_MEMO_SIZE * ((4 << 20) + (1 << 20) + LAYOUT_BOUND)
 
 
 class TestTranslations:
@@ -342,7 +374,7 @@ class TestNodeSet:
     @pytest.mark.parametrize("n,d", [(0, 30), (40, 1), (1, 14), (0, 16)])
     def test_levels_over_node_cap_rejected_before_enumerating(self, n, d):
         # (0, 30) has 2**30 levels: enumerating them would exhaust memory
-        for enumerate_levels in (levels_up_to, _levels):
+        for enumerate_levels in (levels_up_to, _grid_plan, dyadic._GridPlan):
             with pytest.raises(ValueError, match="cap"):
                 enumerate_levels(n, d)
 

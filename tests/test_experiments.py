@@ -29,7 +29,8 @@ from faberkit.measure import (
     block_lq_exact,
     lq_error,
 )
-from faberkit.testbed import extremal, kink, smooth, spike
+from faberkit.seqnorm import decay_profile
+from faberkit.testbed import extremal, hat_family, kink, smooth, spike
 
 
 def synthetic_records(errors, estimates=None):
@@ -306,6 +307,19 @@ class TestNoncompactDemo:
             noncompact_demo(max_level)
         assert built == []
 
+    def test_one_plan_over_the_memo_cap_serves_every_member(self, monkeypatch):
+        # (17, 1) is over the plan memo's size cap: the demo holds its plan,
+        # so the sweeps are built once for the 18 analyses, not per member
+        max_level = 17
+        assert node_count(max_level, 1) > dyadic._PLAN_MEMO_POINTS
+        built, parent_steps = [], dyadic._parent_steps
+        monkeypatch.setattr(dyadic, "_parent_steps", lambda *a: built.append(1) or parent_steps(*a))
+        report = noncompact_demo(max_level)
+        assert built == [1]
+        for j in (0, 8, 17):
+            expected = [v for _, v in decay_profile(hat_family(j), 2.0, max_level)]
+            assert np.array(report.profiles[j]).tobytes() == np.array(expected).tobytes()
+
 
 class TestSamplingWidths:
     def test_m_strictly_increasing(self):
@@ -424,8 +438,8 @@ class TestRangeRefusedBeforeSampling:
         assert spy == [] and f.eval_count == 0
 
     def test_a_plannable_range_costs_a_memo_hit(self, monkeypatch, spy):
-        # m(n, d) grows with n: the last budget's layout, a memo hit, checks all
-        dyadic._levels(5, 4)
+        # m(n, d) grows with n: the last budget's plan, a memo hit, checks all
+        dyadic._grid_plan(5, 4)
         counted = []
         monkeypatch.setattr(dyadic, "node_count", lambda n, d: counted.append((n, d)))
         with pytest.raises(AssertionError, match="^analyze called at n=2$"):  # checked, then sampled

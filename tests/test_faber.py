@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from faberkit.dyadic import (
     MAX_POINTS,
     LevelVector,
-    _levels,
+    _grid_plan,
     levels_up_to,
     node_count,
     node_set,
 )
-from faberkit import dyadic, faber
+from faberkit import dyadic, faber, seqnorm
 from faberkit.faber import (
     EvaluationError,
     FaberSeries,
@@ -172,11 +172,10 @@ class TestAnalyze:
             assert g.eval_count == node_count(n, d)
 
     def test_float_budget_refused_on_a_cold_and_a_warm_memo(self):
-        # the plan memo's lru_cache takes 2.0 for 2, so a warm memo returned a
+        # the plan memo's keys take 2.0 for 2, so a warm memo returned a
         # budget-2 series; the budget is checked before the memo is read
         f = FunctionHandle(lambda X: X[:, 0], 1)
-        dyadic._hierarchy.cache_clear()
-        dyadic._levels.cache_clear()
+        dyadic._PLANS.clear()
         with pytest.raises(ValueError, match=re.escape("budget must be an integer, got 2.0")):
             analyze(f, 2.0)
         assert analyze(f, np.int64(2)).budget == 2 and f.eval_count == 9
@@ -228,7 +227,7 @@ class TestAnalyze:
                 largest = max(largest, (n + 2) ** d)
         assert largest == 2**24 == (6 + 2) ** 8 and node_count(6, 8) <= MAX_POINTS
         for n, d in [(0, 1), (5, 4), (14, 2), (2, 6)]:
-            layout = _levels(n, d)
+            layout = _grid_plan(n, d).layout
             assert layout.radix.tolist() == [(n + 2) ** (d - 1 - a) for a in range(d)]
             assert layout.keys.max() < (n + 2) ** d
 
@@ -243,11 +242,19 @@ class TestAnalyze:
                 )
 
 
+def count_calls(monkeypatch, name):
+    """A list that gets a 1 per call of ``dyadic.<name>``, which still runs."""
+    calls, original = [], getattr(dyadic, name)
+    monkeypatch.setattr(dyadic, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
 class TestHierarchyPlan:
     """analyze's per-(n, d) plan: memoized within a bound, samples never."""
 
-    def test_repeat_analyze_byte_equal_and_samples_every_node(self):
-        dyadic._hierarchy.cache_clear()
+    def test_repeat_analyze_byte_equal_and_samples_every_node(self, monkeypatch):
+        dyadic._PLANS.clear()
+        built = count_calls(monkeypatch, "_parent_steps")  # the sweeps' build
         f = FunctionHandle(lambda X: np.exp(X[:, 0] - 2.0 * X[:, 2]) * X[:, 1], 3)
         first = analyze(f, 4)
         for call in range(2, 5):
@@ -257,12 +264,11 @@ class TestHierarchyPlan:
         fresh = FunctionHandle(lambda X: np.exp(X[:, 0] - 2.0 * X[:, 2]) * X[:, 1], 3)
         assert analyze(fresh, 4).coeffs.tobytes() == first.coeffs.tobytes()
         assert fresh.eval_count == node_count(4, 3)
-        info = dyadic._hierarchy.cache_info()
-        assert (info.misses, info.hits) == (1, 4)
+        assert built == [1]  # one miss, four hits
 
     @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])  # memoized, over the size cap
     def test_plan_arrays_read_only(self, n, d):
-        points, sweeps = dyadic._hierarchy(n, d)
+        points, sweeps = _grid_plan(n, d).hierarchy
         assert points.shape == (node_count(n, d), d) and len(sweeps) == d
         (first, *indices), *others = sweeps
         assert isinstance(first, slice)  # axis 0's inner nodes: immutable, no array
@@ -273,7 +279,7 @@ class TestHierarchyPlan:
     @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])
     def test_sweep_indices_are_native_intp(self, n, d):
         # numpy indexes with intp; any other dtype is cast on every sweep
-        _, sweeps = dyadic._hierarchy(n, d)
+        _, sweeps = _grid_plan(n, d).hierarchy
         (first, *indices), *others = sweeps
         assert type(first.start) is int and first.stop is None and first.step is None
         for array in (*indices, *(a for sweep in others for a in sweep)):
@@ -286,13 +292,13 @@ class TestHierarchyPlan:
         expected = to_floats(lattice_nodes(n, d))
         points = node_set(n, d)
         assert points.dtype == np.float64 and len(np.unique(points, axis=0)) == len(points)
-        assert points.tobytes() == dyadic._hierarchy(n, d)[0].tobytes() == expected.tobytes()
+        assert points.tobytes() == _grid_plan(n, d).hierarchy[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n,d", [(0, 1), (6, 1), (5, 2), (3, 3), (2, 5)])
     def test_sweeps_are_the_surplus_stencils(self, n, d):
         # along its axis, an inner node's neighbours sit one lowest set bit
         # of its lattice coordinate (step 2**-(n+1)) to either side
-        points, sweeps = dyadic._hierarchy(n, d)
+        points, sweeps = _grid_plan(n, d).hierarchy
         lattice = np.ldexp(points, n + 1).astype(np.int64)
         for axis, (inner, left, right) in enumerate(sweeps):
             inner = np.arange(len(points))[inner]  # axis 0's slice as its indices
@@ -309,11 +315,11 @@ class TestHierarchyPlan:
             X += 0.25  # allowed: analyze hands f a fresh array
             return X[:, 0] * X[:, 1]
 
-        points = dyadic._hierarchy(3, 2)[0].copy()
+        points = _grid_plan(3, 2).hierarchy[0].copy()
         series = analyze(FunctionHandle(shifted, 2), 3)
         expected = analyze(FunctionHandle(lambda X: (X[:, 0] + 0.25) * (X[:, 1] + 0.25), 2), 3)
         assert series.coeffs.tobytes() == expected.coeffs.tobytes()
-        assert dyadic._hierarchy(3, 2)[0].tobytes() == points.tobytes()
+        assert _grid_plan(3, 2).hierarchy[0].tobytes() == points.tobytes()
 
     @pytest.mark.parametrize(
         "evaluator",
@@ -334,8 +340,7 @@ class TestHierarchyPlan:
         n, d = 17, 1
         assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
         f = FunctionHandle(lambda X: X[:, 0] ** 2, d)
-        _levels(n, d)  # over the memo's size cap too: built for its call and dropped
-        dyadic._hierarchy.cache_clear()
+        _grid_plan(n, d)  # over the memo's size cap: built for its call and dropped
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -346,54 +351,59 @@ class TestHierarchyPlan:
         # the plan alone holds 32 B per node, 8.4 MB here
         assert retained < 4096
 
+    def test_analyze_over_size_cap_builds_one_layout(self, monkeypatch):
+        n, d = 17, 1
+        assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
+        built = count_calls(monkeypatch, "_Layout")
+        series = analyze(FunctionHandle(lambda X: X[:, 0] ** 2, d), n)
+        assert built == [1]
+        assert series._layout.size == node_count(n, d)
+
     def test_memo_retention_within_stated_bound(self):
         # more plans than the memo keeps, the largest m·d under its size cap
         plans = [(11, 2), (2, 6), (5, 4), (15, 1), (7, 3), (3, 5), (10, 2), (14, 1), (4, 4)]
         assert len(plans) > dyadic._PLAN_MEMO_SIZE
         assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
-        for n, d in plans:
-            _levels(n, d)  # the memo keeps the last layouts, the ones it holds after the loop
-        dyadic._hierarchy.cache_clear()
+        dyadic._PLANS.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for n, d in plans:
-                dyadic._hierarchy(n, d)
+                _grid_plan(n, d).hierarchy
             retained = tracemalloc.get_traced_memory()[0] - before
-            kept = dyadic._hierarchy.cache_info().currsize
+            kept = len(dyadic._PLANS)
         finally:
             tracemalloc.stop()
-            dyadic._hierarchy.cache_clear()
+            dyadic._PLANS.clear()
         assert kept == dyadic._PLAN_MEMO_SIZE
-        # 8 B of nodes and at most 24 B of intp indices per m·d
-        assert retained <= dyadic._PLAN_MEMO_SIZE * 32 * dyadic._PLAN_MEMO_POINTS
-        assert retained <= 20 << 20
+        # 8 B of nodes and at most 24 B of intp indices per m·d, and each
+        # plan's layout, which the plan holds too
+        layouts = dyadic._PLAN_MEMO_SIZE * (82 << 10)
+        assert retained <= dyadic._PLAN_MEMO_SIZE * 32 * dyadic._PLAN_MEMO_POINTS + layouts
+        assert retained <= (20 << 20) + layouts
 
 
 class TestReductionPlan:
-    """The level reductions' gather blocks: memoized like analyze's plan."""
+    """The level reductions' gather blocks: held by the plan, memoized with it."""
 
-    def test_cold_and_warm_memo_byte_equal(self):
+    def test_cold_and_warm_memo_byte_equal(self, monkeypatch):
         s = random_series(4, 3, np.random.default_rng(12))
-        dyadic._reduction_blocks.cache_clear()
+        dyadic._PLANS.clear()
+        built = count_calls(monkeypatch, "_size_groups")
         cold = [np.float64(integrate(s)).tobytes(), np.array(series_profile(s, 1.5)).tobytes()]
         for _ in range(3):
             warm = [np.float64(integrate(s)).tobytes(), np.array(series_profile(s, 1.5)).tobytes()]
             assert warm == cold
-        info = dyadic._reduction_blocks.cache_info()
-        assert (info.misses, info.hits) == (1, 7)
+        assert built == [1]  # one miss, seven hits
 
     # memoized, memoized with split size groups, over the size cap
     @pytest.mark.parametrize("n,d,gather", [(4, 3, dyadic._ROWS), (4, 3, 5), (17, 1, dyadic._ROWS)])
     def test_blocks_cover_the_layout_with_read_only_intp_indices(self, n, d, gather, monkeypatch):
-        layout = _levels(n, d)
+        plan = dyadic._GridPlan(n, d)  # a fresh plan, outside the memo
+        layout = plan.layout
         seen = []
         monkeypatch.setattr(dyadic, "_ROWS", gather)
-        dyadic._reduction_blocks.cache_clear()
-        try:
-            blocks = list(dyadic._reduction_blocks(n, d))
-        finally:
-            dyadic._reduction_blocks.cache_clear()
+        blocks = list(plan.blocks())
         for levels, index in blocks:
             if isinstance(index, np.ndarray):
                 assert index.dtype == np.intp and not index.flags.writeable
@@ -406,9 +416,17 @@ class TestReductionPlan:
             seen.append(read.ravel())
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(layout.size))
 
+    @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])  # memoized, over the size cap
+    def test_small_plan_keeps_its_blocks_large_yields_them(self, n, d):
+        plan = _grid_plan(n, d)
+        if plan.small:
+            assert isinstance(plan.blocks(), tuple) and plan.blocks() is plan.blocks()
+        else:
+            assert iter(plan.blocks()) is not plan.blocks() and "_kept_blocks" not in vars(plan)
+
     def test_lone_level_blocks_are_views(self):
         s = random_series(4, 3, np.random.default_rng(5))
-        lone = [index for levels, index in dyadic._reduction_blocks(4, 3) if len(levels) == 1]
+        lone = [index for levels, index in _grid_plan(4, 3).blocks() if len(levels) == 1]
         assert lone
         for index in lone:
             assert np.shares_memory(s.coeffs, s.coeffs[index])
@@ -417,7 +435,6 @@ class TestReductionPlan:
         n, d = 17, 1
         assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
         s = FaberSeries(n, d, np.random.default_rng(3).standard_normal(node_count(n, d)))
-        dyadic._reduction_blocks.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -432,7 +449,7 @@ class TestReductionPlan:
     def test_integrate_over_size_cap_peaks_below_a_byte_per_coefficient(self):
         n, d = 17, 1
         s = FaberSeries(n, d, np.random.default_rng(3).standard_normal(node_count(n, d)))
-        integrate(s)  # warm; (17, 1)'s layout is the series' own, over the memo's size cap
+        integrate(s)  # warm; (17, 1)'s plan is over the memo's size cap
         tracemalloc.start()
         try:
             integrate(s)
@@ -442,33 +459,51 @@ class TestReductionPlan:
         # every level of (17, 1) is alone in its block and read as a view
         assert peak < node_count(n, d)
 
+    def test_reductions_over_size_cap_stream_their_gathers(self):
+        # (3, 8): most levels share a block and are read through a gather
+        # index; all of them at once would hold 8 B per coefficient
+        n, d = 3, 8
+        assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
+        s = FaberSeries(n, d, np.random.default_rng(8).standard_normal(node_count(n, d)))
+        grouped = sum(len(levels) for levels, index in _grid_plan(n, d).blocks() if len(levels) > 1)
+        assert grouped > len(s._layout.keys) // 2
+        for reduce in (integrate, lambda series: seqnorm._level_lps(series, 2.0, _grid_plan(n, d).blocks())):
+            reduce(s)  # warm
+            tracemalloc.start()
+            try:
+                reduce(s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * s.size
+
     def test_memo_retention_within_stated_bound(self):
-        # more layouts than the memo keeps, the largest m·d under its size cap
+        # more plans than the memo keeps, the largest m·d under its size cap
         plans = [(11, 2), (2, 6), (5, 4), (15, 1), (7, 3), (3, 5), (10, 2), (14, 1), (4, 4)]
         assert len(plans) > dyadic._PLAN_MEMO_SIZE
         assert all(node_count(n, d) * d <= dyadic._PLAN_MEMO_POINTS for n, d in plans)
-        for n, d in plans:
-            _levels(n, d)  # the memo keeps the last layouts, the ones it holds after the loop
-        dyadic._reduction_blocks.cache_clear()
+        dyadic._PLANS.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            blocks = [len(dyadic._reduction_blocks(n, d)) for n, d in plans]
+            blocks = [len(_grid_plan(n, d).blocks()) for n, d in plans]
             retained = tracemalloc.get_traced_memory()[0] - before
-            kept = dyadic._reduction_blocks.cache_info().currsize
+            kept = len(dyadic._PLANS)
         finally:
             tracemalloc.stop()
-            dyadic._reduction_blocks.cache_clear()
+            dyadic._PLANS.clear()
         assert kept == dyadic._PLAN_MEMO_SIZE
         # the last plans stay: 8 B of index per coefficient and of level
-        # index per level, and at most 1 KiB of array objects per block
+        # index per level, at most 1 KiB of array objects per block, and
+        # each plan's layout, 8·(2d + 3) B per level and 4 KiB of objects
         stated = sum(
-            8 * (node_count(n, d) + len(_levels(n, d).keys)) + 1024 * count
+            8 * (node_count(n, d) + (2 * d + 4) * len(_grid_plan(n, d).layout.keys)) + 1024 * count + 4096
             for (n, d), count in list(zip(plans, blocks))[-kept:]
         )
+        layouts = dyadic._PLAN_MEMO_SIZE * (82 << 10)
         assert retained <= stated
-        assert retained <= dyadic._PLAN_MEMO_SIZE * 8 * dyadic._PLAN_MEMO_POINTS
-        assert retained <= 5 << 20
+        assert retained <= dyadic._PLAN_MEMO_SIZE * 8 * dyadic._PLAN_MEMO_POINTS + layouts
+        assert retained <= (5 << 20) + layouts
 
 
 class TestEvaluate:

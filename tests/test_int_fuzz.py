@@ -38,6 +38,7 @@ from faberkit import (
     node_count,
     node_set,
     noncompact_demo,
+    reference_envelope,
     sampling_width_table,
     smooth,
     spike,
@@ -110,6 +111,8 @@ CASES = {
     "comb_check-d": Case("dimension", -1, 3, lambda v: comb_check(1.0, v, [3])),
     "noncompact_demo": Case("max_level", 0, 4, noncompact_demo),
     "decay_profile-n": Case("budget", 0, 4, lambda v: decay_profile(_x2(), 2.0, v)),
+    "reference_envelope-n": Case("budget", -2, 3, lambda v: reference_envelope(v, 2.0, 2.0, 2)),
+    "reference_envelope-d": Case("dimension", -1, 3, lambda v: reference_envelope(3, 2.0, 2.0, v)),
 }
 
 #: kind -> (the value of the int k, its plain int or None)

@@ -223,7 +223,7 @@ def test_property_level_reductions_are_bit_identical_to_per_level_loops(
     ]
     s = FaberSeries(n, d, np.concatenate(blocks))
     saved, dyadic._ROWS = dyadic._ROWS, gather
-    dyadic._reduction_blocks.cache_clear()
+    dyadic._PLANS.clear()
     try:
         assert np.float64(integrate(s)).tobytes() == np.float64(per_level_integrate(s)).tobytes()
         for p in (1.0, 2.0, 3.5):
@@ -237,7 +237,7 @@ def test_property_level_reductions_are_bit_identical_to_per_level_loops(
                 )
     finally:
         dyadic._ROWS = saved
-        dyadic._reduction_blocks.cache_clear()
+        dyadic._PLANS.clear()
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5])
@@ -246,7 +246,7 @@ def test_series_profile_holds_one_temporary_of_the_largest_level(p):
     # the one full-size temporary: (|c| / top)**p is taken in place
     for n in (15, 17):
         s = FaberSeries(n, 1, np.random.default_rng(n).standard_normal(2 ** (n + 1) + 1))
-        series_profile(s, p)  # warm: the level layout and plan memos
+        series_profile(s, p)  # warm: the plan memo
         tracemalloc.start()
         try:
             series_profile(s, p)

@@ -366,5 +366,5 @@ def test_property_column_products_are_np_prod_bytes(d, rows, seed):
 
 @pytest.mark.parametrize("n,d", [(5, 4), (3, 8)])
 def test_column_products_on_analyze_nodes(n, d):
-    points, _ = dyadic._hierarchy(n, d)
+    points, _ = dyadic._grid_plan(n, d).hierarchy
     _assert_products_match_np_prod(points.copy(), default_kink_anchor(d))
