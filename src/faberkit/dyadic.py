@@ -5,9 +5,10 @@ Levels and translations are exact integers.  A node coordinate is
 computed once, by one formula (:func:`_nodes`), as an exact binary64
 dyadic; :func:`node_set` returns these (m, d) float64 nodes.  A
 :class:`_GridPlan` holds what depends on (n, d) alone: the layout of a
-series of order <= n, the node and sweep plan of analyze, and the block
-indices of the level reductions.  :func:`_grid_plan` memoizes one plan per
-(n, d) under the one rule and byte bound stated at ``_PLAN_MEMO_SIZE``.
+series of order <= n, which holds the block indices of the level
+reductions, and the node and sweep plan of analyze.  :func:`_grid_plan`
+memoizes one plan per (n, d) under the one rule and byte bound stated at
+``_PLAN_MEMO_SIZE``.
 
 Level conventions
 -----------------
@@ -41,7 +42,7 @@ MAX_LEVEL = 62
 MAX_POINTS = 1 << 25
 
 #: Rows per pass of every memory-bounded loop: the evaluator's chunks and
-#: the measures' pieces, the gathers of :meth:`_GridPlan.blocks`, the rows
+#: the measures' pieces, the gathers of :meth:`_Layout.blocks`, the rows
 #: ``levels`` prints at a time, the sign passes of ``testbed.extremal``, the
 #: series writers' blocks and the readers' slices of 32 * _ROWS characters.
 #: A pass only splits the work, so no value or byte depends on it.  For the
@@ -100,6 +101,24 @@ def _check_int(name: str, value, low: int | None = None) -> int:
     value = int(value)
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
+def _check_real(name: str, value, low=None, strict: bool = False, inf: bool = False) -> float:
+    """value as a float; ValueError, naming it, unless it is a Python or numpy
+    int or float (a bool is not one), at least low when low is given (above
+    it if strict), and finite unless inf allows +-inf.  NaN fails every
+    bound; an int past binary64 is the infinity of its sign."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r:.40}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    if low is not None and not (value > low if strict else value >= low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}")
+    if not (math.isfinite(value) or inf and not math.isnan(value)):
+        raise ValueError(f"{name} must be finite")
     return value
 
 
@@ -165,17 +184,23 @@ _PLAN_MEMO_POINTS = 1 << 17
 
 #: Plans the memo keeps.  Under _PLAN_MEMO_POINTS this count is a byte
 #: bound: a plan holds at most 8·m·d bytes of nodes and 8·m·(3d - 1) of
-#: intp sweep indices (axis 0's inner nodes are a slice), 4 MiB; 8 B of
-#: intp block index per grouped coefficient (a lone level holds a slice),
-#: 1 MiB; and a layout of 8·(2d + 3) B per level, at most 82 KiB (the
-#: largest is (2, 6)'s 688 levels, by tracemalloc).  So the memo retains
-#: at most 5 · (4 MiB + 1 MiB + 82 KiB), about 25.4 MiB.
+#: intp sweep indices (axis 0's inner nodes are a slice), 4 MiB; and a
+#: layout of 8·(2d + 3) B per level, at most 82 KiB (the largest is (2,
+#: 6)'s 688 levels, by tracemalloc), with its kept blocks: 8 B of intp
+#: block index per grouped coefficient (a lone level holds a slice), 1 MiB.
+#: So the memo retains at most 5 · (4 MiB + 1 MiB + 82 KiB), about 25.4
+#: MiB.  A series holds its layout, blocks included, past the plan's
+#: eviction; a layout over the cap keeps no blocks.
 _PLAN_MEMO_SIZE = 5
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class _Layout:
-    """The series layout of order <= n in d dimensions; see :class:`_GridPlan`."""
+    """The series layout of order <= n in d dimensions; see :class:`_GridPlan`.
+
+    ``small`` says whether m·d <= _PLAN_MEMO_POINTS, that is whether
+    :func:`_grid_plan` keeps its plan and :meth:`blocks` keeps the blocks.
+    """
 
     entries: np.ndarray  # (L, d) int64 level entries, in lexicographic order
     shapes: np.ndarray  # (L, d) int64 translation counts
@@ -184,6 +209,33 @@ class _Layout:
     radix: np.ndarray  # (d,) int64 place values of the level keys
     keys: np.ndarray  # (L,) int64 level keys, ascending in series order
     orders: np.ndarray  # (L,) int64 truncation orders sum(max(entries, 0))
+
+    @property
+    def small(self) -> bool:
+        return self.size * len(self.radix) <= _PLAN_MEMO_POINTS
+
+    def blocks(self) -> Iterable[tuple[np.ndarray, tuple | np.ndarray]]:
+        """The levels grouped by size, a few levels at a time.
+
+        ``(levels, index)`` per size group, in ascending size: ``levels``,
+        the group's read-only level indices into the layout, and ``index``,
+        which ``coeffs[index]`` reads as the (len(levels), size) block of
+        their coefficients, one row per level: a view ``(None, slice(start,
+        stop))`` for a level alone, else the read-only intp gather index
+        ``starts[levels, None] + arange(size)`` of at most _ROWS elements,
+        which bounds each block and the temporaries of its reductions to 64
+        KiB.  A row-wise reduction of a block is bit-identical to the
+        reduction of each level alone.  A small layout builds the blocks on
+        first use and keeps them as a tuple; a layout over _PLAN_MEMO_POINTS
+        yields them one by one on every call, so no gather index outlives
+        its block.  A series reduces by its own layout's blocks, so no
+        reduction builds a plan.
+        """
+        return self._kept_blocks if self.small else _size_groups(self.starts)
+
+    @functools.cached_property
+    def _kept_blocks(self) -> tuple:
+        return tuple(_size_groups(self.starts))
 
 
 def _plan(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
@@ -305,13 +357,11 @@ class _GridPlan:
     order.  A level's key is its entries + 1 in mixed radix n + 2, so the
     keys ascend, and (n + 2)**d <= 2**24 fits an int64 for every (n, d)
     under the cap.  The read-only arrays hold 8 (2d + 3) B per level.
-    :attr:`hierarchy` and :meth:`blocks` are built on first use.  ``small``
-    says whether m·d <= _PLAN_MEMO_POINTS, that is whether
-    :func:`_grid_plan` keeps the plan.
+    :attr:`hierarchy` is built on first use.
     """
 
     def __init__(self, n: int, d: int) -> None:
-        self.small = capped_node_count(n, d) * d <= _PLAN_MEMO_POINTS
+        capped_node_count(n, d)
         entries = np.zeros((1, 0), dtype=np.int64)
         orders = np.zeros(1, dtype=np.int64)
         for _ in range(d):
@@ -371,32 +421,10 @@ class _GridPlan:
             sweeps.append(tuple(sweep))
         return points, tuple(sweeps)
 
-    def blocks(self) -> Iterable[tuple[np.ndarray, tuple | np.ndarray]]:
-        """The levels grouped by size, a few levels at a time.
-
-        ``(levels, index)`` per size group, in ascending size: ``levels``,
-        the group's read-only level indices into ``layout``, and ``index``,
-        which ``coeffs[index]`` reads as the (len(levels), size) block of
-        their coefficients, one row per level: a view ``(None, slice(start,
-        stop))`` for a level alone, else the read-only intp gather index
-        ``starts[levels, None] + arange(size)`` of at most _ROWS elements,
-        which bounds each block and the temporaries of its reductions to 64
-        KiB.  A row-wise reduction of a block is bit-identical to the
-        reduction of each level alone.  A small plan builds the blocks on
-        first use and keeps them as a tuple; a plan over _PLAN_MEMO_POINTS
-        yields them one by one on every call, so no gather index outlives
-        its block.
-        """
-        return self._kept_blocks if self.small else _size_groups(self.layout.starts)
-
-    @functools.cached_property
-    def _kept_blocks(self) -> tuple:
-        return tuple(_size_groups(self.layout.starts))
-
 
 def _size_groups(starts: np.ndarray) -> Iterator[tuple[np.ndarray, tuple | np.ndarray]]:
-    """The blocks of :meth:`_GridPlan.blocks`, built from the layout's level
-    starts alone, so a plan that yields them is not kept alive by them."""
+    """The blocks of :meth:`_Layout.blocks`, built from the layout's level
+    starts alone, so a layout that yields them is not kept alive by them."""
     sizes = np.diff(starts)
     for size in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == size)
@@ -427,7 +455,7 @@ def _grid_plan(n: int, d: int) -> _GridPlan:
     """
     key = _check_budget(n, d)  # before the memo, whose keys take 2.0 for 2
     plan = _PLANS.pop(key, None) or _GridPlan(*key)
-    if plan.small:
+    if plan.layout.small:
         _PLANS[key] = plan  # last, as the most recently used
         if len(_PLANS) > _PLAN_MEMO_SIZE:
             del _PLANS[next(iter(_PLANS))]

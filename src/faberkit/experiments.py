@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import _check_int, _grid_plan, capped_node_count
+from .dyadic import _check_int, _check_real, _grid_plan, capped_node_count
 from .faber import FunctionHandle, _analyze, analyze, integrate
 from .measure import MeasureSpec, _cap_error, default_spec, lq_error
-from .seqnorm import _profile
+from .seqnorm import series_profile
 from .testbed import hat_family
 
 __all__ = [
@@ -79,8 +79,10 @@ class CubatureRecord:
 def reference_envelope(n: int, p: float, q: float, d: int) -> float:
     """Theoretical error envelope at budget n (constant 1, max(n,1) powers):
     ``2**(-n / max(p, q)) * max(n, 1)**_log_exponent(p, q, d)``; ValueError
-    unless the budget n >= 0 and the dimension d >= 1 are integers."""
+    unless the budget n >= 0 and the dimension d >= 1 are integers and
+    p, q >= 1 are reals (math.inf allowed)."""
     n, d = _check_int("budget", n, 0), _check_int("dimension", d, 1)
+    p, q = _check_real("p", p, 1, inf=True), _check_real("q", q, 1, inf=True)
     return 2.0 ** (-n / max(p, q)) * float(max(n, 1)) ** _log_exponent(p, q, d)
 
 
@@ -132,13 +134,13 @@ def convergence_study(
     """Sample, reconstruct, and measure the L_q defect for each budget.
 
     The node count per row is the number of fresh evaluations the
-    analysis performed (each budget owns its analysis).  p, q < 1 or NaN,
-    a spec_factory whose spec measures another exponent than q at any
-    budget (the reference column and the rate fits use q), and the caps
-    of :func:`_analyses` raise ValueError before f is sampled.
+    analysis performed (each budget owns its analysis).  p or q not a
+    real >= 1 (math.inf allowed), a spec_factory whose spec measures another
+    exponent than q at any budget (the reference column and the rate fits
+    use q), and the caps of :func:`_analyses` raise ValueError before f is
+    sampled.
     """
-    if not (p >= 1.0 and q >= 1.0):
-        raise ValueError(f"need p >= 1 and q >= 1, got p={p!r}, q={q!r}")
+    p, q = _check_real("p", p, 1, inf=True), _check_real("q", q, 1, inf=True)
     d = f.dim
     ns = _check_range(n_range)
     specs = [spec_factory(n) if spec_factory is not None else default_spec(q, n, d) for n in ns]
@@ -169,26 +171,21 @@ def fit_rate(records: Sequence[RateRecord], fixed_log_exponent: float = 0.0) -> 
     Rows whose error is not above 10x its estimate are measurement noise;
     they are excluded and reported.  At least 4 usable rows are required.
     """
+    fixed_log_exponent = _check_real("fixed_log_exponent", fixed_log_exponent)
     usable = [r for r in records if r.error > 0.0 and r.error > 10.0 * r.error_estimate]
     excluded = tuple(r.n for r in records if r not in usable)
     if len(usable) < 4:
-        raise ValueError(
-            f"need >= 4 records above the noise floor, have {len(usable)}"
-        )
+        raise ValueError(f"need >= 4 records above the noise floor, have {len(usable)}")
     ns = np.array([r.n for r in usable], dtype=np.float64)
-    ys = np.array(
-        [
-            math.log2(r.error) - fixed_log_exponent * math.log2(max(r.n, 1))
-            for r in usable
-        ]
-    )
+    ys = np.array([math.log2(r.error) - fixed_log_exponent * math.log2(max(r.n, 1))
+                   for r in usable])
     slope, intercept = np.polyfit(ns, ys, 1)
     resid = ys - (slope * ns + intercept)
     return RateFit(
         slope=float(slope),
         intercept=float(intercept),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        fixed_log_exponent=float(fixed_log_exponent),
+        fixed_log_exponent=fixed_log_exponent,
         excluded=excluded,
     )
 
@@ -207,10 +204,12 @@ def comb_check(
     binary64 number, whose ``(1 - 2**-alpha)**-d`` or ``max(n,1)**(d-1)``
     is not finite, whose tail ratio is not finite, or an alpha so small
     that ``2**-alpha`` rounds to 1, raises ValueError instead of
-    overflowing, dividing by zero or losing the tail to underflow.
+    overflowing, dividing by zero or losing the tail to underflow; alpha
+    must be a finite real > 0.
     """
-    if alpha <= 0.0 or 2.0**-alpha == 1.0:
-        raise ValueError(f"alpha={alpha!r} must be positive, with 2**-alpha below 1")
+    alpha = _check_real("alpha", alpha, 0, strict=True)
+    if 2.0**-alpha == 1.0:
+        raise ValueError(f"alpha={alpha!r} is so small that 2**-alpha rounds to 1")
     d = _check_int("dimension", d, 1)
     x = 2.0**-alpha
     full1 = 1.0 / (1.0 - x)
@@ -287,9 +286,7 @@ def noncompact_demo(max_level: int) -> NoncompactReport:
             drow.append(abs(members[j]((x,)) - members[l]((x,))))
         witnesses.append(tuple(wrow))
         distances.append(tuple(drow))
-    profiles = tuple(
-        tuple(v for _, v in _profile(_analyze(m, plan), 2.0, plan.blocks())) for m in members
-    )
+    profiles = tuple(tuple(v for _, v in series_profile(_analyze(m, plan), 2.0)) for m in members)
     conclusion = (
         "hat family: level-wise coefficient norms stay at 1 while all pairwise "
         "uniform distances equal 1 at the witness points; the family is bounded "
@@ -317,7 +314,6 @@ def sampling_width_table(
     envelope ``m**(-1/q)``.  Both carry unknown constants (set to 1) and
     are reference columns, not assertions.
     """
-    d = f.dim
     rows = []
     for r in convergence_study(f, p, q, n_range, spec_factory):
         lg = math.log2(r.m)
@@ -325,8 +321,8 @@ def sampling_width_table(
             WidthRecord(
                 m=r.m,
                 error=r.error,
-                upper_ref=r.m ** (-1.0 / p) * lg ** ((d - 1) * (1.0 / p + 1.0)),
-                lower_ref=r.m ** (-1.0 / q),
+                upper_ref=r.m ** (-1.0 / r.p) * lg ** ((r.d - 1) * (1.0 / r.p + 1.0)),
+                lower_ref=r.m ** (-1.0 / r.q),
             )
         )
     return rows

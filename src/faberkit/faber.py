@@ -32,6 +32,7 @@ from .dyadic import (
     LevelVector,
     _as_level,
     _check_int,
+    _check_real,
     _check_translation,
     _flat_index,
     _grid_plan,
@@ -75,7 +76,8 @@ class FunctionHandle:
     label : str
         Free text used in error messages and summaries.
     exact_integral, exact_l2 : float, optional
-        Closed-form reference values, when the function ships them.
+        Closed-form reference values, when the function ships them: finite
+        reals, or None.
     """
 
     __slots__ = ("label", "dim", "exact_integral", "exact_l2", "_evaluator", "_count", "_series")
@@ -92,8 +94,9 @@ class FunctionHandle:
         self._evaluator = evaluator
         self.dim = dim
         self.label = label
-        self.exact_integral = exact_integral
-        self.exact_l2 = exact_l2
+        self.exact_integral, self.exact_l2 = (
+            None if v is None else _check_real(name, v)
+            for name, v in (("exact integral", exact_integral), ("exact L2 norm", exact_l2)))
         self._count = 0
         self._series = None  # the series a synthesized handle evaluates
 
@@ -580,7 +583,7 @@ def integrate(series: FaberSeries) -> float:
     layout = series._layout
     terms = np.ldexp(1.0, -(layout.orders + series.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # such a level is redone below
-        for levels, index in _grid_plan(series.budget, series.dim).blocks():
+        for levels, index in layout.blocks():
             terms[levels] *= series.coeffs[index].sum(axis=1)
     values = terms.tolist()
     if not math.isfinite(sum(values)):  # a level sum or the total overflowed

@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .dyadic import _ROWS, MAX_LEVEL, MAX_POINTS, _as_level, _check_int
+from .dyadic import _ROWS, MAX_LEVEL, MAX_POINTS, _as_level, _check_int, _check_real
 from .faber import FaberSeries, FunctionHandle, _defect
 
 __all__ = [
@@ -78,12 +78,8 @@ class StratifiedMC:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", _check_int("Monte Carlo samples", self.samples))
-        object.__setattr__(self, "seed", _check_int("Monte Carlo seed", self.seed))
-        if self.seed < 0:
-            raise ValueError(f"Monte Carlo seed {self.seed} must be >= 0")
-        if self.samples < 1000:
-            raise ValueError("need at least 10^3 samples")
+        object.__setattr__(self, "samples", _check_int("Monte Carlo samples", self.samples, 1000))
+        object.__setattr__(self, "seed", _check_int("Monte Carlo seed", self.seed, 0))
         if self.samples > MAX_POINTS:
             raise ValueError(f"{self.samples} Monte Carlo samples exceed the cap {MAX_POINTS}")
 
@@ -111,12 +107,10 @@ class MeasureSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
             raise ValueError(f"unknown measure method {self.method!r}")
-        if not self.q >= 1.0:
-            raise ValueError(f"q = {self.q} not supported; need q >= 1")
-        if math.isinf(self.q) and not isinstance(self.method, SupGrid):
-            raise ValueError("q = inf is handled by the sup_grid method only")
-        if not math.isinf(self.q) and isinstance(self.method, SupGrid):
-            raise ValueError("sup_grid measures q = inf only")
+        object.__setattr__(self, "q", _check_real("q", self.q, 1, inf=True))
+        if math.isinf(self.q) != isinstance(self.method, SupGrid):
+            raise ValueError("sup_grid measures q = inf only" if isinstance(self.method, SupGrid)
+                             else "q = inf is handled by the sup_grid method only")
 
 
 def default_spec(q: float, n: int, d: int, seed: int = 0) -> MeasureSpec:
@@ -125,7 +119,8 @@ def default_spec(q: float, n: int, d: int, seed: int = 0) -> MeasureSpec:
     Composite Gauss on the mesh of level n + 2 (:func:`_default_level`)
     where :func:`_cap_error` lets it measure, stratified Monte Carlo otherwise.
     """
-    level, d = _default_level(_check_int("budget", n)), _check_int("dimension", d, 1)
+    q, level = _check_real("q", q, 1, inf=True), _default_level(_check_int("budget", n))
+    d = _check_int("dimension", d, 1)
     if math.isinf(q):
         return MeasureSpec(q, SupGrid(level=level))
     if level <= MAX_LEVEL and not _cap_error(CompositeGauss(level=level), d):
@@ -328,8 +323,7 @@ def block_lq_exact(j, coeffs, q: float) -> float:
     c = np.asarray(coeffs, dtype=np.float64).reshape(-1)
     if c.size != j.translation_count():
         raise ValueError("coefficient count does not match the level")
-    if not q >= 1.0:  # NaN fails too
-        raise ValueError("q < 1 not supported")
+    q = _check_real("q", q, 1, inf=True)
     a = np.abs(c)
     top = float(np.max(a))
     if math.isinf(q):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _as_level, _check_int, _grid_plan
+from .dyadic import _as_level, _check_int, _check_real
 from .faber import FaberSeries, FunctionHandle, analyze
 
 __all__ = ["NormParams", "level_lp", "seq_norm", "series_profile", "decay_profile"]
@@ -29,21 +29,14 @@ class NormParams:
     q: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r):
-            raise ValueError("r must be finite")
-        _check_p(self.p)
-        if not self.q > 0.0:
-            raise ValueError("q must be positive (math.inf allowed)")
-
-
-def _check_p(p: float) -> None:
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError("p must satisfy 1 <= p < inf")
+        object.__setattr__(self, "r", _check_real("r", self.r))
+        object.__setattr__(self, "p", _check_real("p", self.p, 1))
+        object.__setattr__(self, "q", _check_real("q", self.q, 0, strict=True, inf=True))
 
 
 def level_lp(series: FaberSeries, j, p: float) -> float:
-    """l_p norm of the coefficients of one stored level."""
-    _check_p(p)
+    """l_p norm of the coefficients of one stored level, 1 <= p < inf."""
+    p = _check_real("p", p, 1)
     arr = np.abs(series.array(_as_level(j)))
     top = float(arr.max(initial=0.0))
     if top == 0.0:
@@ -52,9 +45,9 @@ def level_lp(series: FaberSeries, j, p: float) -> float:
     return top * float(np.sum((arr / top) ** p)) ** (1.0 / p)
 
 
-def _level_lps(series: FaberSeries, p: float, blocks) -> list[tuple[int, float]]:
+def _level_lps(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     """(truncation order, level_lp) of every stored level in series order,
-    ``blocks`` the reduction blocks of the plan of the series' budget and dim.
+    for a checked p, reduced by the blocks of the series' own layout.
 
     Levels of one size are reduced together, row by row: the maximum
     ``top``, the sum of ``(|c| / top)**p``, then ``top * sum**(1/p)`` in
@@ -62,11 +55,10 @@ def _level_lps(series: FaberSeries, p: float, blocks) -> list[tuple[int, float]]
     power is taken in place, so one block's ``|c|`` is the only temporary
     of its size: 4.01 B per coefficient at (n, d) = (17, 1) (tracemalloc).
     """
-    _check_p(p)
     orders = series._layout.orders
     tops = np.empty(len(orders))
     sums = np.empty(len(orders))
-    for levels, index in blocks:
+    for levels, index in series._layout.blocks():
         scaled = np.abs(series.coeffs[index])
         top = scaled.max(axis=1)
         # an all-zero level divides by 1 and gets 0.0 below, as in level_lp
@@ -87,7 +79,7 @@ def seq_norm(series: FaberSeries, params: NormParams) -> float:
     weighted level norm leaves binary64.  A zero level adds 0 at any weight."""
     exponent = params.r - 1.0 / params.p
     terms = []
-    for order, lp in _level_lps(series, params.p, _grid_plan(series.budget, series.dim).blocks()):
+    for order, lp in _level_lps(series, params.p):
         try:
             terms.append(lp and 2.0 ** (order * exponent) * lp)
         except OverflowError:
@@ -102,13 +94,8 @@ def seq_norm(series: FaberSeries, params: NormParams) -> float:
 
 def series_profile(series: FaberSeries, p: float) -> list[tuple[int, float]]:
     """Per truncation order, the maximum level_lp over levels of that order."""
-    return _profile(series, p, _grid_plan(series.budget, series.dim).blocks())
-
-
-def _profile(series: FaberSeries, p: float, blocks) -> list[tuple[int, float]]:
-    """:func:`series_profile` of the series, reduced by ``blocks``, as :func:`_level_lps`."""
     best = [0.0] * (series.budget + 1)
-    for order, value in _level_lps(series, p, blocks):
+    for order, value in _level_lps(series, _check_real("p", p, 1)):
         if value > best[order]:
             best[order] = value
     return list(enumerate(best))
@@ -121,4 +108,5 @@ def decay_profile(f: FunctionHandle, p: float, n: int) -> list[tuple[int, float]
     level-wise coefficient bound; the probe is one-sided (boundedness),
     the converse direction is not measurable from finitely many levels.
     """
-    return series_profile(analyze(f, _check_int("budget", n, 2)), p)
+    p, n = _check_real("p", p, 1), _check_int("budget", n, 2)  # before f is sampled
+    return series_profile(analyze(f, n), p)

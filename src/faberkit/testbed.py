@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dyadic import _ROWS, _check_int, _flat_index, _grid_plan, _plan
+from .dyadic import _ROWS, _check_int, _check_real, _flat_index, _grid_plan, _plan
 from .faber import FaberSeries, FunctionHandle, synthesize
 
 __all__ = [
@@ -68,8 +68,7 @@ def extremal(p: float, depth: int, seed: int, d: int) -> tuple[FunctionHandle, F
     words next to that table.  The series has node_count(depth, d) coefficients; a depth over
     the MAX_POINTS cap raises ValueError before anything is built.
     """
-    if not p >= 1.0:  # NaN fails too
-        raise ValueError("p must be >= 1")
+    p = _check_real("p", p, 1, inf=True)
     depth, seed = _check_int("depth", depth, 1), _check_int("seed", seed)
     layout = _grid_plan(depth, d).layout
     owner, k = _plan(layout)
@@ -131,7 +130,9 @@ def kink(anchor=None, d: int = 1) -> FunctionHandle:
     """
     if anchor is None:
         anchor = default_kink_anchor(d)
-    c = tuple(float(v) for v in anchor)
+    if not np.iterable(anchor):
+        raise ValueError(f"anchor must be a sequence of coordinates, got {anchor!r:.40}")
+    c = tuple(_check_real("anchor coordinate", v) for v in anchor)
     if len(c) != d:
         raise ValueError("anchor dimension mismatch")
     for v in c:

@@ -245,6 +245,8 @@ BAD_INPUTS = {
     "comb-n535": "comb --alpha 2 --dim 2 --n 535",
     "comb-alpha-1e-17": "comb --dim 2 --n 1..3 --alpha 1e-17",
     "comb-alpha-5e-324": "comb --dim 2 --n 1..3 --alpha 5e-324",
+    "comb-alpha-nan": "comb --alpha nan --dim 1 --n 3",
+    "comb-alpha-inf": "comb --alpha inf --dim 1 --n 3",
     "comb-d1030-full-sum-overflow": "comb --dim 1030 --n 2 --alpha 1",
     "comb-d400-n10-denominator-overflow": "comb --dim 400 --n 10 --alpha 1",
     "comb-d578-tail-ratio-overflow": "comb --alpha 0.5 --dim 578 --n 1",
@@ -281,6 +283,18 @@ def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, argv):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name,line",
+    [
+        ("comb-alpha-nan", "error: alpha must be > 0\n"),
+        ("comb-alpha-inf", "error: alpha must be finite\n"),
+    ],
+)
+def test_non_finite_alpha_is_named_not_the_budget(capsys, name, line):
+    # both used to blame the budget: "budget n=3 leaves the normal binary64 range"
+    assert run_cli(capsys, *BAD_INPUTS[name].split()) == (1, "", line)
 
 
 def node_cap_line(n, d):

@@ -186,7 +186,7 @@ class TestPlanMemo:
     def test_hit_counts_no_node(self, monkeypatch):
         def use(plan):
             plan.hierarchy
-            list(plan.blocks())
+            list(plan.layout.blocks())
 
         use(_grid_plan(3, 2))
         counted = []
@@ -241,7 +241,7 @@ class TestPlanMemo:
             for n, d in plans:
                 plan = _grid_plan(n, d)
                 plan.hierarchy
-                plan.blocks()
+                plan.layout.blocks()
             del plan
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -404,3 +404,49 @@ class TestNodeSet:
         m = node_count(10, 2)
         assert m == 28673
         assert 0.5 <= m / (2**10 * 10) <= 8.0
+
+
+class TestCheckReal:
+    """The one bounded-real rule: its type refusal, bounds and conversions."""
+
+    @pytest.mark.parametrize(
+        "value,kwargs,message",
+        [
+            (True, {}, "x must be a real number, got True"),
+            ("2", {}, "x must be a real number, got '2'"),
+            (2j, {}, "x must be a real number, got 2j"),
+            (None, {}, "x must be a real number, got None"),
+            (np.array(2.0), {}, "x must be a real number, got array(2.)"),
+            ("y" * 60, {}, "x must be a real number, got '" + "y" * 39),
+            (float("nan"), {}, "x must be finite"),
+            (float("inf"), {}, "x must be finite"),
+            (float("nan"), {"low": 1}, "x must be >= 1"),
+            (float("nan"), {"low": 1, "inf": True}, "x must be >= 1"),
+            (-float("inf"), {"low": 1, "inf": True}, "x must be >= 1"),
+            (0.5, {"low": 1}, "x must be >= 1"),
+            (0.0, {"low": 0, "strict": True}, "x must be > 0"),
+            (-(10**400), {"low": 0, "strict": True, "inf": True}, "x must be > 0"),
+            (10**400, {}, "x must be finite"),
+        ],
+    )
+    def test_refusals_name_the_argument(self, value, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            dyadic._check_real("x", value, **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "value,kwargs,expected",
+        [
+            (2, {}, 2.0),
+            (np.int64(-3), {}, -3.0),
+            (np.float32(0.5), {}, 0.5),
+            (np.float64(1.5), {"low": 1}, 1.5),
+            (1, {"low": 1}, 1.0),
+            (5e-324, {"low": 0, "strict": True}, 5e-324),
+            (float("inf"), {"low": 1, "inf": True}, float("inf")),
+            (10**400, {"low": 1, "inf": True}, float("inf")),
+        ],
+    )
+    def test_reals_come_back_as_python_floats(self, value, kwargs, expected):
+        got = dyadic._check_real("x", value, **kwargs)
+        assert type(got) is float and got == expected

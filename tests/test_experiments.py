@@ -134,8 +134,9 @@ class TestConvergenceStudy:
     def test_rejects_exponents_below_one_before_sampling(self, p, q):
         f = FunctionHandle(lambda X: X[:, 0], 1)
         for study in (convergence_study, sampling_width_table):
-            with pytest.raises(ValueError, match="need p >= 1 and q >= 1"):
+            with pytest.raises(ValueError) as info:
                 study(f, p, q, range(2, 6))
+            assert str(info.value) == ("p" if p != 2.0 else "q") + " must be >= 1"
         assert f.eval_count == 0
 
     def test_rejects_a_measure_of_another_q_before_sampling(self):

@@ -384,11 +384,11 @@ class TestHierarchyPlan:
 
 
 class TestReductionPlan:
-    """The level reductions' gather blocks: held by the plan, memoized with it."""
+    """The level reductions' gather blocks: held by the layout, memoized with its plan."""
 
     def test_cold_and_warm_memo_byte_equal(self, monkeypatch):
+        dyadic._PLANS.clear()  # so the series gets a layout that has built no blocks
         s = random_series(4, 3, np.random.default_rng(12))
-        dyadic._PLANS.clear()
         built = count_calls(monkeypatch, "_size_groups")
         cold = [np.float64(integrate(s)).tobytes(), np.array(series_profile(s, 1.5)).tobytes()]
         for _ in range(3):
@@ -403,7 +403,7 @@ class TestReductionPlan:
         layout = plan.layout
         seen = []
         monkeypatch.setattr(dyadic, "_ROWS", gather)
-        blocks = list(plan.blocks())
+        blocks = list(layout.blocks())
         for levels, index in blocks:
             if isinstance(index, np.ndarray):
                 assert index.dtype == np.intp and not index.flags.writeable
@@ -418,15 +418,16 @@ class TestReductionPlan:
 
     @pytest.mark.parametrize("n,d", [(4, 3), (17, 1)])  # memoized, over the size cap
     def test_small_plan_keeps_its_blocks_large_yields_them(self, n, d):
-        plan = _grid_plan(n, d)
-        if plan.small:
-            assert isinstance(plan.blocks(), tuple) and plan.blocks() is plan.blocks()
+        layout = _grid_plan(n, d).layout
+        if layout.small:
+            assert isinstance(layout.blocks(), tuple) and layout.blocks() is layout.blocks()
         else:
-            assert iter(plan.blocks()) is not plan.blocks() and "_kept_blocks" not in vars(plan)
+            assert iter(layout.blocks()) is not layout.blocks()
+            assert "_kept_blocks" not in vars(layout)
 
     def test_lone_level_blocks_are_views(self):
         s = random_series(4, 3, np.random.default_rng(5))
-        lone = [index for levels, index in _grid_plan(4, 3).blocks() if len(levels) == 1]
+        lone = [index for levels, index in s._layout.blocks() if len(levels) == 1]
         assert lone
         for index in lone:
             assert np.shares_memory(s.coeffs, s.coeffs[index])
@@ -459,15 +460,28 @@ class TestReductionPlan:
         # every level of (17, 1) is alone in its block and read as a view
         assert peak < node_count(n, d)
 
+    def test_reductions_over_size_cap_build_no_layout(self, monkeypatch):
+        # a series reduces by its own layout's blocks: above the memo's size
+        # cap, where each call used to build a plan of its own, none builds one
+        n, d = 3, 8
+        s = FaberSeries(n, d, np.random.default_rng(4).standard_normal(node_count(n, d)))
+        assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
+        built, init = [], dyadic._GridPlan.__init__
+        monkeypatch.setattr(dyadic._GridPlan, "__init__", lambda *a: built.append(a[1:]) or init(*a))
+        integrate(s)
+        series_profile(s, 2.0)
+        seqnorm.seq_norm(s, seqnorm.NormParams(1.0, 2.0, 2.0))
+        assert built == []
+
     def test_reductions_over_size_cap_stream_their_gathers(self):
         # (3, 8): most levels share a block and are read through a gather
         # index; all of them at once would hold 8 B per coefficient
         n, d = 3, 8
         assert node_count(n, d) * d > dyadic._PLAN_MEMO_POINTS
         s = FaberSeries(n, d, np.random.default_rng(8).standard_normal(node_count(n, d)))
-        grouped = sum(len(levels) for levels, index in _grid_plan(n, d).blocks() if len(levels) > 1)
+        grouped = sum(len(levels) for levels, index in s._layout.blocks() if len(levels) > 1)
         assert grouped > len(s._layout.keys) // 2
-        for reduce in (integrate, lambda series: seqnorm._level_lps(series, 2.0, _grid_plan(n, d).blocks())):
+        for reduce in (integrate, lambda series: seqnorm._level_lps(series, 2.0)):
             reduce(s)  # warm
             tracemalloc.start()
             try:
@@ -486,7 +500,7 @@ class TestReductionPlan:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            blocks = [len(_grid_plan(n, d).blocks()) for n, d in plans]
+            blocks = [len(_grid_plan(n, d).layout.blocks()) for n, d in plans]
             retained = tracemalloc.get_traced_memory()[0] - before
             kept = len(dyadic._PLANS)
         finally:

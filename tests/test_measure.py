@@ -43,7 +43,7 @@ class TestSpecValidation:
             MeasureSpec(0.5, CompositeGauss(level=2))
 
     def test_q_nan_rejected(self):
-        with pytest.raises(ValueError, match="nan"):
+        with pytest.raises(ValueError, match=r"^q must be >= 1$"):
             MeasureSpec(math.nan, CompositeGauss(level=2))
 
     def test_q_inf_needs_sup_grid(self):
@@ -145,7 +145,7 @@ class TestSpecValidation:
     def test_mc_negative_seed_rejected(self):
         assert StratifiedMC(seed=0).seed == 0
         for seed in (-1, np.int64(-7)):
-            with pytest.raises(ValueError, match=f"Monte Carlo seed {seed} must be >= 0"):
+            with pytest.raises(ValueError, match=r"^Monte Carlo seed must be >= 0$"):
                 StratifiedMC(seed=seed)
 
     @pytest.mark.parametrize("method", ["composite", None, 3, CompositeGauss])
@@ -457,7 +457,7 @@ class TestBlockLqExact:
 
     @pytest.mark.parametrize("q", [0.5, -math.inf, math.nan])
     def test_q_below_one_rejected(self, q):
-        with pytest.raises(ValueError, match="q < 1 not supported"):
+        with pytest.raises(ValueError, match=r"^q must be >= 1$"):
             block_lq_exact((1,), [1.0, 2.0], q)
 
     def test_large_coefficients_scaled_not_overflowed(self):
